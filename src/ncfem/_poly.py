@@ -39,36 +39,36 @@ def mono_tabulate(exps, pts, order, inv_h=1.0):
     eta = pts[..., 1]
     n = len(exps)
     base = pts.shape[:-1]
-
-    def pw(v, k):
-        if k < 0:
-            return np.zeros_like(v)
-        return v**k
+    # each power is formed once and shared by every monomial that uses it;
+    # v**0 and v**1 are exactly 1.0 and v, so they allocate nothing
+    top = max(max(e) for e in exps)
+    px = [1.0, xi] + [xi**k for k in range(2, top + 1)]
+    py = [1.0, eta] + [eta**k for k in range(2, top + 1)]
 
     out = {}
     val = np.empty(base + (n,))
     for i, (a, b) in enumerate(exps):
-        val[..., i] = pw(xi, a) * pw(eta, b)
+        val[..., i] = px[a] * py[b]
     out[0] = val
     if order >= 1:
         grad = np.zeros(base + (n, 2))
         for i, (a, b) in enumerate(exps):
             if a:
-                grad[..., i, 0] = a * pw(xi, a - 1) * pw(eta, b)
+                grad[..., i, 0] = a * px[a - 1] * py[b]
             if b:
-                grad[..., i, 1] = b * pw(xi, a) * pw(eta, b - 1)
+                grad[..., i, 1] = b * px[a] * py[b - 1]
         out[1] = grad * np.asarray(inv_h)[..., None, None] if np.ndim(inv_h) else grad * inv_h
     if order >= 2:
         hess = np.zeros(base + (n, 2, 2))
         for i, (a, b) in enumerate(exps):
             if a >= 2:
-                hess[..., i, 0, 0] = a * (a - 1) * pw(xi, a - 2) * pw(eta, b)
+                hess[..., i, 0, 0] = a * (a - 1) * px[a - 2] * py[b]
             if a >= 1 and b >= 1:
-                m = a * b * pw(xi, a - 1) * pw(eta, b - 1)
+                m = a * b * px[a - 1] * py[b - 1]
                 hess[..., i, 0, 1] = m
                 hess[..., i, 1, 0] = m
             if b >= 2:
-                hess[..., i, 1, 1] = b * (b - 1) * pw(xi, a) * pw(eta, b - 2)
+                hess[..., i, 1, 1] = b * (b - 1) * px[a] * py[b - 2]
         scale = np.asarray(inv_h) ** 2
         out[2] = hess * scale[..., None, None, None] if np.ndim(inv_h) else hess * scale
     return out

@@ -137,11 +137,12 @@ def _quadrature_stiffness(space, quad_degree):
         local = np.zeros((len(ts), L, L))
         for s in range(nsub):
             tab = space.tabulate(ts, s, rule.points, m)[m]
-            area = space.subcell_area(ts, s)
-            if m == 1:
-                local += np.einsum("k,f,flkd,fgkd->flg", rule.weights, area, tab, tab)
-            else:
-                local += np.einsum("k,f,flkde,fgkde->flg", rule.weights, area, tab, tab)
+            # tabulate returns a fresh array: scaling it in place by
+            # sqrt(w * area) avoids a second chunk-sized array
+            t = tab.reshape(len(ts), L, rule.n_points, -1)
+            t *= np.sqrt(space.subcell_area(ts, s)[:, None] * rule.weights)[:, None, :, None]
+            t = t.reshape(len(ts), L, -1)
+            local += t @ t.swapaxes(1, 2)
         dofs = space.cell_dofs[ts]
         rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
         cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
@@ -193,22 +194,12 @@ def assemble_load(space, data, quad_degree=None):
             contrib = np.zeros((len(ts), space.n_local))
             for s in range(nsub):
                 parent = bary if nsub == 1 else bary @ SUB_TO_PARENT[s]
-                phys = np.einsum(
-                    "kc,fcd->fkd", bary, _subcell_corners(mesh, ts, s, nsub)
-                )
+                phys = bary @ _subcell_corners(mesh, ts, s, nsub)
                 fv = fld.eval_batch(ts, s if nsub > 1 else None, bary, parent, phys)
                 tab = _space_tab(space, ts, s, bary, parent, order, nsub)[order]
-                area = mesh.area[ts] / nsub
-                if order == 0:
-                    contrib += np.einsum("k,f,fk,flk->fl", rule.weights, area, fv, tab)
-                elif order == 1:
-                    contrib += np.einsum(
-                        "k,f,fkd,flkd->fl", rule.weights, area, fv, tab
-                    )
-                else:
-                    contrib += np.einsum(
-                        "k,f,fkde,flkde->fl", rule.weights, area, fv, tab
-                    )
+                wa = (mesh.area[ts] / nsub)[:, None] * rule.weights  # (nts, k)
+                wfv = (fv.reshape(wa.shape + (-1,)) * wa[:, :, None]).reshape(len(ts), -1, 1)
+                contrib += (tab.reshape(len(ts), space.n_local, -1) @ wfv)[:, :, 0]
             dofs = space.cell_dofs[ts]
             good = dofs >= 0
             np.add.at(vec, dofs[good], contrib[good])
@@ -299,9 +290,7 @@ def l2_project(fld, degree, mesh, quad_degree=None):
         ts = np.arange(start, min(start + _CHUNK, F))
         for s in range(nsub):
             parent = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
-            phys = np.einsum(
-                "kc,fcd->fkd", rule.points, _subcell_corners(mesh, ts, s, nsub)
-            )
+            phys = rule.points @ _subcell_corners(mesh, ts, s, nsub)
             pv = (
                 mode_vals
                 if nsub == 1
@@ -326,9 +315,7 @@ def weighted_field_l2(fld, mesh, weights=None, quad_degree=None):
         w2 = np.ones(len(ts)) if weights is None else weights[ts] ** 2
         for s in range(nsub):
             parent = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
-            phys = np.einsum(
-                "kc,fcd->fkd", rule.points, _subcell_corners(mesh, ts, s, nsub)
-            )
+            phys = rule.points @ _subcell_corners(mesh, ts, s, nsub)
             fv = fld.eval_batch(ts, s if nsub > 1 else None, rule.points, parent, phys)
             mag = fv.reshape(fv.shape[:2] + (-1,))
             dens = np.einsum("fkc,fkc->fk", mag, mag)

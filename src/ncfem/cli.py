@@ -85,10 +85,19 @@ def _build_parser():
     sp.add_argument("--scheme", choices=("original", "modified"), default="modified")
     sp.add_argument("--lambda-j", dest="lambda_j", type=float,
                     help="certified companion constant; defaults to lambda0")
+    p.subcommands = sub.choices
     return p
 
 
-def _merge_config(args, parser):
+def _parse_args(parser, argv):
+    """Parse argv; with --config, file entries replace the built-in defaults.
+
+    The config entries become parser defaults and argv is parsed again, so a
+    flag given on the command line wins and every other key takes the file's
+    value, whatever the built-in default is.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     if not args.config:
         return args
     try:
@@ -101,10 +110,24 @@ def _merge_config(args, parser):
         raise SystemExit(
             f"ncfem: unknown config keys: {sorted(unknown)} (exit {USAGE_ERROR})"
         )
-    for key, value in cfg.items():
-        # command-line flags win over file entries
-        if getattr(args, key, None) in (None, False):
-            setattr(args, key, value)
+    if args.command is None and "command" in cfg:
+        argv.append(cfg["command"])
+    rest = {k: v for k, v in cfg.items() if k != "command"}
+    # a subcommand's defaults overwrite the top-level namespace, so each
+    # subparser takes only the keys it owns; the top level takes the rest
+    for sp in parser.subcommands.values():
+        sp.set_defaults(**{a.dest: rest[a.dest] for a in sp._actions if a.dest in rest})
+    parser.set_defaults(**rest)
+    args = parser.parse_args(argv)
+    # argparse checks choices only for flags, not for defaults
+    sp = parser.subcommands.get(args.command)
+    for a in sp._actions if sp else ():
+        value = getattr(args, a.dest, None)
+        if a.dest in rest and a.choices is not None and value not in a.choices:
+            raise SystemExit(
+                f"ncfem: config entry {a.dest}={value!r} is not one of "
+                f"{list(a.choices)} (exit {USAGE_ERROR})"
+            )
     return args
 
 
@@ -528,13 +551,12 @@ def _cmd_estimate(args):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     if args.threads is None:
         env = os.environ.get("NCFEM_THREADS")
         args.threads = int(env) if env else None
     if args.threads:
         _set_thread_env(args.threads)
-    args = _merge_config(args, parser)
     if args.command is None:
         parser.print_help()
         return USAGE_ERROR

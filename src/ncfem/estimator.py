@@ -102,9 +102,7 @@ def _fhat_of_defect(space, data, u_nc, ju_nc):
         for s in range(nsub):
             bary = rule.points
             parent = bary if nsub == 1 else bary @ SUB_TO_PARENT[s]
-            phys = np.einsum(
-                "kc,fcd->fkd", bary, assembly._subcell_corners(mesh, ts, s, nsub)
-            )
+            phys = bary @ assembly._subcell_corners(mesh, ts, s, nsub)
             fv = fld.eval_batch(ts, s if nsub > 1 else None, bary, parent, phys)
             du = u_nc.evaluate_batch(ts, 0, parent, order)[order]
             dj = (

@@ -25,6 +25,8 @@ live on the 3-subtriangle HCT split (``n_subcells = 3``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._hct import SUB_TO_PARENT, hct_coefficients
@@ -56,6 +58,18 @@ KINDS = (
 _EXPS2 = monomial_exponents(2)
 
 
+def _mono_to_basis(mono, C):
+    """Basis tabulation from monomial tabulation and per-triangle coefficients.
+
+    (F, K, M, *d) x (F, M, J) -> (F, J, K, *d), as one batched matmul over
+    (triangle, point); the result is a transposed view, not a copy.
+    """
+    F, K, M = mono.shape[:3]
+    d = mono.shape[3:]
+    prod = np.matmul(mono.reshape(F, K, M, math.prod(d)).swapaxes(2, 3), C[:, None])
+    return np.moveaxis(prod, 3, 1).reshape((F, C.shape[2], K) + d)
+
+
 def _number(mask):
     """Enumerate free entities: returns (dof array with -1 at constrained, count)."""
     dof = -np.ones(len(mask), dtype=np.int64)
@@ -76,8 +90,7 @@ class FeSpace:
 
     def physical_points(self, ts, s, bary):
         """Physical points for barycentric samples on subcell s of triangles ts."""
-        corners = self._subcell_corners(ts, s)  # (nts, 3, 2)
-        return np.einsum("kc,fcd->fkd", np.atleast_2d(bary), corners)
+        return np.atleast_2d(bary) @ self._subcell_corners(ts, s)  # (nts, k, 2)
 
     def _subcell_corners(self, ts, s):
         return self.mesh.vertices[self.mesh.triangles[ts]]
@@ -93,13 +106,16 @@ class FeSpace:
 
     def _contract(self, tab, ts, order):
         """Contract formal lambda-partials with barycentric gradients."""
-        gl = self._lgrad[ts]
+        gl = self._lgrad[ts]  # (nts, 3, 2)
         nts = len(ts)
-        out = {0: np.broadcast_to(tab[0], (nts,) + tab[0].shape)}
+        n, k = tab[0].shape
+        out = {0: np.broadcast_to(tab[0], (nts, n, k))}
         if order >= 1:
-            out[1] = np.einsum("lka,fad->flkd", tab[1], gl)
+            out[1] = (tab[1].reshape(n * k, 3) @ gl).reshape(nts, n, k, 2)
         if order >= 2:
-            out[2] = np.einsum("lkab,fad,fbe->flkde", tab[2], gl, gl)
+            # (nts, 9, 4) products grad(lambda_a)_d * grad(lambda_b)_e
+            gg = (gl[:, :, None, :, None] * gl[:, None, :, None, :]).reshape(nts, 9, 4)
+            out[2] = (tab[2].reshape(n * k, 9) @ gg).reshape(nts, n, k, 2, 2)
         return out
 
 
@@ -185,12 +201,7 @@ class MorleySpace(FeSpace):
         xi = (phys - self.mesh.centroid[ts][:, None]) / h[:, None, None]
         mono = mono_tabulate(_EXPS2, xi, order, inv_h=1.0 / h[:, None])
         C = self._coeff[ts]
-        out = {0: np.einsum("fkm,fmj->fjk", mono[0], C)}
-        if order >= 1:
-            out[1] = np.einsum("fkmd,fmj->fjkd", mono[1], C)
-        if order >= 2:
-            out[2] = np.einsum("fkmde,fmj->fjkde", mono[2], C)
-        return out
+        return {o: _mono_to_basis(mono[o], C) for o in mono}
 
 
 def _cubic_bubble():
@@ -303,17 +314,9 @@ class CompanionMorleySpace(FeSpace):
         parent_bary = bary @ SUB_TO_PARENT[s]
         btab = self._cached_bary(("bub", s), self._bubbles, parent_bary, order)
         bub = self._contract(btab, ts, order)
-        out = {}
-        out[0] = np.concatenate([np.einsum("fkm,fmj->fjk", mono[0], C), bub[0]], axis=1)
-        if order >= 1:
-            out[1] = np.concatenate(
-                [np.einsum("fkmd,fmj->fjkd", mono[1], C), bub[1]], axis=1
-            )
-        if order >= 2:
-            out[2] = np.concatenate(
-                [np.einsum("fkmde,fmj->fjkde", mono[2], C), bub[2]], axis=1
-            )
-        return out
+        return {
+            o: np.concatenate([_mono_to_basis(mono[o], C), bub[o]], axis=1) for o in mono
+        }
 
     def locate_subcell(self, t, points):
         """Subtriangle index and sub-barycentric coords for points inside t."""
@@ -390,12 +393,12 @@ class FeFunction:
         """
         ts = np.asarray(ts)
         tab = self.space.tabulate(ts, s, bary, order)
-        c = self.local_coeffs(ts)
-        out = {0: np.einsum("fl,flk->fk", c, tab[0])}
-        if order >= 1:
-            out[1] = np.einsum("fl,flkd->fkd", c, tab[1])
-        if order >= 2:
-            out[2] = np.einsum("fl,flkde->fkde", c, tab[2])
+        c = self.local_coeffs(ts)[:, None, :]  # (nts, 1, n_local)
+        out = {}
+        for o, t in tab.items():
+            nts, n = t.shape[:2]
+            flat = t.reshape(nts, n, math.prod(t.shape[2:]))
+            out[o] = (c @ flat).reshape((nts,) + t.shape[2:])
         return out
 
     def evaluate(self, t, points, order=0):

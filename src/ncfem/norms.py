@@ -8,6 +8,7 @@ import numpy as np
 
 from ._hct import SUB_TO_PARENT
 from ._poly import mono_tabulate, monomial_exponents
+from .assembly import _subcell_corners
 from .fespace import CRSpace, FeFunction, MorleySpace
 from .fields import ExactSolution
 from .quadrature import MAX_TRIANGLE_DEGREE, triangle_rule
@@ -80,15 +81,7 @@ def error_norms(f, reference=None, quad_degree=None, m=None):
         for s in range(nsub):
             bary = rule.points
             parent = bary if nsub == 1 else bary @ SUB_TO_PARENT[s]
-            if nsub == 1:
-                corners = mesh.vertices[mesh.triangles[ts]]
-            else:
-                tri = mesh.triangles[ts]
-                corners = np.empty((len(ts), 3, 2))
-                corners[:, 0] = mesh.centroid[ts]
-                corners[:, 1] = mesh.vertices[tri[:, (s + 1) % 3]]
-                corners[:, 2] = mesh.vertices[tri[:, (s + 2) % 3]]
-            phys = np.einsum("kc,fcd->fkd", bary, corners)
+            phys = bary @ _subcell_corners(mesh, ts, s, nsub)
             area = mesh.area[ts] / nsub
             for k in orders:
                 if space.n_subcells == 1:
@@ -191,7 +184,7 @@ def errors_vs_fine(coarse, fine, generations, quad_degree=4):
         ts = np.arange(start, min(start + _CHUNK, mesh_f.n_triangles))
         anc = mesh_f.ancestor(ts, generations)
         corners = mesh_f.vertices[mesh_f.triangles[ts]]
-        phys = np.einsum("kc,fcd->fkd", rule.points, corners)
+        phys = rule.points @ corners
         # barycentric in the ancestor triangle
         p0 = corners_c[anc, 0]
         T = np.stack(

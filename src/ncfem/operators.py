@@ -340,14 +340,10 @@ def _morley_companion_matrix(source, target):
     for s in range(3):
         parent = rule_p.points @ SUB_TO_PARENT[s]
         qv_s = np.stack([p.eval(parent) for p in modes], axis=0)
-        corners = np.empty((F, 3, 2))
-        corners[:, 0] = mesh.centroid
-        corners[:, 1] = mesh.vertices[tri[:, (s + 1) % 3]]
-        corners[:, 2] = mesh.vertices[tri[:, (s + 2) % 3]]
-        phys = np.einsum("kc,fcd->fkd", rule_p.points, corners)
+        phys = rule_p.points @ assembly._subcell_corners(mesh, np.arange(F), s, 3)
         xi = (phys - mesh.centroid[:, None]) / mesh.diameter[:, None, None]
         mono = mono_tabulate(exps3, xi, 0)[0]  # (F, k, 10)
-        shape_vals = np.einsum("fkm,fmj->fkj", mono, target.hct_coef[:, s])
+        shape_vals = mono @ target.hct_coef[:, s]  # (F, k, 12)
         P_loc += np.einsum("k,fkj,lk->fjl", rule_p.weights / 3.0, shape_vals, qv_s)
 
     def assemble_block(table, col_ids, width, n_modes=6):
@@ -492,8 +488,7 @@ def best_approx_orthogonality_check(space, v, degree=None):
             else:
                 dv = v.evaluate_batch(ts, s, rule.points, m)[m]
         else:
-            corners = mesh.vertices[mesh.triangles]
-            phys = np.einsum("kc,fcd->fkd", bary, corners)
+            phys = bary @ mesh.vertices[mesh.triangles]
             dv = v.eval(m, phys[..., 0], phys[..., 1])
         div = iv.evaluate_batch(ts, 0, bary, m)[m]
         total += np.einsum("k,fk...->f...", rule.weights / nsub, dv - div)

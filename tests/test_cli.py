@@ -142,3 +142,38 @@ def test_mesh_file_roundtrip_via_cli(tmp_path):
                  "--json", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["mesh"]["ndofs"] == 8
+
+
+def test_config_overrides_builtin_defaults(tmp_path):
+    # scheme and h_convention have non-None built-in defaults; the config
+    # must still replace them when no flag is given
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "original", "h_convention": "sqrt_area",
+                               "level": 1}))
+    out = tmp_path / "est.json"
+    assert main(["--config", str(cfg), "estimate", "--problem", "square-smooth-m1",
+                 "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["scheme"] == "original"
+    assert report["h_convention"] == "sqrt_area"
+    assert report["level"] == 1
+    # an explicit flag still wins over the file
+    assert main(["--config", str(cfg), "estimate", "--problem", "square-smooth-m1",
+                 "--scheme", "modified", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["scheme"] == "modified"
+    assert report["h_convention"] == "sqrt_area"
+
+
+def test_config_value_outside_choices_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "both"}))
+    with pytest.raises(SystemExit, match="config entry scheme='both'"):
+        main(["--config", str(cfg), "estimate", "--problem", "square-smooth-m1"])
+
+
+def test_config_supplies_command(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "verify", "mesh": "square:2", "m": 1,
+                               "samples": 3}))
+    assert main(["--config", str(cfg)]) == 0

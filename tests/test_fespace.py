@@ -10,8 +10,10 @@ from ncfem.fespace import (
     split_point_eval,
     vertex_eval,
 )
-from ncfem.mesh import l_shape_mesh, red_refine, unit_square_mesh
-from ncfem.quadrature import edge_rule
+from ncfem._hct import SUB_TO_PARENT
+from ncfem._poly import bary_tabulate, mono_tabulate, monomial_exponents
+from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
+from ncfem.quadrature import edge_rule, triangle_rule
 
 
 def test_dof_counts():
@@ -176,3 +178,79 @@ def test_coefficient_shape_checked(square2):
     space = build_space(square2, "CR1_0")
     with pytest.raises(ValueError):
         FeFunction(space, np.zeros(space.ndofs + 1))
+
+
+# -- batched tabulation kernels against a plain einsum reference ------------
+
+
+def _jittered_mesh():
+    base = unit_square_mesh(4)
+    rng = np.random.default_rng(42)
+    verts = base.vertices.copy()
+    interior = ~base.boundary_vertex_mask
+    verts[interior] += 0.25 * 0.25 * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
+    return Triangulation(verts, base.triangles)
+
+
+def _einsum_from_bary(space, polys, bary, ts, order):
+    tab = bary_tabulate(polys, bary, order)
+    gl = space._lgrad[ts]
+    out = {0: np.broadcast_to(tab[0], (len(ts),) + tab[0].shape)}
+    if order >= 1:
+        out[1] = np.einsum("lka,fad->flkd", tab[1], gl)
+    if order >= 2:
+        out[2] = np.einsum("lkab,fad,fbe->flkde", tab[2], gl, gl)
+    return out
+
+
+def _einsum_from_mono(space, exps, coeff, ts, s, bary, order):
+    corners = space._subcell_corners(ts, s)
+    phys = np.einsum("kc,fcd->fkd", bary, corners)
+    h = space.mesh.diameter[ts]
+    xi = (phys - space.mesh.centroid[ts][:, None]) / h[:, None, None]
+    mono = mono_tabulate(exps, xi, order, inv_h=1.0 / h[:, None])
+    subs = {0: "fkm,fmj->fjk", 1: "fkmd,fmj->fjkd", 2: "fkmde,fmj->fjkde"}
+    return {o: np.einsum(subs[o], mono[o], coeff) for o in mono}
+
+
+def _einsum_tabulate(space, ts, s, bary, order):
+    """Reference tabulation written directly as einsum contractions."""
+    kind = space.kind
+    if kind.startswith("CR1") or kind.startswith("COMPANION_CR"):
+        return _einsum_from_bary(space, space._shapes, bary, ts, order)
+    if kind.startswith("MORLEY"):
+        exps = monomial_exponents(2)
+        return _einsum_from_mono(space, exps, space._coeff[ts], ts, 0, bary, order)
+    hct = _einsum_from_mono(space, space._exps3, space.hct_coef[ts, s], ts, s, bary, order)
+    bub = _einsum_from_bary(space, space._bubbles, bary @ SUB_TO_PARENT[s], ts, order)
+    return {o: np.concatenate([hct[o], bub[o]], axis=1) for o in hct}
+
+
+_FAMILIES = ("CR1_0", "MORLEY_0", "COMPANION_CR", "COMPANION_MORLEY")
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    scale = max(np.abs(want).max(), 1e-300)
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", _FAMILIES)
+def test_batched_kernels_match_einsum_reference(kind):
+    mesh = _jittered_mesh()
+    space = build_space(mesh, kind)
+    rng = np.random.default_rng(7)
+    f = FeFunction(space, rng.standard_normal(space.ndofs))
+    bary = np.concatenate([triangle_rule(6).points, rng.dirichlet(np.ones(3), size=5)])
+    ts = np.arange(mesh.n_triangles)
+    for s in range(space.n_subcells):
+        for order in range(3):
+            got = space.tabulate(ts, s, bary, order)
+            want = _einsum_tabulate(space, ts, s, bary, order)
+            assert sorted(got) == list(range(order + 1))
+            for o in want:
+                _close(got[o], want[o])
+            vals = f.evaluate_batch(ts, s, bary, order)
+            c = f.local_coeffs(ts)
+            for o in want:
+                _close(vals[o], np.einsum("fl,flk...->fk...", c, want[o]))

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success with all asserted identities passing, 2 when an
 assertion fails (the report is still written), 1 on usage or configuration
-errors.  JSON reports are schema-versioned; CSV rate tables are
+errors (argparse's own included) and when a computation fails with a
+``RuntimeError`` such as a non-converged eigensolve; these print one
+``ncfem: <message>`` line to stderr, not a traceback.  JSON reports are schema-versioned; CSV rate tables are
 byte-reproducible for a fixed seed up to the timestamp header comment.
 """
 
@@ -28,8 +30,15 @@ def _set_thread_env(n):
         os.environ.setdefault(var, str(n))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Report usage errors on one line with USAGE_ERROR, not argparse's 2."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"ncfem: {message}\n")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ncfem",
         description="Nonconforming FEM laboratory (Crouzeix-Raviart / Morley)",
     )
@@ -307,6 +316,7 @@ def _cmd_verify(args):
         report["passed"] &= ok
 
     worst_ri, worst_orth, worst_pyth, worst_kappa = 0.0, 0.0, 0.0, -np.inf
+    energy = (space.m,)
     kappa = kappa_constant(args.m)
     h = mesh.diameter
     for _ in range(args.samples):
@@ -315,18 +325,18 @@ def _cmd_verify(args):
         ivjv = interpolate(space, jv)
         scale = max(np.abs(v.coeffs).max(), 1e-30)
         worst_ri = max(worst_ri, np.abs(ivjv.coeffs - v.coeffs).max() / scale)
-        nrm = error_norms(v).energy_pw
+        nrm = error_norms(v, orders=energy).energy_pw
         worst_orth = max(
             worst_orth, best_approx_orthogonality_check(space, jv) / max(nrm, 1e-30)
         )
         # interpolation-constant inequality for the conforming image
-        defect = error_norms(jv, reference=v, m=space.m)
+        defect = error_norms(jv, reference=v, m=space.m, orders=energy)
         wl2 = _weighted_l2_defect(space, v, jv, h)
         worst_kappa = max(worst_kappa, wl2 - kappa * defect.energy_pw)
         w = FeFunction(space, rng.standard_normal(space.ndofs))
-        lhs = error_norms(w, reference=jv).energy_pw ** 2
+        lhs = error_norms(w, reference=jv, orders=energy).energy_pw ** 2
         rhs = defect.energy_pw ** 2 + error_norms(
-            FeFunction(space, w.coeffs - v.coeffs)
+            FeFunction(space, w.coeffs - v.coeffs), orders=energy
         ).energy_pw ** 2
         worst_pyth = max(worst_pyth, abs(lhs - rhs) / max(rhs, 1e-30))
     record("right-inverse coefficient identity", worst_ri, 1e-11)
@@ -488,10 +498,10 @@ def _cmd_solve(args):
         entry = {
             "solver": {"method": rep.method, "residual": rep.residual,
                        "converged": rep.converged},
-            "energy_norm": error_norms(u).energy_pw,
+            "energy_norm": error_norms(u, orders=(m,)).energy_pw,
         }
         if reference is not None:
-            b = error_norms(u, reference=reference)
+            b = error_norms(u, reference=reference, orders=(0, m))
             entry["errors"] = {"energy_pw": b.energy_pw, "l2": b.l2}
         report["schemes"][scheme] = entry
         if args.solution:
@@ -573,7 +583,7 @@ def main(argv=None):
         return handlers[args.command](args)
     except SystemExit:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"ncfem: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -122,10 +122,13 @@ def _fhat_of_defect(space, data, u_nc, ju_nc):
 
 
 def _measured(space, u_nc, ju_nc, reference):
+    energy = (space.m,)
     iu = interpolate(space, reference)
-    e_int = error_norms(FeFunction(space, iu.coeffs - u_nc.coeffs)).energy_pw
-    e_conf = error_norms(ju_nc, reference=reference).energy_pw
-    e_pw = error_norms(u_nc, reference=reference).energy_pw
+    e_int = error_norms(
+        FeFunction(space, iu.coeffs - u_nc.coeffs), orders=energy
+    ).energy_pw
+    e_conf = error_norms(ju_nc, reference=reference, orders=energy).energy_pw
+    e_pw = error_norms(u_nc, reference=reference, orders=energy).energy_pw
     return {
         "energy_conf": e_conf,
         "energy_pw": e_pw,
@@ -149,7 +152,7 @@ def estimate_original(space, data, u_nc, cmap, reference=None, h_convention="dia
     kappa = kappa_constant(space.m)
     G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
     ju = companion(cmap, u_nc)
-    nonconf = error_norms(u_nc, reference=ju).energy_pw
+    nonconf = error_norms(u_nc, reference=ju, orders=(space.m,)).energy_pw
     fhat_corr = _fhat_of_defect(space, data, u_nc, ju)
     base = G_osc + kappa * g_weighted + nonconf
     bounds = {"bound_a": base**2, "bound_b": base**2 + 2.0 * fhat_corr}
@@ -206,7 +209,7 @@ def estimate_modified(
     lam_j = lam0 if lambda_j is None else float(lambda_j)
     G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
     ju = companion(cmap, u_nc)
-    nonconf = error_norms(u_nc, reference=ju).energy_pw
+    nonconf = error_norms(u_nc, reference=ju, orders=(space.m,)).energy_pw
     apx_F = (1.0 + lam_j) * G_osc + kappa * g_weighted + kappa * lam_j * g_osc
     bound_a = np.sqrt(1.0 + lam0**2) * G_osc + np.sqrt(
         (kappa * g_weighted + nonconf) ** 2 + kappa**2 * lam0**2 * g_osc**2
@@ -249,7 +252,7 @@ def efficiency_terms(space, data, reference, h_convention="diameter"):
     m = space.m
     G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
     iu = interpolate(space, reference)
-    interp_err = error_norms(iu, reference=reference).energy_pw
+    interp_err = error_norms(iu, reference=reference, orders=(m,)).energy_pw
     rhs_sum = interp_err + g_osc + G_osc
     index = g_weighted / rhs_sum if rhs_sum > 0 else (0.0 if g_weighted == 0 else np.inf)
     return {

@@ -1,9 +1,10 @@
 """Sparse SPD solves and the symmetric generalized eigensolver.
 
 Thin, contract-checked wrappers around scipy: direct sparse LU for moderate
-systems, Jacobi-preconditioned CG beyond; dense `eigh` for the generalized
-eigenproblem below a dimension threshold and deterministic power iteration
-with inner direct solves above it.
+systems, Jacobi-preconditioned CG beyond; for the largest eigenpair of the
+generalized eigenproblem, dense `eigh` restricted to the top eigenpair below
+a dimension threshold and deterministic power iteration with inner direct
+solves above it.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ def max_generalized_eig(B, A, tol=1e-9, dense_limit=DENSE_EIG_LIMIT, maxiter=500
     if n <= dense_limit:
         Bd = B.toarray()
         Ad = A.toarray()
-        w, V = sla.eigh(Bd, Ad)
-        lam = float(w[-1])
-        x = V[:, -1]
+        w, V = sla.eigh(Bd, Ad, subset_by_index=[n - 1, n - 1])
+        lam = float(w[0])
+        x = V[:, 0]
     else:
         lu = spla.splu(A.tocsc())
         x = np.ones(n) + np.arange(n) / n

@@ -135,12 +135,6 @@ class _SquareSmoothM2(Problem):
 # -- L-shape problems ---------------------------------------------------------
 
 
-def _polar(x, y):
-    r = np.hypot(x, y)
-    theta = np.mod(np.arctan2(y, x), 2.0 * PI)
-    return r, theta
-
-
 class _LShapeSingularM1(Problem):
     """u = (1-x^2)(1-y^2) r^(2/3) sin(2 theta/3): the leading reentrant-corner
     singularity weighted by a polynomial that enforces the outer boundary
@@ -149,40 +143,50 @@ class _LShapeSingularM1(Problem):
 
     @staticmethod
     def _w_parts(x, y):
-        r, th = _polar(x, y)
-        r = np.maximum(r, 1e-300)
-        sin_ = np.sin(2.0 * th / 3.0)
-        cos_ = np.cos(2.0 * th / 3.0)
-        w = r ** (2.0 / 3.0) * sin_
-        fac = (2.0 / 3.0) * r ** (-1.0 / 3.0)
-        er = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        et = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-        grad_w = fac[..., None] * (sin_[..., None] * er + cos_[..., None] * et)
-        return w, grad_w
+        """w = r^(2/3) sin(2 theta/3), theta in [0, 2 pi), and grad w.
+
+        Closed form with t = theta/3: w = 2 r^(2/3) sin t cos t and
+        grad w = (2/3) r^(-1/3) (-sin t, cos t).  Returns w, dw/dx, dw/dy.
+        """
+        cbrt_r = np.cbrt(np.maximum(np.sqrt(x * x + y * y), 1e-300))
+        t = np.arctan2(y, x)
+        t = np.where(t < 0.0, t + 2.0 * PI, t) / 3.0
+        w_x = np.sin(t)
+        w_y = np.cos(t)
+        w = 2.0 * cbrt_r * cbrt_r * w_x * w_y
+        fac = (2.0 / 3.0) / cbrt_r
+        w_x *= -fac
+        w_y *= fac
+        return w, w_x, w_y
+
+    @staticmethod
+    def _g_parts(x, y):
+        """g = (1-x^2)(1-y^2) and dg/dx, dg/dy."""
+        one_x = 1.0 - x**2
+        one_y = 1.0 - y**2
+        return one_x * one_y, -2.0 * x * one_y, -2.0 * y * one_x
 
     def data(self, mesh):
         def f(x, y):
-            w, grad_w = self._w_parts(x, y)
+            w, w_x, w_y = self._w_parts(x, y)
+            _, g_x, g_y = self._g_parts(x, y)
             lap_g = -2.0 * (1.0 - y**2) - 2.0 * (1.0 - x**2)
-            grad_g = np.stack(
-                [-2.0 * x * (1.0 - y**2), -2.0 * y * (1.0 - x**2)], axis=-1
-            )
-            return -(lap_g * w) - 2.0 * np.einsum("...d,...d->...", grad_g, grad_w)
+            return -(lap_g * w) - 2.0 * (g_x * w_x + g_y * w_y)
 
         return RhsData(G=None, g=ScalarField(f, degree=None))
 
     def reference(self):
         def value(x, y):
-            w, _ = self._w_parts(x, y)
+            w, _, _ = self._w_parts(x, y)
             return (1.0 - x**2) * (1.0 - y**2) * w
 
         def gradient(x, y):
-            w, grad_w = self._w_parts(x, y)
-            g = (1.0 - x**2) * (1.0 - y**2)
-            grad_g = np.stack(
-                [-2.0 * x * (1.0 - y**2), -2.0 * y * (1.0 - x**2)], axis=-1
-            )
-            return g[..., None] * grad_w + w[..., None] * grad_g
+            w, w_x, w_y = self._w_parts(x, y)
+            g, g_x, g_y = self._g_parts(x, y)
+            grad = np.empty(np.shape(w) + (2,))
+            grad[..., 0] = g * w_x + w * g_x
+            grad[..., 1] = g * w_y + w * g_y
+            return grad
 
         return ExactSolution(value, gradient, hessian=None)
 

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from ncfem.cli import main
+from ncfem.cli import USAGE_ERROR, main
+from ncfem.linalg import EigenError
 
 
 def test_verify_exit_zero(capsys):
@@ -177,3 +178,33 @@ def test_config_supplies_command(tmp_path):
     cfg.write_text(json.dumps({"command": "verify", "mesh": "square:2", "m": 1,
                                "samples": 3}))
     assert main(["--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        ["lambda0", "--m", "3", "--mesh", "square:4"],
+        ["--config", "missing-config.json", "lambda0"],
+    ],
+    ids=["unknown-subcommand", "value-outside-choices", "unreadable-config"],
+)
+def test_argparse_usage_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("ncfem: ") and err.count("\n") == 1
+
+
+def test_failed_eigensolve_exits_one_without_traceback(monkeypatch, capsys):
+    import ncfem.linalg
+
+    def fail(*args, **kwargs):
+        raise EigenError("generalized eigeniteration did not converge", 3.7e-3)
+
+    monkeypatch.setattr(ncfem.linalg, "max_generalized_eig", fail)
+    assert main(["lambda0", "--m", "1", "--mesh", "square:1"]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err == "ncfem: generalized eigeniteration did not converge (residual 3.700e-03)\n"

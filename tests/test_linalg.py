@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ncfem.linalg import EigenError, max_generalized_eig, solve_spd
+from ncfem.linalg import EigenError, _fix_sign, max_generalized_eig, solve_spd
 
 
 def random_spd(n, rng):
@@ -119,3 +119,18 @@ def test_eig_sign_convention(rng):
     A = sp.identity(2, format="csr")
     _, x = max_generalized_eig(B, A)
     assert x[np.nonzero(np.abs(x) > 1e-12)[0][0]] > 0
+
+
+def test_top_eigenpair_matches_full_eigh(rng):
+    import scipy.linalg as sla
+
+    n = 200
+    A = random_spd(n, rng)
+    C = rng.standard_normal((n, n))
+    B = C + C.T
+    w, V = sla.eigh(B, A)
+    want = _fix_sign(V[:, -1])
+    want = want / np.sqrt(want @ (A @ want))
+    lam, x = max_generalized_eig(sp.csr_matrix(B), sp.csr_matrix(A))
+    assert lam == pytest.approx(w[-1], rel=1e-12)
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ncfem.fields import ExactSolution
 from ncfem.mesh import red_refine, unit_square_mesh
 from ncfem.norms import convergence_rate, error_norms, errors_vs_fine
 from ncfem.operators import build_companion, companion, interpolate
+from ncfem.problems import get_problem
 
 
 def sin_reference():
@@ -123,3 +126,40 @@ def test_errors_vs_fine_nested(rng):
     ef = error_norms(ff, reference=ref).energy_pw
     assert d["energy_pw"] <= ec + ef + 1e-12
     assert d["energy_pw"] >= abs(ec - ef) - 1e-12
+
+
+def _nonempty_subsets(orders):
+    orders = sorted(orders)
+    return [c for r in range(1, len(orders) + 1) for c in combinations(orders, r)]
+
+
+@pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0"])
+@pytest.mark.parametrize("ref_kind", ["discrete", "analytic"])
+def test_selected_orders_match_full_call_bitwise(kind, ref_kind, lshape1, rng):
+    mesh = red_refine(lshape1)
+    space = build_space(mesh, kind)
+    v = FeFunction(space, rng.standard_normal(space.ndofs))
+    if ref_kind == "discrete":
+        reference = companion(build_companion(space), v)
+        v = FeFunction(space, v.coeffs + 0.1 * rng.standard_normal(space.ndofs))
+    else:
+        name = "lshape-singular-m1" if space.m == 1 else "square-smooth-m2"
+        reference = get_problem(name).reference()
+    full = error_norms(v, reference=reference)
+    fields = {0: "l2", 1: "h1_pw", space.m: "energy_pw"}
+    for orders in _nonempty_subsets({0, 1, space.m}):
+        part = error_norms(v, reference=reference, orders=orders)
+        assert part.against == full.against
+        for k, name in fields.items():
+            if k in orders:
+                assert getattr(part, name) == getattr(full, name)
+            else:
+                assert getattr(part, name) is None
+
+
+def test_orders_outside_the_norm_set_rejected(square2):
+    space = build_space(square2, "CR1_0")
+    with pytest.raises(ValueError, match="orders"):
+        error_norms(FeFunction(space), orders=(2,))
+    with pytest.raises(ValueError, match="orders"):
+        error_norms(FeFunction(space), orders=())

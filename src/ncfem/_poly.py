@@ -16,6 +16,8 @@ __all__ = [
     "monomial_exponents",
     "mono_tabulate",
     "BaryPoly",
+    "bary_modes",
+    "cubic_bubble",
     "lambda_gradients",
     "bary_integral",
 ]
@@ -154,6 +156,29 @@ class BaryPoly:
     @property
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
+
+
+def bary_modes(k):
+    """Basis of P_k on a triangle: u^a v^b (a + b <= k) with u = lambda1 -
+    lambda0 and v = lambda2 - lambda0, ordered by total degree, then b."""
+    one = BaryPoly.const(1.0)
+    u = BaryPoly.lam(1) - BaryPoly.lam(0)
+    v = BaryPoly.lam(2) - BaryPoly.lam(0)
+    modes = []
+    for tot in range(k + 1):
+        for b in range(tot + 1):
+            p = one
+            for _ in range(tot - b):
+                p = p * u
+            for _ in range(b):
+                p = p * v
+            modes.append(p)
+    return modes
+
+
+def cubic_bubble():
+    """27 lambda0 lambda1 lambda2: the cubic bubble with value 1 at the centroid."""
+    return 27.0 * BaryPoly.lam(0) * BaryPoly.lam(1) * BaryPoly.lam(2)
 
 
 def bary_tabulate(polys, lam_pts, order):

@@ -3,7 +3,8 @@
 Matrices are scipy CSR (symmetric by construction, positive definite on the
 constrained space).  All integrands in the identity experiments are
 piecewise polynomial and integrated exactly; smooth data triggers a fixed
-high-order rule.  Element loops are chunked and vectorized.
+high-order rule.  Element integrals run over the chunked quadrature cells
+of :func:`ncfem.quadrature.cells` and are vectorized per chunk.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.sparse as sp
 
-from ._hct import SUB_TO_PARENT
-from ._poly import BaryPoly, lambda_gradients
+from ._poly import bary_modes, lambda_gradients
 from .fespace import CompanionMorleySpace, CRSpace, MorleySpace
 from .fields import FieldBase, field_sum
 from .mesh import mesh_size
-from .quadrature import MAX_TRIANGLE_DEGREE, triangle_rule
+from .quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
 
 __all__ = [
     "PointForce",
@@ -39,9 +39,6 @@ __all__ = [
     "eps_stiffness_cr_vector",
     "scheme_residual",
 ]
-
-_CHUNK = 2048
-
 
 @dataclass(frozen=True)
 class PointForce:
@@ -71,33 +68,6 @@ class RhsData:
     point_forces: list = dataclass_field(default_factory=list)
 
 
-def _n_subcells(space, fields=()):
-    n = space.n_subcells
-    for f in fields:
-        if f is not None:
-            n = max(n, f.n_subcells)
-    return n
-
-
-def _subcell_corners(mesh, ts, s, nsub):
-    tri = mesh.triangles[ts]
-    if nsub == 1:
-        return mesh.vertices[tri]
-    corners = np.empty((len(ts), 3, 2))
-    corners[:, 0] = mesh.centroid[ts]
-    corners[:, 1] = mesh.vertices[tri[:, (s + 1) % 3]]
-    corners[:, 2] = mesh.vertices[tri[:, (s + 2) % 3]]
-    return corners
-
-
-def _space_tab(space, ts, s, bary, parent_bary, order, nsub):
-    if space.n_subcells == 1:
-        return space.tabulate(ts, 0, parent_bary, order)
-    if nsub == 1:
-        raise ValueError("space on the HCT split needs a subcell partition")
-    return space.tabulate(ts, s, bary, order)
-
-
 def _scatter_matrix(rows, cols, data, n):
     mask = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix(
@@ -105,7 +75,7 @@ def _scatter_matrix(rows, cols, data, n):
     )
 
 
-def assemble_stiffness(space, quad_degree=None):
+def assemble_stiffness(space):
     """Matrix of the piecewise energy product sum_T int_T D^m u : D^m v."""
     mesh = space.mesh
     if isinstance(space, CRSpace):
@@ -117,30 +87,27 @@ def assemble_stiffness(space, quad_degree=None):
         local = np.einsum("f,fide,fjde->fij", mesh.area, H, H)
         L = 6
     else:
-        return _quadrature_stiffness(space, quad_degree)
+        return _quadrature_stiffness(space)
     dofs = space.cell_dofs
     rows = np.broadcast_to(dofs[:, :, None], (mesh.n_triangles, L, L)).ravel()
     cols = np.broadcast_to(dofs[:, None, :], (mesh.n_triangles, L, L)).ravel()
     return _scatter_matrix(rows, cols, local.ravel(), space.ndofs).tocsr()
 
 
-def _quadrature_stiffness(space, quad_degree):
-    mesh = space.mesh
+def _quadrature_stiffness(space):
     m = space.m
-    deg = quad_degree if quad_degree is not None else 2 * (space.poly_degree - m)
-    rule = triangle_rule(min(deg, MAX_TRIANGLE_DEGREE))
+    rule = triangle_rule(min(2 * (space.poly_degree - m), MAX_TRIANGLE_DEGREE))
     L = space.n_local
-    nsub = space.n_subcells
     blocks = []
-    for start in range(0, mesh.n_triangles, _CHUNK):
-        ts = np.arange(start, min(start + _CHUNK, mesh.n_triangles))
+    for chunk in cells(space.mesh, rule, space):
+        ts = chunk[0].ts
         local = np.zeros((len(ts), L, L))
-        for s in range(nsub):
-            tab = space.tabulate(ts, s, rule.points, m)[m]
+        for c in chunk:
+            tab = space.tabulate_cell(c, m)[m]
             # tabulate returns a fresh array: scaling it in place by
             # sqrt(w * area) avoids a second chunk-sized array
             t = tab.reshape(len(ts), L, rule.n_points, -1)
-            t *= np.sqrt(space.subcell_area(ts, s)[:, None] * rule.weights)[:, None, :, None]
+            t *= np.sqrt(c.area[:, None] * c.weights)[:, None, :, None]
             t = t.reshape(len(ts), L, -1)
             local += t @ t.swapaxes(1, 2)
         dofs = space.cell_dofs[ts]
@@ -156,9 +123,6 @@ def _quadrature_stiffness(space, quad_degree):
 def _basis_at_point(space, t, point):
     """Local basis values at one physical point of triangle t."""
     point = np.asarray(point, dtype=float)
-    if space.n_subcells == 1:
-        bary = space.mesh.barycentric(t, point[None, :])
-        return space.tabulate(np.array([t]), 0, bary, 0)[0][0, :, 0]
     s, bary = space.locate_subcell(t, point[None, :])
     return space.tabulate(np.array([t]), int(s[0]), bary, 0)[0][0, :, 0]
 
@@ -171,7 +135,7 @@ def _vertex_value_dof(space, v):
     raise ValueError("point forces require an m=2 space")
 
 
-def assemble_load(space, data, quad_degree=None):
+def assemble_load(space, data):
     """Vector of F-hat applied to the basis of `space` (any supported kind)."""
     mesh = space.mesh
     m = space.m
@@ -184,20 +148,14 @@ def assemble_load(space, data, quad_degree=None):
         deg = data.g.quad_degree() + space.poly_degree
         terms.append((data.g, 0, deg))
     for fld, order, deg in terms:
-        if quad_degree is not None:
-            deg = quad_degree
         rule = triangle_rule(min(deg, MAX_TRIANGLE_DEGREE))
-        nsub = _n_subcells(space, [fld])
-        bary = rule.points
-        for start in range(0, mesh.n_triangles, _CHUNK):
-            ts = np.arange(start, min(start + _CHUNK, mesh.n_triangles))
+        for chunk in cells(mesh, rule, space, fld):
+            ts = chunk[0].ts
             contrib = np.zeros((len(ts), space.n_local))
-            for s in range(nsub):
-                parent = bary if nsub == 1 else bary @ SUB_TO_PARENT[s]
-                phys = bary @ _subcell_corners(mesh, ts, s, nsub)
-                fv = fld.eval_batch(ts, s if nsub > 1 else None, bary, parent, phys)
-                tab = _space_tab(space, ts, s, bary, parent, order, nsub)[order]
-                wa = (mesh.area[ts] / nsub)[:, None] * rule.weights  # (nts, k)
+            for c in chunk:
+                fv = fld.eval_batch(c)
+                tab = space.tabulate_cell(c, order)[order]
+                wa = c.area[:, None] * c.weights  # (nts, k)
                 wfv = (fv.reshape(wa.shape + (-1,)) * wa[:, :, None]).reshape(len(ts), -1, 1)
                 contrib += (tab.reshape(len(ts), space.n_local, -1) @ wfv)[:, :, 0]
             dofs = space.cell_dofs[ts]
@@ -225,37 +183,21 @@ def assemble_load(space, data, quad_degree=None):
     return vec
 
 
-def assemble_rhs_original(space, data, quad_degree=None):
+def assemble_rhs_original(space, data):
     """Natural right-hand side tested with the nonconforming basis."""
     if not isinstance(space, (CRSpace, MorleySpace)):
         raise ValueError("original scheme needs a CR or Morley space")
-    return assemble_load(space, data, quad_degree)
+    return assemble_load(space, data)
 
 
-def assemble_rhs_modified(space, data, cmap, quad_degree=None):
+def assemble_rhs_modified(space, data, cmap):
     """Right-hand side composed with the companion: entries F(J phi_i)."""
     if cmap.source is not space:
         raise ValueError("companion map does not belong to this space")
-    return cmap.matrix.T @ assemble_load(cmap.target, data, quad_degree)
+    return cmap.matrix.T @ assemble_load(cmap.target, data)
 
 
 # -- piecewise polynomial fields and projections ----------------------------
-
-
-def _bary_modes(k):
-    one = BaryPoly.const(1.0)
-    u = BaryPoly.lam(1) - BaryPoly.lam(0)
-    v = BaryPoly.lam(2) - BaryPoly.lam(0)
-    modes = []
-    for tot in range(k + 1):
-        for b in range(tot + 1):
-            p = one
-            for _ in range(tot - b):
-                p = p * u
-            for _ in range(b):
-                p = p * v
-            modes.append(p)
-    return modes
 
 
 class PiecewisePoly(FieldBase):
@@ -264,63 +206,46 @@ class PiecewisePoly(FieldBase):
     def __init__(self, mesh, degree, coeffs, shape=()):
         self.mesh = mesh
         self.degree = degree
-        self.modes = _bary_modes(degree)
+        self.modes = bary_modes(degree)
         self.coeffs = coeffs  # (F, n_modes) + shape
         self.shape = tuple(shape)
 
-    def eval_batch(self, ts, s, bary, parent_bary, phys):
-        vals = np.stack([p.eval(parent_bary) for p in self.modes], axis=0)  # (nb, k)
-        return np.einsum("fn...,nk->fk...", self.coeffs[ts], vals)
+    def eval_batch(self, cell):
+        vals = np.stack([p.eval(cell.parent) for p in self.modes], axis=0)  # (nb, k)
+        return np.einsum("fn...,nk->fk...", self.coeffs[cell.ts], vals)
 
 
-def l2_project(fld, degree, mesh, quad_degree=None):
+def l2_project(fld, degree, mesh):
     """Per-triangle L2-orthogonal projection onto piecewise P_degree."""
-    modes = _bary_modes(degree)
+    modes = bary_modes(degree)
     nb = len(modes)
     gram = np.array([[(p * q).integral() for q in modes] for p in modes])
     gram_inv = np.linalg.inv(gram)
-    deg = quad_degree if quad_degree is not None else fld.quad_degree() + degree
-    rule = triangle_rule(min(deg, MAX_TRIANGLE_DEGREE))
-    nsub = max(1, fld.n_subcells)
-    mode_vals = np.stack([p.eval(rule.points) for p in modes], axis=0)  # (nb, k)
+    rule = triangle_rule(min(fld.quad_degree() + degree, MAX_TRIANGLE_DEGREE))
     shape = fld.shape
-    F = mesh.n_triangles
-    moments = np.zeros((F, nb) + shape)
-    for start in range(0, F, _CHUNK):
-        ts = np.arange(start, min(start + _CHUNK, F))
-        for s in range(nsub):
-            parent = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
-            phys = rule.points @ _subcell_corners(mesh, ts, s, nsub)
-            pv = (
-                mode_vals
-                if nsub == 1
-                else np.stack([p.eval(parent) for p in modes], axis=0)
-            )
-            fv = fld.eval_batch(ts, s if nsub > 1 else None, rule.points, parent, phys)
-            moments[ts] += np.einsum(
-                "k,fk...,nk->fn...", rule.weights / nsub, fv, pv
+    moments = np.zeros((mesh.n_triangles, nb) + shape)
+    for chunk in cells(mesh, rule, fld):
+        for c in chunk:
+            pv = np.stack([p.eval(c.parent) for p in modes], axis=0)  # (nb, k)
+            moments[c.ts] += np.einsum(
+                "k,fk...,nk->fn...", c.weights / c.nsub, fld.eval_batch(c), pv
             )
     coeffs = np.einsum("mn,fn...->fm...", gram_inv, moments)
     return PiecewisePoly(mesh, degree, coeffs, shape)
 
 
-def weighted_field_l2(fld, mesh, weights=None, quad_degree=None):
+def weighted_field_l2(fld, mesh, weights=None):
     """sqrt( sum_T w_T^2 int_T |field|^2 ), Frobenius for tensor fields."""
-    deg = quad_degree if quad_degree is not None else 2 * fld.quad_degree()
-    rule = triangle_rule(min(deg, MAX_TRIANGLE_DEGREE))
-    nsub = max(1, fld.n_subcells)
+    rule = triangle_rule(min(2 * fld.quad_degree(), MAX_TRIANGLE_DEGREE))
     total = 0.0
-    for start in range(0, mesh.n_triangles, _CHUNK):
-        ts = np.arange(start, min(start + _CHUNK, mesh.n_triangles))
-        w2 = np.ones(len(ts)) if weights is None else weights[ts] ** 2
-        for s in range(nsub):
-            parent = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
-            phys = rule.points @ _subcell_corners(mesh, ts, s, nsub)
-            fv = fld.eval_batch(ts, s if nsub > 1 else None, rule.points, parent, phys)
+    for chunk in cells(mesh, rule, fld):
+        for c in chunk:
+            w2 = np.ones(len(c.ts)) if weights is None else weights[c.ts] ** 2
+            fv = fld.eval_batch(c)
             mag = fv.reshape(fv.shape[:2] + (-1,))
             dens = np.einsum("fkc,fkc->fk", mag, mag)
             total += float(
-                np.einsum("k,f,fk->", rule.weights, w2 * mesh.area[ts] / nsub, dens)
+                np.einsum("k,f,fk->", c.weights, w2 * mesh.area[c.ts] / c.nsub, dens)
             )
     return float(np.sqrt(max(total, 0.0)))
 

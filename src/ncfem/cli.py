@@ -330,7 +330,7 @@ def _cmd_verify(args):
             worst_orth, best_approx_orthogonality_check(space, jv) / max(nrm, 1e-30)
         )
         # interpolation-constant inequality for the conforming image
-        defect = error_norms(jv, reference=v, m=space.m, orders=energy)
+        defect = error_norms(jv, reference=v, orders=energy)
         wl2 = _weighted_l2_defect(space, v, jv, h)
         worst_kappa = max(worst_kappa, wl2 - kappa * defect.energy_pw)
         w = FeFunction(space, rng.standard_normal(space.ndofs))
@@ -493,7 +493,7 @@ def _cmd_solve(args):
             rhs = assembly.assemble_rhs_original(space, data)
         else:
             rhs = assembly.assemble_rhs_modified(space, data, cmap)
-        x, rep = solve_spd(A, rhs, tol=1e-10 if m == 1 else 1e-9, method="direct")
+        x, rep = solve_spd(A, rhs, tol=1e-10 if m == 1 else 1e-9)
         u = FeFunction(space, x)
         entry = {
             "solver": {"method": rep.method, "residual": rep.residual,
@@ -535,7 +535,7 @@ def _cmd_estimate(args):
         rhs = assembly.assemble_rhs_original(space, data)
     else:
         rhs = assembly.assemble_rhs_modified(space, data, cmap)
-    x, rep = solve_spd(A, rhs, tol=1e-10 if prob.m == 1 else 1e-9, method="direct")
+    x, rep = solve_spd(A, rhs, tol=1e-10 if prob.m == 1 else 1e-9)
     u = FeFunction(space, x)
     reference = prob.reference() if prob.reference_kind == "analytic" else None
     if args.scheme == "original":

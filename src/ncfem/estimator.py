@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from ._hct import SUB_TO_PARENT
 from .fespace import FeFunction, vertex_eval
 from .mesh import mesh_size
 from .norms import error_norms
 from .operators import companion, compute_lambda0, interpolate, kappa_constant
-from .quadrature import MAX_TRIANGLE_DEGREE, triangle_rule
+from .quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
 
 __all__ = ["EstimateReport", "estimate_original", "estimate_modified", "efficiency_terms"]
 
@@ -96,26 +95,15 @@ def _fhat_of_defect(space, data, u_nc, ju_nc):
             fld.quad_degree() + max(space.poly_degree, ju_nc.space.poly_degree),
             MAX_TRIANGLE_DEGREE,
         )
-        rule = triangle_rule(deg)
-        nsub = max(ju_nc.space.n_subcells, fld.n_subcells)
-        ts = np.arange(mesh.n_triangles)
-        for s in range(nsub):
-            bary = rule.points
-            parent = bary if nsub == 1 else bary @ SUB_TO_PARENT[s]
-            phys = bary @ assembly._subcell_corners(mesh, ts, s, nsub)
-            fv = fld.eval_batch(ts, s if nsub > 1 else None, bary, parent, phys)
-            du = u_nc.evaluate_batch(ts, 0, parent, order)[order]
-            dj = (
-                ju_nc.evaluate_batch(ts, s, bary, order)[order]
-                if ju_nc.space.n_subcells > 1
-                else ju_nc.evaluate_batch(ts, 0, parent, order)[order]
-            )
-            diff = (du - dj).reshape(du.shape[:2] + (-1,))
-            fvf = fv.reshape(fv.shape[:2] + (-1,))
-            dens = np.einsum("fkc,fkc->fk", fvf, diff)
-            total += float(
-                np.einsum("k,f,fk->", rule.weights, mesh.area / nsub, dens)
-            )
+        for chunk in cells(mesh, triangle_rule(deg), space, ju_nc.space, fld):
+            for c in chunk:
+                fv = fld.eval_batch(c)
+                du = u_nc.at(c, order)[order]
+                dj = ju_nc.at(c, order)[order]
+                diff = (du - dj).reshape(du.shape[:2] + (-1,))
+                fvf = fv.reshape(fv.shape[:2] + (-1,))
+                dens = np.einsum("fkc,fkc->fk", fvf, diff)
+                total += float(np.einsum("k,f,fk->", c.weights, c.area, dens))
     for pf in data.point_forces:
         total += pf.beta * (vertex_eval(u_nc, pf.vertex) - vertex_eval(ju_nc, pf.vertex))
     return total

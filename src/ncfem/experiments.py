@@ -107,9 +107,9 @@ def _assert_ge(report, name, value, bound):
     return ok
 
 
-def _solve(space, rhs, tol=1e-12, method=None):
+def _solve(space, rhs, tol=1e-12):
     A = assembly.assemble_stiffness(space)
-    x, rep = solve_spd(A, rhs, tol=tol, method=method)
+    x, rep = solve_spd(A, rhs, tol=tol)
     if not rep.converged:
         raise RuntimeError(f"discrete solve failed: residual {rep.residual:.2e}")
     return FeFunction(space, x), A
@@ -515,7 +515,7 @@ def run_rate_study(
             )
         ref_cmap = build_companion(ref_space)
         rhs = assembly.assemble_rhs_modified(ref_space, problem.data(ref_mesh), ref_cmap)
-        fine_ref, _ = _solve(ref_space, rhs, tol=solve_tol, method="direct")
+        fine_ref, _ = _solve(ref_space, rhs, tol=solve_tol)
 
     norms = ["energy_pw", "l2_post", "l2_nc"] if reference else ["energy_pw", "l2_nc"]
     rows = []
@@ -529,7 +529,7 @@ def run_rate_study(
             rhs = assembly.assemble_rhs_original(space, data)
         else:
             rhs = assembly.assemble_rhs_modified(space, data, cmap)
-        u_nc, _ = _solve(space, rhs, tol=solve_tol, method="direct")
+        u_nc, _ = _solve(space, rhs, tol=solve_tol)
         errors = {}
         if reference is not None:
             bundle = error_norms(u_nc, reference=reference)

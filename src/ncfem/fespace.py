@@ -20,7 +20,10 @@ COMPANION_MORLEY, COMPANION_MORLEY_full
 
 Constrained dofs are eliminated: dof maps carry -1 where a local dof is
 pinned to zero.  Evaluation is triangle-local; companion-Morley functions
-live on the 3-subtriangle HCT split (``n_subcells = 3``).
+live on the 3-subtriangle HCT split (``n_subcells = 3``).  At the points of
+a quadrature :class:`~ncfem.quadrature.Cell`, :meth:`FeSpace.tabulate_cell`
+and :meth:`FeFunction.at` pick the coordinates a space reads: triangle
+coordinates on plain spaces, subcell coordinates on the split.
 """
 
 from __future__ import annotations
@@ -30,7 +33,16 @@ import math
 import numpy as np
 
 from ._hct import SUB_TO_PARENT, hct_coefficients
-from ._poly import BaryPoly, bary_tabulate, lambda_gradients, mono_tabulate, monomial_exponents
+from ._poly import (
+    BaryPoly,
+    bary_modes,
+    bary_tabulate,
+    cubic_bubble,
+    lambda_gradients,
+    mono_tabulate,
+    monomial_exponents,
+)
+from .quadrature import subcell_corners
 
 __all__ = [
     "FeSpace",
@@ -93,10 +105,22 @@ class FeSpace:
         return np.atleast_2d(bary) @ self._subcell_corners(ts, s)  # (nts, k, 2)
 
     def _subcell_corners(self, ts, s):
-        return self.mesh.vertices[self.mesh.triangles[ts]]
+        return subcell_corners(self.mesh, ts, s, self.n_subcells)
 
-    def subcell_area(self, ts, s):
-        return self.mesh.area[ts]
+    def locate_subcell(self, t, points):
+        """Subcell index and subcell barycentric coords for points inside t."""
+        lam = self.mesh.barycentric(t, np.atleast_2d(points))
+        return np.zeros(len(lam), dtype=int), lam
+
+    def tabulate_cell(self, cell, order):
+        """Tabulate at the points of a quadrature Cell.
+
+        A space on the HCT split reads the subcell coordinates, any other
+        space the triangle coordinates, so one Cell serves both kinds.
+        """
+        if self.n_subcells == 1:
+            return self.tabulate(cell.ts, 0, cell.parent, order)
+        return self.tabulate(cell.ts, cell.s, cell.bary, order)
 
     def _cached_bary(self, polys_key, polys, bary, order):
         key = (polys_key, bary.tobytes(), order)
@@ -204,22 +228,6 @@ class MorleySpace(FeSpace):
         return {o: _mono_to_basis(mono[o], C) for o in mono}
 
 
-def _cubic_bubble():
-    return 27.0 * BaryPoly.lam(0) * BaryPoly.lam(1) * BaryPoly.lam(2)
-
-
-def _p1_modes():
-    one = BaryPoly.const(1.0)
-    u = BaryPoly.lam(1) - BaryPoly.lam(0)
-    v = BaryPoly.lam(2) - BaryPoly.lam(0)
-    return [one, u, v]
-
-
-def _p2_modes():
-    one, u, v = _p1_modes()
-    return [one, u, v, u * u, u * v, v * v]
-
-
 class CompanionCRSpace(FeSpace):
     """Conforming P4 host space for the Crouzeix-Raviart companion."""
 
@@ -244,10 +252,10 @@ class CompanionCRSpace(FeSpace):
             [self.vertex_dof[mesh.triangles], self.edge_dof[mesh.triangle_edges], self.tri_dofs],
             axis=1,
         )
-        b = _cubic_bubble()
+        b = cubic_bubble()
         lam = [BaryPoly.lam(k) for k in range(3)]
         ebub = [4.0 * lam[(k + 1) % 3] * lam[(k + 2) % 3] for k in range(3)]
-        self._shapes = lam + ebub + [b * p for p in _p1_modes()]
+        self._shapes = lam + ebub + [b * p for p in bary_modes(1)]
 
     def tabulate(self, ts, s, bary, order):
         ts = np.asarray(ts)
@@ -288,20 +296,9 @@ class CompanionMorleySpace(FeSpace):
             axis=1,
         )
         self.hct_coef = hct_coefficients(mesh)
-        b = _cubic_bubble()
-        self._bubbles = [b * b * p for p in _p2_modes()]
+        b = cubic_bubble()
+        self._bubbles = [b * b * p for p in bary_modes(2)]
         self._exps3 = monomial_exponents(3)
-
-    def _subcell_corners(self, ts, s):
-        tri = self.mesh.triangles[ts]
-        corners = np.empty((len(ts), 3, 2))
-        corners[:, 0] = self.mesh.centroid[ts]
-        corners[:, 1] = self.mesh.vertices[tri[:, (s + 1) % 3]]
-        corners[:, 2] = self.mesh.vertices[tri[:, (s + 2) % 3]]
-        return corners
-
-    def subcell_area(self, ts, s):
-        return self.mesh.area[ts] / 3.0
 
     def tabulate(self, ts, s, bary, order):
         ts = np.asarray(ts)
@@ -319,7 +316,6 @@ class CompanionMorleySpace(FeSpace):
         }
 
     def locate_subcell(self, t, points):
-        """Subtriangle index and sub-barycentric coords for points inside t."""
         points = np.atleast_2d(points)
         best_s = np.zeros(len(points), dtype=int)
         best_bary = np.empty((len(points), 3))
@@ -392,7 +388,13 @@ class FeFunction:
         Returns dict: 0 -> (nts, k), 1 -> (nts, k, 2), 2 -> (nts, k, 2, 2).
         """
         ts = np.asarray(ts)
-        tab = self.space.tabulate(ts, s, bary, order)
+        return self._combine(ts, self.space.tabulate(ts, s, bary, order))
+
+    def at(self, cell, order):
+        """Values and derivatives up to `order` at the points of a quadrature Cell."""
+        return self._combine(cell.ts, self.space.tabulate_cell(cell, order))
+
+    def _combine(self, ts, tab):
         c = self.local_coeffs(ts)[:, None, :]  # (nts, 1, n_local)
         out = {}
         for o, t in tab.items():
@@ -410,11 +412,9 @@ class FeFunction:
                 f"point {points[np.unravel_index(lam.argmin(), lam.shape)[0]]} "
                 f"lies outside triangle {t}"
             )
-        if self.space.n_subcells == 1:
-            return self.evaluate_batch(np.array([t]), 0, lam, order)
         subs, sub_bary = self.space.locate_subcell(t, points)
         out = None
-        for s in range(3):
+        for s in range(self.space.n_subcells):
             sel = subs == s
             if not sel.any():
                 continue

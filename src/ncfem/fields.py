@@ -1,11 +1,13 @@
 """Evaluable coefficient fields for right-hand sides and reference solutions.
 
-A field is anything the assemblers and norm evaluators can sample on the
-integration partition.  Analytic fields evaluate from physical points;
-fields derived from finite element functions evaluate triangle-locally
-(and force subcell integration when they live on the HCT split).  Every
-field declares a polynomial `degree` (None means smooth; a fixed
-high-order rule, degree 12, is used).
+A field is anything the assemblers and norm evaluators can sample at the
+points of a quadrature :class:`~ncfem.quadrature.Cell`.  Analytic fields
+evaluate from the physical points; fields derived from finite element
+functions evaluate triangle-locally through :meth:`FeFunction.at`, and
+declare ``n_subcells = 3`` when they live on the HCT split so that
+:func:`~ncfem.quadrature.cells` integrates them on the split.  Every field
+declares a polynomial `degree` (None means smooth; a fixed high-order rule,
+degree 12, is used).
 """
 
 from __future__ import annotations
@@ -41,12 +43,11 @@ class FieldBase:
     def quad_degree(self):
         return SMOOTH_DEGREE if self.degree is None else self.degree
 
-    def eval_batch(self, ts, s, bary, parent_bary, phys):
-        """Sample on subcell s (s=None on a plain-triangle partition).
+    def eval_batch(self, cell):
+        """Sample at the points of a quadrature Cell.
 
-        `bary` are the partition barycentric points, `parent_bary` the same
-        points in triangle coordinates, `phys` the physical positions of
-        shape (nts, k, 2).  Returns (nts, k) + self.shape.
+        Returns (nts, k) + self.shape for the cell's nts triangles and k
+        points.
         """
         raise NotImplementedError
 
@@ -56,7 +57,8 @@ class _CallableField(FieldBase):
         self.fn = fn
         self.degree = degree
 
-    def eval_batch(self, ts, s, bary, parent_bary, phys):
+    def eval_batch(self, cell):
+        phys = cell.phys
         out = np.asarray(self.fn(phys[..., 0], phys[..., 1]), dtype=float)
         want = phys.shape[:-1] + self.shape
         if out.shape != want:
@@ -92,18 +94,8 @@ class _FeDerivedField(FieldBase):
         self.degree = degree
         self.n_subcells = max(f.space.n_subcells for f in funcs)
 
-    def eval_batch(self, ts, s, bary, parent_bary, phys):
-        vals = []
-        for f in self.funcs:
-            if f.space.n_subcells == 1:
-                vals.append(f.evaluate_batch(ts, 0, parent_bary, self.order)[self.order])
-            else:
-                if s is None:
-                    raise ValueError(
-                        "field on the HCT split sampled on a plain-triangle partition"
-                    )
-                vals.append(f.evaluate_batch(ts, s, bary, self.order)[self.order])
-        return self._combine(*vals)
+    def eval_batch(self, cell):
+        return self._combine(*(f.at(cell, self.order)[self.order] for f in self.funcs))
 
 
 def _derived_degree(f, order):
@@ -180,10 +172,10 @@ class _CombinedField(FieldBase):
             self.degree = max(f.degree for f in fields)
         self.n_subcells = max(f.n_subcells for f in fields)
 
-    def eval_batch(self, ts, s, bary, parent_bary, phys):
+    def eval_batch(self, cell):
         acc = None
         for w, f in zip(self.weights, self.fields):
-            v = w * f.eval_batch(ts, s, bary, parent_bary, phys)
+            v = w * f.eval_batch(cell)
             acc = v if acc is None else acc + v
         return acc
 

@@ -1,8 +1,8 @@
 """Sparse SPD solves and the symmetric generalized eigensolver.
 
-Thin, contract-checked wrappers around scipy: direct sparse LU for moderate
-systems, Jacobi-preconditioned CG beyond; for the largest eigenpair of the
-generalized eigenproblem, dense `eigh` restricted to the top eigenpair below
+Thin, contract-checked wrappers around scipy: sparse LU for every SPD
+system (an iterative solve cannot handle the h^-4 conditioning of Morley
+systems); for the largest eigenpair of the generalized eigenproblem, dense `eigh` restricted to the top eigenpair below
 a dimension threshold and deterministic power iteration with inner direct
 solves above it.
 """
@@ -18,7 +18,6 @@ import scipy.sparse.linalg as spla
 
 __all__ = ["SolveReport", "EigenError", "solve_spd", "max_generalized_eig"]
 
-DIRECT_LIMIT = 50_000
 DENSE_EIG_LIMIT = 3_000
 
 
@@ -44,11 +43,11 @@ def _as_csr(A):
     return sp.csr_matrix(np.asarray(A, dtype=float))
 
 
-def solve_spd(A, b, tol=1e-12, method=None):
-    """Solve a symmetric positive definite system to a relative residual.
+def solve_spd(A, b, tol=1e-12):
+    """Solve a symmetric positive definite system by sparse LU.
 
-    Returns (x, SolveReport); a failed iterative solve is reported via
-    ``converged=False`` rather than raised.
+    Returns (x, SolveReport); a relative residual above max(tol, 1e-10) is
+    reported via ``converged=False`` rather than raised.
     """
     A = _as_csr(A)
     b = np.asarray(b, dtype=float)
@@ -60,22 +59,9 @@ def solve_spd(A, b, tol=1e-12, method=None):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), SolveReport("trivial", 0, 0.0, True)
-    if method is None:
-        method = "direct" if n <= DIRECT_LIMIT else "jacobi-cg"
-    if method == "direct":
-        x = spla.splu(A.tocsc()).solve(b)
-        res = float(np.linalg.norm(A @ x - b) / bnorm)
-        return x, SolveReport("direct", 1, res, res <= max(tol, 1e-10))
-    diag = A.diagonal()
-    M = sp.diags(1.0 / np.where(diag > 0, diag, 1.0))
-    counter = {"n": 0}
-
-    def cb(_):
-        counter["n"] += 1
-
-    x, _ = spla.cg(A, b, rtol=tol * 0.1, maxiter=20 * n, M=M, callback=cb)
+    x = spla.splu(A.tocsc()).solve(b)
     res = float(np.linalg.norm(A @ x - b) / bnorm)
-    return x, SolveReport("jacobi-cg", counter["n"], res, res <= tol)
+    return x, SolveReport("direct", 1, res, res <= max(tol, 1e-10))
 
 
 def _fix_sign(x):

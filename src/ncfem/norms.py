@@ -6,17 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._hct import SUB_TO_PARENT
 from ._poly import mono_tabulate, monomial_exponents
-from .assembly import _subcell_corners
 from .fespace import CRSpace, FeFunction, MorleySpace
 from .fields import ExactSolution
-from .quadrature import MAX_TRIANGLE_DEGREE, triangle_rule
+from .quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
 
 __all__ = ["ErrorBundle", "error_norms", "convergence_rate", "errors_vs_fine"]
 
-_CHUNK = 2048
 _EXPS2 = monomial_exponents(2)
+# rule of errors_vs_fine: exact for squares of piecewise P2 on the fine mesh
+_FINE_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -32,45 +31,41 @@ class ErrorBundle:
     against: str
 
 
-def _ref_values(reference, order, ts, s, bary, parent_bary, phys):
-    if reference is None:
-        shape = ((), (2,), (2, 2))[order]
-        return np.zeros(phys.shape[:-1] + shape)
+def _ref_values(reference, cell, orders):
+    """Order -> the reference's derivative of that order at the cell's points."""
     if isinstance(reference, FeFunction):
-        if reference.space.n_subcells == 1:
-            return reference.evaluate_batch(ts, 0, parent_bary, order)[order]
-        return reference.evaluate_batch(ts, s, bary, order)[order]
+        return reference.at(cell, orders[-1])
+    if reference is None:
+        return {k: np.zeros(cell.phys.shape[:-1] + ((), (2,), (2, 2))[k]) for k in orders}
     if isinstance(reference, ExactSolution):
-        return reference.eval(order, phys[..., 0], phys[..., 1])
-    # generic field (value only)
-    if order == 0:
-        return reference.eval_batch(ts, s, bary, parent_bary, phys)
-    raise TypeError("reference provides no derivatives")
+        return {k: reference.eval(k, cell.phys[..., 0], cell.phys[..., 1]) for k in orders}
+    if orders != [0]:  # generic field: value only
+        raise TypeError("reference provides no derivatives")
+    return {0: reference.eval_batch(cell)}
 
 
-def error_norms(f, reference=None, quad_degree=None, m=None, orders=None):
+def error_norms(f, reference=None, quad_degree=None, orders=None):
     """Quadrature evaluation of ||D^k (f - reference)|| for k in {0, 1, m}.
 
     Exact when both sides are piecewise polynomial at the declared degree.
     ``orders`` (a subset of {0, 1, m}, default all three) selects the norms
-    to integrate: neither side is evaluated at another order, and the
-    bundle fields of the orders left out are None.  A computed field is
-    bitwise the same as in a call with every order.
+    to integrate: neither side is differentiated beyond the highest of
+    them, and the bundle fields of the orders left out are None.  A
+    computed field is bitwise the same as in a call with every order.
     """
     space = f.space
     mesh = space.mesh
-    if m is None:
-        m = space.m
+    m = space.m
     every = {0, 1, m}
     wanted = every if orders is None else set(orders)
     if not wanted or not wanted <= every:
         raise ValueError(f"orders must be a nonempty subset of {sorted(every)}")
-    nsub = space.n_subcells
+    over = [space]
     ref_deg = 0
     if isinstance(reference, FeFunction):
         if reference.space.mesh is not mesh:
             raise ValueError("reference lives on a different mesh")
-        nsub = max(nsub, reference.space.n_subcells)
+        over.append(reference.space)
         ref_deg = reference.space.poly_degree
     elif reference is not None:
         ref_deg = reference.degree if reference.degree is not None else 12
@@ -87,22 +82,14 @@ def error_norms(f, reference=None, quad_degree=None, m=None, orders=None):
     rule = triangle_rule(min(deg, MAX_TRIANGLE_DEGREE))
     orders = sorted(wanted)
     totals = {k: 0.0 for k in orders}
-    for start in range(0, mesh.n_triangles, _CHUNK):
-        ts = np.arange(start, min(start + _CHUNK, mesh.n_triangles))
-        for s in range(nsub):
-            bary = rule.points
-            parent = bary if nsub == 1 else bary @ SUB_TO_PARENT[s]
-            phys = bary @ _subcell_corners(mesh, ts, s, nsub)
-            area = mesh.area[ts] / nsub
+    for chunk in cells(mesh, rule, *over):
+        for c in chunk:
+            fv = f.at(c, orders[-1])
+            rv = _ref_values(reference, c, orders)
             for k in orders:
-                if space.n_subcells == 1:
-                    fv = f.evaluate_batch(ts, 0, parent, k)[k]
-                else:
-                    fv = f.evaluate_batch(ts, s, bary, k)[k]
-                rv = _ref_values(reference, k, ts, s, bary, parent, phys)
-                diff = (fv - rv).reshape(fv.shape[:2] + (-1,))
+                diff = (fv[k] - rv[k]).reshape(fv[k].shape[:2] + (-1,))
                 dens = np.einsum("fkc,fkc->fk", diff, diff)
-                totals[k] += float(np.einsum("k,f,fk->", rule.weights, area, dens))
+                totals[k] += float(np.einsum("k,f,fk->", c.weights, c.area, dens))
     against = (
         "zero"
         if reference is None
@@ -175,7 +162,7 @@ def _eval_coarse_at(f, anc, bary, order):
     raise TypeError("fine-grid comparison supports CR and Morley functions")
 
 
-def errors_vs_fine(coarse, fine, generations, quad_degree=4):
+def errors_vs_fine(coarse, fine, generations):
     """Energy and L2 distance between nested nonconforming solutions.
 
     `fine` lives `generations` red refinements below `coarse`; integration
@@ -186,14 +173,10 @@ def errors_vs_fine(coarse, fine, generations, quad_degree=4):
     mesh_f = fine.space.mesh
     mesh_c = coarse.space.mesh
     m = fine.space.m
-    rule = triangle_rule(quad_degree)
     totals = {0: 0.0, m: 0.0}
     corners_c = mesh_c.vertices[mesh_c.triangles]
-    for start in range(0, mesh_f.n_triangles, _CHUNK):
-        ts = np.arange(start, min(start + _CHUNK, mesh_f.n_triangles))
-        anc = mesh_f.ancestor(ts, generations)
-        corners = mesh_f.vertices[mesh_f.triangles[ts]]
-        phys = rule.points @ corners
+    for (c,) in cells(mesh_f, triangle_rule(_FINE_DEGREE), fine.space):
+        anc = mesh_f.ancestor(c.ts, generations)
         # barycentric in the ancestor triangle
         p0 = corners_c[anc, 0]
         T = np.stack(
@@ -205,16 +188,15 @@ def errors_vs_fine(coarse, fine, generations, quad_degree=4):
         inv[:, 0, 1] = -T[:, 0, 1] / det
         inv[:, 1, 0] = -T[:, 1, 0] / det
         inv[:, 1, 1] = T[:, 0, 0] / det
-        rel = phys - p0[:, None, :]
+        rel = c.phys - p0[:, None, :]
         lam12 = np.einsum("fde,fke->fkd", inv, rel)
         bary_c = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
-        area = mesh_f.area[ts]
+        fv = fine.at(c, m)
         for k in (0, m):
-            fv = fine.evaluate_batch(ts, 0, rule.points, k)[k]
             cv = _eval_coarse_at(coarse, anc, bary_c, k)
-            diff = (fv - cv).reshape(fv.shape[:2] + (-1,))
+            diff = (fv[k] - cv).reshape(fv[k].shape[:2] + (-1,))
             dens = np.einsum("fkc,fkc->fk", diff, diff)
-            totals[k] += float(np.einsum("k,f,fk->", rule.weights, area, dens))
+            totals[k] += float(np.einsum("k,f,fk->", c.weights, c.area, dens))
     return {
         "energy_pw": float(np.sqrt(totals[m])),
         "l2": float(np.sqrt(totals[0])),

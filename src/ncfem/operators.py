@@ -26,8 +26,7 @@ from scipy.optimize import brentq
 from scipy.special import j1 as bessel_j1
 
 from . import assembly
-from ._hct import SUB_TO_PARENT
-from ._poly import BaryPoly
+from ._poly import BaryPoly, bary_modes, cubic_bubble, mono_tabulate, monomial_exponents
 from .fespace import (
     COMPANION_KIND,
     CompanionCRSpace,
@@ -38,7 +37,7 @@ from .fespace import (
     build_space,
 )
 from .fields import ExactSolution
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import Cell, cells, edge_rule, triangle_rule
 
 __all__ = [
     "CompanionMap",
@@ -79,16 +78,12 @@ def _fef_on_edges(f, edges_idx, rule, order):
             if not sel.any():
                 continue
             ta, tb = (1.0 - t, t) if is_fwd else (t, 1.0 - t)
-            if f.space.n_subcells == 1:
-                bary = np.zeros((rule.n_points, 3))
-                bary[:, (k + 1) % 3] = ta
-                bary[:, (k + 2) % 3] = tb
-                vals = f.evaluate_batch(ts[sel], 0, bary, order)[order]
-            else:
-                # outer edge k lies in HCT subtriangle k
-                bary = np.column_stack([np.zeros_like(t), ta, tb])
-                vals = f.evaluate_batch(ts[sel], k, bary, order)[order]
-            out[sel] = vals
+            parent = np.zeros((rule.n_points, 3))
+            parent[:, (k + 1) % 3] = ta
+            parent[:, (k + 2) % 3] = tb
+            # outer edge k is the side (A_{k+1}, A_{k+2}) of HCT subtriangle k
+            sub = np.column_stack([np.zeros_like(t), ta, tb])
+            out[sel] = f.at(Cell(ts[sel], k, 3, sub, parent, None, None, None), order)[order]
     return out
 
 
@@ -122,13 +117,10 @@ def _vertex_values(f, mesh, vertices):
         sel = slots == k
         if not sel.any():
             continue
-        if f.space.n_subcells == 1:
-            bary = np.eye(3)[k][None, :]
-            out[sel] = f.evaluate_batch(ts[sel], 0, bary, 0)[0][:, 0]
-        else:
-            s = (k + 2) % 3  # A_k is local corner 1 of subtriangle (k+2)%3
-            bary = np.array([[0.0, 1.0, 0.0]])
-            out[sel] = f.evaluate_batch(ts[sel], s, bary, 0)[0][:, 0]
+        # A_k is local corner 1 of HCT subtriangle (k+2)%3
+        sub = np.array([[0.0, 1.0, 0.0]])
+        cell = Cell(ts[sel], (k + 2) % 3, 3, sub, np.eye(3)[k][None, :], None, None, None)
+        out[sel] = f.at(cell, 0)[0][:, 0]
     return out
 
 
@@ -172,24 +164,30 @@ def companion(cmap, v_nc):
     return FeFunction(cmap.target, cmap.matrix @ v_nc.coeffs)
 
 
-def _p1_modes():
-    one = BaryPoly.const(1.0)
-    u = BaryPoly.lam(1) - BaryPoly.lam(0)
-    v = BaryPoly.lam(2) - BaryPoly.lam(0)
-    return [one, u, v]
-
-
-def _p2_modes():
-    one, u, v = _p1_modes()
-    return [one, u, v, u * u, u * v, v * v]
-
-
-def _bubble():
-    return 27.0 * BaryPoly.lam(0) * BaryPoly.lam(1) * BaryPoly.lam(2)
-
-
 def _block_inverse_kron(n_blocks, M):
     return sp.kron(sp.identity(n_blocks, format="csr"), np.linalg.inv(M), format="csr")
+
+
+def _moment_block(table, col_ids, width):
+    """Sparse (n_modes * F, width) matrix of per-triangle moment tables.
+
+    `table` (F, n_local, n_modes) holds the moment of local function j
+    against each mode on triangle f; it lands in rows n_modes*f + mode and
+    column ``col_ids[f, j]`` (skipped where that is -1).
+    """
+    F, n_local, n_modes = table.shape
+    r, c, d = [], [], []
+    for j in range(n_local):
+        ids = col_ids[:, j]
+        ok = ids >= 0
+        base = n_modes * np.nonzero(ok)[0]
+        r.append((base[:, None] + np.arange(n_modes)[None, :]).ravel())
+        c.append(np.repeat(ids[ok], n_modes))
+        d.append(table[ok, j, :].ravel())
+    return sp.coo_matrix(
+        (np.concatenate(d), (np.concatenate(r), np.concatenate(c))),
+        shape=(n_modes * F, width),
+    ).tocsr()
 
 
 def _cr_companion_matrix(source, target):
@@ -232,34 +230,22 @@ def _cr_companion_matrix(source, target):
     alpha = 1.5 * P_edge - 0.75 * (inc @ W)
 
     # stage 3: volume bubbles enforce the P1 moment conditions per triangle
-    modes = _p1_modes()
+    modes = bary_modes(1)
     lam = [BaryPoly.lam(k) for k in range(3)]
     cr_shapes = [BaryPoly.const(1.0) - 2.0 * lam[k] for k in range(3)]
     eb_shapes = [4.0 * lam[(k + 1) % 3] * lam[(k + 2) % 3] for k in range(3)]
-    b = _bubble()
+    b = cubic_bubble()
     S_cr = np.array([[(phi * p).integral() for p in modes] for phi in cr_shapes])
     S_hat = np.array([[(lam[z] * p).integral() for p in modes] for z in range(3)])
     S_eb = np.array([[(phi * p).integral() for p in modes] for phi in eb_shapes])
     M = np.array([[(b * p * q).integral() for q in modes] for p in modes])
 
-    def assemble_block(coeff_table, col_ids, width):
-        r, c, d = [], [], []
-        for j in range(coeff_table.shape[0]):
-            ids = col_ids[:, j]
-            ok = ids >= 0
-            nok = int(ok.sum())
-            base = 3 * np.nonzero(ok)[0]
-            r.append((base[:, None] + np.arange(3)[None, :]).ravel())
-            c.append(np.repeat(ids[ok], 3))
-            d.append(np.tile(coeff_table[j], nok))
-        return sp.coo_matrix(
-            (np.concatenate(d), (np.concatenate(r), np.concatenate(c))),
-            shape=(3 * F, width),
-        ).tocsr()
+    def block(table, col_ids, width):  # the same table on every triangle
+        return _moment_block(np.broadcast_to(table, (F, 3, 3)), col_ids, width)
 
-    S_glob = assemble_block(S_cr, source.cell_dofs, n_src)
-    H_glob = assemble_block(S_hat, tri, V)
-    Eb_glob = assemble_block(S_eb, tedges, E)
+    S_glob = block(S_cr, source.cell_dofs, n_src)
+    H_glob = block(S_hat, tri, V)
+    Eb_glob = block(S_eb, tedges, E)
     R = S_glob - H_glob @ W - Eb_glob @ alpha
     vol = _block_inverse_kron(F, M) @ R
 
@@ -323,8 +309,8 @@ def _morley_companion_matrix(source, target):
     )
 
     # bubble corrections enforce the P2 moment conditions per triangle
-    modes = _p2_modes()
-    b = _bubble()
+    modes = bary_modes(2)
+    b = cubic_bubble()
     M = np.array([[(b * b * p * q).integral() for q in modes] for p in modes])
 
     rule_s = triangle_rule(4)
@@ -332,37 +318,18 @@ def _morley_companion_matrix(source, target):
     qv = np.stack([p.eval(rule_s.points) for p in modes], axis=0)  # (6, k)
     S = np.einsum("k,fjk,lk->fjl", rule_s.weights, tabM, qv)  # (F, 6 dof, 6 mode)
 
-    rule_p = triangle_rule(5)
+    # moments of the twelve HCT shape functions, subcell by subcell
     P_loc = np.zeros((F, 12, 6))
-    from ._poly import mono_tabulate, monomial_exponents
-
     exps3 = monomial_exponents(3)
-    for s in range(3):
-        parent = rule_p.points @ SUB_TO_PARENT[s]
-        qv_s = np.stack([p.eval(parent) for p in modes], axis=0)
-        phys = rule_p.points @ assembly._subcell_corners(mesh, np.arange(F), s, 3)
-        xi = (phys - mesh.centroid[:, None]) / mesh.diameter[:, None, None]
-        mono = mono_tabulate(exps3, xi, 0)[0]  # (F, k, 10)
-        shape_vals = mono @ target.hct_coef[:, s]  # (F, k, 12)
-        P_loc += np.einsum("k,fkj,lk->fjl", rule_p.weights / 3.0, shape_vals, qv_s)
+    for chunk in cells(mesh, triangle_rule(5), target):
+        for c in chunk:
+            qv_s = np.stack([p.eval(c.parent) for p in modes], axis=0)
+            xi = (c.phys - mesh.centroid[c.ts][:, None]) / mesh.diameter[c.ts][:, None, None]
+            mono = mono_tabulate(exps3, xi, 0)[0]  # (nts, k, 10)
+            shape_vals = mono @ target.hct_coef[c.ts, c.s]  # (nts, k, 12)
+            P_loc[c.ts] += np.einsum("k,fkj,lk->fjl", c.weights / c.nsub, shape_vals, qv_s)
 
-    def assemble_block(table, col_ids, width, n_modes=6):
-        r, c, d = [], [], []
-        n_local = table.shape[1]
-        for j in range(n_local):
-            ids = col_ids[:, j]
-            okj = ids >= 0
-            nok = int(okj.sum())
-            base = n_modes * np.nonzero(okj)[0]
-            r.append((base[:, None] + np.arange(n_modes)[None, :]).ravel())
-            c.append(np.repeat(ids[okj], n_modes))
-            d.append(table[okj, j, :].ravel())
-        return sp.coo_matrix(
-            (np.concatenate(d), (np.concatenate(r), np.concatenate(c))),
-            shape=(n_modes * F, width),
-        ).tocsr()
-
-    S_glob = assemble_block(S, source.cell_dofs, n_src)
+    S_glob = _moment_block(S, source.cell_dofs, n_src)
     # columns of the stacked HCT-dof matrix: value z -> z, d/dx z -> V + z,
     # d/dy z -> 2V + z, edge normal E -> 3V + E
     cols_hct = np.empty((F, 12), dtype=np.int64)
@@ -372,7 +339,7 @@ def _morley_companion_matrix(source, target):
         cols_hct[:, 3 * k + 2] = 2 * V + tri[:, k]
     cols_hct[:, 9:] = 3 * V + tedges
     H_all = sp.vstack([Wval, Wgx, Wgy, N]).tocsr()
-    P_glob = assemble_block(P_loc, cols_hct, 3 * V + E)
+    P_glob = _moment_block(P_loc, cols_hct, 3 * V + E)
     R = S_glob - P_glob @ H_all
     bub = _block_inverse_kron(F, M) @ R
 
@@ -473,24 +440,18 @@ def best_approx_orthogonality_check(space, v, degree=None):
     m = space.m
     if isinstance(v, FeFunction):
         deg = max(v.space.poly_degree - m, 1)
-        nsub = max(v.space.n_subcells, 1)
+        over = [v.space]
     else:
         deg = (v.degree or 12) if isinstance(v, ExactSolution) else 12
-        nsub = 1
-    rule = triangle_rule(deg)
-    ts = np.arange(mesh.n_triangles)
+        over = []
     total = np.zeros((mesh.n_triangles,) + ((2,) if m == 1 else (2, 2)))
-    for s in range(nsub):
-        bary = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
-        if isinstance(v, FeFunction):
-            if v.space.n_subcells == 1:
-                dv = v.evaluate_batch(ts, 0, bary, m)[m]
+    for chunk in cells(mesh, triangle_rule(deg), *over):
+        for c in chunk:
+            if isinstance(v, FeFunction):
+                dv = v.at(c, m)[m]
             else:
-                dv = v.evaluate_batch(ts, s, rule.points, m)[m]
-        else:
-            phys = bary @ mesh.vertices[mesh.triangles]
-            dv = v.eval(m, phys[..., 0], phys[..., 1])
-        div = iv.evaluate_batch(ts, 0, bary, m)[m]
-        total += np.einsum("k,fk...->f...", rule.weights / nsub, dv - div)
+                dv = v.eval(m, c.phys[..., 0], c.phys[..., 1])
+            div = iv.at(c, m)[m]
+            total[c.ts] += np.einsum("k,fk...->f...", c.weights / c.nsub, dv - div)
     total *= mesh.area.reshape((-1,) + (1,) * (total.ndim - 1))
     return float(np.abs(total).max())

@@ -4,19 +4,38 @@ Triangle rules are conical (Duffy) products of Gauss-Legendre and
 Gauss-Jacobi nodes, so every assembly integrand in this package is
 integrated exactly up to roundoff; points are strictly interior.  Weights
 are normalized to sum to one and are meant to be scaled by |T| or |E|.
+
+Every element integral in the package runs through :func:`cells`: it walks
+the mesh in chunks of triangles and yields, per chunk, one :class:`Cell`
+per subcell of the integration partition (the plain triangles, or the
+three HCT subtriangles when any participant lives on the split).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-__all__ = ["QuadRule", "triangle_rule", "edge_rule", "MAX_TRIANGLE_DEGREE"]
+from ._hct import SUB_TO_PARENT
+
+__all__ = [
+    "QuadRule",
+    "Cell",
+    "triangle_rule",
+    "edge_rule",
+    "cells",
+    "subcell_corners",
+    "MAX_TRIANGLE_DEGREE",
+]
 
 MAX_TRIANGLE_DEGREE = 16
+
+# triangles per batch of cells: bounds the (triangles, points, ...) arrays
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -72,3 +91,62 @@ def edge_rule(degree):
     t = 0.5 * (x + 1.0)
     bary = np.column_stack([1.0 - t, t])
     return QuadRule(points=bary, weights=0.5 * w, exactness_degree=degree)
+
+
+class Cell(NamedTuple):
+    """Quadrature points of one rule on subcell `s` of the triangles `ts`.
+
+    `bary` are the rule's points in subcell coordinates and `parent` the
+    same points in triangle coordinates (the two coincide when `nsub` is
+    1); `phys` holds the physical points (nts, k, 2), `area` the subcell
+    areas |T|/nsub and `weights` the rule weights (summing to one).  A
+    Cell built for edge or vertex samples leaves the last three None.
+    """
+
+    ts: np.ndarray
+    s: int
+    nsub: int
+    bary: np.ndarray
+    parent: np.ndarray
+    phys: np.ndarray
+    area: np.ndarray
+    weights: np.ndarray
+
+
+def subcell_corners(mesh, ts, s, nsub):
+    """Corners (nts, 3, 2) of subcell s: the triangle itself when nsub is 1,
+    else the HCT subtriangle (centroid, A_{s+1}, A_{s+2})."""
+    tri = mesh.triangles[ts]
+    if nsub == 1:
+        return mesh.vertices[tri]
+    corners = np.empty((len(ts), 3, 2))
+    corners[:, 0] = mesh.centroid[ts]
+    corners[:, 1] = mesh.vertices[tri[:, (s + 1) % 3]]
+    corners[:, 2] = mesh.vertices[tri[:, (s + 2) % 3]]
+    return corners
+
+
+def cells(mesh, rule, *over):
+    """Yield, per chunk of at most ``_CHUNK`` triangles, the list of its Cells.
+
+    The partition is the HCT split (three subcells per triangle) when any
+    of `over` (spaces or fields; None is skipped) has ``n_subcells == 3``,
+    else the plain triangles (one cell per chunk).
+    """
+    nsub = max([1] + [o.n_subcells for o in over if o is not None])
+    for start in range(0, mesh.n_triangles, _CHUNK):
+        ts = np.arange(start, min(start + _CHUNK, mesh.n_triangles))
+        area = mesh.area[ts] / nsub
+        yield [
+            Cell(
+                ts,
+                s,
+                nsub,
+                rule.points,
+                rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s],
+                rule.points @ subcell_corners(mesh, ts, s, nsub),
+                area,
+                rule.weights,
+            )
+            for s in range(nsub)
+        ]

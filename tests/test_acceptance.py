@@ -253,13 +253,11 @@ def _reliability_case(problem_name, levels):
         data = prob.data(mesh)
         ref = prob.reference()
         A = assembly.assemble_stiffness(space)
-        x, rep = solve_spd(A, assembly.assemble_rhs_original(space, data),
-                           tol=1e-10, method="direct")
+        x, rep = solve_spd(A, assembly.assemble_rhs_original(space, data), tol=1e-10)
         est = estimate_original(space, data, FeFunction(space, x), cmap, reference=ref)
         checks.append(est.measured_errors["split_a"] <= est.bounds["bound_a"] * slack)
         checks.append(est.measured_errors["split_b"] <= est.bounds["bound_b"] * slack)
-        x, rep = solve_spd(A, assembly.assemble_rhs_modified(space, data, cmap),
-                           tol=1e-10, method="direct")
+        x, rep = solve_spd(A, assembly.assemble_rhs_modified(space, data, cmap), tol=1e-10)
         est = estimate_modified(space, data, FeFunction(space, x), cmap, reference=ref)
         checks.append(est.measured_errors["energy_conf"] <= est.bounds["bound_a"] * slack)
         checks.append(est.measured_errors["energy_pw"] <= est.bounds["bound_b"] * slack)

@@ -55,14 +55,6 @@ def test_zero_rhs():
     assert np.all(x == 0) and rep.converged
 
 
-def test_cg_path(rng):
-    A = sp.csr_matrix(random_spd(40, rng))
-    b = rng.standard_normal(40)
-    x, rep = solve_spd(A, b, tol=1e-10, method="jacobi-cg")
-    assert rep.method == "jacobi-cg"
-    assert rep.converged and rep.residual <= 1e-10
-
-
 def test_eig_b_equals_a(rng):
     A = sp.csr_matrix(random_spd(20, rng))
     lam, x = max_generalized_eig(A, A)

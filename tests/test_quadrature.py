@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ncfem.quadrature import edge_rule, triangle_rule
+from ncfem.fespace import build_space
+from ncfem.mesh import unit_square_mesh
+from ncfem.quadrature import cells, edge_rule, triangle_rule
 
 
 def simplex_monomial_integral(a, b):
@@ -110,3 +112,43 @@ def test_affine_invariance(rng):
     pts2 = fine.points @ corners
     want = area * float(fine.weights @ f(pts2[:, 0], pts2[:, 1]))
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.fixture(scope="module")
+def mesh33():
+    return unit_square_mesh(33)  # 2178 triangles: one chunk boundary
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_cells_partition_the_mesh(mesh33, split):
+    mesh = mesh33
+    over = (build_space(mesh, "COMPANION_MORLEY"),) if split else ()
+    nsub = 3 if split else 1
+    rule = triangle_rule(4)
+    seen = np.zeros((mesh.n_triangles, nsub), dtype=int)
+    measure = np.zeros(mesh.n_triangles)
+    chunks = list(cells(mesh, rule, *over))
+    assert len(chunks) == 2
+    for chunk in chunks:
+        assert [c.s for c in chunk] == list(range(nsub))
+        for c in chunk:
+            assert c.nsub == nsub
+            assert c.ts is chunk[0].ts and len(c.ts) <= 2048
+            seen[c.ts, c.s] += 1
+            measure[c.ts] += c.area * c.weights.sum()
+            # phys are the parent coordinates mapped through the triangle corners
+            want = c.parent @ mesh.vertices[mesh.triangles[c.ts]]
+            assert np.abs(c.phys - want).max() <= 1e-14 * np.abs(want).max()
+            if not split:
+                assert np.array_equal(c.parent, c.bary)
+    assert np.all(seen == 1)
+    assert np.abs(measure - mesh.area).max() <= 1e-14 * mesh.area.max()
+
+
+def test_cells_split_only_for_split_participants(square2):
+    mesh = square2
+    rule = triangle_rule(2)
+    plain = build_space(mesh, "CR1_0")
+    split = build_space(mesh, "COMPANION_MORLEY")
+    assert [len(ch) for ch in cells(mesh, rule, plain, None)] == [1]
+    assert [len(ch) for ch in cells(mesh, rule, plain, split)] == [3]

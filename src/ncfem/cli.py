@@ -280,7 +280,9 @@ def _finish(args, report, default_name):
 def _cmd_verify(args):
     import numpy as np
 
-    from .fespace import FeFunction, build_space
+    from .experiments import _assert_le
+    from .fespace import FeFunction, build_space, nc_kind
+    from .linalg import EIG_RESIDUAL_TOL
     from .norms import error_norms
     from .operators import (
         best_approx_orthogonality_check,
@@ -292,10 +294,7 @@ def _cmd_verify(args):
     )
 
     mesh, mesh_id = _parse_mesh(args.mesh)
-    if args.m not in (1, 2):
-        raise SystemExit(f"ncfem: --m must be 1 or 2 (exit {USAGE_ERROR})")
-    kind = "CR1_0" if args.m == 1 else "MORLEY_0"
-    space = build_space(mesh, kind)
+    space = build_space(mesh, nc_kind(args.m))
     cmap = build_companion(space)
     rng = np.random.default_rng(args.seed)
     report = {
@@ -307,13 +306,6 @@ def _cmd_verify(args):
         "assertions": [],
         "passed": True,
     }
-
-    def record(name, value, tol):
-        ok = bool(value <= tol)
-        report["assertions"].append(
-            {"name": name, "value": float(value), "bound": tol, "pass": ok}
-        )
-        report["passed"] &= ok
 
     worst_ri, worst_orth, worst_pyth, worst_kappa = 0.0, 0.0, 0.0, -np.inf
     energy = (space.m,)
@@ -339,14 +331,14 @@ def _cmd_verify(args):
             FeFunction(space, w.coeffs - v.coeffs), orders=energy
         ).energy_pw ** 2
         worst_pyth = max(worst_pyth, abs(lhs - rhs) / max(rhs, 1e-30))
-    record("right-inverse coefficient identity", worst_ri, 1e-11)
-    record("piecewise polynomial moment orthogonality", worst_orth, 1e-10)
-    record("Pythagoras split", worst_pyth, 1e-10)
-    record("interpolation-constant inequality margin", worst_kappa, 1e-12)
+    _assert_le(report, "right-inverse coefficient identity", worst_ri, 1e-11)
+    _assert_le(report, "piecewise polynomial moment orthogonality", worst_orth, 1e-10)
+    _assert_le(report, "Pythagoras split", worst_pyth, 1e-10)
+    _assert_le(report, "interpolation-constant inequality margin", worst_kappa, 1e-12)
     res = compute_lambda0(space, cmap)
     report["values"] = {"lambda0": res.lambda0, "c_qo": res.c_qo,
                         "eigen_residual": res.residual}
-    record("eigen residual", res.residual, 1e-9)
+    _assert_le(report, "eigen residual", res.residual, EIG_RESIDUAL_TOL)
     return _finish(args, report, f"verify_m{args.m}_{_slug(mesh_id)}_{args.seed}.json")
 
 
@@ -359,12 +351,12 @@ def _weighted_l2_defect(space, v, jv, h):
 
 
 def _cmd_lambda0(args):
-    from .fespace import build_space
+    from .fespace import build_space, nc_kind
+    from .linalg import EIG_RESIDUAL_TOL
     from .operators import build_companion, compute_lambda0
 
     mesh, mesh_id = _parse_mesh(args.mesh)
-    kind = "CR1_0" if args.m == 1 else "MORLEY_0"
-    space = build_space(mesh, kind)
+    space = build_space(mesh, nc_kind(args.m))
     res = compute_lambda0(space, build_companion(space))
     report = {
         "schema": "ncfem-report-v1",
@@ -376,8 +368,8 @@ def _cmd_lambda0(args):
         "c_qo": res.c_qo,
         "lambda_max": res.lambda_max,
         "eigen_residual": res.residual,
-        "matrices_dim": res.matrices_dim,
-        "passed": bool(res.residual <= 1e-9),
+        "matrices_dim": res.A.shape[0],
+        "passed": bool(res.residual <= EIG_RESIDUAL_TOL),
         "assertions": [],
     }
     print(f"lambda0 = {res.lambda0:.12g}  C_qo = {res.c_qo:.12g}  "
@@ -404,12 +396,10 @@ def _cmd_counterexample(args):
 
 
 def _cmd_compare(args):
-    from .experiments import run_attainment, run_scheme_comparison
+    from .experiments import run_compare
 
     mesh, mesh_id = _parse_mesh(args.mesh)
-    report = run_scheme_comparison(mesh, args.m, seed=args.seed, mesh_id=mesh_id)
-    report["attainment"] = run_attainment(mesh, args.m, seed=args.seed, mesh_id=mesh_id)
-    report["passed"] = report["passed"] and report["attainment"]["passed"]
+    report = run_compare(mesh, args.m, seed=args.seed, mesh_id=mesh_id)
     return _finish(args, report, f"compare_m{args.m}_{_slug(mesh_id)}_{args.seed}.json")
 
 
@@ -447,7 +437,7 @@ def _cmd_solve(args):
     import numpy as np
 
     from . import assembly
-    from .fespace import FeFunction, build_space, save_function
+    from .fespace import FeFunction, build_space, nc_kind, save_function
     from .linalg import solve_spd
     from .norms import error_norms
     from .operators import build_companion
@@ -473,8 +463,7 @@ def _cmd_solve(args):
         mesh, mesh_id = _parse_mesh(args.mesh)
         data = _load_inline_data(args.data, m, mesh)
         reference = None
-    kind = "CR1_0" if m == 1 else "MORLEY_0"
-    space = build_space(mesh, kind)
+    space = build_space(mesh, nc_kind(m))
     cmap = build_companion(space)
     A = assembly.assemble_stiffness(space)
     report = {
@@ -516,7 +505,7 @@ def _cmd_solve(args):
 def _cmd_estimate(args):
     from . import assembly
     from .estimator import estimate_modified, estimate_original
-    from .fespace import FeFunction, build_space
+    from .fespace import FeFunction, build_space, nc_kind
     from .linalg import solve_spd
     from .mesh import red_refine
     from .operators import build_companion
@@ -526,8 +515,7 @@ def _cmd_estimate(args):
     mesh = prob.base_mesh()
     for _ in range(args.level):
         mesh = red_refine(mesh)
-    kind = "CR1_0" if prob.m == 1 else "MORLEY_0"
-    space = build_space(mesh, kind)
+    space = build_space(mesh, nc_kind(prob.m))
     cmap = build_companion(space)
     data = prob.data(mesh)
     A = assembly.assemble_stiffness(space)

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from . import assembly
 from .estimator import estimate_modified, estimate_original
-from .fespace import FeFunction, build_space
+from .fespace import FeFunction, build_space, nc_kind
 from .fields import (
     fe_gradient,
     fe_hessian,
@@ -26,22 +26,20 @@ from .fields import (
 )
 from .linalg import solve_spd
 from .mesh import red_refine
-from .norms import error_norms, errors_vs_fine
+from .norms import convergence_rate, error_norms, errors_vs_fine
 from .operators import build_companion, companion, compute_lambda0, interpolate
 from .problems import get_problem
 
 __all__ = [
     "run_attainment",
     "run_scheme_comparison",
+    "run_compare",
     "run_counterexample_cr",
     "run_counterexample_morley",
     "run_oscillation_example",
     "run_rate_study",
     "RateTable",
 ]
-
-_NC_KIND = {1: "CR1_0", 2: "MORLEY_0"}
-
 
 def _mesh_info(mesh, mesh_id=None):
     return {
@@ -107,12 +105,20 @@ def _assert_ge(report, name, value, bound):
     return ok
 
 
-def _solve(space, rhs, tol=1e-12):
-    A = assembly.assemble_stiffness(space)
+def _solve(space, rhs, tol=1e-12, A=None):
+    if A is None:
+        A = assembly.assemble_stiffness(space)
     x, rep = solve_spd(A, rhs, tol=tol)
     if not rep.converged:
         raise RuntimeError(f"discrete solve failed: residual {rep.residual:.2e}")
-    return FeFunction(space, x), A
+    return FeFunction(space, x)
+
+
+def _discretization(mesh, m):
+    """Space of order m, companion and lambda0: what both compare runs share."""
+    space = build_space(mesh, nc_kind(m))
+    cmap = build_companion(space)
+    return space, cmap, compute_lambda0(space, cmap)
 
 
 def run_attainment(mesh, m, seed=0, tol=1e-8, mesh_id=None):
@@ -123,9 +129,31 @@ def run_attainment(mesh, m, seed=0, tol=1e-8, mesh_id=None):
     then returns -(1 + lambda0^2) v, and the error/interpolation-error
     ratio equals sqrt(1 + lambda0^2) exactly.
     """
-    space = build_space(mesh, _NC_KIND[m])
-    cmap = build_companion(space)
-    res = compute_lambda0(space, cmap)
+    return _attainment(mesh, m, *_discretization(mesh, m), seed, tol, mesh_id)
+
+
+def run_scheme_comparison(mesh, m, seed=0, tol=1e-8, mesh_id=None):
+    """Data built from the extremal defect function separates the schemes.
+
+    With tensor data equal to the m-th derivative of the companion image
+    of the extremal function z, the natural scheme reproduces the
+    interpolant exactly while the smoothed scheme misses it by exactly
+    lambda0^2 in energy.
+    """
+    return _scheme_comparison(mesh, m, *_discretization(mesh, m), seed, tol, mesh_id)
+
+
+def run_compare(mesh, m, seed=0, tol=1e-8, mesh_id=None):
+    """Scheme comparison with the attainment report under ``"attainment"``,
+    on one companion and one lambda0 eigensolve; passes when both pass."""
+    disc = _discretization(mesh, m)
+    report = _scheme_comparison(mesh, m, *disc, seed, tol, mesh_id)
+    report["attainment"] = _attainment(mesh, m, *disc, seed, tol, mesh_id)
+    report["passed"] = report["passed"] and report["attainment"]["passed"]
+    return report
+
+
+def _attainment(mesh, m, space, cmap, res, seed, tol, mesh_id):
     lam0 = res.lambda0
     v = res.extremal_vector
     report = _report("attainment", mesh, m, seed, mesh_id)
@@ -133,10 +161,8 @@ def run_attainment(mesh, m, seed=0, tol=1e-8, mesh_id=None):
     report["values"]["c_qo"] = res.c_qo
     report["values"]["eigen_residual"] = res.residual
 
-    Ac = assembly.assemble_stiffness(cmap.target)
-    B = (cmap.matrix.T @ (Ac @ cmap.matrix)).tocsr()
-    rhs = -(B @ v.coeffs)
-    u_nc, A = _solve(space, rhs)
+    rhs = -(res.B @ v.coeffs)
+    u_nc = _solve(space, rhs, A=res.A)
     u = companion(cmap, v)
     u = FeFunction(u.space, -u.coeffs)
 
@@ -158,24 +184,14 @@ def run_attainment(mesh, m, seed=0, tol=1e-8, mesh_id=None):
             relative=False)
 
     if space.ndofs <= 200:
-        x_dense = np.linalg.solve(A.toarray(), rhs)
+        x_dense = np.linalg.solve(res.A.toarray(), rhs)
         dev_dense = np.abs(x_dense - u_nc.coeffs).max() / scale
         _assert(report, "dense brute-force solve agrees", dev_dense, 0.0, 1e-10,
                 relative=False)
     return report
 
 
-def run_scheme_comparison(mesh, m, seed=0, tol=1e-8, mesh_id=None):
-    """Data built from the extremal defect function separates the schemes.
-
-    With tensor data equal to the m-th derivative of the companion image
-    of the extremal function z, the natural scheme reproduces the
-    interpolant exactly while the smoothed scheme misses it by exactly
-    lambda0^2 in energy.
-    """
-    space = build_space(mesh, _NC_KIND[m])
-    cmap = build_companion(space)
-    res = compute_lambda0(space, cmap)
+def _scheme_comparison(mesh, m, space, cmap, res, seed, tol, mesh_id):
     lam0 = res.lambda0
     z = res.extremal_vector
     jz = companion(cmap, z)
@@ -185,8 +201,8 @@ def run_scheme_comparison(mesh, m, seed=0, tol=1e-8, mesh_id=None):
     report = _report("scheme-comparison", mesh, m, seed, mesh_id)
     report["values"]["lambda0"] = lam0
 
-    u_org, A = _solve(space, assembly.assemble_rhs_original(space, data))
-    u_mod, _ = _solve(space, assembly.assemble_rhs_modified(space, data, cmap))
+    u_org = _solve(space, assembly.assemble_rhs_original(space, data), A=res.A)
+    u_mod = _solve(space, assembly.assemble_rhs_modified(space, data, cmap), A=res.A)
 
     iu = interpolate(space, jz)
     scale = max(np.abs(u_org.coeffs).max(), 1.0)
@@ -279,8 +295,8 @@ def run_counterexample_cr(mesh, seed=0, tol=1e-8, mesh_id=None):
     _assert(report, "smoothed right-hand side vanishes",
             np.abs(rhs_mod).max() / rhs_scale, 0.0, 1e-10, relative=False)
 
-    u_mod, _ = _solve(space, rhs_mod)
-    u_org, _ = _solve(space, assembly.assemble_rhs_original(space, data))
+    u_mod = _solve(space, rhs_mod)
+    u_org = _solve(space, assembly.assemble_rhs_original(space, data))
     energy = (space.m,)
     _assert(report, "smoothed solution vanishes",
             error_norms(u_mod, orders=energy).energy_pw, 0.0, tol, relative=False)
@@ -357,8 +373,8 @@ def run_counterexample_morley(mesh, seed=0, tol=1e-8, mesh_id=None):
     _assert(report, "smoothed right-hand side vanishes",
             np.abs(rhs_mod).max() / rhs_scale, 0.0, 1e-9, relative=False)
 
-    u_mod, _ = _solve(space, rhs_mod)
-    u_org, _ = _solve(space, rhs_org)
+    u_mod = _solve(space, rhs_mod)
+    u_org = _solve(space, rhs_org)
     energy = (space.m,)
     _assert(report, "smoothed solution vanishes",
             error_norms(u_mod, orders=energy).energy_pw, 0.0, tol, relative=False)
@@ -415,8 +431,8 @@ def run_oscillation_example(mesh, seed=0, target_osc=0.5, tol=1e-8, mesh_id=None
 
     space = build_space(mesh, "MORLEY_0")
     cmap = build_companion(space)
-    u_org, _ = _solve(space, assembly.assemble_rhs_original(space, data))
-    u_mod, _ = _solve(space, assembly.assemble_rhs_modified(space, data, cmap))
+    u_org = _solve(space, assembly.assemble_rhs_original(space, data))
+    u_mod = _solve(space, assembly.assemble_rhs_modified(space, data, cmap))
     energy = (space.m,)
     _assert(report, "natural solution vanishes",
             error_norms(u_org, orders=energy).energy_pw, 0.0, tol, relative=False)
@@ -508,19 +524,19 @@ def run_rate_study(
         ref_mesh = meshes[-1]
         for _ in range(reference_extra_levels):
             ref_mesh = red_refine(ref_mesh)
-        ref_space = build_space(ref_mesh, _NC_KIND[m])
+        ref_space = build_space(ref_mesh, nc_kind(m))
         if ref_space.ndofs > dof_cap:
             raise ValueError(
                 f"fine-grid reference needs {ref_space.ndofs} dofs, above the cap {dof_cap}"
             )
         ref_cmap = build_companion(ref_space)
         rhs = assembly.assemble_rhs_modified(ref_space, problem.data(ref_mesh), ref_cmap)
-        fine_ref, _ = _solve(ref_space, rhs, tol=solve_tol)
+        fine_ref = _solve(ref_space, rhs, tol=solve_tol)
 
     norms = ["energy_pw", "l2_post", "l2_nc"] if reference else ["energy_pw", "l2_nc"]
     rows = []
     for lvl, mesh in enumerate(meshes):
-        space = build_space(mesh, _NC_KIND[m])
+        space = build_space(mesh, nc_kind(m))
         if space.ndofs > dof_cap:
             raise ValueError(f"level {lvl} needs {space.ndofs} dofs, above the cap")
         data = problem.data(mesh)
@@ -529,7 +545,7 @@ def run_rate_study(
             rhs = assembly.assemble_rhs_original(space, data)
         else:
             rhs = assembly.assemble_rhs_modified(space, data, cmap)
-        u_nc, _ = _solve(space, rhs, tol=solve_tol)
+        u_nc = _solve(space, rhs, tol=solve_tol)
         errors = {}
         if reference is not None:
             bundle = error_norms(u_nc, reference=reference)
@@ -554,8 +570,6 @@ def run_rate_study(
                 estimate_modified(space, data, u_nc, cmap, h_convention=h_convention)
             row["bounds"] = est.bounds
         rows.append(row)
-    from .norms import convergence_rate
-
     hs = [r["hmax"] for r in rows]
     rates = {
         n: convergence_rate(hs, [r["errors"][n] for r in rows]) for n in norms

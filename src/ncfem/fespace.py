@@ -48,6 +48,7 @@ __all__ = [
     "FeSpace",
     "FeFunction",
     "build_space",
+    "nc_kind",
     "evaluate",
     "vertex_eval",
     "split_point_eval",
@@ -56,18 +57,10 @@ __all__ = [
     "KINDS",
 ]
 
-KINDS = (
-    "CR1_0",
-    "CR1_full",
-    "MORLEY_0",
-    "MORLEY_full",
-    "COMPANION_CR",
-    "COMPANION_CR_full",
-    "COMPANION_MORLEY",
-    "COMPANION_MORLEY_full",
-)
-
 _EXPS2 = monomial_exponents(2)
+
+# memo entries per space before it is emptied; rule point sets number 13 at most
+_BARY_CACHE_SIZE = 64
 
 
 def _mono_to_basis(mono, C):
@@ -125,6 +118,8 @@ class FeSpace:
     def _cached_bary(self, polys_key, polys, bary, order):
         key = (polys_key, bary.tobytes(), order)
         if key not in self._bary_cache:
+            if len(self._bary_cache) >= _BARY_CACHE_SIZE:
+                self._bary_cache.clear()
             self._bary_cache[key] = bary_tabulate(polys, bary, order)
         return self._bary_cache[key]
 
@@ -343,6 +338,7 @@ _KIND_CLASS = {
     "COMPANION_MORLEY": CompanionMorleySpace,
     "COMPANION_MORLEY_full": CompanionMorleySpace,
 }
+KINDS = tuple(_KIND_CLASS)
 
 COMPANION_KIND = {
     "CR1_0": "COMPANION_CR",
@@ -350,6 +346,13 @@ COMPANION_KIND = {
     "MORLEY_0": "COMPANION_MORLEY",
     "MORLEY_full": "COMPANION_MORLEY_full",
 }
+
+
+def nc_kind(m):
+    """Kind of the homogeneous nonconforming space of order m: CR or Morley."""
+    if m not in (1, 2):
+        raise ValueError(f"the order m must be 1 or 2, not {m!r}")
+    return "CR1_0" if m == 1 else "MORLEY_0"
 
 
 def build_space(mesh, kind):

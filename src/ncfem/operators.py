@@ -387,22 +387,24 @@ def kappa_constant(m):
 
 @dataclass(frozen=True)
 class Lambda0Result:
-    """Norm of (1 - J) on the nonconforming space and its extremal function."""
+    """Norm of (1 - J), its extremal function and the pencil B x = lambda A x."""
 
     lambda0: float
     c_qo: float
     extremal_vector: FeFunction
-    matrices_dim: int
     lambda_max: float
     residual: float
+    A: sp.csr_matrix
+    B: sp.csr_matrix
 
 
-def compute_lambda0(space, cmap=None, tol=1e-9, dense_limit=3000):
+def compute_lambda0(space, cmap=None):
     """Solve B x = lambda A x for the defect norm of the companion.
 
-    A is the nonconforming stiffness, B the stiffness of the companion
-    images; lambda0 = sqrt(lambda_max - 1) and the extremal vector is
-    normalized to unit piecewise energy.
+    A is the nonconforming stiffness, B = J' A_c J (symmetrized) the stiffness
+    of the companion images, lambda0 = sqrt(lambda_max - 1) and the extremal
+    vector has unit piecewise energy.  One Lanczos solve at every size, with
+    relative residual at most ``linalg.EIG_RESIDUAL_TOL`` (else EigenError).
     """
     from .linalg import max_generalized_eig
 
@@ -413,18 +415,17 @@ def compute_lambda0(space, cmap=None, tol=1e-9, dense_limit=3000):
     J = cmap.matrix
     B = (J.T @ (Ac @ J)).tocsr()
     B = 0.5 * (B + B.T)
-    lam, x = max_generalized_eig(B, A, tol=tol, dense_limit=dense_limit)
-    res = float(
-        np.linalg.norm(B @ x - lam * (A @ x)) / max(np.linalg.norm(A @ x), 1e-300)
-    )
+    lam, x = max_generalized_eig(B, A)
+    res = float(np.linalg.norm(B @ x - lam * (A @ x)) / np.linalg.norm(A @ x))
     lam0 = float(np.sqrt(max(lam - 1.0, 0.0)))
     return Lambda0Result(
         lambda0=lam0,
         c_qo=float(np.sqrt(1.0 + lam0**2)),
         extremal_vector=FeFunction(space, x),
-        matrices_dim=A.shape[0],
         lambda_max=float(lam),
         residual=res,
+        A=A,
+        B=B,
     )
 
 

@@ -208,3 +208,34 @@ def test_failed_eigensolve_exits_one_without_traceback(monkeypatch, capsys):
     assert main(["lambda0", "--m", "1", "--mesh", "square:1"]) == USAGE_ERROR
     err = capsys.readouterr().err
     assert err == "ncfem: generalized eigeniteration did not converge (residual 3.700e-03)\n"
+
+
+def test_compare_solves_one_eigenproblem(tmp_path, monkeypatch):
+    import ncfem.experiments
+    import ncfem.linalg
+    import ncfem.operators
+
+    calls = {"eig": 0, "companion": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ncfem.linalg, "max_generalized_eig",
+                        counted("eig", ncfem.linalg.max_generalized_eig))
+    companion = counted("companion", ncfem.operators.build_companion)
+    monkeypatch.setattr(ncfem.operators, "build_companion", companion)
+    monkeypatch.setattr(ncfem.experiments, "build_companion", companion)
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--m", "2", "--mesh", "square:2", "--json", str(out)]) == 0
+    assert calls == {"eig": 1, "companion": 1}
+    report = json.loads(out.read_text())
+    assert report["passed"] and report["attainment"]["passed"]
+
+
+@pytest.mark.parametrize("command", ["lambda0", "compare"])
+def test_missing_m_is_a_usage_error(command, capsys):
+    assert main([command, "--mesh", "square:2"]) == USAGE_ERROR
+    assert capsys.readouterr().err == "ncfem: the order m must be 1 or 2, not None\n"

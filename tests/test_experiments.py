@@ -5,6 +5,7 @@ import pytest
 
 from ncfem.experiments import (
     run_attainment,
+    run_compare,
     run_counterexample_cr,
     run_counterexample_morley,
     run_oscillation_example,
@@ -25,6 +26,21 @@ def test_attainment_passes(square2, m):
 def test_scheme_comparison_passes(square2, m):
     report = run_scheme_comparison(square2, m)
     assert report["passed"], [a for a in report["assertions"] if not a["pass"]]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_compare_nests_both_reports(square2, m):
+    # one discretization gives the same assertions and values, up to roundoff,
+    # as the two stand-alone runs
+    report = run_compare(square2, m)
+    parts = {"": run_scheme_comparison(square2, m), "attainment": run_attainment(square2, m)}
+    assert report["passed"] and report["attainment"]["passed"]
+    for key, alone in parts.items():
+        got = report[key] if key else report
+        assert set(got) - {"attainment"} == set(alone)
+        assert [a["name"] for a in got["assertions"]] == [a["name"] for a in alone["assertions"]]
+        for name, value in alone["values"].items():
+            assert got["values"][name] == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 def test_counterexamples_pass(square2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncfem import fespace
 from ncfem.fespace import (
     FeFunction,
     build_space,
@@ -160,6 +161,25 @@ def test_split_point_eval_continuous_function(square2):
     z = square2.edge_midpoint[e]
     vals = [split_point_eval(jv, e, z, mu) for mu in (0.0, 0.5, 1.0)]
     assert max(vals) - min(vals) < 1e-11
+
+
+def test_point_evaluation_does_not_grow_bary_cache(rng):
+    mesh = unit_square_mesh(8)
+    space = build_space(mesh, "COMPANION_CR")
+    f = FeFunction(space, rng.standard_normal(space.ndofs))
+    for t in rng.integers(mesh.n_triangles, size=500):
+        evaluate(f, int(t), rng.dirichlet(np.ones(3)) @ mesh.vertices[mesh.triangles[t]])
+    assert len(space._bary_cache) <= fespace._BARY_CACHE_SIZE
+    # repeated rule tabulation and repeated evaluation at one point are hits
+    ts = np.arange(mesh.n_triangles)
+    rule = triangle_rule(4).points
+    space.tabulate(ts, 0, rule, 1)
+    f.evaluate(0, mesh.centroid[0])
+    n = len(space._bary_cache)
+    for _ in range(3):
+        space.tabulate(ts, 0, rule, 1)
+        f.evaluate(0, mesh.centroid[0])
+    assert len(space._bary_cache) == n
 
 
 def test_function_serialization(tmp_path, square2, rng):

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from ncfem.linalg import EigenError, _fix_sign, max_generalized_eig, solve_spd
+from ncfem.fespace import build_space
+from ncfem.linalg import (
+    EIG_RESIDUAL_TOL,
+    EigenError,
+    _fix_sign,
+    max_generalized_eig,
+    solve_spd,
+)
+from ncfem.mesh import unit_square_mesh
+from ncfem.operators import compute_lambda0
 
 
 def random_spd(n, rng):
@@ -83,27 +93,27 @@ def test_eig_against_dense_oracle(rng):
     assert x @ (A @ x) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_eig_iterative_path_matches_dense(rng):
-    A = random_spd(40, rng)
-    C = rng.standard_normal((40, 40))
-    B = C @ C.T + np.eye(40)
-    lam_d, _ = max_generalized_eig(sp.csr_matrix(B), sp.csr_matrix(A), dense_limit=100)
-    lam_i, x = max_generalized_eig(
-        sp.csr_matrix(B), sp.csr_matrix(A), dense_limit=1, tol=1e-10
-    )
-    assert lam_i == pytest.approx(lam_d, rel=1e-8)
+def test_eig_nonconvergence_reports_residual(monkeypatch):
+    A = sp.identity(5, format="csr")
+    B = sp.diags([1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]), np.empty((5, 0)))
+
+    def wrong_vector(*args, **kwargs):
+        return np.array([5.0]), np.ones((5, 1))
+
+    for fake in (no_convergence, wrong_vector):
+        monkeypatch.setattr(spla, "eigsh", fake)
+        with pytest.raises(EigenError) as err:
+            max_generalized_eig(B, A)
+        assert err.value.residual > 0
 
 
-def test_eig_nonconvergence_reports_residual(rng):
-    A = sp.identity(50, format="csr")
-    # two nearly equal top eigenvalues stall the power iteration
-    d = np.ones(50)
-    d[0] = 10.0
-    d[1] = 10.0 - 1e-14
-    B = sp.diags(d)
-    with pytest.raises(EigenError) as err:
-        max_generalized_eig(B, A, dense_limit=1, tol=1e-30, maxiter=3)
-    assert err.value.residual > 0
+def test_eig_one_by_one_pencil():
+    lam, x = max_generalized_eig(sp.csr_matrix([[6.0]]), sp.csr_matrix([[4.0]]))
+    assert lam == 1.5
+    assert x.shape == (1,) and x[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_eig_sign_convention(rng):
@@ -126,3 +136,17 @@ def test_top_eigenpair_matches_full_eigh(rng):
     lam, x = max_generalized_eig(sp.csr_matrix(B), sp.csr_matrix(A))
     assert lam == pytest.approx(w[-1], rel=1e-12)
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_cr_lambda0_bounded_under_refinement():
+    # h-independence of ||1 - J||: nondecreasing and below 2.41 up to
+    # square:32 (3008 dofs)
+    values = []
+    for n in (2, 4, 8, 16, 32):
+        res = compute_lambda0(build_space(unit_square_mesh(n), "CR1_0"))
+        assert res.residual <= EIG_RESIDUAL_TOL
+        values.append(res.lambda0)
+    assert values == sorted(values)
+    assert values[-1] < 2.41
+    assert values[0] == pytest.approx(2.2657, abs=1e-4)
+    assert values[-1] == pytest.approx(2.4063, abs=1e-4)

@@ -4,9 +4,10 @@ Each triangle is split at its centroid into three subtriangles carrying one
 cubic apiece.  The twelve degrees of freedom are the three vertex values,
 the six vertex-gradient components, and the normal derivative at each outer
 edge midpoint (taken along the globally fixed edge normal so the dof is
-single-valued across neighbouring triangles).  The local basis is obtained
-by solving, per triangle, the stacked linear system of internal C^0/C^1
-continuity constraints and dof-duality conditions.
+single-valued across neighbouring triangles).  The local basis solves a
+33x30 linear system per triangle: internal C^0/C^1 continuity constraints
+and dof-duality conditions.  The systems of all triangles are built as one
+stacked array and solved by one batched QR factorization.
 """
 
 from __future__ import annotations
@@ -27,6 +28,89 @@ for _s in range(3):
 
 _C0_PARAMS = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _C1_PARAMS = np.array([1.0 / 6.0, 0.5, 5.0 / 6.0])
+# right-hand side of every system: no constraint residual, dof duality
+_RHS = np.zeros((33, 12))
+_RHS[21:] = np.eye(12)
+# triangles per stacked solve: bounds the QR work arrays to about 80 MB
+_CHUNK = 2048
+
+
+def _stacked_rows(mesh, ts):
+    """The HCT systems of the triangles ``ts`` (a slice), shape (F, 33, 30).
+
+    Row block of one triangle, one column block of ten scaled centered cubic
+    monomials per subtriangle: per interior segment k (centroid to A_k)
+    four C^0 and three C^1 rows, then the 9 vertex dof rows (value, d/dx,
+    d/dy of A_k on subtriangle k+1) and the 3 edge-midpoint normal
+    derivative rows (outer edge k lies in subtriangle k).
+    """
+    verts = mesh.vertices[mesh.triangles[ts]]  # (F, 3, 2)
+    F = len(verts)
+    c0 = mesh.centroid[ts, None, :]
+    h = mesh.diameter[ts, None]
+    seg = verts - c0  # (F, 3, 2): centroid to A_k
+
+    def mono(points, order):
+        xi = (points - c0) / h[..., None]
+        return mono_tabulate(EXPS3, xi, order, inv_h=1.0 / h)
+
+    pts0 = c0[:, :, None] + _C0_PARAMS[:, None] * seg[:, :, None]
+    c0_vals = mono(pts0.reshape(F, 12, 2), 0)[0].reshape(F, 3, 4, 10)
+    nu = np.stack([-seg[..., 1], seg[..., 0]], axis=-1)
+    nu /= np.hypot(seg[..., 0], seg[..., 1])[..., None]
+    pts1 = c0[:, :, None] + _C1_PARAMS[:, None] * seg[:, :, None]
+    grads = mono(pts1.reshape(F, 9, 2), 1)[1].reshape(F, 3, 3, 10, 2)
+    c1_vals = (grads @ nu[:, :, None, :, None])[..., 0]  # (F, 3, 3, 10)
+    emid = mesh.edge_midpoint[mesh.triangle_edges[ts]]
+    enrm = mesh.edge_normal[mesh.triangle_edges[ts]]
+    dofs = mono(np.concatenate([verts, emid], axis=1), 1)  # at A_0..A_2, M_0..M_2
+    edge_dn = (dofs[1][:, 3:] @ enrm[..., None])[..., 0]  # (F, 3, 10)
+
+    rows = np.zeros((F, 33, 3, 10))
+    for k in range(3):
+        sa, sb = (k + 1) % 3, (k + 2) % 3
+        r = 7 * k
+        rows[:, r : r + 4, sa] = c0_vals[:, k]
+        rows[:, r : r + 4, sb] = -c0_vals[:, k]
+        rows[:, r + 4 : r + 7, sa] = c1_vals[:, k]
+        rows[:, r + 4 : r + 7, sb] = -c1_vals[:, k]
+        rows[:, 21 + 3 * k, sa] = dofs[0][:, k]
+        rows[:, 22 + 3 * k : 24 + 3 * k, sa] = dofs[1][:, k].transpose(0, 2, 1)
+        rows[:, 30 + k, k] = edge_dn[:, k]
+    return rows.reshape(F, 33, 30)
+
+
+def _solve_stacked(rows, first=0):
+    """Least-squares solutions X, shape (F, 30, 12), of rows[t] X = [0; I].
+
+    One batched QR: with rows = Q R, X = R^-1 Q^T [0; I] = R^-1 Q[21:]^T.
+    Raises RuntimeError naming the first triangle (numbered from `first`)
+    whose system is rank deficient or inconsistent.  The rank test is
+    conservative: since 1/||R^-1||_F <= sigma_min and ||R||_F >= sigma_max,
+    rejecting 1/||R^-1||_F <= eps * 33 * ||R||_F rejects every system that
+    the SVD rank test sigma_min <= eps * 33 * sigma_max rejects.
+    """
+    q, r = np.linalg.qr(rows)
+    singular = (np.diagonal(r, axis1=1, axis2=2) == 0.0).any(axis=1)
+    r_inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(30), r))
+    sigma_low = np.where(singular, 0.0, 1.0 / np.linalg.norm(r_inv, axis=(1, 2)))
+    sigma_tol = np.finfo(float).eps * 33 * np.linalg.norm(r, axis=(1, 2))
+    bad = np.nonzero(~(sigma_low > sigma_tol))[0]
+    if bad.size:
+        t = bad[0]
+        raise RuntimeError(
+            f"degenerate HCT system on triangle {first + t} (smallest singular "
+            f"value bound {sigma_low[t]:.2e} <= {sigma_tol[t]:.2e})"
+        )
+    X = r_inv @ q[:, 21:].transpose(0, 2, 1)
+    resid = np.abs(rows @ X - _RHS).max(axis=(1, 2))
+    bad = np.nonzero(resid > 1e-7)[0]
+    if bad.size:
+        t = bad[0]
+        raise RuntimeError(
+            f"HCT construction failed on triangle {first + t}: residual {resid[t]:.2e}"
+        )
+    return X
 
 
 def hct_coefficients(mesh):
@@ -38,57 +122,8 @@ def hct_coefficients(mesh):
     normal derivatives in local edge order (edge k opposite vertex k).
     """
     F = mesh.n_triangles
-    coef = np.empty((F, 3, 10, 12))
-    verts = mesh.vertices[mesh.triangles]  # (F, 3, 2)
-    centroids = mesh.centroid
-    diam = mesh.diameter
-    emid = mesh.edge_midpoint[mesh.triangle_edges]  # (F, 3, 2)
-    enrm = mesh.edge_normal[mesh.triangle_edges]  # (F, 3, 2)
-    rhs = np.zeros((33, 12))
-    rhs[21:, :] = np.eye(12)
-    for t in range(F):
-        A = verts[t]
-        c0 = centroids[t]
-        h = diam[t]
-        rows = np.zeros((33, 30))
-
-        def mono(points, order):
-            xi = (np.atleast_2d(points) - c0) / h
-            return mono_tabulate(EXPS3, xi, order, inv_h=1.0 / h)
-
-        r = 0
-        for k in range(3):
-            sa, sb = (k + 1) % 3, (k + 2) % 3
-            seg = A[k] - c0
-            pts0 = c0 + _C0_PARAMS[:, None] * seg
-            vals = mono(pts0, 0)[0]  # (4, 10)
-            rows[r : r + 4, 10 * sa : 10 * sa + 10] = vals
-            rows[r : r + 4, 10 * sb : 10 * sb + 10] = -vals
-            r += 4
-            nu = np.array([-seg[1], seg[0]]) / np.hypot(*seg)
-            pts1 = c0 + _C1_PARAMS[:, None] * seg
-            dn = mono(pts1, 1)[1] @ nu  # (3, 10)
-            rows[r : r + 3, 10 * sa : 10 * sa + 10] = dn
-            rows[r : r + 3, 10 * sb : 10 * sb + 10] = -dn
-            r += 3
-        # dof rows: vertex value + gradient on a subtriangle containing A_k
-        for k in range(3):
-            s = (k + 1) % 3
-            tab = mono(A[k], 1)
-            rows[21 + 3 * k, 10 * s : 10 * s + 10] = tab[0][0]
-            rows[21 + 3 * k + 1, 10 * s : 10 * s + 10] = tab[1][0, :, 0]
-            rows[21 + 3 * k + 2, 10 * s : 10 * s + 10] = tab[1][0, :, 1]
-        # outer edge k lies in subtriangle k
-        for k in range(3):
-            dn = mono(emid[t, k], 1)[1][0] @ enrm[t, k]
-            rows[30 + k, 10 * k : 10 * k + 10] = dn
-        X, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-        if rank < 30:
-            raise RuntimeError(f"degenerate HCT system on triangle {t} (rank {rank})")
-        resid = np.abs(rows @ X - rhs).max()
-        if resid > 1e-7:
-            raise RuntimeError(
-                f"HCT construction failed on triangle {t}: residual {resid:.2e}"
-            )
-        coef[t] = X.reshape(3, 10, 12)
-    return coef
+    coef = np.empty((F, 30, 12))
+    for lo in range(0, F, _CHUNK):
+        ts = slice(lo, lo + _CHUNK)
+        coef[ts] = _solve_stacked(_stacked_rows(mesh, ts), first=lo)
+    return coef.reshape(F, 3, 10, 12)

@@ -189,13 +189,19 @@ def field_scale(a, w):
 
 
 class ExactSolution:
-    """Reference solution with analytic derivatives up to second order."""
+    """Reference solution with analytic derivatives up to second order.
 
-    def __init__(self, value, gradient=None, hessian=None, degree=None):
+    The optional ``parts(x, y, orders)`` returns a dict order -> derivative
+    of that order, at full shape, for all of `orders` in one call, so that
+    work shared by the value and its derivatives is done once.
+    """
+
+    def __init__(self, value, gradient=None, hessian=None, degree=None, parts=None):
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
         self.degree = degree
+        self.parts = parts
 
     def eval(self, order, x, y):
         fn = (self.value, self.gradient, self.hessian)[order]

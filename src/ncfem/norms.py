@@ -38,7 +38,10 @@ def _ref_values(reference, cell, orders):
     if reference is None:
         return {k: np.zeros(cell.phys.shape[:-1] + ((), (2,), (2, 2))[k]) for k in orders}
     if isinstance(reference, ExactSolution):
-        return {k: reference.eval(k, cell.phys[..., 0], cell.phys[..., 1]) for k in orders}
+        x, y = cell.phys[..., 0], cell.phys[..., 1]
+        if reference.parts is not None:
+            return reference.parts(x, y, orders)
+        return {k: reference.eval(k, x, y) for k in orders}
     if orders != [0]:  # generic field: value only
         raise TypeError("reference provides no derivatives")
     return {0: reference.eval_batch(cell)}

@@ -176,19 +176,22 @@ class _LShapeSingularM1(Problem):
         return RhsData(G=None, g=ScalarField(f, degree=None))
 
     def reference(self):
-        def value(x, y):
-            w, _, _ = self._w_parts(x, y)
-            return (1.0 - x**2) * (1.0 - y**2) * w
-
-        def gradient(x, y):
+        def parts(x, y, orders):
             w, w_x, w_y = self._w_parts(x, y)
             g, g_x, g_y = self._g_parts(x, y)
-            grad = np.empty(np.shape(w) + (2,))
-            grad[..., 0] = g * w_x + w * g_x
-            grad[..., 1] = g * w_y + w * g_y
-            return grad
+            out = {}
+            if 0 in orders:
+                out[0] = g * w
+            if 1 in orders:
+                grad = np.empty(np.shape(w) + (2,))
+                grad[..., 0] = g * w_x + w * g_x
+                grad[..., 1] = g * w_y + w * g_y
+                out[1] = grad
+            return out
 
-        return ExactSolution(value, gradient, hessian=None)
+        return ExactSolution(
+            lambda x, y: parts(x, y, (0,))[0], lambda x, y: parts(x, y, (1,))[1], parts=parts
+        )
 
 
 class _LShapeF1M2(Problem):

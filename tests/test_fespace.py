@@ -11,7 +11,8 @@ from ncfem.fespace import (
     split_point_eval,
     vertex_eval,
 )
-from ncfem._hct import SUB_TO_PARENT
+from ncfem import _hct
+from ncfem._hct import SUB_TO_PARENT, hct_coefficients
 from ncfem._poly import bary_tabulate, mono_tabulate, monomial_exponents
 from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.quadrature import edge_rule, triangle_rule
@@ -203,12 +204,14 @@ def test_coefficient_shape_checked(square2):
 # -- batched tabulation kernels against a plain einsum reference ------------
 
 
-def _jittered_mesh():
-    base = unit_square_mesh(4)
+def _jittered_mesh(base=None, amplitude=0.25 * 0.25):
+    """Interior vertices of `base` (default unit_square_mesh(4)) moved by up
+    to `amplitude` in each coordinate."""
+    base = unit_square_mesh(4) if base is None else base
     rng = np.random.default_rng(42)
     verts = base.vertices.copy()
     interior = ~base.boundary_vertex_mask
-    verts[interior] += 0.25 * 0.25 * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
+    verts[interior] += amplitude * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
     return Triangulation(verts, base.triangles)
 
 
@@ -274,3 +277,93 @@ def test_batched_kernels_match_einsum_reference(kind):
             c = f.local_coeffs(ts)
             for o in want:
                 _close(vals[o], np.einsum("fl,flk...->fk...", c, want[o]))
+
+
+# -- stacked HCT construction against the per-triangle solve ----------------
+
+_HCT_RHS = np.vstack([np.zeros((21, 12)), np.eye(12)])
+
+
+def _hct_per_triangle(mesh):
+    """Rows (F, 33, 30) and SVD least-squares solutions (F, 30, 12) of the
+    HCT systems, built and solved one triangle at a time."""
+    F = mesh.n_triangles
+    all_rows = np.zeros((F, 33, 30))
+    coef = np.empty((F, 30, 12))
+    emid = mesh.edge_midpoint[mesh.triangle_edges]
+    enrm = mesh.edge_normal[mesh.triangle_edges]
+    for t in range(F):
+        A = mesh.vertices[mesh.triangles[t]]
+        c0 = mesh.centroid[t]
+        h = mesh.diameter[t]
+        rows = all_rows[t]
+
+        def mono(points, order):
+            xi = (np.atleast_2d(points) - c0) / h
+            return mono_tabulate(_hct.EXPS3, xi, order, inv_h=1.0 / h)
+
+        r = 0
+        for k in range(3):
+            sa, sb = (k + 1) % 3, (k + 2) % 3
+            seg = A[k] - c0
+            vals = mono(c0 + _hct._C0_PARAMS[:, None] * seg, 0)[0]
+            rows[r : r + 4, 10 * sa : 10 * sa + 10] = vals
+            rows[r : r + 4, 10 * sb : 10 * sb + 10] = -vals
+            r += 4
+            nu = np.array([-seg[1], seg[0]]) / np.hypot(*seg)
+            dn = mono(c0 + _hct._C1_PARAMS[:, None] * seg, 1)[1] @ nu
+            rows[r : r + 3, 10 * sa : 10 * sa + 10] = dn
+            rows[r : r + 3, 10 * sb : 10 * sb + 10] = -dn
+            r += 3
+        for k in range(3):
+            s = (k + 1) % 3
+            tab = mono(A[k], 1)
+            rows[21 + 3 * k, 10 * s : 10 * s + 10] = tab[0][0]
+            rows[22 + 3 * k, 10 * s : 10 * s + 10] = tab[1][0, :, 0]
+            rows[23 + 3 * k, 10 * s : 10 * s + 10] = tab[1][0, :, 1]
+        for k in range(3):
+            rows[30 + k, 10 * k : 10 * k + 10] = mono(emid[t, k], 1)[1][0] @ enrm[t, k]
+        X, _, rank, _ = np.linalg.lstsq(rows, _HCT_RHS, rcond=None)
+        assert rank == 30
+        coef[t] = X
+    return all_rows, coef
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        _jittered_mesh,
+        lambda: _jittered_mesh(l_shape_mesh(2), amplitude=0.25 * 0.5),
+        lambda: unit_square_mesh(16),
+    ],
+    ids=["jittered-square4", "jittered-lshape2", "square16"],
+)
+def test_stacked_hct_matches_per_triangle_solve(make_mesh):
+    mesh = make_mesh()
+    rows, want = _hct_per_triangle(mesh)
+    got = hct_coefficients(mesh).reshape(-1, 30, 12)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
+    assert np.abs(rows @ got - _HCT_RHS).max() <= 1e-10
+
+
+@pytest.mark.parametrize("vertex", [(0.375, 0.0), (0.375, 1e-10)])
+def test_hct_rank_guard_names_the_sliver(vertex):
+    # rolled so that triangle (0, 3, 4) sits at index 3; vertex 4 moved onto
+    # (exactly, then nearly) the segment from vertex 0 to vertex 3 flattens it
+    base = unit_square_mesh(2)
+    verts = base.vertices.copy()
+    verts[4] = vertex
+    mesh = Triangulation(verts, np.roll(base.triangles, 3, axis=0), validate=False)
+    with pytest.raises(RuntimeError, match=r"degenerate HCT system on triangle 3 "):
+        hct_coefficients(mesh)
+
+
+def test_hct_residual_guard_names_the_inconsistent_system():
+    mesh = unit_square_mesh(2)
+    rows = _hct._stacked_rows(mesh, slice(None))
+    # a perturbed dof row leaves the system consistent (its left null space
+    # lies in the continuity rows); a perturbed continuity row does not
+    rows[5, 0] += 1e-3 * np.random.default_rng(3).standard_normal(30)
+    with pytest.raises(RuntimeError, match=r"failed on triangle 5: residual"):
+        _hct._solve_stacked(rows)

@@ -157,6 +157,25 @@ def test_selected_orders_match_full_call_bitwise(kind, ref_kind, lshape1, rng):
                 assert getattr(part, name) is None
 
 
+def test_one_call_reference_parts_match_separate_calls_bitwise(lshape1, rng):
+    ref = get_problem("lshape-singular-m1").reference()
+    calls = []
+
+    def parts(x, y, orders):
+        calls.append(tuple(orders))
+        return ref.parts(x, y, orders)
+
+    hooked = ExactSolution(ref.value, ref.gradient, parts=parts)
+    plain = ExactSolution(ref.value, ref.gradient)
+    space = build_space(red_refine(lshape1), "CR1_0")
+    v = FeFunction(space, rng.standard_normal(space.ndofs))
+    for orders in (None, (0,), (1,)):
+        calls.clear()
+        got = error_norms(v, reference=hooked, orders=orders)
+        assert got == error_norms(v, reference=plain, orders=orders)
+        assert calls and set(calls) == {tuple(orders or (0, 1))}
+
+
 def test_orders_outside_the_norm_set_rejected(square2):
     space = build_space(square2, "CR1_0")
     with pytest.raises(ValueError, match="orders"):

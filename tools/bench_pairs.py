@@ -2,7 +2,7 @@
 
 Run from the repository root, after committing the change:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 7 \\
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr N \\
         --workload certify-small --workload rates-cr-lshape --pairs 10
 
 Each side is exported with ``git archive`` into a fresh temporary directory,

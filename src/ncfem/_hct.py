@@ -26,13 +26,14 @@ for _s in range(3):
     SUB_TO_PARENT[_s, 1] = np.eye(3)[(_s + 1) % 3]
     SUB_TO_PARENT[_s, 2] = np.eye(3)[(_s + 2) % 3]
 
-_C0_PARAMS = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-_C1_PARAMS = np.array([1.0 / 6.0, 0.5, 5.0 / 6.0])
+# points on each interior segment: four C^0 points, then three C^1 points
+_SEG_PARAMS = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0, 1.0 / 6.0, 0.5, 5.0 / 6.0])
 # right-hand side of every system: no constraint residual, dof duality
 _RHS = np.zeros((33, 12))
 _RHS[21:] = np.eye(12)
-# triangles per stacked solve: bounds the QR work arrays to about 80 MB
-_CHUNK = 2048
+# triangles per batch of stacked arrays, here and in quadrature.cells: bounds
+# the QR work arrays to about 80 MB
+CHUNK = 2048
 
 
 def _stacked_rows(mesh, ts):
@@ -49,22 +50,18 @@ def _stacked_rows(mesh, ts):
     c0 = mesh.centroid[ts, None, :]
     h = mesh.diameter[ts, None]
     seg = verts - c0  # (F, 3, 2): centroid to A_k
-
-    def mono(points, order):
-        xi = (points - c0) / h[..., None]
-        return mono_tabulate(EXPS3, xi, order, inv_h=1.0 / h)
-
-    pts0 = c0[:, :, None] + _C0_PARAMS[:, None] * seg[:, :, None]
-    c0_vals = mono(pts0.reshape(F, 12, 2), 0)[0].reshape(F, 3, 4, 10)
     nu = np.stack([-seg[..., 1], seg[..., 0]], axis=-1)
     nu /= np.hypot(seg[..., 0], seg[..., 1])[..., None]
-    pts1 = c0[:, :, None] + _C1_PARAMS[:, None] * seg[:, :, None]
-    grads = mono(pts1.reshape(F, 9, 2), 1)[1].reshape(F, 3, 3, 10, 2)
-    c1_vals = (grads @ nu[:, :, None, :, None])[..., 0]  # (F, 3, 3, 10)
-    emid = mesh.edge_midpoint[mesh.triangle_edges[ts]]
-    enrm = mesh.edge_normal[mesh.triangle_edges[ts]]
-    dofs = mono(np.concatenate([verts, emid], axis=1), 1)  # at A_0..A_2, M_0..M_2
-    edge_dn = (dofs[1][:, 3:] @ enrm[..., None])[..., 0]  # (F, 3, 10)
+    edges = mesh.triangle_edges[ts]
+    # per segment k its 4 C^0 and 3 C^1 points, then A_0..A_2 and M_0..M_2
+    on_seg = c0[:, :, None] + _SEG_PARAMS[:, None] * seg[:, :, None]
+    pts = np.concatenate([on_seg.reshape(F, 21, 2), verts, mesh.edge_midpoint[edges]], axis=1)
+    tab = mono_tabulate(EXPS3, (pts - c0) / h[..., None], 1, inv_h=1.0 / h)
+    val, grad = tab[0], tab[1]  # (F, 27, 10), (F, 27, 10, 2)
+    c0_vals = val[:, :21].reshape(F, 3, 7, 10)[:, :, :4]
+    c1_grads = grad[:, :21].reshape(F, 3, 7, 10, 2)[:, :, 4:]
+    c1_vals = (c1_grads @ nu[:, :, None, :, None])[..., 0]  # (F, 3, 3, 10)
+    edge_dn = (grad[:, 24:] @ mesh.edge_normal[edges][..., None])[..., 0]  # (F, 3, 10)
 
     rows = np.zeros((F, 33, 3, 10))
     for k in range(3):
@@ -74,8 +71,8 @@ def _stacked_rows(mesh, ts):
         rows[:, r : r + 4, sb] = -c0_vals[:, k]
         rows[:, r + 4 : r + 7, sa] = c1_vals[:, k]
         rows[:, r + 4 : r + 7, sb] = -c1_vals[:, k]
-        rows[:, 21 + 3 * k, sa] = dofs[0][:, k]
-        rows[:, 22 + 3 * k : 24 + 3 * k, sa] = dofs[1][:, k].transpose(0, 2, 1)
+        rows[:, 21 + 3 * k, sa] = val[:, 21 + k]
+        rows[:, 22 + 3 * k : 24 + 3 * k, sa] = grad[:, 21 + k].transpose(0, 2, 1)
         rows[:, 30 + k, k] = edge_dn[:, k]
     return rows.reshape(F, 33, 30)
 
@@ -93,24 +90,22 @@ def _solve_stacked(rows, first=0):
     q, r = np.linalg.qr(rows)
     singular = (np.diagonal(r, axis1=1, axis2=2) == 0.0).any(axis=1)
     r_inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(30), r))
-    sigma_low = np.where(singular, 0.0, 1.0 / np.linalg.norm(r_inv, axis=(1, 2)))
-    sigma_tol = np.finfo(float).eps * 33 * np.linalg.norm(r, axis=(1, 2))
-    bad = np.nonzero(~(sigma_low > sigma_tol))[0]
-    if bad.size:
-        t = bad[0]
-        raise RuntimeError(
-            f"degenerate HCT system on triangle {first + t} (smallest singular "
-            f"value bound {sigma_low[t]:.2e} <= {sigma_tol[t]:.2e})"
-        )
+    low = np.where(singular, 0.0, 1.0 / np.linalg.norm(r_inv, axis=(1, 2)))
+    tol = np.finfo(float).eps * 33 * np.linalg.norm(r, axis=(1, 2))
+    _raise_first(~(low > tol), first, "degenerate HCT system",
+                 lambda t: f" (smallest singular value bound {low[t]:.2e} <= {tol[t]:.2e})")
     X = r_inv @ q[:, 21:].transpose(0, 2, 1)
     resid = np.abs(rows @ X - _RHS).max(axis=(1, 2))
-    bad = np.nonzero(resid > 1e-7)[0]
-    if bad.size:
-        t = bad[0]
-        raise RuntimeError(
-            f"HCT construction failed on triangle {first + t}: residual {resid[t]:.2e}"
-        )
+    _raise_first(resid > 1e-7, first, "HCT construction failed",
+                 lambda t: f": residual {resid[t]:.2e}")
     return X
+
+
+def _raise_first(bad, first, what, detail):
+    """Raise RuntimeError for the first triangle flagged in `bad`, numbered from `first`."""
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise RuntimeError(f"{what} on triangle {first + t}{detail(t)}")
 
 
 def hct_coefficients(mesh):
@@ -123,7 +118,7 @@ def hct_coefficients(mesh):
     """
     F = mesh.n_triangles
     coef = np.empty((F, 30, 12))
-    for lo in range(0, F, _CHUNK):
-        ts = slice(lo, lo + _CHUNK)
+    for lo in range(0, F, CHUNK):
+        ts = slice(lo, lo + CHUNK)
         coef[ts] = _solve_stacked(_stacked_rows(mesh, ts), first=lo)
     return coef.reshape(F, 3, 10, 12)

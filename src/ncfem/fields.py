@@ -21,7 +21,6 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "MatrixField",
-    "zero_field",
     "fe_value",
     "fe_gradient",
     "fe_rotated_gradient",
@@ -76,11 +75,6 @@ class VectorField(_CallableField):
 
 class MatrixField(_CallableField):
     shape = (2, 2)
-
-
-def zero_field(shape=()):
-    cls = {(): ScalarField, (2,): VectorField, (2, 2): MatrixField}[tuple(shape)]
-    return cls(lambda x, y: np.zeros(np.shape(x) + tuple(shape)), degree=0)
 
 
 class _FeDerivedField(FieldBase):

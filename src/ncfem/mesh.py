@@ -216,12 +216,6 @@ class Triangulation:
     def n_edges(self):
         return len(self.edges)
 
-    def interior_edges(self):
-        return np.nonzero(self.interior_edge_mask)[0]
-
-    def boundary_edges(self):
-        return np.nonzero(self.boundary_edge_mask)[0]
-
     def ancestor(self, t, generations):
         """Triangle index `generations` red-refinement levels up."""
         t = np.asarray(t)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from ._hct import SUB_TO_PARENT
+from ._hct import CHUNK, SUB_TO_PARENT
 
 __all__ = [
     "QuadRule",
@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 MAX_TRIANGLE_DEGREE = 16
-
-# triangles per batch of cells: bounds the (triangles, points, ...) arrays
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -127,15 +124,15 @@ def subcell_corners(mesh, ts, s, nsub):
 
 
 def cells(mesh, rule, *over):
-    """Yield, per chunk of at most ``_CHUNK`` triangles, the list of its Cells.
+    """Yield, per chunk of at most ``CHUNK`` triangles, the list of its Cells.
 
     The partition is the HCT split (three subcells per triangle) when any
     of `over` (spaces or fields; None is skipped) has ``n_subcells == 3``,
     else the plain triangles (one cell per chunk).
     """
     nsub = max([1] + [o.n_subcells for o in over if o is not None])
-    for start in range(0, mesh.n_triangles, _CHUNK):
-        ts = np.arange(start, min(start + _CHUNK, mesh.n_triangles))
+    for start in range(0, mesh.n_triangles, CHUNK):
+        ts = np.arange(start, min(start + CHUNK, mesh.n_triangles))
         area = mesh.area[ts] / nsub
         yield [
             Cell(

@@ -306,12 +306,12 @@ def _hct_per_triangle(mesh):
         for k in range(3):
             sa, sb = (k + 1) % 3, (k + 2) % 3
             seg = A[k] - c0
-            vals = mono(c0 + _hct._C0_PARAMS[:, None] * seg, 0)[0]
+            vals = mono(c0 + np.array([0.0, 1 / 3, 2 / 3, 1.0])[:, None] * seg, 0)[0]
             rows[r : r + 4, 10 * sa : 10 * sa + 10] = vals
             rows[r : r + 4, 10 * sb : 10 * sb + 10] = -vals
             r += 4
             nu = np.array([-seg[1], seg[0]]) / np.hypot(*seg)
-            dn = mono(c0 + _hct._C1_PARAMS[:, None] * seg, 1)[1] @ nu
+            dn = mono(c0 + np.array([1 / 6, 0.5, 5 / 6])[:, None] * seg, 1)[1] @ nu
             rows[r : r + 3, 10 * sa : 10 * sa + 10] = dn
             rows[r : r + 3, 10 * sb : 10 * sb + 10] = -dn
             r += 3

@@ -158,15 +158,29 @@ def test_selected_orders_match_full_call_bitwise(kind, ref_kind, lshape1, rng):
 
 
 def test_one_call_reference_parts_match_separate_calls_bitwise(lshape1, rng):
-    ref = get_problem("lshape-singular-m1").reference()
+    problem = get_problem("lshape-singular-m1")
+    ref = problem.reference()
     calls = []
 
     def parts(x, y, orders):
         calls.append(tuple(orders))
         return ref.parts(x, y, orders)
 
+    # the separate value and gradient formulas the one-call hook replaced
+    def value(x, y):
+        w, _, _ = problem._w_parts(x, y)
+        return (1.0 - x**2) * (1.0 - y**2) * w
+
+    def gradient(x, y):
+        w, w_x, w_y = problem._w_parts(x, y)
+        g, g_x, g_y = problem._g_parts(x, y)
+        grad = np.empty(np.shape(w) + (2,))
+        grad[..., 0] = g * w_x + w * g_x
+        grad[..., 1] = g * w_y + w * g_y
+        return grad
+
     hooked = ExactSolution(ref.value, ref.gradient, parts=parts)
-    plain = ExactSolution(ref.value, ref.gradient)
+    plain = ExactSolution(value, gradient)
     space = build_space(red_refine(lshape1), "CR1_0")
     v = FeFunction(space, rng.standard_normal(space.ndofs))
     for orders in (None, (0,), (1,)):

@@ -3,12 +3,13 @@
 Run from the repository root, after committing the change:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr N \\
-        --workload certify-small --workload rates-cr-lshape --pairs 10
+        --workload certify-small --workload rates-cr-lshape
 
 Each side is exported with ``git archive`` into a fresh temporary directory,
-so both run the benchmark code and sources they were committed with.  Pair i
-uses seed ``--first-seed + i`` on both sides, runs one ``bench/run.py``
-process at a time, and alternates which side runs first.  The output has the
+so both run the benchmark code and sources they were committed with.  There
+are 10 pairs, the number a gain claim is judged on; pair i uses seed
+701 + i on both sides, runs one ``bench/run.py`` process at a time for the
+``run_seconds`` of BENCHMARK.json, and alternates which side runs first.  The output has the
 shape of ``bench/baseline.json``: per side and workload, the median and
 quartiles of each end-to-end metric over the pairs; per metric, the change's
 wins, losses and ties against the parent in the same pair, and the two tests
@@ -27,6 +28,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+FIRST_SEED = 701
 # raw (not speed-corrected) lines bench/run.py prints above its JSON line
 RAW_LINES = {
     "setup_s (raw wall": "setup_s_raw",
@@ -95,9 +98,9 @@ def compare(parent_runs, change_runs, name, bound):
     out = {"wins": wins, "losses": losses, "ties": ties}
     if ps["median"] and cs["median"] is not None:
         out["change_over_parent"] = round(cs["median"] / ps["median"], 4)
-        # a gain: wins in 9 of 10 pairs and a median drop wider than the
-        # parent's interquartile range
-        out["gain_holds"] = (wins >= 0.9 * len(parent_runs)
+        # a gain: wins in 9 of the 10 pairs and a median drop wider than
+        # the parent's interquartile range
+        out["gain_holds"] = (wins >= 0.9 * PAIRS
                              and ps["median"] - cs["median"] > ps["q3"] - ps["q1"])
         if bound is not None:
             out["bound"] = bound
@@ -111,16 +114,11 @@ def main(argv=None):
     ap.add_argument("--change", default="HEAD", help="git revision of the change")
     ap.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--first-seed", type=int, default=701)
-    ap.add_argument("--out", default=None, help="default: BENCH_<pr>.json in the root")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
+    seconds = declared["run_seconds"]
     bounds = {m["name"]: m.get("bound") for m in declared["end_to_end"]}
     result = {"about": (
         "Interleaved parent/change pairs of python3 bench/run.py --trace 0, written by "
@@ -128,11 +126,11 @@ def main(argv=None):
         "at a time; the side that runs first alternates, starting with the parent. "
         "end_to_end: median and quartiles per side (spread = (q3 - q1) / median); "
         "pairs: per metric, pairs the change won, lost and tied (lower is better), "
-        "gain_holds (wins >= 0.9 of pairs and the median drop exceeds the parent's "
+        "gain_holds (wins in at least 9 of the 10 pairs and the median drop exceeds the parent's "
         "q3 - q1) and within_bound (change median <= parent median * (1 + bound)). "
         "*_raw are unscaled wall seconds."),
-        "pr": args.pr, "run_seconds": seconds, "pairs": args.pairs,
-        "first_seed": args.first_seed, "workloads": {}}
+        "pr": args.pr, "run_seconds": seconds, "pairs": PAIRS,
+        "first_seed": FIRST_SEED, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
@@ -140,8 +138,8 @@ def main(argv=None):
             result[side] = export(rev, trees[side])
         for workload in args.workload:
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
-                seed = args.first_seed + i
+            for i in range(PAIRS):
+                seed = FIRST_SEED + i
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     run, machine = run_bench(trees[side], workload, seed, seconds)
                     runs[side].append(run)
@@ -150,7 +148,7 @@ def main(argv=None):
                           f"{run.get('job_ref_s')} correct {run['correct']}", flush=True)
             metrics = [k for k in runs["parent"][0] if k.endswith(("_s", "_mb", "_raw"))]
             result["workloads"][workload] = {
-                "seeds": [args.first_seed + i for i in range(args.pairs)],
+                "seeds": [FIRST_SEED + i for i in range(PAIRS)],
                 **{side: {
                     "end_to_end": {k: summary(r[k] for r in rs) for k in metrics},
                     "fail_frac": sum(r["failed"] for r in rs) / max(
@@ -167,7 +165,7 @@ def main(argv=None):
         result["machine"]["memory_mb"] = kb // 1024
     except (OSError, StopIteration, KeyError, TypeError):
         pass
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

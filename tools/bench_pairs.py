@@ -1,20 +1,19 @@
-"""Run the benchmark on two commits in interleaved pairs and write BENCH_<pr>.json.
+"""Run the benchmark on the parent and HEAD in interleaved pairs; write BENCH_<pr>.json.
 
 Run from the repository root, after committing the change:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr N \\
-        --workload certify-small --workload rates-cr-lshape
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr N
 
-Each side is exported with ``git archive`` into a fresh temporary directory,
-so both run the benchmark code and sources they were committed with.  There
-are 10 pairs, the number a gain claim is judged on; pair i uses seed
-701 + i on both sides, runs one ``bench/run.py`` process at a time for the
-``run_seconds`` of BENCHMARK.json, and alternates which side runs first.  The output has the
-shape of ``bench/baseline.json``: per side and workload, the median and
-quartiles of each end-to-end metric over the pairs; per metric, the change's
-wins, losses and ties against the parent in the same pair, and the two tests
-a gain claim and a no-regression claim must pass.  Only the standard library
-is used.
+The workloads and the run length are those BENCHMARK.json declares.  Each
+side is exported with ``git archive`` into a fresh temporary directory, so
+both run the benchmark code and sources they were committed with.  There are
+10 pairs, the number a gain claim is judged on.  Pair i uses seed 701 + i on
+both sides, runs one ``bench/run.py`` process at a time, and alternates which
+side runs first.  The output has the shape of ``bench/baseline.json``: per
+side and workload, the median and quartiles of each end-to-end metric over
+the pairs; per metric, the change's wins, losses and ties against the parent
+in the same pair, and the two tests a gain claim and a no-regression claim
+must pass.  Only the standard library is used.
 """
 
 import argparse
@@ -111,9 +110,7 @@ def compare(parent_runs, change_runs, name, bound):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
-    ap.add_argument("--change", default="HEAD", help="git revision of the change")
     ap.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
-    ap.add_argument("--workload", action="append", required=True)
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -133,10 +130,10 @@ def main(argv=None):
         "first_seed": FIRST_SEED, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {}
-        for side, rev in (("parent", args.parent), ("change", args.change)):
+        for side, rev in (("parent", args.parent), ("change", "HEAD")):
             trees[side] = os.path.join(tmp, side)
             result[side] = export(rev, trees[side])
-        for workload in args.workload:
+        for workload in (w["name"] for w in declared["workloads"]):
             runs = {"parent": [], "change": []}
             for i in range(PAIRS):
                 seed = FIRST_SEED + i

@@ -528,11 +528,11 @@ def _cmd_estimate(args):
     reference = prob.reference() if prob.reference_kind == "analytic" else None
     if args.scheme == "original":
         est = estimate_original(space, data, u, cmap, reference=reference,
-                                h_convention=args.h_convention)
+                                h_convention=args.h_convention, A=A)
     else:
         est = estimate_modified(space, data, u, cmap, reference=reference,
                                 lambda_j=args.lambda_j,
-                                h_convention=args.h_convention)
+                                h_convention=args.h_convention, A=A)
     report = est.to_dict()
     report["problem"] = args.problem
     report["level"] = args.level

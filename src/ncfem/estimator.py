@@ -124,8 +124,9 @@ def _measured(space, u_nc, ju_nc, reference):
     }
 
 
-def _check_residual(space, u_nc, rhs, tol=1e-9):
-    A = assembly.assemble_stiffness(space)
+def _check_residual(space, u_nc, rhs, A=None, tol=1e-9):
+    if A is None:
+        A = assembly.assemble_stiffness(space)
     res = assembly.scheme_residual(A, u_nc.coeffs, rhs)
     if res > tol:
         raise ValueError(
@@ -133,10 +134,15 @@ def _check_residual(space, u_nc, rhs, tol=1e-9):
         )
 
 
-def estimate_original(space, data, u_nc, cmap, reference=None, h_convention="diameter"):
-    """Bounds for the scheme with the natural right-hand side."""
+def estimate_original(
+    space, data, u_nc, cmap, reference=None, h_convention="diameter", A=None
+):
+    """Bounds for the scheme with the natural right-hand side.
+
+    ``A``, the stiffness matrix of `space`, is assembled when not given.
+    """
     _check_point_forces(data)
-    _check_residual(space, u_nc, assembly.assemble_rhs_original(space, data))
+    _check_residual(space, u_nc, assembly.assemble_rhs_original(space, data), A)
     kappa = kappa_constant(space.m)
     G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
     ju = companion(cmap, u_nc)
@@ -180,18 +186,20 @@ def estimate_modified(
     lambda_j=None,
     reference=None,
     h_convention="diameter",
+    A=None,
 ):
     """Bounds for the right-hand-side-smoothed scheme.
 
     ``lambda_j`` defaults to the computed lambda0 (flagged as a
     lower-bound surrogate in the report); pass a certified value to make
-    ``bound_b`` fully rigorous.
+    ``bound_b`` fully rigorous.  ``A``, the stiffness matrix of `space`, is
+    assembled when not given.
     """
     _check_point_forces(data)
-    _check_residual(space, u_nc, assembly.assemble_rhs_modified(space, data, cmap))
+    _check_residual(space, u_nc, assembly.assemble_rhs_modified(space, data, cmap), A)
     kappa = kappa_constant(space.m)
     if lambda0_result is None:
-        lambda0_result = compute_lambda0(space, cmap)
+        lambda0_result = compute_lambda0(space, cmap, A)
     lam0 = lambda0_result.lambda0
     policy = LAMBDA_J_POLICY if lambda_j is None else "user-supplied"
     lam_j = lam0 if lambda_j is None else float(lambda_j)

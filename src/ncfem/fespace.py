@@ -19,16 +19,26 @@ COMPANION_MORLEY, COMPANION_MORLEY_full
     P2 basis).
 
 Constrained dofs are eliminated: dof maps carry -1 where a local dof is
-pinned to zero.  Evaluation is triangle-local; companion-Morley functions
-live on the 3-subtriangle HCT split (``n_subcells = 3``).  At the points of
-a quadrature :class:`~ncfem.quadrature.Cell`, :meth:`FeSpace.tabulate_cell`
-and :meth:`FeFunction.at` pick the coordinates a space reads: triangle
-coordinates on plain spaces, subcell coordinates on the split.
+pinned to zero.  Companion-Morley functions live on the 3-subtriangle HCT
+split (``n_subcells = 3``).
+
+Evaluation
+----------
+Every space is a list of barycentric polynomials shared by all triangles
+(its modes) plus a per-triangle coefficient map from local dofs to modes.
+The map is the identity for CR, companion CR and the companion bubbles;
+Morley and HCT functions have their monomial expansions converted once, at
+construction, into coefficients of the parent triangle's ``bary_modes(2)``
+and ``bary_modes(3)`` (on the split, one map per subcell).  The modes'
+values and formal lambda-partials are tabulated once per point set, in
+triangle coordinates, and memoized per space; physical derivatives follow
+by contraction with the constant barycentric gradients.
+:meth:`FeSpace.tabulate_cell` maps the contracted modes to the local basis,
+while :meth:`FeFunction.at` first folds a function's local dof vectors into
+mode coefficients, so it never builds a basis table.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -42,7 +52,7 @@ from ._poly import (
     mono_tabulate,
     monomial_exponents,
 )
-from .quadrature import subcell_corners
+from .quadrature import Cell, subcell_corners
 
 __all__ = [
     "FeSpace",
@@ -59,20 +69,25 @@ __all__ = [
 
 _EXPS2 = monomial_exponents(2)
 
-# memo entries per space before it is emptied; rule point sets number 13 at most
+# memo entries per space before it is emptied; a certify job needs 16 at most
+# (companion Morley: one per point set and derivative order)
 _BARY_CACHE_SIZE = 64
 
 
-def _mono_to_basis(mono, C):
-    """Basis tabulation from monomial tabulation and per-triangle coefficients.
+def _mono_to_modes(mesh, exps, coef):
+    """Parent-triangle ``bary_modes(k)`` coefficients of monomial expansions.
 
-    (F, K, M, *d) x (F, M, J) -> (F, J, K, *d), as one batched matmul over
-    (triangle, point); the result is a transposed view, not a copy.
+    `coef` (F, nsub, n_mono, n_fun) holds coefficients of the scaled centered
+    monomials `exps` of degree k; the result (F, nsub, n_modes, n_fun) comes
+    from exact interpolation on the P_k lattice of each triangle.
     """
-    F, K, M = mono.shape[:3]
-    d = mono.shape[3:]
-    prod = np.matmul(mono.reshape(F, K, M, math.prod(d)).swapaxes(2, 3), C[:, None])
-    return np.moveaxis(prod, 3, 1).reshape((F, C.shape[2], K) + d)
+    k = max(a + b for a, b in exps)
+    lattice = np.array([(k - a - b, a, b) for a in range(k + 1) for b in range(k + 1 - a)]) / k
+    modes_at = bary_tabulate(bary_modes(k), lattice, 0)[0]  # (n_modes, n_points)
+    phys = lattice @ mesh.vertices[mesh.triangles]  # (F, n_points, 2)
+    xi = (phys - mesh.centroid[:, None]) / mesh.diameter[:, None, None]
+    vals = mono_tabulate(exps, xi, 0)[0][:, None] @ coef  # (F, nsub, n_points, n_fun)
+    return np.linalg.inv(modes_at.T) @ vals
 
 
 def _number(mask):
@@ -82,20 +97,30 @@ def _number(mask):
     return dof, int(mask.sum())
 
 
+def _cell(space, ts, s, bary):
+    """Cell for subcell barycentric points on subcell s of triangles ts."""
+    bary = np.asarray(bary, dtype=float)
+    parent = bary if space.n_subcells == 1 else bary @ SUB_TO_PARENT[s]
+    return Cell(np.asarray(ts), s, space.n_subcells, bary, parent, None, None, None)
+
+
 class FeSpace:
-    """Base class; concrete spaces fill in dof maps and tabulation."""
+    """Base class; concrete spaces fill in dof maps, modes and mode map.
+
+    ``_modes`` lists the barycentric polynomials shared by all triangles.
+    ``_mode_coef`` (F, n_subcells, r, q), or None for the identity, holds the
+    coefficients of the first q local basis functions in the first r modes;
+    local functions after the q-th are the remaining modes themselves.
+    """
 
     n_subcells = 1
+    _mode_coef = None
 
     def __init__(self, mesh, kind):
         self.mesh = mesh
         self.kind = kind
         self._lgrad = lambda_gradients(mesh)
         self._bary_cache = {}
-
-    def physical_points(self, ts, s, bary):
-        """Physical points for barycentric samples on subcell s of triangles ts."""
-        return np.atleast_2d(bary) @ self._subcell_corners(ts, s)  # (nts, k, 2)
 
     def _subcell_corners(self, ts, s):
         return subcell_corners(self.mesh, ts, s, self.n_subcells)
@@ -105,37 +130,89 @@ class FeSpace:
         lam = self.mesh.barycentric(t, np.atleast_2d(points))
         return np.zeros(len(lam), dtype=int), lam
 
+    def tabulate(self, ts, s, bary, order):
+        """Local basis on subcell s of triangles ts at subcell barycentric points.
+
+        Returns dict: 0 -> (nts, n_local, k), 1 -> (nts, n_local, k, 2),
+        2 -> (nts, n_local, k, 2, 2).
+        """
+        return self.tabulate_cell(_cell(self, ts, s, bary), order)
+
     def tabulate_cell(self, cell, order):
         """Tabulate at the points of a quadrature Cell.
 
-        A space on the HCT split reads the subcell coordinates, any other
-        space the triangle coordinates, so one Cell serves both kinds.
+        The modes are tabulated at the cell's triangle coordinates; a space
+        on the HCT split maps them with the coefficients of the cell's subcell.
         """
-        if self.n_subcells == 1:
-            return self.tabulate(cell.ts, 0, cell.parent, order)
-        return self.tabulate(cell.ts, cell.s, cell.bary, order)
+        ts = cell.ts
+        tab = self._cached_bary(cell.parent, order)
+        nts = len(ts)
+        G = self._lgrad_powers(ts, order)
+        n, k = tab[0].shape
+        modes = {0: np.broadcast_to(tab[0], (nts, n, k))}
+        for o in range(1, order + 1):
+            modes[o] = (tab[o].reshape(n * k, 3**o) @ G[o]).reshape((nts, n, k) + (2,) * o)
+        if self._mode_coef is None:
+            return modes
+        D = self._mode_coef[ts, self._subcell(cell)].swapaxes(1, 2)  # (nts, q, r)
+        q, r = D.shape[1:]
+        out = {}
+        for o, t in modes.items():
+            mapped = (D @ t[:, :r].reshape(nts, r, -1)).reshape((nts, q) + t.shape[2:])
+            out[o] = np.concatenate([mapped, t[:, r:]], axis=1)
+        return out
 
-    def _cached_bary(self, polys_key, polys, bary, order):
-        key = (polys_key, bary.tobytes(), order)
+    def fold(self, ts, s, c):
+        """Mode coefficients (nts, n_modes) of local dof vectors c (nts, n_local)
+        on subcell s of triangles ts."""
+        if self._mode_coef is None:
+            return c
+        D = self._mode_coef[ts, s]
+        q = D.shape[2]
+        return np.concatenate([(D @ c[:, :q, None])[..., 0], c[:, q:]], axis=1)
+
+    def mode_values(self, ts, a, tab, order):
+        """Derivatives up to `order` of mode combinations a (nts, n_modes).
+
+        `tab` holds the modes' formal lambda-partials at points shared by
+        all triangles, order o -> (n_modes, k, 3, ...), or at points of
+        each triangle, (nts, n_modes, k, 3, ...).  Returns dict order ->
+        (nts, k, 2, ...).
+        """
+        G = self._lgrad_powers(ts, order)
+        nts = len(ts)
+        out = {}
+        for o in range(order + 1):
+            t = tab[o]
+            lead = t.ndim - 2 - o
+            k = t.shape[lead + 1]
+            flat = t.reshape(t.shape[: lead + 1] + (-1,))
+            v = a @ flat if lead == 0 else (a[:, None] @ flat)[:, 0]
+            if o:
+                v = v.reshape(nts, k, 3**o) @ G[o]
+            out[o] = v.reshape((nts, k) + (2,) * o)
+        return out
+
+    def _subcell(self, cell):
+        return cell.s if self.n_subcells > 1 else 0
+
+    def _cached_bary(self, parent, order):
+        """Formal lambda-partials of the modes at triangle coordinates `parent`."""
+        key = (parent.tobytes(), order)
         if key not in self._bary_cache:
             if len(self._bary_cache) >= _BARY_CACHE_SIZE:
                 self._bary_cache.clear()
-            self._bary_cache[key] = bary_tabulate(polys, bary, order)
+            self._bary_cache[key] = bary_tabulate(self._modes, parent, order)
         return self._bary_cache[key]
 
-    def _contract(self, tab, ts, order):
-        """Contract formal lambda-partials with barycentric gradients."""
+    def _lgrad_powers(self, ts, order):
+        """Order o -> (nts, 3**o, 2**o): o-fold products of barycentric gradients."""
         gl = self._lgrad[ts]  # (nts, 3, 2)
-        nts = len(ts)
-        n, k = tab[0].shape
-        out = {0: np.broadcast_to(tab[0], (nts, n, k))}
-        if order >= 1:
-            out[1] = (tab[1].reshape(n * k, 3) @ gl).reshape(nts, n, k, 2)
+        G = {1: gl}
         if order >= 2:
-            # (nts, 9, 4) products grad(lambda_a)_d * grad(lambda_b)_e
-            gg = (gl[:, :, None, :, None] * gl[:, None, :, None, :]).reshape(nts, 9, 4)
-            out[2] = (tab[2].reshape(n * k, 9) @ gg).reshape(nts, n, k, 2, 2)
-        return out
+            # products grad(lambda_a)_d * grad(lambda_b)_e
+            G[2] = (gl[:, :, None, :, None] * gl[:, None, :, None, :]).reshape(len(ts), 9, 4)
+        return G
 
 
 class CRSpace(FeSpace):
@@ -153,11 +230,7 @@ class CRSpace(FeSpace):
         self.edge_dof, self.ndofs = _number(free)
         self.cell_dofs = self.edge_dof[mesh.triangle_edges]
         self._shapes = [BaryPoly.const(1.0) - 2.0 * BaryPoly.lam(k) for k in range(3)]
-
-    def tabulate(self, ts, s, bary, order):
-        ts = np.asarray(ts)
-        tab = self._cached_bary("cr", self._shapes, np.asarray(bary), order)
-        return self._contract(tab, ts, order)
+        self._modes = self._shapes
 
 
 class MorleySpace(FeSpace):
@@ -182,6 +255,8 @@ class MorleySpace(FeSpace):
             [self.vertex_dof[mesh.triangles], self.edge_dof[mesh.triangle_edges]], axis=1
         )
         self._coeff = self._build_local_bases()
+        self._modes = bary_modes(2)
+        self._mode_coef = _mono_to_modes(mesh, _EXPS2, self._coeff[:, None])
 
     def _build_local_bases(self):
         mesh = self.mesh
@@ -203,24 +278,8 @@ class MorleySpace(FeSpace):
 
     def local_hessians(self):
         """Constant Hessians of the six local basis functions, (F, 6, 2, 2)."""
-        C = self._coeff  # (F, mono, basis)
-        h = self.mesh.diameter
-        H = np.empty((self.mesh.n_triangles, 6, 2, 2))
-        # monomial order: 1, xi, eta, xi^2, xi*eta, eta^2
-        H[:, :, 0, 0] = 2.0 * C[:, 3, :]
-        H[:, :, 0, 1] = C[:, 4, :]
-        H[:, :, 1, 0] = C[:, 4, :]
-        H[:, :, 1, 1] = 2.0 * C[:, 5, :]
-        return H / (h**2)[:, None, None, None]
-
-    def tabulate(self, ts, s, bary, order):
-        ts = np.asarray(ts)
-        phys = self.physical_points(ts, 0, bary)
-        h = self.mesh.diameter[ts]
-        xi = (phys - self.mesh.centroid[ts][:, None]) / h[:, None, None]
-        mono = mono_tabulate(_EXPS2, xi, order, inv_h=1.0 / h[:, None])
-        C = self._coeff[ts]
-        return {o: _mono_to_basis(mono[o], C) for o in mono}
+        centroid = np.full((1, 3), 1.0 / 3.0)
+        return self.tabulate(np.arange(self.mesh.n_triangles), 0, centroid, 2)[2][:, :, 0]
 
 
 class CompanionCRSpace(FeSpace):
@@ -251,11 +310,7 @@ class CompanionCRSpace(FeSpace):
         lam = [BaryPoly.lam(k) for k in range(3)]
         ebub = [4.0 * lam[(k + 1) % 3] * lam[(k + 2) % 3] for k in range(3)]
         self._shapes = lam + ebub + [b * p for p in bary_modes(1)]
-
-    def tabulate(self, ts, s, bary, order):
-        ts = np.asarray(ts)
-        tab = self._cached_bary("ccr", self._shapes, np.asarray(bary), order)
-        return self._contract(tab, ts, order)
+        self._modes = self._shapes
 
 
 class CompanionMorleySpace(FeSpace):
@@ -294,21 +349,8 @@ class CompanionMorleySpace(FeSpace):
         b = cubic_bubble()
         self._bubbles = [b * b * p for p in bary_modes(2)]
         self._exps3 = monomial_exponents(3)
-
-    def tabulate(self, ts, s, bary, order):
-        ts = np.asarray(ts)
-        bary = np.asarray(bary)
-        phys = self.physical_points(ts, s, bary)
-        h = self.mesh.diameter[ts]
-        xi = (phys - self.mesh.centroid[ts][:, None]) / h[:, None, None]
-        mono = mono_tabulate(self._exps3, xi, order, inv_h=1.0 / h[:, None])
-        C = self.hct_coef[ts, s]  # (nts, 10, 12)
-        parent_bary = bary @ SUB_TO_PARENT[s]
-        btab = self._cached_bary(("bub", s), self._bubbles, parent_bary, order)
-        bub = self._contract(btab, ts, order)
-        return {
-            o: np.concatenate([_mono_to_basis(mono[o], C), bub[o]], axis=1) for o in mono
-        }
+        self._modes = bary_modes(3) + self._bubbles
+        self._mode_coef = _mono_to_modes(mesh, self._exps3, self.hct_coef)
 
     def locate_subcell(self, t, points):
         points = np.atleast_2d(points)
@@ -390,21 +432,17 @@ class FeFunction:
 
         Returns dict: 0 -> (nts, k), 1 -> (nts, k, 2), 2 -> (nts, k, 2, 2).
         """
-        ts = np.asarray(ts)
-        return self._combine(ts, self.space.tabulate(ts, s, bary, order))
+        return self.at(_cell(self.space, ts, s, bary), order)
 
     def at(self, cell, order):
-        """Values and derivatives up to `order` at the points of a quadrature Cell."""
-        return self._combine(cell.ts, self.space.tabulate_cell(cell, order))
+        """Values and derivatives up to `order` at the points of a quadrature Cell.
 
-    def _combine(self, ts, tab):
-        c = self.local_coeffs(ts)[:, None, :]  # (nts, 1, n_local)
-        out = {}
-        for o, t in tab.items():
-            nts, n = t.shape[:2]
-            flat = t.reshape(nts, n, math.prod(t.shape[2:]))
-            out[o] = (c @ flat).reshape((nts,) + t.shape[2:])
-        return out
+        The local dof vectors are folded into mode coefficients and contracted
+        with the space's memoized mode table.
+        """
+        space = self.space
+        a = space.fold(cell.ts, space._subcell(cell), self.local_coeffs(cell.ts))
+        return space.mode_values(cell.ts, a, space._cached_bary(cell.parent, order), order)
 
     def evaluate(self, t, points, order=0):
         """Evaluate at physical points inside triangle t (value/grad/Hessian)."""

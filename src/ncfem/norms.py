@@ -6,14 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import mono_tabulate, monomial_exponents
+from ._poly import bary_tabulate
 from .fespace import CRSpace, FeFunction, MorleySpace
 from .fields import ExactSolution
 from .quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
 
 __all__ = ["ErrorBundle", "error_norms", "convergence_rate", "errors_vs_fine"]
 
-_EXPS2 = monomial_exponents(2)
 # rule of errors_vs_fine: exact for squares of piecewise P2 on the fine mesh
 _FINE_DEGREE = 4
 
@@ -134,35 +133,17 @@ def convergence_rate(h_list, e_list, floor=1e-13):
 
 
 def _eval_coarse_at(f, anc, bary, order):
-    """Evaluate a CR or Morley function on ancestor triangles at per-triangle
-    barycentric points (anc and bary both indexed per evaluation cell)."""
+    """Derivative of order `order` of a CR or Morley function on ancestor
+    triangles at per-triangle barycentric points (anc and bary both indexed
+    per evaluation cell)."""
     space = f.space
-    mesh = space.mesh
-    c = f.local_coeffs(anc)
-    if isinstance(space, CRSpace):
-        if order == 0:
-            vals = 1.0 - 2.0 * bary  # (n, k, 3) local shape values
-            return np.einsum("fl,fkl->fk", c, vals)
-        if order == 1:
-            from ._poly import lambda_gradients
-
-            g = -2.0 * lambda_gradients(mesh)[anc]
-            out = np.einsum("fl,fld->fd", c, g)
-            return np.broadcast_to(out[:, None, :], (len(anc), bary.shape[1], 2))
-        return np.zeros((len(anc), bary.shape[1], 2, 2))
-    if isinstance(space, MorleySpace):
-        corners = mesh.vertices[mesh.triangles[anc]]
-        phys = np.einsum("fkc,fcd->fkd", bary, corners)
-        h = mesh.diameter[anc]
-        xi = (phys - mesh.centroid[anc][:, None]) / h[:, None, None]
-        mono = mono_tabulate(_EXPS2, xi, order, inv_h=1.0 / h[:, None])
-        C = space._coeff[anc]
-        if order == 0:
-            return np.einsum("fkm,fmj,fj->fk", mono[0], C, c)
-        if order == 1:
-            return np.einsum("fkmd,fmj,fj->fkd", mono[1], C, c)
-        return np.einsum("fkmde,fmj,fj->fkde", mono[2], C, c)
-    raise TypeError("fine-grid comparison supports CR and Morley functions")
+    if not isinstance(space, (CRSpace, MorleySpace)):
+        raise TypeError("fine-grid comparison supports CR and Morley functions")
+    n, k = bary.shape[:2]
+    tab = bary_tabulate(space._modes, bary.reshape(n * k, 3), order)
+    per_tri = {o: np.moveaxis(t.reshape((-1, n, k) + t.shape[2:]), 1, 0) for o, t in tab.items()}
+    a = space.fold(anc, 0, f.local_coeffs(anc))
+    return space.mode_values(anc, a, per_tri, order)[order]
 
 
 def errors_vs_fine(coarse, fine, generations):

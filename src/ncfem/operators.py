@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 from scipy.special import j1 as bessel_j1
 
 from . import assembly
-from ._poly import BaryPoly, bary_modes, cubic_bubble, mono_tabulate, monomial_exponents
+from ._poly import BaryPoly, bary_modes, cubic_bubble
 from .fespace import (
     COMPANION_KIND,
     CompanionCRSpace,
@@ -320,14 +320,11 @@ def _morley_companion_matrix(source, target):
 
     # moments of the twelve HCT shape functions, subcell by subcell
     P_loc = np.zeros((F, 12, 6))
-    exps3 = monomial_exponents(3)
     for chunk in cells(mesh, triangle_rule(5), target):
         for c in chunk:
-            qv_s = np.stack([p.eval(c.parent) for p in modes], axis=0)
-            xi = (c.phys - mesh.centroid[c.ts][:, None]) / mesh.diameter[c.ts][:, None, None]
-            mono = mono_tabulate(exps3, xi, 0)[0]  # (nts, k, 10)
-            shape_vals = mono @ target.hct_coef[c.ts, c.s]  # (nts, k, 12)
-            P_loc[c.ts] += np.einsum("k,fkj,lk->fjl", c.weights / c.nsub, shape_vals, qv_s)
+            qv_s = np.stack([p.eval(c.parent) for p in modes], axis=1)  # (k, 6)
+            shape_vals = target.tabulate_cell(c, 0)[0][:, :12]  # (nts, 12, k)
+            P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
 
     S_glob = _moment_block(S, source.cell_dofs, n_src)
     # columns of the stacked HCT-dof matrix: value z -> z, d/dx z -> V + z,
@@ -398,19 +395,20 @@ class Lambda0Result:
     B: sp.csr_matrix
 
 
-def compute_lambda0(space, cmap=None):
+def compute_lambda0(space, cmap=None, A=None):
     """Solve B x = lambda A x for the defect norm of the companion.
 
-    A is the nonconforming stiffness, B = J' A_c J (symmetrized) the stiffness
-    of the companion images, lambda0 = sqrt(lambda_max - 1) and the extremal
-    vector has unit piecewise energy.  One Lanczos solve at every size, with
+    A is the nonconforming stiffness (assembled when not given), B = J' A_c J
+    (symmetrized) the stiffness of the companion images, lambda0 =
+    sqrt(lambda_max - 1) and the extremal vector has unit piecewise energy.  One Lanczos solve at every size, with
     relative residual at most ``linalg.EIG_RESIDUAL_TOL`` (else EigenError).
     """
     from .linalg import max_generalized_eig
 
     if cmap is None:
         cmap = build_companion(space)
-    A = assembly.assemble_stiffness(space)
+    if A is None:
+        A = assembly.assemble_stiffness(space)
     Ac = assembly.assemble_stiffness(cmap.target)
     J = cmap.matrix
     B = (J.T @ (Ac @ J)).tocsr()

@@ -235,6 +235,28 @@ def test_compare_solves_one_eigenproblem(tmp_path, monkeypatch):
     assert report["passed"] and report["attainment"]["passed"]
 
 
+@pytest.mark.parametrize(
+    "scheme, want",
+    [("original", ["MORLEY_0"]), ("modified", ["COMPANION_MORLEY", "MORLEY_0"])],
+)
+def test_estimate_assembles_the_nonconforming_stiffness_once(scheme, want, tmp_path,
+                                                            monkeypatch):
+    import ncfem.assembly
+
+    kinds = []
+    assemble = ncfem.assembly.assemble_stiffness
+
+    def counted(space):
+        kinds.append(space.kind)
+        return assemble(space)
+
+    monkeypatch.setattr(ncfem.assembly, "assemble_stiffness", counted)
+    out = tmp_path / "est.json"
+    argv = ["estimate", "--problem", "square-smooth-m2", "--level", "1", "--scheme", scheme]
+    assert main(argv + ["--json", str(out)]) == 0
+    assert sorted(kinds) == want
+
+
 @pytest.mark.parametrize("command", ["lambda0", "compare"])
 def test_missing_m_is_a_usage_error(command, capsys):
     assert main([command, "--mesh", "square:2"]) == USAGE_ERROR

@@ -15,7 +15,7 @@ from ncfem import _hct
 from ncfem._hct import SUB_TO_PARENT, hct_coefficients
 from ncfem._poly import bary_tabulate, mono_tabulate, monomial_exponents
 from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
-from ncfem.quadrature import edge_rule, triangle_rule
+from ncfem.quadrature import cells, edge_rule, triangle_rule
 
 
 def test_dof_counts():
@@ -277,6 +277,98 @@ def test_batched_kernels_match_einsum_reference(kind):
             c = f.local_coeffs(ts)
             for o in want:
                 _close(vals[o], np.einsum("fl,flk...->fk...", c, want[o]))
+
+
+# -- evaluation through the shared mode tables ------------------------------
+
+_DUALITY_MESHES = {
+    "jittered-square4": _jittered_mesh,
+    "jittered-lshape2": lambda: _jittered_mesh(l_shape_mesh(2), amplitude=0.25 * 0.5),
+}
+
+
+@pytest.mark.parametrize("mesh_id", sorted(_DUALITY_MESHES))
+def test_morley_dof_duality_through_mode_tables(mesh_id):
+    # dof_i(phi_j) = delta_ij per triangle: vertex values, edge-mean normal derivatives
+    mesh = _DUALITY_MESHES[mesh_id]()
+    space = build_space(mesh, "MORLEY_full")
+    ts = np.arange(mesh.n_triangles)
+    normals = mesh.edge_normal[mesh.triangle_edges]  # (F, 3, 2)
+    dof = np.empty((mesh.n_triangles, 6, 6))
+    dof[:, :3] = space.tabulate(ts, 0, np.eye(3), 0)[0].swapaxes(1, 2)
+    rule = edge_rule(2)
+    for k in range(3):
+        parent = np.zeros((rule.n_points, 3))
+        parent[:, (k + 1) % 3] = rule.points[:, 0]
+        parent[:, (k + 2) % 3] = rule.points[:, 1]
+        grads = space.tabulate(ts, 0, parent, 1)[1]  # (F, 6, q, 2)
+        dof[:, 3 + k] = (grads @ normals[:, k, None, :, None])[..., 0] @ rule.weights
+    assert np.abs(dof - np.eye(6)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mesh_id", sorted(_DUALITY_MESHES))
+def test_hct_dof_duality_through_mode_tables(mesh_id):
+    # vertex values and gradients (from both subtriangles at the vertex) and
+    # edge-midpoint normal derivatives; the six bubbles carry none of them
+    mesh = _DUALITY_MESHES[mesh_id]()
+    space = build_space(mesh, "COMPANION_MORLEY_full")
+    ts = np.arange(mesh.n_triangles)
+    normals = mesh.edge_normal[mesh.triangle_edges]
+    want = np.eye(12, 18)
+    for k in range(3):
+        # A_k is corner 2 of subtriangle k+1 and corner 1 of subtriangle k+2
+        for s, corner in (((k + 1) % 3, [0.0, 0.0, 1.0]), ((k + 2) % 3, [0.0, 1.0, 0.0])):
+            tab = space.tabulate(ts, s, np.array([corner]), 1)
+            got = np.concatenate([tab[0][:, None, :, 0], tab[1][:, :, 0].swapaxes(1, 2)], axis=1)
+            assert np.abs(got - want[3 * k : 3 * k + 3]).max() <= 1e-12
+        # the midpoint of outer edge k lies on subtriangle k
+        grad = space.tabulate(ts, k, np.array([[0.0, 0.5, 0.5]]), 1)[1][:, :, 0]  # (F, 18, 2)
+        got = (grad @ normals[:, k, :, None])[..., 0]
+        assert np.abs(got - want[9 + k]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", _FAMILIES)
+def test_at_matches_coefficients_times_tabulate_cell(kind):
+    mesh = _jittered_mesh()
+    space = build_space(mesh, kind)
+    f = FeFunction(space, np.random.default_rng(8).standard_normal(space.ndofs))
+    split = build_space(mesh, "COMPANION_MORLEY")
+    # plain cells, then the HCT split (which plain spaces read in triangle coordinates)
+    for over in ((space,), (space, split)):
+        for chunk in cells(mesh, triangle_rule(6), *over):
+            for c in chunk:
+                c_loc = f.local_coeffs(c.ts)
+                for order in range(3):
+                    got = f.at(c, order)
+                    tab = space.tabulate_cell(c, order)
+                    assert sorted(got) == list(range(order + 1))
+                    for o in tab:
+                        _close(got[o], np.einsum("fl,flk...->fk...", c_loc, tab[o]))
+
+
+def test_certify_commands_never_clear_a_space_memo(tmp_path, monkeypatch):
+    from ncfem.cli import main
+
+    sizes = {}  # space -> memo size after each lookup
+    lookup = fespace.FeSpace._cached_bary
+
+    def recording(self, parent, order):
+        out = lookup(self, parent, order)
+        sizes.setdefault(self, []).append(len(self._bary_cache))
+        return out
+
+    monkeypatch.setattr(fespace.FeSpace, "_cached_bary", recording)
+    for argv in (
+        ["estimate", "--problem", "square-smooth-m2", "--level", "3"],
+        ["compare", "--m", "2", "--mesh", "square:8"],
+    ):
+        assert main(argv + ["--json", str(tmp_path / "report.json")]) == 0
+    kinds = {space.kind for space in sizes}
+    assert {"MORLEY_0", "COMPANION_MORLEY"} <= kinds
+    for seq in sizes.values():
+        # emptying a full memo would make its size drop
+        assert seq == sorted(seq)
+        assert seq[-1] < fespace._BARY_CACHE_SIZE
 
 
 # -- stacked HCT construction against the per-triangle solve ----------------

@@ -115,11 +115,10 @@ def _measured(space, u_nc, ju_nc, reference):
     e_int = error_norms(
         FeFunction(space, iu.coeffs - u_nc.coeffs), orders=energy
     ).energy_pw
-    e_conf = error_norms(ju_nc, reference=reference, orders=energy).energy_pw
-    e_pw = error_norms(u_nc, reference=reference, orders=energy).energy_pw
+    conf, pw = error_norms([(ju_nc, energy), (u_nc, energy)], reference=reference)
     return {
-        "energy_conf": e_conf,
-        "energy_pw": e_pw,
+        "energy_conf": conf.energy_pw,
+        "energy_pw": pw.energy_pw,
         "energy_interp_defect": e_int,
     }
 

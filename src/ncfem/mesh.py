@@ -136,9 +136,12 @@ class Triangulation:
             [tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=1
         ).reshape(-1, 2)
         canon = np.sort(raw, axis=1)
-        edges, inverse, counts = np.unique(
-            canon, axis=0, return_inverse=True, return_counts=True
+        # the key lo * V + hi orders the edges like their (lo, hi) rows
+        V = len(self.vertices)
+        keys, inverse, counts = np.unique(
+            canon[:, 0] * V + canon[:, 1], return_inverse=True, return_counts=True
         )
+        edges = np.stack([keys // V, keys % V], axis=1)
         if np.any(counts > 2):
             e = edges[np.argmax(counts > 2)]
             raise MeshTopologyError(

@@ -54,53 +54,74 @@ def error_norms(f, reference=None, quad_degree=None, orders=None):
     to integrate: neither side is differentiated beyond the highest of
     them, and the bundle fields of the orders left out are None.  A
     computed field is bitwise the same as in a call with every order.
+
+    ``f`` may also be a sequence of ``(function, orders)`` pairs on one
+    mesh; the result is then the list of their bundles.  Functions whose
+    subcell partition and quadrature rule coincide share one pass and one
+    sample of the reference per cell, taken at the union of their orders,
+    so every bundle is bitwise what a call for its function alone returns.
     """
-    space = f.space
-    mesh = space.mesh
-    m = space.m
-    every = {0, 1, m}
-    wanted = every if orders is None else set(orders)
-    if not wanted or not wanted <= every:
-        raise ValueError(f"orders must be a nonempty subset of {sorted(every)}")
-    over = [space]
+    if isinstance(f, FeFunction):
+        return _error_norms([(f, orders)], reference, quad_degree)[0]
+    if orders is not None:
+        raise ValueError("give the orders of each function in its (function, orders) pair")
+    return _error_norms(list(f), reference, quad_degree)
+
+
+def _error_norms(items, reference, quad_degree):
+    mesh = items[0][0].space.mesh
+    ref_space = None
     ref_deg = 0
     if isinstance(reference, FeFunction):
         if reference.space.mesh is not mesh:
             raise ValueError("reference lives on a different mesh")
-        over.append(reference.space)
-        ref_deg = reference.space.poly_degree
+        ref_space = reference.space
+        ref_deg = ref_space.poly_degree
     elif reference is not None:
         ref_deg = reference.degree if reference.degree is not None else 12
-    need = 2 * max(space.poly_degree, ref_deg)
-    if quad_degree is not None:
-        if quad_degree < 2 * space.poly_degree:
+    passes = {}  # (rule degree, subcells) -> (function, totals) pairs sharing that pass
+    totals = []  # per function: order -> integral of the squared difference
+    for f, orders in items:
+        space = f.space
+        if space.mesh is not mesh:
+            raise ValueError("the functions live on different meshes")
+        every = {0, 1, space.m}
+        want = every if orders is None else set(orders)
+        if not want or not want <= every:
+            raise ValueError(f"orders must be a nonempty subset of {sorted(every)}")
+        if quad_degree is not None and quad_degree < 2 * space.poly_degree:
             raise ValueError(
                 f"declared quadrature degree {quad_degree} cannot integrate "
                 f"squares of degree-{space.poly_degree} polynomials exactly"
             )
-        deg = quad_degree
-    else:
-        deg = need
-    rule = triangle_rule(min(deg, MAX_TRIANGLE_DEGREE))
-    orders = sorted(wanted)
-    totals = {k: 0.0 for k in orders}
-    for chunk in cells(mesh, rule, *over):
-        for c in chunk:
-            fv = f.at(c, orders[-1])
-            rv = _ref_values(reference, c, orders)
-            for k in orders:
-                diff = (fv[k] - rv[k]).reshape(fv[k].shape[:2] + (-1,))
-                dens = np.einsum("fkc,fkc->fk", diff, diff)
-                totals[k] += float(np.einsum("k,f,fk->", c.weights, c.area, dens))
+        deg = 2 * max(space.poly_degree, ref_deg) if quad_degree is None else quad_degree
+        nsub = max(space.n_subcells, 1 if ref_space is None else ref_space.n_subcells)
+        totals.append(dict.fromkeys(sorted(want), 0.0))
+        passes.setdefault((min(deg, MAX_TRIANGLE_DEGREE), nsub), []).append((f, totals[-1]))
+    for (deg, _), members in passes.items():
+        over = [f.space for f, _ in members] + [ref_space]
+        union = sorted(set().union(*(t for _, t in members)))
+        for chunk in cells(mesh, triangle_rule(deg), *over):
+            for c in chunk:
+                rv = _ref_values(reference, c, union)
+                for f, t in members:
+                    fv = f.at(c, max(t))
+                    for k in t:
+                        diff = (fv[k] - rv[k]).reshape(fv[k].shape[:2] + (-1,))
+                        dens = np.einsum("fkc,fkc->fk", diff, diff)
+                        t[k] += float(np.einsum("k,f,fk->", c.weights, c.area, dens))
     against = (
         "zero"
         if reference is None
         else ("discrete" if isinstance(reference, FeFunction) else "analytic")
     )
-    norm = {k: float(np.sqrt(t)) for k, t in totals.items()}
-    return ErrorBundle(
-        energy_pw=norm.get(m), h1_pw=norm.get(1), l2=norm.get(0), against=against
-    )
+    bundles = []
+    for (f, _), t in zip(items, totals):
+        norm = {k: float(np.sqrt(v)) for k, v in t.items()}
+        bundles.append(ErrorBundle(
+            energy_pw=norm.get(f.space.m), h1_pw=norm.get(1), l2=norm.get(0), against=against
+        ))
+    return bundles
 
 
 def convergence_rate(h_list, e_list, floor=1e-13):

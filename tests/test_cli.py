@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +256,39 @@ def test_estimate_assembles_the_nonconforming_stiffness_once(scheme, want, tmp_p
     argv = ["estimate", "--problem", "square-smooth-m2", "--level", "1", "--scheme", scheme]
     assert main(argv + ["--json", str(out)]) == 0
     assert sorted(kinds) == want
+
+
+def test_rate_study_with_estimates_assembles_each_stiffness_once_per_level(monkeypatch):
+    import ncfem.assembly
+
+    kinds = []
+    assemble = ncfem.assembly.assemble_stiffness
+
+    def counted(space):
+        kinds.append(space.kind)
+        return assemble(space)
+
+    monkeypatch.setattr(ncfem.assembly, "assemble_stiffness", counted)
+    argv = ["rates", "--problem", "square-smooth-m2", "--levels", "2", "--estimates"]
+    assert main(argv) == 0
+    assert sorted(kinds) == ["COMPANION_MORLEY"] * 2 + ["MORLEY_0"] * 2
+
+
+@pytest.mark.parametrize(
+    "problem, levels",
+    [("lshape-singular-m1", 4), ("square-smooth-m2", 3)],
+)
+def test_rates_csv_matches_golden_table(problem, levels, tmp_path):
+    # the tables under tests/data were written by an earlier version of the
+    # code; every digit must survive changes that keep the numerics
+    golden = Path(__file__).parent / "data" / f"rates_{problem}_l{levels}.csv"
+    out = tmp_path / "rates.csv"
+    argv = ["rates", "--problem", problem, "--levels", str(levels), "--csv", str(out)]
+    assert main(argv) == 0
+    body = lambda path: [
+        ln for ln in path.read_bytes().splitlines(True) if not ln.startswith(b"# generated")
+    ]
+    assert body(out) == body(golden)
 
 
 @pytest.mark.parametrize("command", ["lambda0", "compare"])

@@ -117,6 +117,31 @@ def test_rate_study_estimates_column():
     assert table.rows[1]["bounds"]["bound_b"] > 0
 
 
+def test_rate_study_samples_the_singular_factor_once_per_norm_pass(monkeypatch):
+    # per chunk: one sample for the load and one shared by u_nc and J u_nc
+    from ncfem._hct import CHUNK
+    from ncfem.mesh import red_refine
+    from ncfem.problems import get_problem
+
+    problem = get_problem("lshape-singular-m1")
+    problem_type = type(problem)
+    w_parts = problem_type._w_parts
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return w_parts(x, y)
+
+    monkeypatch.setattr(problem_type, "_w_parts", staticmethod(counted))
+    run_rate_study("lshape-singular-m1", 3)
+    mesh = problem.base_mesh()
+    chunks = 0
+    for _ in range(3):
+        chunks += -(-mesh.n_triangles // CHUNK)
+        mesh = red_refine(mesh)
+    assert len(calls) == 2 * chunks
+
+
 def test_rate_study_guards():
     with pytest.raises(ValueError):
         run_rate_study("square-smooth-m1", 8)

@@ -186,3 +186,50 @@ def test_edge_normal_convention(square2):
     for e in np.nonzero(m.boundary_edge_mask)[0]:
         t = m.edge_triangles[e, 0]
         assert m.edge_normal[e] @ (m.edge_midpoint[e] - m.centroid[t]) > 0
+
+
+def _edges_by_row_unique(mesh):
+    """Edge topology from a row-wise np.unique of the sorted vertex pairs."""
+    tri = mesh.triangles
+    raw = np.stack([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=1).reshape(-1, 2)
+    edges, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+    triangle_edges = inverse.reshape(-1, 3)
+    adj = np.full((len(edges), 2), -1)
+    for t, row in enumerate(triangle_edges):
+        for e in row:
+            adj[e, 0 if adj[e, 0] < 0 else 1] = t
+    two = adj[:, 1] >= 0
+    adj[two] = np.sort(adj[two], axis=1)
+    return edges, triangle_edges, adj
+
+
+def _jittered_renumbered_square(n=5, seed=7):
+    base = unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    verts = base.vertices.copy()
+    interior = ~base.boundary_vertex_mask
+    verts[interior] += 0.2 / n * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
+    perm = rng.permutation(len(verts))  # new index of each old vertex
+    new_verts = np.empty_like(verts)
+    new_verts[perm] = verts
+    tris = perm[base.triangles][rng.permutation(base.n_triangles)]
+    return Triangulation(new_verts, tris)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: unit_square_mesh(4),
+        lambda: l_shape_mesh(2),
+        lambda: red_refine(red_refine(l_shape_mesh(1))),
+        _jittered_renumbered_square,
+    ],
+    ids=["square", "lshape", "red-refined", "jittered"],
+)
+def test_edge_topology_matches_row_unique(make):
+    mesh = make()
+    edges, triangle_edges, edge_triangles = _edges_by_row_unique(mesh)
+    assert mesh.edges.dtype == edges.dtype
+    np.testing.assert_array_equal(mesh.edges, edges)
+    np.testing.assert_array_equal(mesh.triangle_edges, triangle_edges)
+    np.testing.assert_array_equal(mesh.edge_triangles, edge_triangles)

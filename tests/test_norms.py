@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ncfem.fespace import FeFunction, build_space
+from ncfem.fespace import FeFunction, build_space, nc_kind
 from ncfem.fields import ExactSolution
 from ncfem.mesh import red_refine, unit_square_mesh
 from ncfem.norms import convergence_rate, error_norms, errors_vs_fine
@@ -196,3 +196,32 @@ def test_orders_outside_the_norm_set_rejected(square2):
         error_norms(FeFunction(space), orders=(2,))
     with pytest.raises(ValueError, match="orders"):
         error_norms(FeFunction(space), orders=())
+
+
+@pytest.mark.parametrize(
+    "problem_name, subcells",
+    [("lshape-singular-m1", 1), ("square-smooth-m2", 3)],
+)
+def test_several_functions_measure_bitwise_as_separate_calls(problem_name, subcells, rng):
+    # CR and its companion share one pass; Morley and its HCT companion do not
+    problem = get_problem(problem_name)
+    mesh = red_refine(problem.base_mesh())
+    space = build_space(mesh, nc_kind(problem.m))
+    u = FeFunction(space, rng.standard_normal(space.ndofs))
+    ju = companion(build_companion(space), u)
+    assert ju.space.n_subcells == subcells
+    reference = problem.reference()
+    pairs = [(u, (0, problem.m)), (ju, (0,)), (u, None), (ju, (problem.m,))]
+    together = error_norms(pairs, reference=reference)
+    assert together == [error_norms(f, reference=reference, orders=o) for f, o in pairs]
+    discrete = error_norms(pairs[:2], reference=u)
+    assert discrete == [error_norms(f, reference=u, orders=o) for f, o in pairs[:2]]
+
+
+def test_several_functions_reject_shared_orders_and_foreign_meshes(square2):
+    u = FeFunction(build_space(square2, "CR1_0"))
+    v = FeFunction(build_space(red_refine(square2), "CR1_0"))
+    with pytest.raises(ValueError, match="orders"):
+        error_norms([(u, (0,))], orders=(0,))
+    with pytest.raises(ValueError, match="different meshes"):
+        error_norms([(u, (0,)), (v, (0,))])

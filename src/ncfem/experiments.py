@@ -545,7 +545,8 @@ def run_rate_study(
             rhs = assembly.assemble_rhs_original(space, data)
         else:
             rhs = assembly.assemble_rhs_modified(space, data, cmap)
-        A = assembly.assemble_stiffness(space)
+        # the estimators reuse the stiffness; without them _solve drops it after the solve
+        A = assembly.assemble_stiffness(space) if include_estimates else None
         u_nc = _solve(space, rhs, tol=solve_tol, A=A)
         errors = {}
         if reference is not None:

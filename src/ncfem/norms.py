@@ -61,14 +61,10 @@ def error_norms(f, reference=None, quad_degree=None, orders=None):
     sample of the reference per cell, taken at the union of their orders,
     so every bundle is bitwise what a call for its function alone returns.
     """
-    if isinstance(f, FeFunction):
-        return _error_norms([(f, orders)], reference, quad_degree)[0]
-    if orders is not None:
+    single = isinstance(f, FeFunction)
+    if not single and orders is not None:
         raise ValueError("give the orders of each function in its (function, orders) pair")
-    return _error_norms(list(f), reference, quad_degree)
-
-
-def _error_norms(items, reference, quad_degree):
+    items = [(f, orders)] if single else list(f)
     mesh = items[0][0].space.mesh
     ref_space = None
     ref_deg = 0
@@ -121,7 +117,7 @@ def _error_norms(items, reference, quad_degree):
         bundles.append(ErrorBundle(
             energy_pw=norm.get(f.space.m), h1_pw=norm.get(1), l2=norm.get(0), against=against
         ))
-    return bundles
+    return bundles[0] if single else bundles
 
 
 def convergence_rate(h_list, e_list, floor=1e-13):

@@ -3,8 +3,8 @@
 Matrices are scipy CSR (symmetric by construction, positive definite on the
 constrained space).  All integrands in the identity experiments are
 piecewise polynomial and integrated exactly; smooth data triggers a fixed
-high-order rule.  Element integrals run over the chunked quadrature cells
-of :func:`ncfem.quadrature.cells` and are vectorized per chunk.
+high-order rule.  Integrals of data run over the chunked quadrature cells of
+:func:`ncfem.quadrature.cells`; stiffness matrices need no per-point work.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.sparse as sp
 
+from ._hct import SUB_TO_PARENT
 from ._poly import bary_modes, lambda_gradients
 from .fespace import CompanionMorleySpace, CRSpace, MorleySpace
 from .fields import FieldBase, field_sum
@@ -81,43 +82,46 @@ def assemble_stiffness(space):
     if isinstance(space, CRSpace):
         grads = -2.0 * lambda_gradients(mesh)  # (F, 3, 2)
         local = np.einsum("f,fid,fjd->fij", mesh.area, grads, grads)
-        L = 3
     elif isinstance(space, MorleySpace):
         H = space.local_hessians()
         local = np.einsum("f,fide,fjde->fij", mesh.area, H, H)
-        L = 6
     else:
-        return _quadrature_stiffness(space)
+        local = _companion_stiffness(space)
     dofs = space.cell_dofs
-    rows = np.broadcast_to(dofs[:, :, None], (mesh.n_triangles, L, L)).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], (mesh.n_triangles, L, L)).ravel()
+    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
     return _scatter_matrix(rows, cols, local.ravel(), space.ndofs).tocsr()
 
 
-def _quadrature_stiffness(space):
-    m = space.m
+def _companion_stiffness(space):
+    """Local stiffness matrices (F, n_local, n_local) of a companion space.
+
+    Tensor representation (Kirby and Logg, ACM TOMS 2006): K_s integrates,
+    once per subcell s, products of the modes' order-m formal lambda-partials;
+    per triangle it is contracted with |T|/nsub times the Gram matrix of the
+    barycentric gradients (m = 1) or its Kronecker square (m = 2), and the
+    subcell's mode coefficients map the result to the local basis.
+    """
+    m, nsub, F, n = space.m, space.n_subcells, space.mesh.n_triangles, len(space._modes)
     rule = triangle_rule(min(2 * (space.poly_degree - m), MAX_TRIANGLE_DEGREE))
-    L = space.n_local
-    blocks = []
-    for chunk in cells(space.mesh, rule, space):
-        ts = chunk[0].ts
-        local = np.zeros((len(ts), L, L))
-        for c in chunk:
-            tab = space.tabulate_cell(c, m)[m]
-            # tabulate returns a fresh array: scaling it in place by
-            # sqrt(w * area) avoids a second chunk-sized array
-            t = tab.reshape(len(ts), L, rule.n_points, -1)
-            t *= np.sqrt(c.area[:, None] * c.weights)[:, None, :, None]
-            t = t.reshape(len(ts), L, -1)
-            local += t @ t.swapaxes(1, 2)
-        dofs = space.cell_dofs[ts]
-        rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
-        cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
-        blocks.append(_scatter_matrix(rows, cols, local.ravel(), space.ndofs))
-    A = blocks[0]
-    for b in blocks[1:]:
-        A = A + b
-    return A.tocsr()
+    G = space._lgrad_powers(np.arange(F), m)[m]  # (F, 3**m, 2**m)
+    Q = (G @ G.swapaxes(1, 2)).reshape(F, -1) * (space.mesh.area / nsub)[:, None]
+    D = space._mode_coef  # None, or (F, nsub, r, q): see FeSpace
+    local = 0.0
+    for s in range(nsub):
+        parent = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
+        P = space._cached_bary(parent, m)[m].reshape(n, rule.n_points, -1)
+        K = np.einsum("k,ika,jkb->ijab", rule.weights, P, P).reshape(n * n, -1)
+        modes = (Q @ K.T).reshape(F, n, n)
+        if D is not None:
+            r, q = D.shape[2:]
+            E = np.zeros((F, n, q + n - r))
+            E[:, :r, :q] = D[:, s]
+            E[:, r:, q:] = np.eye(n - r)
+            modes = E.swapaxes(1, 2) @ modes @ E
+        local = local + modes
+    # the contractions sum (i, j) and (j, i) in different orders
+    return 0.5 * (local + local.swapaxes(1, 2))
 
 
 def _basis_at_point(space, t, point):

@@ -65,7 +65,8 @@ def solve_spd(A, b, tol=1e-12):
 
 
 def _fix_sign(x):
-    nz = np.nonzero(np.abs(x) > 1e-12 * np.abs(x).max())[0]
+    # far above roundoff: an entry that is zero in exact arithmetic never decides
+    nz = np.nonzero(np.abs(x) > 1e-6 * np.abs(x).max())[0]
     if nz.size and x[nz[0]] < 0:
         return -x
     return x

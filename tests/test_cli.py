@@ -274,6 +274,30 @@ def test_rate_study_with_estimates_assembles_each_stiffness_once_per_level(monke
     assert sorted(kinds) == ["COMPANION_MORLEY"] * 2 + ["MORLEY_0"] * 2
 
 
+def test_solve_both_samples_the_singular_factor_once_per_norm_pass(tmp_path, monkeypatch):
+    # per chunk: one sample for each scheme's load and one shared by the
+    # errors of both schemes
+    from ncfem._hct import CHUNK
+    from ncfem.mesh import l_shape_mesh
+    from ncfem.problems import get_problem
+
+    problem_type = type(get_problem("lshape-singular-m1"))
+    w_parts = problem_type._w_parts
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return w_parts(x, y)
+
+    monkeypatch.setattr(problem_type, "_w_parts", staticmethod(counted))
+    argv = ["solve", "--problem", "lshape-singular-m1", "--scheme", "both",
+            "--mesh", "lshape:32", "--json", str(tmp_path / "solve.json")]
+    assert main(argv) == 0
+    chunks = -(-l_shape_mesh(32).n_triangles // CHUNK)
+    assert chunks == 3
+    assert len(calls) == 3 * chunks
+
+
 @pytest.mark.parametrize(
     "problem, levels",
     [("lshape-singular-m1", 4), ("square-smooth-m2", 3)],

@@ -138,6 +138,14 @@ def test_top_eigenpair_matches_full_eigh(rng):
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
 
 
+def test_sign_comes_from_the_first_genuine_entry():
+    # a leading entry that is roundoff of an exact zero (3.2e-12 of the
+    # largest, as measured on a CR pencil) must not decide the sign
+    x = np.array([-3.2e-12, 0.97, -1.0, 0.5])
+    assert np.array_equal(_fix_sign(x), x)
+    assert np.array_equal(_fix_sign(-x), x)
+
+
 def test_cr_lambda0_bounded_under_refinement():
     # h-independence of ||1 - J||: nondecreasing and below 2.41 up to
     # square:32 (3008 dofs)

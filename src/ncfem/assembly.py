@@ -90,7 +90,10 @@ def assemble_stiffness(space):
     dofs = space.cell_dofs
     rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
     cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
-    return _scatter_matrix(rows, cols, local.ravel(), space.ndofs).tocsr()
+    A = _scatter_matrix(rows, cols, local.ravel(), space.ndofs).tocsr()
+    if isinstance(space, (CRSpace, MorleySpace)):
+        return A  # bitwise frozen by the golden rate tables
+    return (0.5 * (A + A.T)).tocsr()  # the COO sum adds (i, j), (j, i) in different orders
 
 
 def _companion_stiffness(space):

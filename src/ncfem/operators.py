@@ -5,9 +5,9 @@ The companion operator is a conforming right-inverse of the nonconforming
 interpolation with an extra per-triangle L2 orthogonality of the defect to
 P_m.  Its construction is staged: nodal averaging into the conforming host
 space, edge corrections restoring the interpolation degrees of freedom,
-then volume-bubble corrections enforcing the moment conditions.  All
-stages compose into one sparse coefficient map, so applying the operator
-is a matrix-vector product.
+then volume-bubble corrections enforcing the moment conditions (for CR per
+``CHUNK`` triangles, to bound memory).  All stages compose into one sparse
+coefficient map, so applying the operator is a matrix-vector product.
 
 ``compute_lambda0`` characterizes the operator norm of (1 - J) on the
 nonconforming space through the generalized eigenproblem B x = lambda A x
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 from scipy.special import j1 as bessel_j1
 
 from . import assembly
+from ._hct import CHUNK
 from ._poly import BaryPoly, bary_modes, cubic_bubble
 from .fespace import (
     COMPANION_KIND,
@@ -241,18 +241,19 @@ def _cr_companion_matrix(source, target):
     M = np.array([[(b * p * q).integral() for q in modes] for p in modes])
 
     def block(table, col_ids, width):  # the same table on every triangle
-        return _moment_block(np.broadcast_to(table, (F, 3, 3)), col_ids, width)
+        return _moment_block(np.broadcast_to(table, (len(col_ids), 3, 3)), col_ids, width)
 
-    S_glob = block(S_cr, source.cell_dofs, n_src)
-    H_glob = block(S_hat, tri, V)
-    Eb_glob = block(S_eb, tedges, E)
-    R = S_glob - H_glob @ W - Eb_glob @ alpha
-    vol = _block_inverse_kron(F, M) @ R
+    # each triangle's rows of M^-1 R need only its own moment rows: build per CHUNK
+    vol = []
+    for lo in range(0, F, CHUNK):
+        ts = slice(lo, lo + CHUNK)
+        R = (block(S_cr, source.cell_dofs[ts], n_src) - block(S_hat, tri[ts], V) @ W
+             - block(S_eb, tedges[ts], E) @ alpha)
+        vol.append(_block_inverse_kron(R.shape[0] // 3, M) @ R)
 
     vfree = target.vertex_dof >= 0
     efree = target.edge_dof >= 0
-    J = sp.vstack([W[vfree], alpha[efree], vol]).tocsr()
-    return J
+    return sp.vstack([W[vfree], alpha[efree], *vol], format="csr")
 
 
 def _morley_companion_matrix(source, target):
@@ -375,6 +376,8 @@ def kappa_constant(m):
     shape-independent value 0.25745784465.
     """
     if m == 1:
+        from scipy.optimize import brentq  # loaded on first use only
+
         j11 = brentq(bessel_j1, 3.0, 4.5, xtol=1e-13)
         return float(np.sqrt(j11**-2 + 1.0 / 48.0))
     if m == 2:

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
-from ncfem import assembly
+import ncfem
+from ncfem import assembly, operators
+from ncfem._poly import BaryPoly, bary_modes, cubic_bubble
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import ExactSolution, fe_value, field_sum
 from ncfem.mesh import l_shape_mesh, red_refine, unit_square_mesh
@@ -206,7 +214,91 @@ def test_companion_boundary_conditions(square2, rng):
         assert worst < 1e-11 * max(np.abs(v.coeffs).max(), 1.0)
 
 
+def _one_shot_cr_companion(source, target):
+    """The CR companion matrix built for all triangles at once."""
+    mesh = source.mesh
+    V, E, F = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
+    n_src = source.ndofs
+    tri = mesh.triangles
+    n_adj = np.bincount(tri.ravel(), minlength=V).astype(float)
+    rows, cols, data = [], [], []
+    for k in range(3):
+        for j in range(3):
+            dofs = source.cell_dofs[:, j]
+            ok = dofs >= 0
+            rows.append(tri[ok, k])
+            cols.append(dofs[ok])
+            data.append(np.full(int(ok.sum()), -1.0 if j == k else 1.0) / n_adj[tri[ok, k]])
+    W = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(V, n_src),
+    ).tocsr()
+    if target.kind == "COMPANION_CR":
+        W = sp.diags((~mesh.boundary_vertex_mask).astype(float)) @ W
+    ok = source.edge_dof >= 0
+    P_edge = sp.coo_matrix(
+        (np.ones(int(ok.sum())), (np.nonzero(ok)[0], source.edge_dof[ok])), shape=(E, n_src)
+    ).tocsr()
+    inc = sp.coo_matrix(
+        (np.ones(2 * E), (np.repeat(np.arange(E), 2), mesh.edges.ravel())), shape=(E, V)
+    ).tocsr()
+    alpha = 1.5 * P_edge - 0.75 * (inc @ W)
+    modes = bary_modes(1)
+    lam = [BaryPoly.lam(k) for k in range(3)]
+    b = cubic_bubble()
+    S_cr = np.array([[((BaryPoly.const(1.0) - 2.0 * lam[k]) * p).integral() for p in modes]
+                     for k in range(3)])
+    S_hat = np.array([[(lam[z] * p).integral() for p in modes] for z in range(3)])
+    S_eb = np.array([[(4.0 * lam[(k + 1) % 3] * lam[(k + 2) % 3] * p).integral() for p in modes]
+                     for k in range(3)])
+    M = np.array([[(b * p * q).integral() for q in modes] for p in modes])
+
+    def block(table, col_ids, width):
+        return operators._moment_block(np.broadcast_to(table, (F, 3, 3)), col_ids, width)
+
+    R = (block(S_cr, source.cell_dofs, n_src) - block(S_hat, tri, V) @ W
+         - block(S_eb, mesh.triangle_edges, E) @ alpha)
+    vol = operators._block_inverse_kron(F, M) @ R
+    vfree = target.vertex_dof >= 0
+    efree = target.edge_dof >= 0
+    return sp.vstack([W[vfree], alpha[efree], vol]).tocsr()
+
+
+def _refined(mesh, times):
+    for _ in range(times):
+        mesh = red_refine(mesh)
+    return mesh
+
+
+@pytest.mark.parametrize("kind", ["CR1_0", "CR1_full"])
+@pytest.mark.parametrize(
+    "make_mesh",
+    [lambda: _refined(l_shape_mesh(1), 5), lambda: unit_square_mesh(33)],
+    ids=["lshape1-refined5", "square33"],
+)
+def test_chunked_cr_companion_equals_one_shot_build(kind, make_mesh):
+    # 6144 triangles (three full chunks) and 2178 (a full and a partial one)
+    space = build_space(make_mesh(), kind)
+    assert space.mesh.n_triangles > operators.CHUNK
+    cmap = build_companion(space)
+    got, want = cmap.matrix, _one_shot_cr_companion(space, cmap.target)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 # -- constants and the eigenproblem ------------------------------------------
+
+
+def test_cli_stack_does_not_import_scipy_optimize():
+    # brentq is loaded by kappa_constant(1) on first use, not at import
+    code = (
+        "import sys, ncfem.cli, ncfem.experiments, ncfem.estimator; "
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_kappa_values():
@@ -231,7 +323,7 @@ def test_kappa_values():
     assert abs(j11 - 3.8317059702) < 1e-9
     want = np.sqrt(j11**-2 + 1.0 / 48.0)
     assert kappa_constant(1) == pytest.approx(want, abs=1e-12)
-    assert kappa_constant(1) > 0
+    assert kappa_constant(1) == 0.2982349428885092
     with pytest.raises(ValueError):
         kappa_constant(3)
 

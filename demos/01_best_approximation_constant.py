@@ -19,20 +19,16 @@ equals C_qo to machine precision.
 
 import numpy as np
 
-from ncfem import assembly
 from ncfem.experiments import run_attainment
-from ncfem.fespace import build_space
 from ncfem.mesh import red_refine, unit_square_mesh
-from ncfem.operators import build_companion, compute_lambda0
+from ncfem.operators import Discretization
 
 print("lambda0 under uniform refinement (it converges to a constant):")
 for kind in ("CR1_0", "MORLEY_0"):
     mesh = unit_square_mesh(1)
     values = []
     for _ in range(4):
-        space = build_space(mesh, kind)
-        res = compute_lambda0(space, build_companion(space))
-        values.append(res.lambda0)
+        values.append(Discretization(mesh, kind).lam0.lambda0)
         mesh = red_refine(mesh)
     print(f"  {kind:9s}: " + "  ".join(f"{v:.6f}" for v in values))
 

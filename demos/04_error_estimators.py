@@ -9,14 +9,9 @@ errors never exceed the bounds; the efficiency index stays bounded under
 refinement.
 """
 
-import numpy as np
-
-from ncfem import assembly
 from ncfem.estimator import efficiency_terms, estimate_modified, estimate_original
-from ncfem.fespace import FeFunction, build_space
-from ncfem.linalg import solve_spd
 from ncfem.mesh import red_refine
-from ncfem.operators import build_companion
+from ncfem.operators import Discretization
 from ncfem.problems import get_problem
 
 prob = get_problem("square-smooth-m1")
@@ -24,14 +19,11 @@ mesh = prob.base_mesh()
 print(f"{prob.name}: natural scheme bounds vs measured split errors")
 print("  level  bound_a     measured    bound_b     measured    eff.index")
 for lvl in range(4):
-    space = build_space(mesh, "CR1_0")
-    cmap = build_companion(space)
+    disc = Discretization(mesh, "CR1_0")
     data = prob.data(mesh)
-    A = assembly.assemble_stiffness(space)
-    x, _ = solve_spd(A, assembly.assemble_rhs_original(space, data))
-    est = estimate_original(space, data, FeFunction(space, x), cmap,
-                            reference=prob.reference())
-    eff = efficiency_terms(space, data, prob.reference())
+    u = disc.solve(disc.rhs("original", data))
+    est = estimate_original(disc, data, u, reference=prob.reference())
+    eff = efficiency_terms(disc.space, data, prob.reference())
     me = est.measured_errors
     print(
         f"  {lvl:5d}  {est.bounds['bound_a']:.4e}  {me['split_a']:.4e}"
@@ -43,13 +35,10 @@ for lvl in range(4):
 print()
 prob = get_problem("square-smooth-m2")
 mesh = red_refine(prob.base_mesh())
-space = build_space(mesh, "MORLEY_0")
-cmap = build_companion(space)
+disc = Discretization(mesh, "MORLEY_0")
 data = prob.data(mesh)
-A = assembly.assemble_stiffness(space)
-x, _ = solve_spd(A, assembly.assemble_rhs_modified(space, data, cmap))
-est = estimate_modified(space, data, FeFunction(space, x), cmap,
-                        reference=prob.reference())
+u = disc.solve(disc.rhs("modified", data))
+est = estimate_modified(disc, data, u, reference=prob.reference())
 print(f"{prob.name}: smoothed scheme (lambda0 = {est.constants['lambda0']:.3f}, "
       f"policy: {est.constants['lambda_j_policy']})")
 print(f"  |||u - J u_nc|||  <= {est.bounds['bound_a']:.4e}"

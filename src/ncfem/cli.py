@@ -281,21 +281,20 @@ def _cmd_verify(args):
     import numpy as np
 
     from .experiments import _assert_le
-    from .fespace import FeFunction, build_space, nc_kind
+    from .fespace import FeFunction, nc_kind
     from .linalg import EIG_RESIDUAL_TOL
     from .norms import error_norms
     from .operators import (
+        Discretization,
         best_approx_orthogonality_check,
-        build_companion,
         companion,
-        compute_lambda0,
         interpolate,
         kappa_constant,
     )
 
     mesh, mesh_id = _parse_mesh(args.mesh)
-    space = build_space(mesh, nc_kind(args.m))
-    cmap = build_companion(space)
+    disc = Discretization(mesh, nc_kind(args.m))
+    space, cmap = disc.space, disc.cmap
     rng = np.random.default_rng(args.seed)
     report = {
         "schema": "ncfem-report-v1",
@@ -335,7 +334,7 @@ def _cmd_verify(args):
     _assert_le(report, "piecewise polynomial moment orthogonality", worst_orth, 1e-10)
     _assert_le(report, "Pythagoras split", worst_pyth, 1e-10)
     _assert_le(report, "interpolation-constant inequality margin", worst_kappa, 1e-12)
-    res = compute_lambda0(space, cmap)
+    res = disc.lam0
     report["values"] = {"lambda0": res.lambda0, "c_qo": res.c_qo,
                         "eigen_residual": res.residual}
     _assert_le(report, "eigen residual", res.residual, EIG_RESIDUAL_TOL)
@@ -351,24 +350,24 @@ def _weighted_l2_defect(space, v, jv, h):
 
 
 def _cmd_lambda0(args):
-    from .fespace import build_space, nc_kind
+    from .fespace import nc_kind
     from .linalg import EIG_RESIDUAL_TOL
-    from .operators import build_companion, compute_lambda0
+    from .operators import Discretization
 
     mesh, mesh_id = _parse_mesh(args.mesh)
-    space = build_space(mesh, nc_kind(args.m))
-    res = compute_lambda0(space, build_companion(space))
+    disc = Discretization(mesh, nc_kind(args.m))
+    res = disc.lam0
     report = {
         "schema": "ncfem-report-v1",
         "experiment": "lambda0",
         "m": args.m,
-        "mesh": {"id": mesh_id, "ndofs": space.ndofs},
+        "mesh": {"id": mesh_id, "ndofs": disc.space.ndofs},
         "seed": args.seed,
         "lambda0": res.lambda0,
         "c_qo": res.c_qo,
         "lambda_max": res.lambda_max,
         "eigen_residual": res.residual,
-        "matrices_dim": res.A.shape[0],
+        "matrices_dim": disc.A.shape[0],
         "passed": bool(res.residual <= EIG_RESIDUAL_TOL),
         "assertions": [],
     }
@@ -436,11 +435,10 @@ def _cmd_rates(args):
 def _cmd_solve(args):
     import numpy as np
 
-    from . import assembly
-    from .fespace import FeFunction, build_space, nc_kind, save_function
+    from .fespace import FeFunction, nc_kind, save_function
     from .linalg import solve_spd
     from .norms import error_norms
-    from .operators import build_companion
+    from .operators import SCHEME_TOL, Discretization
     from .problems import get_problem
 
     if (args.problem is None) == (args.data is None):
@@ -463,9 +461,8 @@ def _cmd_solve(args):
         mesh, mesh_id = _parse_mesh(args.mesh)
         data = _load_inline_data(args.data, m, mesh)
         reference = None
-    space = build_space(mesh, nc_kind(m))
-    cmap = build_companion(space)
-    A = assembly.assemble_stiffness(space)
+    disc = Discretization(mesh, nc_kind(m))
+    space = disc.space
     report = {
         "schema": "ncfem-report-v1",
         "experiment": "solve",
@@ -479,11 +476,8 @@ def _cmd_solve(args):
     schemes = ("original", "modified") if args.scheme == "both" else (args.scheme,)
     solved = []
     for scheme in schemes:
-        if scheme == "original":
-            rhs = assembly.assemble_rhs_original(space, data)
-        else:
-            rhs = assembly.assemble_rhs_modified(space, data, cmap)
-        x, rep = solve_spd(A, rhs, tol=1e-10 if m == 1 else 1e-9)
+        # reported, not raised: a solve that misses the tolerance reads converged false
+        x, rep = solve_spd(disc.A, disc.rhs(scheme, data), tol=SCHEME_TOL[m])
         solved.append((scheme, rep, FeFunction(space, x)))
     # one pass per norm kind for all schemes: the reference is sampled once
     energies = error_norms([(u, (m,)) for _, _, u in solved])
@@ -508,36 +502,29 @@ def _cmd_solve(args):
 
 
 def _cmd_estimate(args):
-    from . import assembly
     from .estimator import estimate_modified, estimate_original
-    from .fespace import FeFunction, build_space, nc_kind
+    from .fespace import FeFunction, nc_kind
     from .linalg import solve_spd
     from .mesh import red_refine
-    from .operators import build_companion
+    from .operators import SCHEME_TOL, Discretization
     from .problems import get_problem
 
     prob = get_problem(args.problem)
     mesh = prob.base_mesh()
     for _ in range(args.level):
         mesh = red_refine(mesh)
-    space = build_space(mesh, nc_kind(prob.m))
-    cmap = build_companion(space)
+    disc = Discretization(mesh, nc_kind(prob.m))
     data = prob.data(mesh)
-    A = assembly.assemble_stiffness(space)
-    if args.scheme == "original":
-        rhs = assembly.assemble_rhs_original(space, data)
-    else:
-        rhs = assembly.assemble_rhs_modified(space, data, cmap)
-    x, rep = solve_spd(A, rhs, tol=1e-10 if prob.m == 1 else 1e-9)
-    u = FeFunction(space, x)
+    # the estimators check the solution's residual themselves
+    x, _ = solve_spd(disc.A, disc.rhs(args.scheme, data), tol=SCHEME_TOL[prob.m])
+    u = FeFunction(disc.space, x)
     reference = prob.reference() if prob.reference_kind == "analytic" else None
     if args.scheme == "original":
-        est = estimate_original(space, data, u, cmap, reference=reference,
-                                h_convention=args.h_convention, A=A)
+        est = estimate_original(disc, data, u, reference=reference,
+                                h_convention=args.h_convention)
     else:
-        est = estimate_modified(space, data, u, cmap, reference=reference,
-                                lambda_j=args.lambda_j,
-                                h_convention=args.h_convention, A=A)
+        est = estimate_modified(disc, data, u, reference=reference,
+                                lambda_j=args.lambda_j, h_convention=args.h_convention)
     report = est.to_dict()
     report["problem"] = args.problem
     report["level"] = args.level

@@ -19,7 +19,7 @@ from . import assembly
 from .fespace import FeFunction, vertex_eval
 from .mesh import mesh_size
 from .norms import error_norms
-from .operators import companion, compute_lambda0, interpolate, kappa_constant
+from .operators import companion, interpolate, kappa_constant
 from .quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
 
 __all__ = ["EstimateReport", "estimate_original", "estimate_modified", "efficiency_terms"]
@@ -123,28 +123,23 @@ def _measured(space, u_nc, ju_nc, reference):
     }
 
 
-def _check_residual(space, u_nc, rhs, A=None, tol=1e-9):
-    if A is None:
-        A = assembly.assemble_stiffness(space)
-    res = assembly.scheme_residual(A, u_nc.coeffs, rhs)
+def _check_residual(disc, scheme, data, u_nc, tol=1e-9):
+    res = assembly.scheme_residual(disc.A, u_nc.coeffs, disc.rhs(scheme, data))
     if res > tol:
         raise ValueError(
             f"discrete function does not solve this scheme (residual {res:.2e})"
         )
 
 
-def estimate_original(
-    space, data, u_nc, cmap, reference=None, h_convention="diameter", A=None
-):
-    """Bounds for the scheme with the natural right-hand side.
-
-    ``A``, the stiffness matrix of `space`, is assembled when not given.
-    """
+def estimate_original(disc, data, u_nc, reference=None, h_convention="diameter"):
+    """Bounds for the scheme with the natural right-hand side on the
+    :class:`~ncfem.operators.Discretization` `disc`."""
+    space = disc.space
     _check_point_forces(data)
-    _check_residual(space, u_nc, assembly.assemble_rhs_original(space, data), A)
+    _check_residual(disc, "original", data, u_nc)
     kappa = kappa_constant(space.m)
     G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
-    ju = companion(cmap, u_nc)
+    ju = companion(disc.cmap, u_nc)
     nonconf = error_norms(u_nc, reference=ju, orders=(space.m,)).energy_pw
     fhat_corr = _fhat_of_defect(space, data, u_nc, ju)
     base = G_osc + kappa * g_weighted + nonconf
@@ -177,33 +172,23 @@ def estimate_original(
 
 
 def estimate_modified(
-    space,
-    data,
-    u_nc,
-    cmap,
-    lambda0_result=None,
-    lambda_j=None,
-    reference=None,
-    h_convention="diameter",
-    A=None,
+    disc, data, u_nc, lambda_j=None, reference=None, h_convention="diameter"
 ):
-    """Bounds for the right-hand-side-smoothed scheme.
+    """Bounds for the right-hand-side-smoothed scheme on `disc`.
 
     ``lambda_j`` defaults to the computed lambda0 (flagged as a
     lower-bound surrogate in the report); pass a certified value to make
-    ``bound_b`` fully rigorous.  ``A``, the stiffness matrix of `space`, is
-    assembled when not given.
+    ``bound_b`` fully rigorous.
     """
+    space = disc.space
     _check_point_forces(data)
-    _check_residual(space, u_nc, assembly.assemble_rhs_modified(space, data, cmap), A)
+    _check_residual(disc, "modified", data, u_nc)
     kappa = kappa_constant(space.m)
-    if lambda0_result is None:
-        lambda0_result = compute_lambda0(space, cmap, A)
-    lam0 = lambda0_result.lambda0
+    lam0 = disc.lam0.lambda0
     policy = LAMBDA_J_POLICY if lambda_j is None else "user-supplied"
     lam_j = lam0 if lambda_j is None else float(lambda_j)
     G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
-    ju = companion(cmap, u_nc)
+    ju = companion(disc.cmap, u_nc)
     nonconf = error_norms(u_nc, reference=ju, orders=(space.m,)).energy_pw
     apx_F = (1.0 + lam_j) * G_osc + kappa * g_weighted + kappa * lam_j * g_osc
     bound_a = np.sqrt(1.0 + lam0**2) * G_osc + np.sqrt(

@@ -24,10 +24,9 @@ from .fields import (
     sym_curl_of_pair,
     sym_gradient_of_pair,
 )
-from .linalg import solve_spd
 from .mesh import red_refine
 from .norms import convergence_rate, error_norms, errors_vs_fine
-from .operators import build_companion, companion, compute_lambda0, interpolate
+from .operators import SCHEME_TOL, Discretization, companion, interpolate
 from .problems import get_problem
 
 __all__ = [
@@ -105,22 +104,6 @@ def _assert_ge(report, name, value, bound):
     return ok
 
 
-def _solve(space, rhs, tol=1e-12, A=None):
-    if A is None:
-        A = assembly.assemble_stiffness(space)
-    x, rep = solve_spd(A, rhs, tol=tol)
-    if not rep.converged:
-        raise RuntimeError(f"discrete solve failed: residual {rep.residual:.2e}")
-    return FeFunction(space, x)
-
-
-def _discretization(mesh, m):
-    """Space of order m, companion and lambda0: what both compare runs share."""
-    space = build_space(mesh, nc_kind(m))
-    cmap = build_companion(space)
-    return space, cmap, compute_lambda0(space, cmap)
-
-
 def run_attainment(mesh, m, seed=0, tol=1e-8, mesh_id=None):
     """Exact attainment of the best-approximation constant.
 
@@ -129,7 +112,7 @@ def run_attainment(mesh, m, seed=0, tol=1e-8, mesh_id=None):
     then returns -(1 + lambda0^2) v, and the error/interpolation-error
     ratio equals sqrt(1 + lambda0^2) exactly.
     """
-    return _attainment(mesh, m, *_discretization(mesh, m), seed, tol, mesh_id)
+    return _attainment(Discretization(mesh, nc_kind(m)), seed, tol, mesh_id)
 
 
 def run_scheme_comparison(mesh, m, seed=0, tol=1e-8, mesh_id=None):
@@ -140,20 +123,22 @@ def run_scheme_comparison(mesh, m, seed=0, tol=1e-8, mesh_id=None):
     interpolant exactly while the smoothed scheme misses it by exactly
     lambda0^2 in energy.
     """
-    return _scheme_comparison(mesh, m, *_discretization(mesh, m), seed, tol, mesh_id)
+    return _scheme_comparison(Discretization(mesh, nc_kind(m)), seed, tol, mesh_id)
 
 
 def run_compare(mesh, m, seed=0, tol=1e-8, mesh_id=None):
     """Scheme comparison with the attainment report under ``"attainment"``,
     on one companion and one lambda0 eigensolve; passes when both pass."""
-    disc = _discretization(mesh, m)
-    report = _scheme_comparison(mesh, m, *disc, seed, tol, mesh_id)
-    report["attainment"] = _attainment(mesh, m, *disc, seed, tol, mesh_id)
+    disc = Discretization(mesh, nc_kind(m))
+    report = _scheme_comparison(disc, seed, tol, mesh_id)
+    report["attainment"] = _attainment(disc, seed, tol, mesh_id)
     report["passed"] = report["passed"] and report["attainment"]["passed"]
     return report
 
 
-def _attainment(mesh, m, space, cmap, res, seed, tol, mesh_id):
+def _attainment(disc, seed, tol, mesh_id):
+    mesh, space, res = disc.mesh, disc.space, disc.lam0
+    m = space.m
     lam0 = res.lambda0
     v = res.extremal_vector
     report = _report("attainment", mesh, m, seed, mesh_id)
@@ -162,8 +147,8 @@ def _attainment(mesh, m, space, cmap, res, seed, tol, mesh_id):
     report["values"]["eigen_residual"] = res.residual
 
     rhs = -(res.B @ v.coeffs)
-    u_nc = _solve(space, rhs, A=res.A)
-    u = companion(cmap, v)
+    u_nc = disc.solve(rhs)
+    u = companion(disc.cmap, v)
     u = FeFunction(u.space, -u.coeffs)
 
     scale = np.abs(u_nc.coeffs).max()
@@ -184,25 +169,27 @@ def _attainment(mesh, m, space, cmap, res, seed, tol, mesh_id):
             relative=False)
 
     if space.ndofs <= 200:
-        x_dense = np.linalg.solve(res.A.toarray(), rhs)
+        x_dense = np.linalg.solve(disc.A.toarray(), rhs)
         dev_dense = np.abs(x_dense - u_nc.coeffs).max() / scale
         _assert(report, "dense brute-force solve agrees", dev_dense, 0.0, 1e-10,
                 relative=False)
     return report
 
 
-def _scheme_comparison(mesh, m, space, cmap, res, seed, tol, mesh_id):
+def _scheme_comparison(disc, seed, tol, mesh_id):
+    mesh, space, res = disc.mesh, disc.space, disc.lam0
+    m = space.m
     lam0 = res.lambda0
     z = res.extremal_vector
-    jz = companion(cmap, z)
+    jz = companion(disc.cmap, z)
     G = fe_gradient(jz) if m == 1 else fe_hessian(jz)
     data = assembly.RhsData(G=G)
 
     report = _report("scheme-comparison", mesh, m, seed, mesh_id)
     report["values"]["lambda0"] = lam0
 
-    u_org = _solve(space, assembly.assemble_rhs_original(space, data), A=res.A)
-    u_mod = _solve(space, assembly.assemble_rhs_modified(space, data, cmap), A=res.A)
+    u_org = disc.solve(disc.rhs("original", data))
+    u_mod = disc.solve(disc.rhs("modified", data))
 
     iu = interpolate(space, jz)
     scale = max(np.abs(u_org.coeffs).max(), 1.0)
@@ -252,6 +239,21 @@ def _first_nonconforming_direction(stiff_nc, riesz_map, kkt_solve, n_candidates)
     return None, 0.0
 
 
+def _only_natural_scheme_fails(report, disc, data, rhs_tol, tol):
+    """The smoothed load and solution vanish; the natural solution has unit energy."""
+    rhs_mod = disc.rhs("modified", data)
+    rhs_org = disc.rhs("original", data)
+    rhs_scale = max(np.abs(rhs_org).max(), 1e-30)
+    _assert(report, "smoothed right-hand side vanishes",
+            np.abs(rhs_mod).max() / rhs_scale, 0.0, rhs_tol, relative=False)
+    energy = (disc.space.m,)
+    _assert(report, "smoothed solution vanishes",
+            error_norms(disc.solve(rhs_mod), orders=energy).energy_pw, 0.0, tol,
+            relative=False)
+    _assert(report, "natural solution has unit energy",
+            error_norms(disc.solve(rhs_org), orders=energy).energy_pw, 1.0, tol)
+
+
 def run_counterexample_cr(mesh, seed=0, tol=1e-8, mesh_id=None):
     """Natural right-hand side without best-approximation (second order).
 
@@ -261,8 +263,7 @@ def run_counterexample_cr(mesh, seed=0, tol=1e-8, mesh_id=None):
     scheme returns a discrete solution of unit energy.
     """
     report = _report("counterexample-cr", mesh, 1, seed, mesh_id)
-    full = build_space(mesh, "CR1_full")
-    A_full = assembly.assemble_stiffness(full)
+    full = Discretization(mesh, "CR1_full")
     R = assembly.p1_to_cr(mesh)
     K = assembly.p1_stiffness(mesh)
     V = mesh.n_vertices
@@ -273,35 +274,21 @@ def run_counterexample_cr(mesh, seed=0, tol=1e-8, mesh_id=None):
     def solve(f):
         return lu.solve(np.concatenate([f, [0.0]]))[:V]
 
-    b_coeffs, energy = _first_nonconforming_direction(A_full, R, solve, full.ndofs)
+    b_coeffs, energy = _first_nonconforming_direction(full.A, R, solve, full.space.ndofs)
     if b_coeffs is None:
         report["degenerate"] = True
         report["values"]["note"] = "every CR function is continuous on this mesh"
         return report
     b_coeffs = b_coeffs / np.sqrt(energy)
-    ortho = np.abs(R.T @ (A_full @ b_coeffs)).max()
+    ortho = np.abs(R.T @ (full.A @ b_coeffs)).max()
     report["values"]["p1_orthogonality_residual"] = float(ortho)
-    b = FeFunction(full, b_coeffs)
+    b = FeFunction(full.space, b_coeffs)
 
-    cmap_full = build_companion(full)
-    jb = companion(cmap_full, b)
+    jb = companion(full.cmap, b)
     G = fe_rotated_gradient(jb)
     data = assembly.RhsData(G=G)
 
-    space = build_space(mesh, "CR1_0")
-    cmap = build_companion(space)
-    rhs_mod = assembly.assemble_rhs_modified(space, data, cmap)
-    rhs_scale = max(np.abs(assembly.assemble_rhs_original(space, data)).max(), 1e-30)
-    _assert(report, "smoothed right-hand side vanishes",
-            np.abs(rhs_mod).max() / rhs_scale, 0.0, 1e-10, relative=False)
-
-    u_mod = _solve(space, rhs_mod)
-    u_org = _solve(space, assembly.assemble_rhs_original(space, data))
-    energy = (space.m,)
-    _assert(report, "smoothed solution vanishes",
-            error_norms(u_mod, orders=energy).energy_pw, 0.0, tol, relative=False)
-    _assert(report, "natural solution has unit energy",
-            error_norms(u_org, orders=energy).energy_pw, 1.0, tol)
+    _only_natural_scheme_fails(report, Discretization(mesh, "CR1_0"), data, 1e-10, tol)
 
     # P0 part of the data is the rotated piecewise gradient of the seed
     proj = assembly.l2_project(G, 0, mesh)
@@ -349,12 +336,11 @@ def run_counterexample_morley(mesh, seed=0, tol=1e-8, mesh_id=None):
     ortho = np.abs(R2.T @ (K_cr @ b_coeffs)).max()
     report["values"]["strain_orthogonality_residual"] = float(ortho)
 
-    full = build_space(mesh, "CR1_full")
-    cmap_full = build_companion(full)
-    b1 = FeFunction(full, b_coeffs[:E])
-    b2 = FeFunction(full, b_coeffs[E:])
-    jb1 = companion(cmap_full, b1)
-    jb2 = companion(cmap_full, b2)
+    full = Discretization(mesh, "CR1_full")
+    b1 = FeFunction(full.space, b_coeffs[:E])
+    b2 = FeFunction(full.space, b_coeffs[E:])
+    jb1 = companion(full.cmap, b1)
+    jb2 = companion(full.cmap, b2)
     neg_jb1 = FeFunction(jb1.space, -jb1.coeffs)
     G = sym_curl_of_pair(jb2, neg_jb1)
     data = assembly.RhsData(G=G)
@@ -365,21 +351,7 @@ def run_counterexample_morley(mesh, seed=0, tol=1e-8, mesh_id=None):
     nE_ = assembly.weighted_field_l2(eps, mesh)
     _assert(report, "rotation identity |G| = |strain(Jb)|", nG, nE_, 1e-11)
 
-    space = build_space(mesh, "MORLEY_0")
-    cmap = build_companion(space)
-    rhs_mod = assembly.assemble_rhs_modified(space, data, cmap)
-    rhs_org = assembly.assemble_rhs_original(space, data)
-    rhs_scale = max(np.abs(rhs_org).max(), 1e-30)
-    _assert(report, "smoothed right-hand side vanishes",
-            np.abs(rhs_mod).max() / rhs_scale, 0.0, 1e-9, relative=False)
-
-    u_mod = _solve(space, rhs_mod)
-    u_org = _solve(space, rhs_org)
-    energy = (space.m,)
-    _assert(report, "smoothed solution vanishes",
-            error_norms(u_mod, orders=energy).energy_pw, 0.0, tol, relative=False)
-    _assert(report, "natural solution has unit energy",
-            error_norms(u_org, orders=energy).energy_pw, 1.0, tol)
+    _only_natural_scheme_fails(report, Discretization(mesh, "MORLEY_0"), data, 1e-9, tol)
 
     # P0 projection equals the rotated piecewise gradient of the seed field:
     # sym Curl (b2, -b1), which matches the strain of b in norm, not entrywise
@@ -429,11 +401,10 @@ def run_oscillation_example(mesh, seed=0, target_osc=0.5, tol=1e-8, mesh_id=None
     G = sym_curl_of_pair(z1, z2)
     data = assembly.RhsData(G=G)
 
-    space = build_space(mesh, "MORLEY_0")
-    cmap = build_companion(space)
-    u_org = _solve(space, assembly.assemble_rhs_original(space, data))
-    u_mod = _solve(space, assembly.assemble_rhs_modified(space, data, cmap))
-    energy = (space.m,)
+    disc = Discretization(mesh, "MORLEY_0")
+    u_org = disc.solve(disc.rhs("original", data))
+    u_mod = disc.solve(disc.rhs("modified", data))
+    energy = (2,)
     _assert(report, "natural solution vanishes",
             error_norms(u_org, orders=energy).energy_pw, 0.0, tol, relative=False)
     _assert(report, "smoothed solution vanishes",
@@ -443,7 +414,7 @@ def run_oscillation_example(mesh, seed=0, target_osc=0.5, tol=1e-8, mesh_id=None
     report["values"]["G_osc"] = G_osc
     _assert_ge(report, "data oscillation stays bounded away from zero", G_osc, 0.1)
 
-    est = estimate_original(space, data, u_org, cmap)
+    est = estimate_original(disc, data, u_org)
     report["values"]["estimate_original"] = est.to_dict()
     _assert_ge(report, "estimator bound stays positive", est.bounds["bound_a"], 0.01)
     report["values"]["estimator_error_ratio"] = "unbounded (error at floor)"
@@ -496,6 +467,19 @@ class RateTable:
         return "\n".join(lines) + "\n"
 
 
+def _fine_reference(problem, mesh, extra_levels, dof_cap):
+    """Smoothed-scheme solution `extra_levels` red refinements below `mesh`;
+    its Discretization is dropped on return."""
+    for _ in range(extra_levels):
+        mesh = red_refine(mesh)
+    disc = Discretization(mesh, nc_kind(problem.m))
+    if disc.space.ndofs > dof_cap:
+        raise ValueError(
+            f"fine-grid reference needs {disc.space.ndofs} dofs, above the cap {dof_cap}"
+        )
+    return disc.solve(disc.rhs("modified", problem.data(mesh)), SCHEME_TOL[problem.m])
+
+
 def run_rate_study(
     problem_name,
     levels,
@@ -511,46 +495,28 @@ def run_rate_study(
         raise ValueError("at most 7 refinement levels are supported")
     problem = get_problem(problem_name)
     m = problem.m
-    # fourth-order systems are h^-4 conditioned: 1e-9 is attainable by the
-    # direct solver at every size used here and matches the estimator's
-    # solution pre-check
-    solve_tol = 1e-10 if m == 1 else 1e-9
     meshes = [problem.base_mesh()]
     for _ in range(levels - 1):
         meshes.append(red_refine(meshes[-1]))
     reference = problem.reference() if problem.reference_kind == "analytic" else None
     fine_ref = None
     if problem.reference_kind == "fine-grid":
-        ref_mesh = meshes[-1]
-        for _ in range(reference_extra_levels):
-            ref_mesh = red_refine(ref_mesh)
-        ref_space = build_space(ref_mesh, nc_kind(m))
-        if ref_space.ndofs > dof_cap:
-            raise ValueError(
-                f"fine-grid reference needs {ref_space.ndofs} dofs, above the cap {dof_cap}"
-            )
-        ref_cmap = build_companion(ref_space)
-        rhs = assembly.assemble_rhs_modified(ref_space, problem.data(ref_mesh), ref_cmap)
-        fine_ref = _solve(ref_space, rhs, tol=solve_tol)
+        fine_ref = _fine_reference(problem, meshes[-1], reference_extra_levels, dof_cap)
 
     norms = ["energy_pw", "l2_post", "l2_nc"] if reference else ["energy_pw", "l2_nc"]
     rows = []
     for lvl, mesh in enumerate(meshes):
-        space = build_space(mesh, nc_kind(m))
+        disc = Discretization(mesh, nc_kind(m))
+        space = disc.space
         if space.ndofs > dof_cap:
             raise ValueError(f"level {lvl} needs {space.ndofs} dofs, above the cap")
         data = problem.data(mesh)
-        cmap = build_companion(space)
-        if scheme == "original":
-            rhs = assembly.assemble_rhs_original(space, data)
-        else:
-            rhs = assembly.assemble_rhs_modified(space, data, cmap)
-        # the estimators reuse the stiffness; without them _solve drops it after the solve
-        A = assembly.assemble_stiffness(space) if include_estimates else None
-        u_nc = _solve(space, rhs, tol=solve_tol, A=A)
+        u_nc = disc.solve(disc.rhs(scheme, data), SCHEME_TOL[m])
+        if not include_estimates:
+            del disc.A  # only the estimators read it again: keep it out of the norms' peak
         errors = {}
         if reference is not None:
-            ju = companion(cmap, u_nc)
+            ju = companion(disc.cmap, u_nc)
             nc, post = error_norms([(u_nc, (0, m)), (ju, (0,))], reference=reference)
             errors["energy_pw"] = nc.energy_pw
             errors["l2_nc"] = nc.l2
@@ -568,8 +534,7 @@ def run_rate_study(
         }
         if include_estimates:
             estimate = estimate_original if scheme == "original" else estimate_modified
-            est = estimate(space, data, u_nc, cmap, h_convention=h_convention, A=A)
-            row["bounds"] = est.bounds
+            row["bounds"] = estimate(disc, data, u_nc, h_convention=h_convention).bounds
         rows.append(row)
     hs = [r["hmax"] for r in rows]
     rates = {

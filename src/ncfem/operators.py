@@ -14,17 +14,22 @@ nonconforming space through the generalized eigenproblem B x = lambda A x
 built from the nonconforming and companion stiffness matrices; the
 best-approximation constant of the right-hand-side-smoothed scheme is
 sqrt(1 + lambda0^2).
+
+A ``Discretization`` holds what every computation on one mesh shares: the
+nonconforming space, its companion map, the stiffness and lambda0, each
+built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import j1 as bessel_j1
 
-from . import assembly
+from . import assembly, linalg
 from ._hct import CHUNK
 from ._poly import BaryPoly, bary_modes, cubic_bubble
 from .fespace import (
@@ -40,7 +45,9 @@ from .fields import ExactSolution
 from .quadrature import Cell, cells, edge_rule, triangle_rule
 
 __all__ = [
+    "SCHEME_TOL",
     "CompanionMap",
+    "Discretization",
     "Lambda0Result",
     "interpolate",
     "build_companion",
@@ -387,36 +394,29 @@ def kappa_constant(m):
 
 @dataclass(frozen=True)
 class Lambda0Result:
-    """Norm of (1 - J), its extremal function and the pencil B x = lambda A x."""
+    """Norm of (1 - J), its extremal function and the companion pencil matrix B."""
 
     lambda0: float
     c_qo: float
     extremal_vector: FeFunction
     lambda_max: float
     residual: float
-    A: sp.csr_matrix
     B: sp.csr_matrix
 
 
-def compute_lambda0(space, cmap=None, A=None):
+def compute_lambda0(space, cmap, A):
     """Solve B x = lambda A x for the defect norm of the companion.
 
-    A is the nonconforming stiffness (assembled when not given), B = J' A_c J
-    (symmetrized) the stiffness of the companion images, lambda0 =
-    sqrt(lambda_max - 1) and the extremal vector has unit piecewise energy.  One Lanczos solve at every size, with
+    A is the nonconforming stiffness, B = J' A_c J (symmetrized) the stiffness
+    of the companion images, lambda0 = sqrt(lambda_max - 1), and the extremal
+    vector has unit piecewise energy.  One Lanczos solve at every size, with
     relative residual at most ``linalg.EIG_RESIDUAL_TOL`` (else EigenError).
     """
-    from .linalg import max_generalized_eig
-
-    if cmap is None:
-        cmap = build_companion(space)
-    if A is None:
-        A = assembly.assemble_stiffness(space)
     Ac = assembly.assemble_stiffness(cmap.target)
     J = cmap.matrix
     B = (J.T @ (Ac @ J)).tocsr()
     B = 0.5 * (B + B.T)
-    lam, x = max_generalized_eig(B, A)
+    lam, x = linalg.max_generalized_eig(B, A)
     res = float(np.linalg.norm(B @ x - lam * (A @ x)) / np.linalg.norm(A @ x))
     lam0 = float(np.sqrt(max(lam - 1.0, 0.0)))
     return Lambda0Result(
@@ -425,9 +425,57 @@ def compute_lambda0(space, cmap=None, A=None):
         extremal_vector=FeFunction(space, x),
         lambda_max=float(lam),
         residual=res,
-        A=A,
         B=B,
     )
+
+
+# relative residual a scheme solve meets: fourth-order systems are h^-4
+# conditioned, and 1e-9 is attainable by the direct solver at every size used
+# here and matches the estimator's solution pre-check
+SCHEME_TOL = {1: 1e-10, 2: 1e-9}
+
+
+class Discretization:
+    """The nonconforming space of `kind` on `mesh`, its companion map, its
+    stiffness A and lambda0, each built on first use and kept.
+
+    Both schemes, the constant C_qo and both estimators read one instance.
+    ``del disc.A`` releases the stiffness once no later stage reads it.
+    """
+
+    def __init__(self, mesh, kind):
+        self.mesh = mesh
+        self.kind = kind
+
+    @cached_property
+    def space(self):
+        return build_space(self.mesh, self.kind)
+
+    @cached_property
+    def cmap(self):
+        return build_companion(self.space)
+
+    @cached_property
+    def A(self):
+        return assembly.assemble_stiffness(self.space)
+
+    @cached_property
+    def lam0(self):
+        return compute_lambda0(self.space, self.cmap, self.A)
+
+    def rhs(self, scheme, data):
+        """Load vector of the "original" (natural) or the smoothed scheme."""
+        if scheme == "original":
+            return assembly.assemble_rhs_original(self.space, data)
+        return assembly.assemble_rhs_modified(self.space, data, self.cmap)
+
+    def solve(self, rhs, tol=1e-12):
+        """Discrete solution for `rhs`; RuntimeError when its residual misses
+        `tol`.  The LU factor is not kept: it is many times the size of A."""
+        x, rep = linalg.solve_spd(self.A, rhs, tol=tol)
+        if not rep.converged:
+            raise RuntimeError(f"discrete solve failed: residual {rep.residual:.2e}")
+        return FeFunction(self.space, x)
 
 
 def best_approx_orthogonality_check(space, v, degree=None):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ncfem.mesh import l_shape_mesh, unit_square_mesh
 
@@ -17,3 +18,9 @@ def lshape1():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# property tests check the same examples on every run, in bounded time
+settings.register_profile("ncfem", derandomize=True, max_examples=30, deadline=None,
+                          database=None)
+settings.load_profile("ncfem")

@@ -30,6 +30,7 @@ from ncfem.linalg import solve_spd
 from ncfem.mesh import l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.norms import error_norms
 from ncfem.operators import (
+    Discretization,
     build_companion,
     companion,
     compute_lambda0,
@@ -173,7 +174,7 @@ def test_criterion_5_eigenvalue_vs_direct_maximization():
             if space.ndofs > 100:
                 continue
             cmap = build_companion(space)
-            res = compute_lambda0(space, cmap)
+            res = compute_lambda0(space, cmap, assembly.assemble_stiffness(space))
             A = assembly.assemble_stiffness(space).toarray()
             Ac = assembly.assemble_stiffness(cmap.target)
             B = (cmap.matrix.T @ (Ac @ cmap.matrix)).toarray()
@@ -248,17 +249,17 @@ def _reliability_case(problem_name, levels):
     slack = 1.0 + 1e-6
     checks = []
     for lvl in range(levels):
-        space = build_space(mesh, kind)
-        cmap = build_companion(space)
+        disc = Discretization(mesh, kind)
+        space, cmap = disc.space, disc.cmap
         data = prob.data(mesh)
         ref = prob.reference()
-        A = assembly.assemble_stiffness(space)
+        A = disc.A
         x, rep = solve_spd(A, assembly.assemble_rhs_original(space, data), tol=1e-10)
-        est = estimate_original(space, data, FeFunction(space, x), cmap, reference=ref)
+        est = estimate_original(disc, data, FeFunction(space, x), reference=ref)
         checks.append(est.measured_errors["split_a"] <= est.bounds["bound_a"] * slack)
         checks.append(est.measured_errors["split_b"] <= est.bounds["bound_b"] * slack)
         x, rep = solve_spd(A, assembly.assemble_rhs_modified(space, data, cmap), tol=1e-10)
-        est = estimate_modified(space, data, FeFunction(space, x), cmap, reference=ref)
+        est = estimate_modified(disc, data, FeFunction(space, x), reference=ref)
         checks.append(est.measured_errors["energy_conf"] <= est.bounds["bound_a"] * slack)
         checks.append(est.measured_errors["energy_pw"] <= est.bounds["bound_b"] * slack)
         assert "lower-bound surrogate" in est.constants["lambda_j_policy"]

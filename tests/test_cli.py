@@ -212,7 +212,6 @@ def test_failed_eigensolve_exits_one_without_traceback(monkeypatch, capsys):
 
 
 def test_compare_solves_one_eigenproblem(tmp_path, monkeypatch):
-    import ncfem.experiments
     import ncfem.linalg
     import ncfem.operators
 
@@ -228,7 +227,6 @@ def test_compare_solves_one_eigenproblem(tmp_path, monkeypatch):
                         counted("eig", ncfem.linalg.max_generalized_eig))
     companion = counted("companion", ncfem.operators.build_companion)
     monkeypatch.setattr(ncfem.operators, "build_companion", companion)
-    monkeypatch.setattr(ncfem.experiments, "build_companion", companion)
     out = tmp_path / "cmp.json"
     assert main(["compare", "--m", "2", "--mesh", "square:2", "--json", str(out)]) == 0
     assert calls == {"eig": 1, "companion": 1}

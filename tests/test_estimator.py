@@ -8,7 +8,7 @@ from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import ScalarField
 from ncfem.linalg import solve_spd
 from ncfem.mesh import red_refine, unit_square_mesh
-from ncfem.operators import build_companion
+from ncfem.operators import Discretization
 from ncfem.problems import get_problem
 
 
@@ -21,25 +21,23 @@ def _solve(space, rhs):
 
 def test_zero_data_zero_bounds(square2):
     for kind in ("CR1_0", "MORLEY_0"):
-        space = build_space(square2, kind)
-        cmap = build_companion(space)
+        disc = Discretization(square2, kind)
         data = RhsData()
-        u = FeFunction(space)
-        est = estimate_original(space, data, u, cmap)
+        u = FeFunction(disc.space)
+        est = estimate_original(disc, data, u)
         assert est.bounds["bound_a"] == 0.0
         assert est.bounds["bound_b"] == 0.0
-        est = estimate_modified(space, data, u, cmap)
+        est = estimate_modified(disc, data, u)
         assert est.bounds["bound_a"] == 0.0
         assert est.bounds["bound_b"] == 0.0
 
 
 def test_wrong_solution_rejected(square2):
-    space = build_space(square2, "CR1_0")
-    cmap = build_companion(space)
+    disc = Discretization(square2, "CR1_0")
     data = RhsData(g=ScalarField(lambda x, y: np.ones(np.shape(x)), degree=0))
-    u = FeFunction(space, np.ones(space.ndofs))
+    u = FeFunction(disc.space, np.ones(disc.space.ndofs))
     with pytest.raises(ValueError, match="does not solve"):
-        estimate_original(space, data, u, cmap)
+        estimate_original(disc, data, u)
 
 
 @pytest.mark.parametrize("name", ["square-smooth-m1", "square-smooth-m2"])
@@ -47,18 +45,18 @@ def test_reliability_on_smooth_problem(name):
     prob = get_problem(name)
     mesh = red_refine(prob.base_mesh())
     kind = "CR1_0" if prob.m == 1 else "MORLEY_0"
-    space = build_space(mesh, kind)
-    cmap = build_companion(space)
+    disc = Discretization(mesh, kind)
+    space, cmap = disc.space, disc.cmap
     data = prob.data(mesh)
     ref = prob.reference()
     u_org = _solve(space, assembly.assemble_rhs_original(space, data))
-    est = estimate_original(space, data, u_org, cmap, reference=ref)
+    est = estimate_original(disc, data, u_org, reference=ref)
     slack = 1.0 + 1e-6
     assert est.measured_errors["split_a"] <= est.bounds["bound_a"] * slack
     assert est.measured_errors["split_b"] <= est.bounds["bound_b"] * slack
 
     u_mod = _solve(space, assembly.assemble_rhs_modified(space, data, cmap))
-    est = estimate_modified(space, data, u_mod, cmap, reference=ref)
+    est = estimate_modified(disc, data, u_mod, reference=ref)
     assert est.measured_errors["energy_conf"] <= est.bounds["bound_a"] * slack
     assert est.measured_errors["energy_pw"] <= est.bounds["bound_b"] * slack
     assert "lower-bound surrogate" in est.constants["lambda_j_policy"]
@@ -67,12 +65,12 @@ def test_reliability_on_smooth_problem(name):
 def test_lambda_j_knob(square2):
     prob = get_problem("square-smooth-m1")
     mesh = square2
-    space = build_space(mesh, "CR1_0")
-    cmap = build_companion(space)
+    disc = Discretization(mesh, "CR1_0")
+    space, cmap = disc.space, disc.cmap
     data = prob.data(mesh)
     u = _solve(space, assembly.assemble_rhs_modified(space, data, cmap))
-    est0 = estimate_modified(space, data, u, cmap)
-    est1 = estimate_modified(space, data, u, cmap, lambda_j=2 * est0.constants["lambda0"])
+    est0 = estimate_modified(disc, data, u)
+    est1 = estimate_modified(disc, data, u, lambda_j=2 * est0.constants["lambda0"])
     assert est1.constants["lambda_j_policy"] == "user-supplied"
     assert est1.terms["apx_F"] > est0.terms["apx_F"]
     assert est1.bounds["bound_b"] > est0.bounds["bound_b"]
@@ -103,24 +101,22 @@ def test_efficiency_bounded_over_levels():
 
 
 def test_off_vertex_forces_refused(square2):
-    space = build_space(square2, "MORLEY_0")
-    cmap = build_companion(space)
+    disc = Discretization(square2, "MORLEY_0")
     e = int(np.nonzero(square2.interior_edge_mask)[0][0])
     data = RhsData(
         point_forces=[
             assembly.PointForce(beta=1.0, edge=e, point=tuple(square2.edge_midpoint[e]))
         ]
     )
-    u = FeFunction(space)
+    u = FeFunction(disc.space)
     with pytest.raises(ValueError, match="off-vertex"):
-        estimate_original(space, data, u, cmap)
+        estimate_original(disc, data, u)
 
 
 def test_report_serialization(square2):
-    space = build_space(square2, "CR1_0")
-    cmap = build_companion(space)
+    disc = Discretization(square2, "CR1_0")
     data = RhsData()
-    est = estimate_original(space, data, FeFunction(space), cmap)
+    est = estimate_original(disc, data, FeFunction(disc.space))
     d = est.to_dict()
     assert d["schema"] == "ncfem-report-v1"
     import json

@@ -117,6 +117,44 @@ def test_rate_study_estimates_column():
     assert table.rows[1]["bounds"]["bound_b"] > 0
 
 
+@pytest.mark.parametrize("problem", ["square-smooth-m1", "lshape-f1-m2"])
+def test_rate_study_without_estimates_releases_stiffness_before_the_norms(problem,
+                                                                          monkeypatch):
+    # no stiffness matrix, and no companion map but the current level's (the
+    # fine-grid reference's included), outlives its solve into the error norms
+    import weakref
+
+    import ncfem.assembly
+    import ncfem.experiments
+    import ncfem.operators
+
+    made = {"stiffness": [], "companion": []}
+    alive = []
+
+    def tracked(key, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made[key].append(weakref.ref(out))
+            return out
+        return wrapper
+
+    def checked(fn):
+        def wrapper(*args, **kwargs):
+            alive.append({k: sum(r() is not None for r in v) for k, v in made.items()})
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ncfem.assembly, "assemble_stiffness",
+                        tracked("stiffness", ncfem.assembly.assemble_stiffness))
+    monkeypatch.setattr(ncfem.operators, "build_companion",
+                        tracked("companion", ncfem.operators.build_companion))
+    for name in ("error_norms", "errors_vs_fine"):
+        monkeypatch.setattr(ncfem.experiments, name, checked(getattr(ncfem.experiments, name)))
+    run_rate_study(problem, 2, include_estimates=False)
+    assert len(made["stiffness"]) >= 2 and len(alive) == 2
+    assert alive == [{"stiffness": 0, "companion": 1}] * 2
+
+
 def test_rate_study_samples_the_singular_factor_once_per_norm_pass(monkeypatch):
     # per chunk: one sample for the load and one shared by u_nc and J u_nc
     from ncfem._hct import CHUNK

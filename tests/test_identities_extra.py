@@ -12,7 +12,7 @@ from ncfem.fields import ExactSolution, fe_gradient, fe_hessian, field_scale
 from ncfem.linalg import solve_spd
 from ncfem.mesh import unit_square_mesh
 from ncfem.norms import error_norms
-from ncfem.operators import build_companion, companion, compute_lambda0, interpolate
+from ncfem.operators import Discretization, build_companion, companion, interpolate
 
 
 def test_companion_is_identity_on_global_linears(square2):
@@ -73,9 +73,8 @@ def test_companion_linearity_and_zero(square2, rng):
 def test_estimator_bound_on_attainment_example(square2, m):
     """The smoothed-scheme bound dominates the exactly known error."""
     kind = "CR1_0" if m == 1 else "MORLEY_0"
-    space = build_space(square2, kind)
-    cmap = build_companion(space)
-    res = compute_lambda0(space, cmap)
+    disc = Discretization(square2, kind)
+    space, cmap, res = disc.space, disc.cmap, disc.lam0
     v = res.extremal_vector
     jv = companion(cmap, v)
     G = fe_gradient(jv) if m == 1 else fe_hessian(jv)
@@ -85,7 +84,7 @@ def test_estimator_bound_on_attainment_example(square2, m):
     x, rep = solve_spd(A, rhs)
     assert rep.converged
     u_nc = FeFunction(space, x)
-    est = estimate_modified(space, data, u_nc, cmap, lambda0_result=res)
+    est = estimate_modified(disc, data, u_nc)
     exact_error = res.lambda0 * np.sqrt(1.0 + res.lambda0**2)
     assert est.bounds["bound_b"] >= exact_error * (1 - 1e-9)
 
@@ -161,10 +160,10 @@ def _lambda_j_observed(space, cmap):
 
 @pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0"])
 def test_companion_estimate_over_companion_space(kind, square2, rng):
-    space = build_space(square2, kind)
-    cmap = build_companion(space)
+    disc = Discretization(square2, kind)
+    space, cmap = disc.space, disc.cmap
     lam_j = _lambda_j_observed(space, cmap)
-    lam0 = compute_lambda0(space, cmap).lambda0
+    lam0 = disc.lam0.lambda0
     # the defect norm never exceeds the distance-based constant
     assert lam0 <= lam_j + 1e-9
     # sampled pairs respect the eigen-computed constant

@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ncfem.fespace import build_space
 from ncfem.linalg import (
     EIG_RESIDUAL_TOL,
     EigenError,
@@ -12,7 +11,7 @@ from ncfem.linalg import (
     solve_spd,
 )
 from ncfem.mesh import unit_square_mesh
-from ncfem.operators import compute_lambda0
+from ncfem.operators import Discretization
 
 
 def random_spd(n, rng):
@@ -151,7 +150,7 @@ def test_cr_lambda0_bounded_under_refinement():
     # square:32 (3008 dofs)
     values = []
     for n in (2, 4, 8, 16, 32):
-        res = compute_lambda0(build_space(unit_square_mesh(n), "CR1_0"))
+        res = Discretization(unit_square_mesh(n), "CR1_0").lam0
         assert res.residual <= EIG_RESIDUAL_TOL
         values.append(res.lambda0)
     assert values == sorted(values)

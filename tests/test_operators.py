@@ -17,6 +17,7 @@ from ncfem.mesh import l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.norms import error_norms
 from ncfem.operators import (
     CompanionMap,
+    Discretization,
     best_approx_orthogonality_check,
     build_companion,
     companion,
@@ -334,7 +335,7 @@ def test_lambda0_identity_double(square2):
     import scipy.sparse as sp
 
     stub = CompanionMap(source=space, target=space, matrix=sp.identity(space.ndofs, format="csr"))
-    res = compute_lambda0(space, stub)
+    res = compute_lambda0(space, stub, assembly.assemble_stiffness(space))
     assert res.lambda_max == pytest.approx(1.0, abs=1e-12)
     assert res.lambda0 == pytest.approx(0.0, abs=1e-6)
 
@@ -344,7 +345,7 @@ def test_lambda0_single_dof_direct_quotient():
     mesh = unit_square_mesh(1)
     space = build_space(mesh, "CR1_0")
     cmap = build_companion(space)
-    res = compute_lambda0(space, cmap)
+    res = compute_lambda0(space, cmap, assembly.assemble_stiffness(space))
     v = FeFunction(space, np.array([1.0]))
     jv = companion(cmap, v)
     quotient = error_norms(v, reference=jv).energy_pw / error_norms(v).energy_pw
@@ -354,7 +355,7 @@ def test_lambda0_single_dof_direct_quotient():
 def test_lambda0_eigen_residual_and_extremal(square2):
     space = build_space(square2, "MORLEY_0")
     cmap = build_companion(space)
-    res = compute_lambda0(space, cmap)
+    res = compute_lambda0(space, cmap, assembly.assemble_stiffness(space))
     assert res.residual <= 1e-9
     assert res.c_qo == pytest.approx(np.sqrt(1 + res.lambda0**2), rel=1e-14)
     # extremal vector is unit-energy and realizes the quotient
@@ -367,7 +368,7 @@ def test_lambda0_eigen_residual_and_extremal(square2):
 
 @pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0"])
 def test_lambda0_positive_for_nonconforming(kind, square2):
-    res = compute_lambda0(build_space(square2, kind))
+    res = Discretization(square2, kind).lam0
     assert res.lambda0 > 0
 
 

@@ -19,5 +19,5 @@ def test_demos_are_found():
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

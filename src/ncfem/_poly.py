@@ -8,6 +8,7 @@ triangles sharing one set of barycentric sample points.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,10 @@ __all__ = [
     "lambda_gradients",
     "bary_integral",
 ]
+
+# entries of each work buffer of ``bary_tabulate`` (512 KiB): points go in
+# blocks of this many divided by the number of rows
+_BLOCK_ENTRIES = 1 << 16
 
 
 def monomial_exponents(degree):
@@ -181,28 +186,77 @@ def cubic_bubble():
     return 27.0 * BaryPoly.lam(0) * BaryPoly.lam(1) * BaryPoly.lam(2)
 
 
+@functools.lru_cache(maxsize=32)
+def _term_plan(terms, order):
+    """Rows of ``bary_tabulate``: the polynomials given by `terms` (each one's
+    ``terms.items()``), then their formal partials of order 1 and 2, ordered
+    by derivative index, then polynomial.
+
+    Returns (top, inv, slots): the largest exponent; for each row, its
+    position among the rows sorted by falling term count; and per term slot j,
+    (nj, coefficients (nj, 1), lambda_0, lambda_1 and lambda_2 exponents (nj,),
+    the last two None where all 0) for the first nj sorted rows, those with
+    more than j terms, each in ``BaryPoly`` term order.
+    """
+    polys = [BaryPoly(dict(t)) for t in terms]
+    rows = list(polys)
+    if order >= 1:
+        rows += [p.dlam(a) for a in range(3) for p in polys]
+    if order >= 2:
+        rows += [p.dlam(a).dlam(b) for a in range(3) for b in range(3) for p in polys]
+    counts = np.array([len(r.terms) for r in rows], dtype=np.intp)
+    perm = np.argsort(-counts, kind="stable")
+    items = [list(rows[i].terms.items()) for i in perm]
+    slots = []
+    for j in range(int(counts.max(initial=0))):
+        nj = int((counts > j).sum())
+        a, b, c = np.array([items[i][j][0] for i in range(nj)], dtype=np.intp).T
+        coef = np.array([items[i][j][1] for i in range(nj)])[:, None]
+        slots.append((nj, coef, a, b if b.any() else None, c if c.any() else None))
+    top = max((max(e) for r in rows for e in r.terms), default=0)
+    return top, np.argsort(perm), slots
+
+
 def bary_tabulate(polys, lam_pts, order):
     """Tabulate barycentric polynomials and their formal lambda-partials.
 
     Returns dict: 0 -> (n_poly, k), 1 -> (n_poly, k, 3), 2 -> (n_poly, k, 3, 3)
     where k = number of sample points.  Physical derivatives follow by
-    contraction with per-triangle barycentric gradients.
+    contraction with per-triangle barycentric gradients.  Every entry goes
+    through the operations of ``BaryPoly.eval``, so it is bitwise that value.
     """
     lam_pts = np.asarray(lam_pts, dtype=float)
     k = lam_pts.shape[0]
     n = len(polys)
-    out = {0: np.empty((n, k))}
-    if order >= 1:
-        out[1] = np.empty((n, k, 3))
-    if order >= 2:
-        out[2] = np.empty((n, k, 3, 3))
-    for i, p in enumerate(polys):
-        out[0][i] = p.eval(lam_pts)
-        if order >= 1:
-            for a in range(3):
-                out[1][i, :, a] = p.dlam(a).eval(lam_pts)
-        if order >= 2:
-            for a in range(3):
-                for b in range(3):
-                    out[2][i, :, a, b] = p.dlam(a).dlam(b).eval(lam_pts)
+    top, inv, slots = _term_plan(tuple(tuple(p.terms.items()) for p in polys), order)
+    # each power lambda_d**e once, taken exactly as BaryPoly.eval takes it
+    powers = np.empty((3, top + 1, k))
+    for d in range(3):
+        for e in range(top + 1):
+            powers[d, e] = lam_pts[:, d] ** e
+    out = {o: np.empty((n, k) + (3,) * o) for o in range(order + 1)}
+    rows = len(inv)
+    width = max(1, min(k, _BLOCK_ENTRIES // max(rows, 1)))
+    bufs = np.empty((3, rows * width))
+    for lo in range(0, k, width):
+        w = min(width, k - lo)
+        pw = powers[:, :, lo:lo + w]
+        acc, term, factor = (b[:rows * w].reshape(rows, w) for b in bufs)
+        acc.fill(0.0)
+        # the sum over terms of ((c * lambda0**a) * lambda1**b) * lambda2**c;
+        # a factor lambda**0 = 1.0 is exact, so a slot without one skips it
+        for nj, coef, *exps in slots:
+            t = np.take(pw[0], exps[0], axis=0, out=term[:nj], mode="clip")
+            t *= coef
+            for d in (1, 2):
+                if exps[d] is not None:
+                    t *= np.take(pw[d], exps[d], axis=0, out=factor[:nj], mode="clip")
+            acc[:nj] += t
+        acc = np.take(acc, inv, axis=0, out=term, mode="clip")
+        start = 0
+        for o, t in out.items():
+            dest = t.reshape(n, k, 3**o)[:, lo:lo + w]
+            for c in range(3**o):
+                dest[..., c] = acc[start:start + n]
+                start += n
     return out

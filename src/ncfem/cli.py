@@ -433,10 +433,7 @@ def _cmd_rates(args):
 
 
 def _cmd_solve(args):
-    import numpy as np
-
-    from .fespace import FeFunction, nc_kind, save_function
-    from .linalg import solve_spd
+    from .fespace import nc_kind, save_function
     from .norms import error_norms
     from .operators import SCHEME_TOL, Discretization
     from .problems import get_problem
@@ -477,8 +474,8 @@ def _cmd_solve(args):
     solved = []
     for scheme in schemes:
         # reported, not raised: a solve that misses the tolerance reads converged false
-        x, rep = solve_spd(disc.A, disc.rhs(scheme, data), tol=SCHEME_TOL[m])
-        solved.append((scheme, rep, FeFunction(space, x)))
+        u, rep = disc.solve_report(disc.rhs(scheme, data), tol=SCHEME_TOL[m])
+        solved.append((scheme, rep, u))
     # one pass per norm kind for all schemes: the reference is sampled once
     energies = error_norms([(u, (m,)) for _, _, u in solved])
     errors = ([None] * len(solved) if reference is None else
@@ -503,8 +500,7 @@ def _cmd_solve(args):
 
 def _cmd_estimate(args):
     from .estimator import estimate_modified, estimate_original
-    from .fespace import FeFunction, nc_kind
-    from .linalg import solve_spd
+    from .fespace import nc_kind
     from .mesh import red_refine
     from .operators import SCHEME_TOL, Discretization
     from .problems import get_problem
@@ -516,8 +512,7 @@ def _cmd_estimate(args):
     disc = Discretization(mesh, nc_kind(prob.m))
     data = prob.data(mesh)
     # the estimators check the solution's residual themselves
-    x, _ = solve_spd(disc.A, disc.rhs(args.scheme, data), tol=SCHEME_TOL[prob.m])
-    u = FeFunction(disc.space, x)
+    u, _ = disc.solve_report(disc.rhs(args.scheme, data), tol=SCHEME_TOL[prob.m])
     reference = prob.reference() if prob.reference_kind == "analytic" else None
     if args.scheme == "original":
         est = estimate_original(disc, data, u, reference=reference,

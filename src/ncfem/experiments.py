@@ -513,7 +513,7 @@ def run_rate_study(
         data = problem.data(mesh)
         u_nc = disc.solve(disc.rhs(scheme, data), SCHEME_TOL[m])
         if not include_estimates:
-            del disc.A  # only the estimators read it again: keep it out of the norms' peak
+            del disc.A, disc.lu  # only the estimators read them: out of the norms' peak
         errors = {}
         if reference is not None:
             ju = companion(disc.cmap, u_nc)

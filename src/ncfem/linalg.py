@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["SolveReport", "EigenError", "solve_spd", "max_generalized_eig"]
+__all__ = ["SolveReport", "EigenError", "factor", "solve_spd", "max_generalized_eig"]
 
 # relative eigen-residual ||Bx - lambda Ax|| / ||Ax|| every reported eigenpair meets
 EIG_RESIDUAL_TOL = 1e-9
@@ -43,11 +43,17 @@ def _as_csr(A):
     return sp.csr_matrix(np.asarray(A, dtype=float))
 
 
-def solve_spd(A, b, tol=1e-12):
+def factor(A):
+    """Sparse LU factor (SuperLU) of the square matrix A."""
+    return spla.splu(_as_csr(A).tocsc())
+
+
+def solve_spd(A, b, tol=1e-12, lu=None):
     """Solve a symmetric positive definite system by sparse LU.
 
-    Returns (x, SolveReport); a relative residual above max(tol, 1e-10) is
-    reported via ``converged=False`` rather than raised.
+    `lu`, when given, is ``factor(A)``.  Returns (x, SolveReport); a relative
+    residual above max(tol, 1e-10) is reported via ``converged=False`` rather
+    than raised.
     """
     A = _as_csr(A)
     b = np.asarray(b, dtype=float)
@@ -59,7 +65,7 @@ def solve_spd(A, b, tol=1e-12):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), SolveReport("trivial", 0, 0.0, True)
-    x = spla.splu(A.tocsc()).solve(b)
+    x = (factor(A) if lu is None else lu).solve(b)
     res = float(np.linalg.norm(A @ x - b) / bnorm)
     return x, SolveReport("direct", 1, res, res <= max(tol, 1e-10))
 
@@ -72,13 +78,14 @@ def _fix_sign(x):
     return x
 
 
-def max_generalized_eig(B, A):
+def max_generalized_eig(B, A, lu=None):
     """Largest eigenpair of B x = lambda A x for symmetric B, SPD A.
 
-    Implicitly restarted Lanczos (ARPACK, sparse LU of A as M^-1) from a fixed
-    start vector; a 1x1 pencil is the quotient.  The eigenvector is scaled to
-    sqrt(x' A x) = 1 with its first significant component positive.  Raises
-    :class:`EigenError` unless ||Bx - lambda Ax|| <= EIG_RESIDUAL_TOL ||Ax||.
+    Implicitly restarted Lanczos (ARPACK, sparse LU of A as M^-1, `lu` when
+    given) from a fixed start vector; a 1x1 pencil is the quotient.  The
+    eigenvector is scaled to sqrt(x' A x) = 1 with its first significant
+    component positive.  Raises :class:`EigenError` unless
+    ||Bx - lambda Ax|| <= EIG_RESIDUAL_TOL ||Ax||.
     """
     B = _as_csr(B)
     A = _as_csr(A)
@@ -88,7 +95,8 @@ def max_generalized_eig(B, A):
     if n == 1:
         lam, x = float(B[0, 0] / A[0, 0]), np.ones(1)
     else:
-        Minv = spla.LinearOperator((n, n), matvec=spla.splu(A.tocsc()).solve, dtype=float)
+        lu = factor(A) if lu is None else lu
+        Minv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         try:
             w, V = spla.eigsh(B, k=1, M=A, Minv=Minv, which="LA",
                               v0=np.ones(n) + np.arange(n) / n, ncv=min(40, n), tol=0)

@@ -16,8 +16,8 @@ best-approximation constant of the right-hand-side-smoothed scheme is
 sqrt(1 + lambda0^2).
 
 A ``Discretization`` holds what every computation on one mesh shares: the
-nonconforming space, its companion map, the stiffness and lambda0, each
-built on first use.
+nonconforming space, its companion map, the stiffness, its LU factor,
+lambda0 and the load vectors, each built on first use.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import j1 as bessel_j1
 
 from . import assembly, linalg
 from ._hct import CHUNK
@@ -374,19 +373,20 @@ def build_companion(space, target=None):
 
 # -- constants and the defect norm ------------------------------------------
 
+# first positive root of J1, as brentq(scipy.special.j1, 3.0, 4.5, xtol=1e-13)
+# returns it
+_J1_ROOT = 3.8317059702075107
+
 
 def kappa_constant(m):
     """Interpolation constant of the nonconforming interpolation error.
 
-    m=1: sqrt(j^-2 + 1/48) with j the first positive root of the Bessel
-    function J1 (located by bracketed root-finding); m=2: the known
-    shape-independent value 0.25745784465.
+    m=1: sqrt(j^-2 + 1/48) with j = ``_J1_ROOT``, the first positive root of
+    the Bessel function J1; m=2: the known shape-independent value
+    0.25745784465.
     """
     if m == 1:
-        from scipy.optimize import brentq  # loaded on first use only
-
-        j11 = brentq(bessel_j1, 3.0, 4.5, xtol=1e-13)
-        return float(np.sqrt(j11**-2 + 1.0 / 48.0))
+        return float(np.sqrt(_J1_ROOT**-2 + 1.0 / 48.0))
     if m == 2:
         return 0.25745784465
     raise ValueError("kappa is available for m in {1, 2}")
@@ -404,19 +404,20 @@ class Lambda0Result:
     B: sp.csr_matrix
 
 
-def compute_lambda0(space, cmap, A):
+def compute_lambda0(space, cmap, A, lu=None):
     """Solve B x = lambda A x for the defect norm of the companion.
 
-    A is the nonconforming stiffness, B = J' A_c J (symmetrized) the stiffness
-    of the companion images, lambda0 = sqrt(lambda_max - 1), and the extremal
-    vector has unit piecewise energy.  One Lanczos solve at every size, with
-    relative residual at most ``linalg.EIG_RESIDUAL_TOL`` (else EigenError).
+    A is the nonconforming stiffness (`lu`, when given, its ``linalg.factor``),
+    B = J' A_c J (symmetrized) the stiffness of the companion images,
+    lambda0 = sqrt(lambda_max - 1), and the extremal vector has unit piecewise
+    energy.  One Lanczos solve at every size, with relative residual at most
+    ``linalg.EIG_RESIDUAL_TOL`` (else EigenError).
     """
     Ac = assembly.assemble_stiffness(cmap.target)
     J = cmap.matrix
     B = (J.T @ (Ac @ J)).tocsr()
     B = 0.5 * (B + B.T)
-    lam, x = linalg.max_generalized_eig(B, A)
+    lam, x = linalg.max_generalized_eig(B, A, lu=lu)
     res = float(np.linalg.norm(B @ x - lam * (A @ x)) / np.linalg.norm(A @ x))
     lam0 = float(np.sqrt(max(lam - 1.0, 0.0)))
     return Lambda0Result(
@@ -437,15 +438,18 @@ SCHEME_TOL = {1: 1e-10, 2: 1e-9}
 
 class Discretization:
     """The nonconforming space of `kind` on `mesh`, its companion map, its
-    stiffness A and lambda0, each built on first use and kept.
+    stiffness A, the LU factor of A and lambda0, each built on first use and
+    kept, and the last load vector of each scheme.
 
     Both schemes, the constant C_qo and both estimators read one instance.
-    ``del disc.A`` releases the stiffness once no later stage reads it.
+    ``del disc.A, disc.lu`` releases the stiffness and its factor once no
+    later stage reads them.
     """
 
     def __init__(self, mesh, kind):
         self.mesh = mesh
         self.kind = kind
+        self._loads = {}  # scheme -> (data, load vector)
 
     @cached_property
     def space(self):
@@ -460,22 +464,39 @@ class Discretization:
         return assembly.assemble_stiffness(self.space)
 
     @cached_property
+    def lu(self):
+        return linalg.factor(self.A)
+
+    @cached_property
     def lam0(self):
-        return compute_lambda0(self.space, self.cmap, self.A)
+        return compute_lambda0(self.space, self.cmap, self.A, lu=self.lu)
 
     def rhs(self, scheme, data):
-        """Load vector of the "original" (natural) or the smoothed scheme."""
+        """Load vector (read-only) of the "original" (natural) or the smoothed
+        scheme; kept until the scheme is asked for with other `data`."""
+        kept = self._loads.get(scheme)
+        if kept is not None and kept[0] is data:
+            return kept[1]
         if scheme == "original":
-            return assembly.assemble_rhs_original(self.space, data)
-        return assembly.assemble_rhs_modified(self.space, data, self.cmap)
+            load = assembly.assemble_rhs_original(self.space, data)
+        else:
+            load = assembly.assemble_rhs_modified(self.space, data, self.cmap)
+        load.flags.writeable = False
+        self._loads[scheme] = (data, load)
+        return load
+
+    def solve_report(self, rhs, tol=1e-12):
+        """Discrete solution for `rhs` and its ``linalg.SolveReport``."""
+        x, rep = linalg.solve_spd(self.A, rhs, tol=tol, lu=self.lu)
+        return FeFunction(self.space, x), rep
 
     def solve(self, rhs, tol=1e-12):
         """Discrete solution for `rhs`; RuntimeError when its residual misses
-        `tol`.  The LU factor is not kept: it is many times the size of A."""
-        x, rep = linalg.solve_spd(self.A, rhs, tol=tol)
+        `tol`."""
+        u, rep = self.solve_report(rhs, tol)
         if not rep.converged:
             raise RuntimeError(f"discrete solve failed: residual {rep.residual:.2e}")
-        return FeFunction(self.space, x)
+        return u
 
 
 def best_approx_orthogonality_check(space, v, degree=None):

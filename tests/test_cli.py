@@ -256,6 +256,47 @@ def test_estimate_assembles_the_nonconforming_stiffness_once(scheme, want, tmp_p
     assert sorted(kinds) == want
 
 
+def _count_calls(monkeypatch, owner, names, calls):
+    for name in names:
+        fn = getattr(owner, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("scheme", ["original", "modified"])
+@pytest.mark.parametrize("problem", ["square-smooth-m1", "square-smooth-m2"])
+def test_estimate_assembles_the_load_and_factors_the_stiffness_once(problem, scheme,
+                                                                    tmp_path, monkeypatch):
+    # the estimator's residual check reuses the solved load, and the solve and
+    # the lambda0 pencil share one LU factor
+    import scipy.sparse.linalg
+
+    import ncfem.assembly
+
+    calls = []
+    _count_calls(monkeypatch, ncfem.assembly,
+                 ["assemble_rhs_original", "assemble_rhs_modified"], calls)
+    _count_calls(monkeypatch, scipy.sparse.linalg, ["splu"], calls)
+    argv = ["estimate", "--problem", problem, "--level", "1", "--scheme", scheme]
+    assert main(argv + ["--json", str(tmp_path / "est.json")]) == 0
+    assert sorted(calls) == [f"assemble_rhs_{scheme}", "splu"]
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_compare_factors_the_stiffness_once(m, tmp_path, monkeypatch):
+    import scipy.sparse.linalg
+
+    calls = []
+    _count_calls(monkeypatch, scipy.sparse.linalg, ["splu"], calls)
+    argv = ["compare", "--m", m, "--mesh", "square:2", "--json", str(tmp_path / "cmp.json")]
+    assert main(argv) == 0
+    assert calls == ["splu"]
+
+
 def test_rate_study_with_estimates_assembles_each_stiffness_once_per_level(monkeypatch):
     import ncfem.assembly
 

@@ -120,15 +120,21 @@ def test_rate_study_estimates_column():
 @pytest.mark.parametrize("problem", ["square-smooth-m1", "lshape-f1-m2"])
 def test_rate_study_without_estimates_releases_stiffness_before_the_norms(problem,
                                                                           monkeypatch):
-    # no stiffness matrix, and no companion map but the current level's (the
-    # fine-grid reference's included), outlives its solve into the error norms
+    # no stiffness matrix or LU factor, and no companion map but the current
+    # level's (the fine-grid reference's included), outlives its solve into
+    # the error norms
     import weakref
 
     import ncfem.assembly
     import ncfem.experiments
+    import ncfem.linalg
     import ncfem.operators
 
-    made = {"stiffness": [], "companion": []}
+    class Factor:  # SuperLU takes no weak reference: track a holder of its solve
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    made = {"stiffness": [], "companion": [], "factor": []}
     alive = []
 
     def tracked(key, fn):
@@ -148,11 +154,14 @@ def test_rate_study_without_estimates_releases_stiffness_before_the_norms(proble
                         tracked("stiffness", ncfem.assembly.assemble_stiffness))
     monkeypatch.setattr(ncfem.operators, "build_companion",
                         tracked("companion", ncfem.operators.build_companion))
+    factor = ncfem.linalg.factor
+    monkeypatch.setattr(ncfem.linalg, "factor",
+                        tracked("factor", lambda A: Factor(factor(A))))
     for name in ("error_norms", "errors_vs_fine"):
         monkeypatch.setattr(ncfem.experiments, name, checked(getattr(ncfem.experiments, name)))
     run_rate_study(problem, 2, include_estimates=False)
-    assert len(made["stiffness"]) >= 2 and len(alive) == 2
-    assert alive == [{"stiffness": 0, "companion": 1}] * 2
+    assert len(made["stiffness"]) >= 2 and len(made["factor"]) >= 2 and len(alive) == 2
+    assert alive == [{"stiffness": 0, "companion": 1, "factor": 0}] * 2
 
 
 def test_rate_study_samples_the_singular_factor_once_per_norm_pass(monkeypatch):

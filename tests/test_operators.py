@@ -291,15 +291,58 @@ def test_chunked_cr_companion_equals_one_shot_build(kind, make_mesh):
 # -- constants and the eigenproblem ------------------------------------------
 
 
-def test_cli_stack_does_not_import_scipy_optimize():
-    # brentq is loaded by kappa_constant(1) on first use, not at import
-    code = (
-        "import sys, ncfem.cli, ncfem.experiments, ncfem.estimator; "
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'"
-    )
+def _run_without_scipy_optimize(code, cwd=None):
+    code += "; assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'"
     env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, cwd=cwd)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_stack_does_not_import_scipy_optimize():
+    _run_without_scipy_optimize("import sys, ncfem.cli, ncfem.experiments, ncfem.estimator")
+
+
+def test_first_order_estimate_does_not_import_scipy_optimize(tmp_path):
+    # kappa_1 is a closed form of a literal root: no root-finding at run time
+    _run_without_scipy_optimize(
+        "import sys; from ncfem.cli import main; "
+        "assert main(['estimate', '--problem', 'square-smooth-m1', '--level', '1']) == 0",
+        cwd=tmp_path)
+
+
+def test_discretization_keeps_the_load_of_each_scheme_for_its_data(monkeypatch):
+    from ncfem.problems import get_problem
+
+    calls = []
+    for name in ("assemble_rhs_original", "assemble_rhs_modified"):
+        fn = getattr(assembly, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, name, counted)
+    mesh = unit_square_mesh(2)
+    problem = get_problem("square-smooth-m1")
+    data, other = problem.data(mesh), problem.data(mesh)
+    disc = Discretization(mesh, "CR1_0")
+    load = disc.rhs("original", data)
+    assert disc.rhs("original", data) is load
+    with pytest.raises(ValueError):
+        load[0] = 1.0  # the kept vector is read-only
+    assert disc.rhs("modified", data) is disc.rhs("modified", data)
+    assert calls == ["assemble_rhs_original", "assemble_rhs_modified"]
+    # another data object for the same scheme is assembled again
+    again = disc.rhs("original", other)
+    assert again is not load and np.array_equal(again, load)
+    assert calls[2:] == ["assemble_rhs_original"]
+
+
+def test_j1_root_is_the_root_brentq_finds():
+    from scipy.special import j1
+
+    assert brentq(j1, 3.0, 4.5, xtol=1e-13) == operators._J1_ROOT
 
 
 def test_kappa_values():

@@ -11,6 +11,7 @@ byte-reproducible for a fixed seed up to the timestamp header comment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -98,17 +99,25 @@ def _build_parser():
     return p
 
 
-def _parse_args(parser, argv):
-    """Parse argv; with --config, file entries replace the built-in defaults.
+@functools.cache
+def _shared_parser():
+    """The parser of every call without --config, built once per process."""
+    return _build_parser()
 
-    The config entries become parser defaults and argv is parsed again, so a
-    flag given on the command line wins and every other key takes the file's
-    value, whatever the built-in default is.
+
+def _parse_args(argv):
+    """Parse argv into (parser, args); with --config, file entries replace
+    the built-in defaults.
+
+    The config entries become the defaults of a freshly built parser and
+    argv is parsed again, so a flag given on the command line wins and every
+    other key takes the file's value, whatever the built-in default is.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if not args.config:
-        return args
+        return parser, args
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -122,6 +131,7 @@ def _parse_args(parser, argv):
     if args.command is None and "command" in cfg:
         argv.append(cfg["command"])
     rest = {k: v for k, v in cfg.items() if k != "command"}
+    parser = _build_parser()  # set_defaults below must not reach the shared parser
     # a subcommand's defaults overwrite the top-level namespace, so each
     # subparser takes only the keys it owns; the top level takes the rest
     for sp in parser.subcommands.values():
@@ -137,7 +147,7 @@ def _parse_args(parser, argv):
                 f"ncfem: config entry {a.dest}={value!r} is not one of "
                 f"{list(a.choices)} (exit {USAGE_ERROR})"
             )
-    return args
+    return parser, args
 
 
 def _slug(mesh_id):
@@ -535,8 +545,7 @@ def _cmd_estimate(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = _parse_args(parser, argv)
+    parser, args = _parse_args(argv)
     if args.threads is None:
         env = os.environ.get("NCFEM_THREADS")
         args.threads = int(env) if env else None

@@ -21,6 +21,19 @@ __all__ = ["Problem", "PROBLEMS", "get_problem"]
 PI = np.pi
 
 
+def _copy_points(x, y):
+    """C-contiguous float copies of x and y, 0-d for scalars."""
+    return np.array(x, dtype=float, order="C"), np.array(y, dtype=float, order="C")
+
+
+def _one_call_solution(parts, orders=3):
+    """ExactSolution whose derivatives of order < `orders` come from `parts`."""
+    value, gradient, hessian = (
+        (lambda x, y, k=k: parts(x, y, (k,))[k]) if k < orders else None for k in range(3)
+    )
+    return ExactSolution(value, gradient, hessian, parts=parts)
+
+
 @dataclass(frozen=True)
 class Problem:
     name: str
@@ -59,52 +72,37 @@ class _SquareSmoothM1(Problem):
         return RhsData(G=None, g=g)
 
     def reference(self):
-        def value(x, y):
-            return np.sin(PI * x) * np.sin(PI * y)
+        def parts(x, y, orders):
+            """u = sin(pi x) sin(pi y) and its derivatives of the given orders."""
+            sx, sy = np.sin(PI * x), np.sin(PI * y)
+            s = sx * sy
+            out = {0: s} if 0 in orders else {}
+            if max(orders) > 0:
+                cx, cy = np.cos(PI * x), np.cos(PI * y)
+            if 1 in orders:
+                out[1] = np.stack([PI * cx * sy, PI * sx * cy], axis=-1)
+            if 2 in orders:
+                c = cx * cy
+                h = np.empty(np.shape(x) + (2, 2))
+                h[..., 0, 0] = -PI**2 * s
+                h[..., 1, 1] = -PI**2 * s
+                h[..., 0, 1] = PI**2 * c
+                h[..., 1, 0] = PI**2 * c
+                out[2] = h
+            return out
 
-        def gradient(x, y):
-            return np.stack(
-                [
-                    PI * np.cos(PI * x) * np.sin(PI * y),
-                    PI * np.sin(PI * x) * np.cos(PI * y),
-                ],
-                axis=-1,
-            )
-
-        def hessian(x, y):
-            s = np.sin(PI * x) * np.sin(PI * y)
-            c = np.cos(PI * x) * np.cos(PI * y)
-            h = np.empty(np.shape(x) + (2, 2))
-            h[..., 0, 0] = -PI**2 * s
-            h[..., 1, 1] = -PI**2 * s
-            h[..., 0, 1] = PI**2 * c
-            h[..., 1, 0] = PI**2 * c
-            return h
-
-        return ExactSolution(value, gradient, hessian)
+        return _one_call_solution(parts)
 
 
 class _SquareSmoothM2(Problem):
     """u = sin^2(pi x) sin^2(pi y) = a(x) b(y) with a = (1 - cos 2pi x)/2."""
 
-    @staticmethod
-    def _ab(x):
-        return 0.5 * (1.0 - np.cos(2.0 * PI * x))
-
-    @staticmethod
-    def _ab1(x):
-        return PI * np.sin(2.0 * PI * x)
-
-    @staticmethod
-    def _ab2(x):
-        return 2.0 * PI**2 * np.cos(2.0 * PI * x)
-
     def data(self, mesh):
         def f(x, y):
             c2x = np.cos(2.0 * PI * x)
             c2y = np.cos(2.0 * PI * y)
-            a = self._ab(x)
-            b = self._ab(y)
+            a = 0.5 * (1.0 - c2x)
+            b = 0.5 * (1.0 - c2y)
             # biharmonic of a*b: a''''b + 2 a''b'' + a b''''
             return (
                 -8.0 * PI**4 * (c2x * b + a * c2y) + 8.0 * PI**4 * c2x * c2y
@@ -113,23 +111,25 @@ class _SquareSmoothM2(Problem):
         return RhsData(G=None, g=ScalarField(f, degree=None))
 
     def reference(self):
-        ab, ab1, ab2 = self._ab, self._ab1, self._ab2
+        def parts(x, y, orders):
+            """u = a(x) a(y) and its derivatives of the given orders."""
+            c2x, c2y = np.cos(2.0 * PI * x), np.cos(2.0 * PI * y)
+            ax, ay = 0.5 * (1.0 - c2x), 0.5 * (1.0 - c2y)
+            out = {0: ax * ay} if 0 in orders else {}
+            if max(orders) > 0:
+                a1x, a1y = PI * np.sin(2.0 * PI * x), PI * np.sin(2.0 * PI * y)
+            if 1 in orders:
+                out[1] = np.stack([a1x * ay, ax * a1y], axis=-1)
+            if 2 in orders:
+                h = np.empty(np.shape(x) + (2, 2))
+                h[..., 0, 0] = 2.0 * PI**2 * c2x * ay
+                h[..., 1, 1] = ax * (2.0 * PI**2 * c2y)
+                h[..., 0, 1] = a1x * a1y
+                h[..., 1, 0] = h[..., 0, 1]
+                out[2] = h
+            return out
 
-        def value(x, y):
-            return ab(x) * ab(y)
-
-        def gradient(x, y):
-            return np.stack([ab1(x) * ab(y), ab(x) * ab1(y)], axis=-1)
-
-        def hessian(x, y):
-            h = np.empty(np.shape(x) + (2, 2))
-            h[..., 0, 0] = ab2(x) * ab(y)
-            h[..., 1, 1] = ab(x) * ab2(y)
-            h[..., 0, 1] = ab1(x) * ab1(y)
-            h[..., 1, 0] = h[..., 0, 1]
-            return h
-
-        return ExactSolution(value, gradient, hessian)
+        return _one_call_solution(parts)
 
 
 # -- L-shape problems ---------------------------------------------------------
@@ -139,7 +139,14 @@ class _LShapeSingularM1(Problem):
     """u = (1-x^2)(1-y^2) r^(2/3) sin(2 theta/3): the leading reentrant-corner
     singularity weighted by a polynomial that enforces the outer boundary
     condition; f = -Laplace(u) = -(Laplace g) w - 2 grad g . grad w with
-    the harmonic singular factor w."""
+    the harmonic singular factor w.
+
+    The closed forms evaluate with ufuncs that write into a few buffers of
+    the points' shape, in the same IEEE operations and order as the plain
+    expressions in their comments and docstrings.  ``data`` and
+    ``reference`` copy the (strided) point coordinates once into contiguous
+    arrays, which then take the gradient of g.
+    """
 
     @staticmethod
     def _w_parts(x, y):
@@ -148,50 +155,87 @@ class _LShapeSingularM1(Problem):
         Closed form with t = theta/3: w = 2 r^(2/3) sin t cos t and
         grad w = (2/3) r^(-1/3) (-sin t, cos t).  Returns w, dw/dx, dw/dy.
         """
-        cbrt_r = np.cbrt(np.maximum(np.sqrt(x * x + y * y), 1e-300))
-        t = np.arctan2(y, x)
-        t = np.where(t < 0.0, t + 2.0 * PI, t) / 3.0
-        w_x = np.sin(t)
-        w_y = np.cos(t)
-        w = 2.0 * cbrt_r * cbrt_r * w_x * w_y
-        fac = (2.0 / 3.0) / cbrt_r
-        w_x *= -fac
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        cbrt_r = np.multiply(x, x, out=np.empty(x.shape))
+        t = np.multiply(y, y, out=np.empty(x.shape))
+        np.add(cbrt_r, t, out=cbrt_r)
+        np.sqrt(cbrt_r, out=cbrt_r)
+        np.maximum(cbrt_r, 1e-300, out=cbrt_r)
+        np.cbrt(cbrt_r, out=cbrt_r)
+        np.arctan2(y, x, out=t)
+        np.add(t, 2.0 * PI, out=t, where=t < 0.0)
+        t /= 3.0
+        w_x = np.sin(t, out=np.empty(x.shape))
+        w_y = np.cos(t, out=t)
+        w = np.multiply(cbrt_r, 2.0, out=np.empty(x.shape))
+        w *= cbrt_r
+        w *= w_x
+        w *= w_y
+        fac = np.divide(2.0 / 3.0, cbrt_r, out=cbrt_r)
+        w_x *= fac
+        np.negative(w_x, out=w_x)
         w_y *= fac
         return w, w_x, w_y
 
     @staticmethod
-    def _g_parts(x, y):
+    def _g_factors_into(x, y):
+        """Overwrite x, y with dg/dx = -2x(1-y^2), dg/dy = -2y(1-x^2) of
+        g = (1-x^2)(1-y^2); return 1-x^2 and 1-y^2."""
+        one_x = np.multiply(x, x, out=np.empty(x.shape))
+        np.subtract(1.0, one_x, out=one_x)
+        one_y = np.multiply(y, y, out=np.empty(x.shape))
+        np.subtract(1.0, one_y, out=one_y)
+        x *= -2.0
+        x *= one_y
+        y *= -2.0
+        y *= one_x
+        return one_x, one_y
+
+    @classmethod
+    def _g_parts(cls, x, y):
         """g = (1-x^2)(1-y^2) and dg/dx, dg/dy."""
-        one_x = 1.0 - x**2
-        one_y = 1.0 - y**2
-        return one_x * one_y, -2.0 * x * one_y, -2.0 * y * one_x
+        g_x, g_y = _copy_points(x, y)
+        g, one_y = cls._g_factors_into(g_x, g_y)
+        g *= one_y
+        return g, g_x, g_y
 
     def data(self, mesh):
         def f(x, y):
+            x, y = _copy_points(x, y)
             w, w_x, w_y = self._w_parts(x, y)
-            _, g_x, g_y = self._g_parts(x, y)
-            lap_g = -2.0 * (1.0 - y**2) - 2.0 * (1.0 - x**2)
-            return -(lap_g * w) - 2.0 * (g_x * w_x + g_y * w_y)
+            one_x, one_y = self._g_factors_into(x, y)  # x, y hold g_x, g_y
+            # -(lap_g w) - 2 (g_x w_x + g_y w_y), lap_g = -2 (1-y^2) - 2 (1-x^2)
+            w_x *= x
+            w_y *= y
+            w_x += w_y
+            w_x *= 2.0
+            lap_g = np.multiply(one_y, -2.0, out=one_y)
+            one_x *= 2.0
+            lap_g -= one_x
+            w *= lap_g
+            np.negative(w, out=w)
+            w -= w_x
+            return w
 
         return RhsData(G=None, g=ScalarField(f, degree=None))
 
     def reference(self):
         def parts(x, y, orders):
+            x, y = _copy_points(x, y)
             w, w_x, w_y = self._w_parts(x, y)
-            g, g_x, g_y = self._g_parts(x, y)
+            g, one_y = self._g_factors_into(x, y)  # x, y hold g_x, g_y
+            g *= one_y
             out = {}
+            if 1 in orders:  # g grad w + w grad g, before g becomes g w
+                grad = out[1] = np.empty(w.shape + (2,))
+                for k, (dw, dg) in enumerate(((w_x, x), (w_y, y))):
+                    dg *= w
+                    np.add(np.multiply(g, dw, out=grad[..., k]), dg, out=grad[..., k])
             if 0 in orders:
-                out[0] = g * w
-            if 1 in orders:
-                grad = np.empty(np.shape(w) + (2,))
-                grad[..., 0] = g * w_x + w * g_x
-                grad[..., 1] = g * w_y + w * g_y
-                out[1] = grad
+                out[0] = np.multiply(g, w, out=g)
             return out
 
-        return ExactSolution(
-            lambda x, y: parts(x, y, (0,))[0], lambda x, y: parts(x, y, (1,))[1], parts=parts
-        )
+        return _one_call_solution(parts, orders=2)
 
 
 class _LShapeF1M2(Problem):

@@ -190,6 +190,94 @@ def test_one_call_reference_parts_match_separate_calls_bitwise(lshape1, rng):
         assert calls and set(calls) == {tuple(orders or (0, 1))}
 
 
+# the separate value, gradient and Hessian formulas of the square problems'
+# references, which their one-call hooks replaced
+def _square_m1_formulas():
+    def value(x, y):
+        return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+    def gradient(x, y):
+        return np.stack(
+            [
+                np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
+            ],
+            axis=-1,
+        )
+
+    def hessian(x, y):
+        s = np.sin(np.pi * x) * np.sin(np.pi * y)
+        c = np.cos(np.pi * x) * np.cos(np.pi * y)
+        h = np.empty(np.shape(x) + (2, 2))
+        h[..., 0, 0] = -np.pi**2 * s
+        h[..., 1, 1] = -np.pi**2 * s
+        h[..., 0, 1] = np.pi**2 * c
+        h[..., 1, 0] = np.pi**2 * c
+        return h
+
+    return value, gradient, hessian
+
+
+def _square_m2_formulas():
+    def ab(x):
+        return 0.5 * (1.0 - np.cos(2.0 * np.pi * x))
+
+    def ab1(x):
+        return np.pi * np.sin(2.0 * np.pi * x)
+
+    def ab2(x):
+        return 2.0 * np.pi**2 * np.cos(2.0 * np.pi * x)
+
+    def value(x, y):
+        return ab(x) * ab(y)
+
+    def gradient(x, y):
+        return np.stack([ab1(x) * ab(y), ab(x) * ab1(y)], axis=-1)
+
+    def hessian(x, y):
+        h = np.empty(np.shape(x) + (2, 2))
+        h[..., 0, 0] = ab2(x) * ab(y)
+        h[..., 1, 1] = ab(x) * ab2(y)
+        h[..., 0, 1] = ab1(x) * ab1(y)
+        h[..., 1, 0] = h[..., 0, 1]
+        return h
+
+    return value, gradient, hessian
+
+
+@pytest.mark.parametrize(
+    "problem_name, formulas",
+    [("square-smooth-m1", _square_m1_formulas), ("square-smooth-m2", _square_m2_formulas)],
+)
+def test_square_reference_parts_match_separate_formulas_bitwise(problem_name, formulas, rng):
+    problem = get_problem(problem_name)
+    ref = problem.reference()
+    separate = formulas()
+    x, y = rng.uniform(0.0, 1.0, (2, 40, 7))
+    for orders in _nonempty_subsets({0, 1, 2}):
+        got = ref.parts(x, y, orders)
+        assert sorted(got) == list(orders)
+        for k in orders:
+            assert np.array_equal(got[k], separate[k](x, y))
+            assert np.array_equal(ref.eval(k, x, y), separate[k](x, y))
+    calls = []
+
+    def parts(x, y, orders):
+        calls.append(tuple(orders))
+        return ref.parts(x, y, orders)
+
+    hooked = ExactSolution(*separate, parts=parts)
+    plain = ExactSolution(*separate)
+    mesh = red_refine(problem.base_mesh())
+    space = build_space(mesh, nc_kind(problem.m))
+    v = FeFunction(space, rng.standard_normal(space.ndofs))
+    for orders in [None] + [(k,) for k in (0, 1, problem.m)]:
+        calls.clear()
+        got = error_norms(v, reference=hooked, orders=orders)
+        assert got == error_norms(v, reference=plain, orders=orders)
+        assert calls and set(calls) == {tuple(orders or sorted({0, 1, problem.m}))}
+
+
 def test_orders_outside_the_norm_set_rejected(square2):
     space = build_space(square2, "CR1_0")
     with pytest.raises(ValueError, match="orders"):

@@ -3,6 +3,7 @@ import pytest
 
 from ncfem.mesh import l_shape_mesh
 from ncfem.problems import get_problem
+from ncfem.quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
 
 PI = np.pi
 
@@ -93,3 +94,104 @@ def test_w_parts_accept_scalars(problem):
     assert np.shape(w) == ()
     assert w == pytest.approx(float(want_w), rel=1e-12)
     assert [w_x, w_y] == pytest.approx(want_grad.tolist(), rel=1e-12)
+
+
+# The closed forms as they read before they were rewritten into reused
+# buffers: the oracle for a rewrite that keeps every IEEE operation.
+def oracle_w_parts(x, y):
+    cbrt_r = np.cbrt(np.maximum(np.sqrt(x * x + y * y), 1e-300))
+    t = np.arctan2(y, x)
+    t = np.where(t < 0.0, t + 2.0 * PI, t) / 3.0
+    w_x = np.sin(t)
+    w_y = np.cos(t)
+    w = 2.0 * cbrt_r * cbrt_r * w_x * w_y
+    fac = (2.0 / 3.0) / cbrt_r
+    w_x *= -fac
+    w_y *= fac
+    return w, w_x, w_y
+
+
+def oracle_g_parts(x, y):
+    one_x = 1.0 - x**2
+    one_y = 1.0 - y**2
+    return one_x * one_y, -2.0 * x * one_y, -2.0 * y * one_x
+
+
+def oracle_f(x, y):
+    w, w_x, w_y = oracle_w_parts(x, y)
+    _, g_x, g_y = oracle_g_parts(x, y)
+    lap_g = -2.0 * (1.0 - y**2) - 2.0 * (1.0 - x**2)
+    return -(lap_g * w) - 2.0 * (g_x * w_x + g_y * w_y)
+
+
+def oracle_parts(x, y, orders):
+    w, w_x, w_y = oracle_w_parts(x, y)
+    g, g_x, g_y = oracle_g_parts(x, y)
+    out = {}
+    if 0 in orders:
+        out[0] = g * w
+    if 1 in orders:
+        grad = np.empty(np.shape(w) + (2,))
+        grad[..., 0] = g * w_x + w * g_x
+        grad[..., 1] = g * w_y + w * g_y
+        out[1] = grad
+    return out
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_matches_oracle(problem, x, y, oracle_x=None, oracle_y=None):
+    ox = x if oracle_x is None else oracle_x
+    oy = y if oracle_y is None else oracle_y
+    for got, want in zip(problem._w_parts(x, y), oracle_w_parts(ox, oy)):
+        assert_bitwise(got, want)
+    for got, want in zip(problem._g_parts(x, y), oracle_g_parts(ox, oy)):
+        assert_bitwise(got, want)
+    assert_bitwise(problem.data(l_shape_mesh(1)).g.fn(x, y), oracle_f(ox, oy))
+    ref = problem.reference()
+    for orders in ((0,), (1,), (0, 1)):
+        got, want = ref.parts(x, y, orders), oracle_parts(ox, oy, orders)
+        assert sorted(got) == sorted(want)
+        for k in want:
+            assert_bitwise(got[k], want[k])
+
+
+# the origin (the 1e-300 guard), theta = pi, and both reentrant edges, the
+# theta = 0 edge from either side of y = 0
+EDGE_POINTS = [(0.0, 0.0), (-0.5, 0.0), (0.5, 0.0), (0.5, -0.0), (0.0, -0.5), (-0.0, -0.5)]
+
+
+def cell_views():
+    """Strided x and y views of the points of a real quadrature cell."""
+    cell = next(cells(l_shape_mesh(2), triangle_rule(MAX_TRIANGLE_DEGREE)))[0]
+    x, y = cell.phys[..., 0], cell.phys[..., 1]
+    assert not x.flags.c_contiguous
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "points",
+    [lshape_points, cell_views, lambda: np.array(EDGE_POINTS).T,
+     lambda: (np.array(-0.3), np.array(-0.0))],
+    ids=["lshape-points", "cell-views", "edges", "0-d"],
+)
+def test_closed_forms_match_the_oracle_bitwise(problem, points):
+    assert_matches_oracle(problem, *points())
+
+
+def test_closed_forms_of_python_scalars_match_the_oracle_of_0d_arrays(problem):
+    # the oracle's x**2 on a Python float is libm pow, which can differ from
+    # x * x in the last bit; the closed forms square every input as an array
+    for x, y in EDGE_POINTS + [(-0.3, 0.4)]:
+        assert_matches_oracle(problem, x, y, np.array(x), np.array(y))
+
+
+def test_oracle_keeps_the_sign_of_zero_on_the_reentrant_edge():
+    # the y = -0.0 edge point reaches a w of -0.0, so the sign checks above bite
+    assert np.signbit(oracle_w_parts(np.array(0.5), np.array(-0.0))[0])
+    assert not np.signbit(oracle_w_parts(np.array(0.5), np.array(0.0))[0])

@@ -106,8 +106,7 @@ def _shared_parser():
 
 
 def _parse_args(argv):
-    """Parse argv into (parser, args); with --config, file entries replace
-    the built-in defaults.
+    """Parse argv; with --config, file entries replace the built-in defaults.
 
     The config entries become the defaults of a freshly built parser and
     argv is parsed again, so a flag given on the command line wins and every
@@ -117,7 +116,7 @@ def _parse_args(argv):
     parser = _shared_parser()
     args = parser.parse_args(argv)
     if not args.config:
-        return parser, args
+        return args
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -147,7 +146,7 @@ def _parse_args(argv):
                 f"ncfem: config entry {a.dest}={value!r} is not one of "
                 f"{list(a.choices)} (exit {USAGE_ERROR})"
             )
-    return parser, args
+    return args
 
 
 def _slug(mesh_id):
@@ -545,14 +544,14 @@ def _cmd_estimate(args):
 
 
 def main(argv=None):
-    parser, args = _parse_args(argv)
+    args = _parse_args(argv)
     if args.threads is None:
         env = os.environ.get("NCFEM_THREADS")
         args.threads = int(env) if env else None
     if args.threads:
         _set_thread_env(args.threads)
     if args.command is None:
-        parser.print_help()
+        _shared_parser().print_help()
         return USAGE_ERROR
     handlers = {
         "verify": _cmd_verify,

@@ -26,10 +26,10 @@ def _copy_points(x, y):
     return np.array(x, dtype=float, order="C"), np.array(y, dtype=float, order="C")
 
 
-def _one_call_solution(parts, orders=3):
-    """ExactSolution whose derivatives of order < `orders` come from `parts`."""
+def _one_call_solution(parts, top_order=2):
+    """ExactSolution whose derivatives up to order `top_order` come from `parts`."""
     value, gradient, hessian = (
-        (lambda x, y, k=k: parts(x, y, (k,))[k]) if k < orders else None for k in range(3)
+        (lambda x, y, k=k: parts(x, y, (k,))[k]) if k <= top_order else None for k in range(3)
     )
     return ExactSolution(value, gradient, hessian, parts=parts)
 
@@ -235,7 +235,7 @@ class _LShapeSingularM1(Problem):
                 out[0] = np.multiply(g, w, out=g)
             return out
 
-        return _one_call_solution(parts, orders=2)
+        return _one_call_solution(parts, top_order=1)
 
 
 class _LShapeF1M2(Problem):

@@ -193,9 +193,9 @@ def test_parser_is_built_once_and_config_defaults_stay_on_their_own_parser(
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"h_convention": "sqrt_area"}))
     plain = ["lambda0", "--m", "1", "--mesh", "square:2"]
-    assert cli._parse_args(plain)[1].h_convention == "diameter"
-    assert cli._parse_args(["--config", str(cfg)] + plain)[1].h_convention == "sqrt_area"
-    assert cli._parse_args(plain)[1].h_convention == "diameter"
+    assert cli._parse_args(plain).h_convention == "diameter"
+    assert cli._parse_args(["--config", str(cfg)] + plain).h_convention == "sqrt_area"
+    assert cli._parse_args(plain).h_convention == "diameter"
     # one shared parser, and a fresh one for the config
     assert len(builds) == 2
 

@@ -96,8 +96,8 @@ def test_w_parts_accept_scalars(problem):
     assert [w_x, w_y] == pytest.approx(want_grad.tolist(), rel=1e-12)
 
 
-# The closed forms as they read before they were rewritten into reused
-# buffers: the oracle for a rewrite that keeps every IEEE operation.
+# The closed forms as plain expressions: the oracle for the buffered ones in
+# ncfem.problems, which must keep every IEEE operation and its order.
 def oracle_w_parts(x, y):
     cbrt_r = np.cbrt(np.maximum(np.sqrt(x * x + y * y), 1e-300))
     t = np.arctan2(y, x)

@@ -19,6 +19,7 @@ __all__ = [
     "BaryPoly",
     "bary_modes",
     "cubic_bubble",
+    "moment_matrix",
     "lambda_gradients",
     "bary_integral",
 ]
@@ -184,6 +185,11 @@ def bary_modes(k):
 def cubic_bubble():
     """27 lambda0 lambda1 lambda2: the cubic bubble with value 1 at the centroid."""
     return 27.0 * BaryPoly.lam(0) * BaryPoly.lam(1) * BaryPoly.lam(2)
+
+
+def moment_matrix(rows, cols):
+    """Per-unit-area integrals of p * q, p in `rows` (row index), q in `cols`."""
+    return np.array([[(p * q).integral() for q in cols] for p in rows])
 
 
 @functools.lru_cache(maxsize=32)

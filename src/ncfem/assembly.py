@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._hct import SUB_TO_PARENT
-from ._poly import bary_modes, lambda_gradients
+from ._poly import bary_modes, bary_tabulate, lambda_gradients, moment_matrix
 from .fespace import CompanionMorleySpace, CRSpace, MorleySpace
 from .fields import FieldBase, field_sum
 from .mesh import mesh_size
@@ -69,11 +69,15 @@ class RhsData:
     point_forces: list = dataclass_field(default_factory=list)
 
 
-def _scatter_matrix(rows, cols, data, n):
+def _scatter_matrix(local, dofs, n):
+    """(n, n) CSR sum of local matrices (F, L, L) at their dofs (F, L); a -1
+    dof drops its row and column."""
+    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
     mask = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix(
-        (data[mask], (rows[mask], cols[mask])), shape=(n, n)
-    )
+        (local.ravel()[mask], (rows[mask], cols[mask])), shape=(n, n)
+    ).tocsr()
 
 
 def assemble_stiffness(space):
@@ -87,10 +91,7 @@ def assemble_stiffness(space):
         local = np.einsum("f,fide,fjde->fij", mesh.area, H, H)
     else:
         local = _companion_stiffness(space)
-    dofs = space.cell_dofs
-    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
-    A = _scatter_matrix(rows, cols, local.ravel(), space.ndofs).tocsr()
+    A = _scatter_matrix(local, space.cell_dofs, space.ndofs)
     if isinstance(space, (CRSpace, MorleySpace)):
         return A  # bitwise frozen by the golden rate tables
     return (0.5 * (A + A.T)).tocsr()  # the COO sum adds (i, j), (j, i) in different orders
@@ -218,7 +219,7 @@ class PiecewisePoly(FieldBase):
         self.shape = tuple(shape)
 
     def eval_batch(self, cell):
-        vals = np.stack([p.eval(cell.parent) for p in self.modes], axis=0)  # (nb, k)
+        vals = bary_tabulate(self.modes, cell.parent, 0)[0]  # (nb, k)
         return np.einsum("fn...,nk->fk...", self.coeffs[cell.ts], vals)
 
 
@@ -226,14 +227,13 @@ def l2_project(fld, degree, mesh):
     """Per-triangle L2-orthogonal projection onto piecewise P_degree."""
     modes = bary_modes(degree)
     nb = len(modes)
-    gram = np.array([[(p * q).integral() for q in modes] for p in modes])
-    gram_inv = np.linalg.inv(gram)
+    gram_inv = np.linalg.inv(moment_matrix(modes, modes))
     rule = triangle_rule(min(fld.quad_degree() + degree, MAX_TRIANGLE_DEGREE))
     shape = fld.shape
     moments = np.zeros((mesh.n_triangles, nb) + shape)
     for chunk in cells(mesh, rule, fld):
         for c in chunk:
-            pv = np.stack([p.eval(c.parent) for p in modes], axis=0)  # (nb, k)
+            pv = bary_tabulate(modes, c.parent, 0)[0]  # (nb, k)
             moments[c.ts] += np.einsum(
                 "k,fk...,nk->fn...", c.weights / c.nsub, fld.eval_batch(c), pv
             )
@@ -296,12 +296,7 @@ def p1_stiffness(mesh):
     """Stiffness of the continuous P1 hat functions on all vertices."""
     grads = lambda_gradients(mesh)
     local = np.einsum("f,fid,fjd->fij", mesh.area, grads, grads)
-    dofs = mesh.triangles
-    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
-    return sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(mesh.n_vertices,) * 2
-    ).tocsr()
+    return _scatter_matrix(local, mesh.triangles, mesh.n_vertices)
 
 
 def p1_to_cr(mesh):
@@ -332,11 +327,7 @@ def _eps_stiffness(mesh, grads, entity_dofs, ndofs_scalar):
         eps[:, L + k, 1, 0] += 0.5 * g[:, 0]
     local = np.einsum("f,fide,fjde->fij", mesh.area, eps, eps)
     dofs = np.concatenate([entity_dofs, entity_dofs + ndofs_scalar], axis=1)
-    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
-    return sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(2 * ndofs_scalar,) * 2
-    ).tocsr()
+    return _scatter_matrix(local, dofs, 2 * ndofs_scalar)
 
 
 def eps_stiffness_p1_vector(mesh):

@@ -113,28 +113,38 @@ def _parse_args(argv):
     other key takes the file's value, whatever the built-in default is.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _shared_parser()
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
+    # the top-level options alone, read as the full parser reads them, so a
+    # flag the config supplies is not required on the command line
+    top = _Parser(add_help=False)
+    top.add_argument("--config")
+    top.add_argument("--threads")
+    top.add_argument("subcommand", nargs=argparse.REMAINDER)
+    pre = top.parse_known_args(argv)[0]
+    if not pre.config:
+        return _shared_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(pre.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config: {exc}")
+        top.error(f"cannot read config: {exc}")
+    if not isinstance(cfg, dict):
+        top.error(f"config must be a JSON object, not {type(cfg).__name__}")
     unknown = set(cfg) - _GLOBAL_KEYS
     if unknown:
         raise SystemExit(
             f"ncfem: unknown config keys: {sorted(unknown)} (exit {USAGE_ERROR})"
         )
-    if args.command is None and "command" in cfg:
+    if not pre.subcommand and "command" in cfg:
         argv.append(cfg["command"])
     rest = {k: v for k, v in cfg.items() if k != "command"}
     parser = _build_parser()  # set_defaults below must not reach the shared parser
     # a subcommand's defaults overwrite the top-level namespace, so each
     # subparser takes only the keys it owns; the top level takes the rest
     for sp in parser.subcommands.values():
-        sp.set_defaults(**{a.dest: rest[a.dest] for a in sp._actions if a.dest in rest})
+        owned = [a for a in sp._actions if a.dest in rest]
+        for a in owned:
+            a.required = False
+        sp.set_defaults(**{a.dest: rest[a.dest] for a in owned})
     parser.set_defaults(**rest)
     args = parser.parse_args(argv)
     # argparse checks choices only for flags, not for defaults
@@ -220,22 +230,27 @@ def _load_inline_data(path, m, mesh):
 
     with open(path) as fh:
         raw = json.load(fh)
-    unknown = set(raw) - {"G", "g", "point_forces"}
-    if unknown:
-        raise SystemExit(f"ncfem: unknown data keys {sorted(unknown)} (exit 1)")
-    g = _poly_field(raw["g"], ()) if "g" in raw else None
-    G = _poly_field(raw["G"], (2,) if m == 1 else (2, 2)) if "G" in raw else None
-    forces = []
-    for pf in raw.get("point_forces", []):
-        if "vertex" in pf:
-            forces.append(PointForce(beta=pf["beta"], vertex=int(pf["vertex"])))
-        else:
-            point = np.asarray(pf["edge_point"], dtype=float)
-            edge = _find_edge(mesh, point)
-            forces.append(
-                PointForce(beta=pf["beta"], edge=edge, point=tuple(point),
-                           mu=pf.get("mu", 0.5))
-            )
+    try:
+        unknown = set(raw) - {"G", "g", "point_forces"}
+        if unknown:
+            raise SystemExit(f"ncfem: unknown data keys {sorted(unknown)} (exit 1)")
+        g = _poly_field(raw["g"], ()) if "g" in raw else None
+        G = _poly_field(raw["G"], (2,) if m == 1 else (2, 2)) if "G" in raw else None
+        forces = []
+        for pf in raw.get("point_forces", []):
+            if "vertex" in pf:
+                forces.append(PointForce(beta=pf["beta"], vertex=int(pf["vertex"])))
+            else:
+                point = np.asarray(pf["edge_point"], dtype=float)
+                edge = _find_edge(mesh, point)
+                forces.append(
+                    PointForce(beta=pf["beta"], edge=edge, point=tuple(point),
+                               mu=pf.get("mu", 0.5))
+                )
+    except (KeyError, TypeError) as exc:
+        raise SystemExit(
+            f"ncfem: malformed data file {path}: {type(exc).__name__} {exc} (exit {USAGE_ERROR})"
+        ) from None
     return RhsData(G=G, g=g, point_forces=forces)
 
 

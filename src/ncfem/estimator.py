@@ -131,26 +131,29 @@ def _check_residual(disc, scheme, data, u_nc, tol=1e-9):
         )
 
 
+def _shared_terms(disc, scheme, data, u_nc, h_convention):
+    """What both estimators start from: checks of the data and of the
+    solution, then (kappa_m, J u_nc, the terms G_osc, g_weighted, g_osc and
+    nonconf, in report order)."""
+    space = disc.space
+    _check_point_forces(data)
+    _check_residual(disc, scheme, data, u_nc)
+    G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
+    ju = companion(disc.cmap, u_nc)
+    nonconf = error_norms(u_nc, reference=ju, orders=(space.m,)).energy_pw
+    terms = {"G_osc": G_osc, "g_weighted": g_weighted, "g_osc": g_osc, "nonconf": nonconf}
+    return kappa_constant(space.m), ju, terms
+
+
 def estimate_original(disc, data, u_nc, reference=None, h_convention="diameter"):
     """Bounds for the scheme with the natural right-hand side on the
     :class:`~ncfem.operators.Discretization` `disc`."""
     space = disc.space
-    _check_point_forces(data)
-    _check_residual(disc, "original", data, u_nc)
-    kappa = kappa_constant(space.m)
-    G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
-    ju = companion(disc.cmap, u_nc)
-    nonconf = error_norms(u_nc, reference=ju, orders=(space.m,)).energy_pw
+    kappa, ju, terms = _shared_terms(disc, "original", data, u_nc, h_convention)
     fhat_corr = _fhat_of_defect(space, data, u_nc, ju)
-    base = G_osc + kappa * g_weighted + nonconf
+    terms["Fhat_correction"] = fhat_corr
+    base = terms["G_osc"] + kappa * terms["g_weighted"] + terms["nonconf"]
     bounds = {"bound_a": base**2, "bound_b": base**2 + 2.0 * fhat_corr}
-    terms = {
-        "G_osc": G_osc,
-        "g_weighted": g_weighted,
-        "g_osc": g_osc,
-        "nonconf": nonconf,
-        "Fhat_correction": fhat_corr,
-    }
     constants = {"kappa_m": kappa}
     measured = None
     if reference is not None:
@@ -180,28 +183,17 @@ def estimate_modified(
     lower-bound surrogate in the report); pass a certified value to make
     ``bound_b`` fully rigorous.
     """
-    space = disc.space
-    _check_point_forces(data)
-    _check_residual(disc, "modified", data, u_nc)
-    kappa = kappa_constant(space.m)
+    kappa, ju, terms = _shared_terms(disc, "modified", data, u_nc, h_convention)
+    G_osc, g_weighted, g_osc, nonconf = terms.values()
     lam0 = disc.lam0.lambda0
     policy = LAMBDA_J_POLICY if lambda_j is None else "user-supplied"
     lam_j = lam0 if lambda_j is None else float(lambda_j)
-    G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
-    ju = companion(disc.cmap, u_nc)
-    nonconf = error_norms(u_nc, reference=ju, orders=(space.m,)).energy_pw
     apx_F = (1.0 + lam_j) * G_osc + kappa * g_weighted + kappa * lam_j * g_osc
+    terms["apx_F"] = apx_F
     bound_a = np.sqrt(1.0 + lam0**2) * G_osc + np.sqrt(
         (kappa * g_weighted + nonconf) ** 2 + kappa**2 * lam0**2 * g_osc**2
     )
     bound_b = np.sqrt(2.0 * (nonconf**2 + apx_F**2))
-    terms = {
-        "G_osc": G_osc,
-        "g_weighted": g_weighted,
-        "g_osc": g_osc,
-        "nonconf": nonconf,
-        "apx_F": apx_F,
-    }
     constants = {
         "kappa_m": kappa,
         "lambda0": lam0,
@@ -210,7 +202,7 @@ def estimate_modified(
     }
     measured = None
     if reference is not None:
-        measured = _measured(space, u_nc, ju, reference)
+        measured = _measured(disc.space, u_nc, ju, reference)
     return EstimateReport(
         scheme="modified",
         terms=terms,

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from . import assembly
+from . import assembly, linalg
 from .estimator import estimate_modified, estimate_original
 from .fespace import FeFunction, build_space, nc_kind
 from .fields import (
@@ -63,45 +62,31 @@ def _report(experiment, mesh, m, seed, mesh_id=None):
     }
 
 
+def _record(report, ok, **entry):
+    """Append a named assertion with its pass flag `ok`; return the flag."""
+    ok = bool(ok)
+    report["assertions"].append({**entry, "pass": ok})
+    report["passed"] = report["passed"] and ok
+    return ok
+
+
 def _assert(report, name, value, target, tol, relative=True):
     value = float(value)
     target = float(target)
+    err = abs(value - target)
     if relative:
-        err = abs(value - target) / max(abs(target), 1.0)
-    else:
-        err = abs(value - target)
-    ok = bool(err <= tol)
-    report["assertions"].append(
-        {
-            "name": name,
-            "value": value,
-            "target": target,
-            "deviation": err,
-            "tol": tol,
-            "relative": relative,
-            "pass": ok,
-        }
-    )
-    report["passed"] = report["passed"] and ok
-    return ok
+        err /= max(abs(target), 1.0)
+    return _record(report, err <= tol, name=name, value=value, target=target,
+                   deviation=err, tol=tol, relative=relative)
 
 
 def _assert_le(report, name, value, bound):
-    ok = bool(value <= bound)
-    report["assertions"].append(
-        {"name": name, "value": float(value), "bound": float(bound), "pass": ok}
-    )
-    report["passed"] = report["passed"] and ok
-    return ok
+    return _record(report, value <= bound, name=name, value=float(value), bound=float(bound))
 
 
 def _assert_ge(report, name, value, bound):
-    ok = bool(value >= bound)
-    report["assertions"].append(
-        {"name": name, "value": float(value), "lower_bound": float(bound), "pass": ok}
-    )
-    report["passed"] = report["passed"] and ok
-    return ok
+    return _record(report, value >= bound, name=name, value=float(value),
+                   lower_bound=float(bound))
 
 
 def run_attainment(mesh, m, seed=0, tol=1e-8, mesh_id=None):
@@ -215,13 +200,25 @@ def _scheme_comparison(disc, seed, tol, mesh_id):
 
     # the per-triangle constant part of the data is the derivative of z itself
     proj = assembly.l2_project(G, 0, mesh)
-    ts = np.arange(mesh.n_triangles)
-    center = np.array([[1 / 3, 1 / 3, 1 / 3]])
-    dz = z.evaluate_batch(ts, 0, center, m)[m][:, 0]
-    dev_proj = np.abs(proj.coeffs[:, 0] - dz).max()
+    dev_proj = np.abs(proj.coeffs[:, 0] - _at_centroids(z, m)).max()
     _assert(report, "P0 projection of the data equals D^m z", dev_proj, 0.0, 1e-9,
             relative=False)
     return report
+
+
+def _at_centroids(f, order):
+    """Derivative of `order` of an FeFunction at each triangle's centroid."""
+    ts = np.arange(f.space.mesh.n_triangles)
+    return f.evaluate_batch(ts, 0, np.array([[1 / 3, 1 / 3, 1 / 3]]), order)[order][:, 0]
+
+
+def _constrained_solver(K, C):
+    """Solver of K x = f under C' x = 0, through the saddle-point matrix
+    [[K, C], [C', 0]]; returns f -> x with the multipliers dropped."""
+    n, n_mult = C.shape
+    C = sp.csr_matrix(C)
+    lu = linalg.factor(sp.bmat([[K, C], [C.T, None]]))
+    return lambda f: lu.solve(np.concatenate([f, np.zeros(n_mult)]))[:n]
 
 
 def _first_nonconforming_direction(stiff_nc, riesz_map, kkt_solve, n_candidates):
@@ -266,14 +263,7 @@ def run_counterexample_cr(mesh, seed=0, tol=1e-8, mesh_id=None):
     full = Discretization(mesh, "CR1_full")
     R = assembly.p1_to_cr(mesh)
     K = assembly.p1_stiffness(mesh)
-    V = mesh.n_vertices
-    ones = np.ones((V, 1))
-    kkt = sp.bmat([[K, ones], [ones.T, None]], format="csc")
-    lu = spla.splu(kkt)
-
-    def solve(f):
-        return lu.solve(np.concatenate([f, [0.0]]))[:V]
-
+    solve = _constrained_solver(K, np.ones((mesh.n_vertices, 1)))
     b_coeffs, energy = _first_nonconforming_direction(full.A, R, solve, full.space.ndofs)
     if b_coeffs is None:
         report["degenerate"] = True
@@ -292,9 +282,7 @@ def run_counterexample_cr(mesh, seed=0, tol=1e-8, mesh_id=None):
 
     # P0 part of the data is the rotated piecewise gradient of the seed
     proj = assembly.l2_project(G, 0, mesh)
-    ts = np.arange(mesh.n_triangles)
-    center = np.array([[1 / 3, 1 / 3, 1 / 3]])
-    gb = b.evaluate_batch(ts, 0, center, 1)[1][:, 0]
+    gb = _at_centroids(b, 1)
     curl_b = np.stack([-gb[:, 1], gb[:, 0]], axis=1)
     _assert(report, "P0 projection equals rotated gradient of the seed",
             np.abs(proj.coeffs[:, 0] - curl_b).max(), 0.0, 1e-10, relative=False)
@@ -322,12 +310,7 @@ def run_counterexample_morley(mesh, seed=0, tol=1e-8, mesh_id=None):
     C[V:, 1] = 1.0
     C[:V, 2] = verts[:, 1]
     C[V:, 2] = -verts[:, 0]
-    kkt = sp.bmat([[K_p1, sp.csr_matrix(C)], [sp.csr_matrix(C.T), None]], format="csc")
-    lu = spla.splu(kkt)
-
-    def solve(f):
-        return lu.solve(np.concatenate([f, np.zeros(3)]))[: 2 * V]
-
+    solve = _constrained_solver(K_p1, C)
     b_coeffs, energy = _first_nonconforming_direction(K_cr, R2, solve, 2 * E)
     if b_coeffs is None:
         report["degenerate"] = True
@@ -356,10 +339,7 @@ def run_counterexample_morley(mesh, seed=0, tol=1e-8, mesh_id=None):
     # P0 projection equals the rotated piecewise gradient of the seed field:
     # sym Curl (b2, -b1), which matches the strain of b in norm, not entrywise
     proj = assembly.l2_project(G, 0, mesh)
-    ts = np.arange(mesh.n_triangles)
-    center = np.array([[1 / 3, 1 / 3, 1 / 3]])
-    g1 = b1.evaluate_batch(ts, 0, center, 1)[1][:, 0]
-    g2 = b2.evaluate_batch(ts, 0, center, 1)[1][:, 0]
+    g1, g2 = _at_centroids(b1, 1), _at_centroids(b2, 1)
     pw = np.empty((mesh.n_triangles, 2, 2))
     pw[:, 0, 0] = -g2[:, 1]
     pw[:, 1, 1] = -g1[:, 0]

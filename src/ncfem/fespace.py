@@ -97,6 +97,14 @@ def _number(mask):
     return dof, int(mask.sum())
 
 
+def _free_entities(mesh, kind):
+    """Masks of the vertices and edges that carry dofs: all of them for the
+    ``*_full`` kinds, the interior ones for the homogeneous kinds."""
+    if kind.endswith("_full"):
+        return np.ones(mesh.n_vertices, dtype=bool), np.ones(mesh.n_edges, dtype=bool)
+    return ~mesh.boundary_vertex_mask, mesh.interior_edge_mask
+
+
 def _cell(space, ts, s, bary):
     """Cell for subcell barycentric points on subcell s of triangles ts."""
     bary = np.asarray(bary, dtype=float)
@@ -224,10 +232,7 @@ class CRSpace(FeSpace):
 
     def __init__(self, mesh, kind):
         super().__init__(mesh, kind)
-        free = np.ones(mesh.n_edges, dtype=bool)
-        if kind == "CR1_0":
-            free &= mesh.interior_edge_mask
-        self.edge_dof, self.ndofs = _number(free)
+        self.edge_dof, self.ndofs = _number(_free_entities(mesh, kind)[1])
         self.cell_dofs = self.edge_dof[mesh.triangle_edges]
         self._shapes = [BaryPoly.const(1.0) - 2.0 * BaryPoly.lam(k) for k in range(3)]
         self._modes = self._shapes
@@ -242,11 +247,7 @@ class MorleySpace(FeSpace):
 
     def __init__(self, mesh, kind):
         super().__init__(mesh, kind)
-        vfree = np.ones(mesh.n_vertices, dtype=bool)
-        efree = np.ones(mesh.n_edges, dtype=bool)
-        if kind == "MORLEY_0":
-            vfree &= ~mesh.boundary_vertex_mask
-            efree &= mesh.interior_edge_mask
+        vfree, efree = _free_entities(mesh, kind)
         self.vertex_dof, nv = _number(vfree)
         self.edge_dof, ne = _number(efree)
         self.edge_dof[efree] += nv
@@ -291,11 +292,7 @@ class CompanionCRSpace(FeSpace):
 
     def __init__(self, mesh, kind):
         super().__init__(mesh, kind)
-        vfree = np.ones(mesh.n_vertices, dtype=bool)
-        efree = np.ones(mesh.n_edges, dtype=bool)
-        if kind == "COMPANION_CR":
-            vfree &= ~mesh.boundary_vertex_mask
-            efree &= mesh.interior_edge_mask
+        vfree, efree = _free_entities(mesh, kind)
         self.vertex_dof, nv = _number(vfree)
         self.edge_dof, ne = _number(efree)
         self.edge_dof[efree] += nv
@@ -323,11 +320,7 @@ class CompanionMorleySpace(FeSpace):
 
     def __init__(self, mesh, kind):
         super().__init__(mesh, kind)
-        vfree = np.ones(mesh.n_vertices, dtype=bool)
-        efree = np.ones(mesh.n_edges, dtype=bool)
-        if kind == "COMPANION_MORLEY":
-            vfree &= ~mesh.boundary_vertex_mask
-            efree &= mesh.interior_edge_mask
+        vfree, efree = _free_entities(mesh, kind)
         # vertex block: value, d/dx, d/dy per free vertex
         self.vertex_dof = -np.ones((mesh.n_vertices, 3), dtype=np.int64)
         nv = int(vfree.sum())

@@ -5,7 +5,7 @@ The companion operator is a conforming right-inverse of the nonconforming
 interpolation with an extra per-triangle L2 orthogonality of the defect to
 P_m.  Its construction is staged: nodal averaging into the conforming host
 space, edge corrections restoring the interpolation degrees of freedom,
-then volume-bubble corrections enforcing the moment conditions (for CR per
+then volume-bubble corrections enforcing the moment conditions (per
 ``CHUNK`` triangles, to bound memory).  All stages compose into one sparse
 coefficient map, so applying the operator is a matrix-vector product.
 
@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from . import assembly, linalg
 from ._hct import CHUNK
-from ._poly import BaryPoly, bary_modes, cubic_bubble
+from ._poly import bary_modes, bary_tabulate, moment_matrix
 from .fespace import (
     COMPANION_KIND,
     CompanionCRSpace,
@@ -196,164 +196,142 @@ def _moment_block(table, col_ids, width):
     ).tocsr()
 
 
-def _cr_companion_matrix(source, target):
-    mesh = source.mesh
-    V, E, F = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
-    n_src = source.ndofs
-    tri = mesh.triangles
-    tedges = mesh.triangle_edges
-    homogeneous = target.kind == "COMPANION_CR"
+def _selector(ids, n_src):
+    """(len(ids), n_src) 0/1 matrix with a one at (i, ids[i]) where ids[i] >= 0."""
+    ok = ids >= 0
+    return sp.coo_matrix(
+        (np.ones(int(ok.sum())), (np.nonzero(ok)[0], ids[ok])), shape=(len(ids), n_src)
+    ).tocsr()
 
-    # stage 1: vertex averaging of the two adjacent-edge coefficients minus
-    # the opposite one (P1 value of the CR function at the corner)
-    n_adj = np.bincount(tri.ravel(), minlength=V).astype(float)
+
+def _edge_incidence(mesh):
+    """(E, V) 0/1 matrix of the two endpoints of each edge."""
+    V = mesh.n_vertices
+    return _selector(mesh.edges[:, 0], V) + _selector(mesh.edges[:, 1], V)
+
+
+def _vertex_average(source, homogeneous):
+    """Vertex averages, over the adjacent triangles, of the (m-1)-th
+    derivative of a source function: one (V, n_src) matrix per component,
+    with zero rows at boundary vertices when `homogeneous`."""
+    mesh = source.mesh
+    V, F = mesh.n_vertices, mesh.n_triangles
+    tri = mesh.triangles
+    o = source.m - 1
+    corner = source.tabulate(np.arange(F), 0, np.eye(3), o)[o].reshape(F, source.n_local, 3, -1)
+    w = 1.0 / np.bincount(tri.ravel(), minlength=V).astype(float)
     rows, cols, data = [], [], []
     for k in range(3):
-        for j in range(3):
+        for j in range(source.n_local):
             dofs = source.cell_dofs[:, j]
             ok = dofs >= 0
-            sign = -1.0 if j == k else 1.0
             rows.append(tri[ok, k])
             cols.append(dofs[ok])
-            data.append(np.full(int(ok.sum()), sign) / n_adj[tri[ok, k]])
-    W = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(V, n_src),
-    ).tocsr()
+            data.append(corner[ok, j, k] * w[tri[ok, k], None])
+    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
+    mats = [
+        sp.coo_matrix((d, (rows, cols)), shape=(V, source.ndofs)).tocsr() for d in data.T
+    ]
     if homogeneous:
-        W = sp.diags((~mesh.boundary_vertex_mask).astype(float)) @ W
+        mask = sp.diags((~mesh.boundary_vertex_mask).astype(float))
+        mats = [mask @ W for W in mats]
+    return mats
 
-    # stage 2: edge bubbles restore every edge mean
-    src_edge = source.edge_dof
-    ok = src_edge >= 0
-    P_edge = sp.coo_matrix(
-        (np.ones(int(ok.sum())), (np.nonzero(ok)[0], src_edge[ok])), shape=(E, n_src)
-    ).tocsr()
-    inc = sp.coo_matrix(
-        (np.ones(2 * E), (np.repeat(np.arange(E), 2), mesh.edges.ravel())),
-        shape=(E, V),
-    ).tocsr()
-    alpha = 1.5 * P_edge - 0.75 * (inc @ W)
 
-    # stage 3: volume bubbles enforce the P1 moment conditions per triangle
-    modes = bary_modes(1)
-    lam = [BaryPoly.lam(k) for k in range(3)]
-    cr_shapes = [BaryPoly.const(1.0) - 2.0 * lam[k] for k in range(3)]
-    eb_shapes = [4.0 * lam[(k + 1) % 3] * lam[(k + 2) % 3] for k in range(3)]
-    b = cubic_bubble()
-    S_cr = np.array([[(phi * p).integral() for p in modes] for phi in cr_shapes])
-    S_hat = np.array([[(lam[z] * p).integral() for p in modes] for z in range(3)])
-    S_eb = np.array([[(phi * p).integral() for p in modes] for phi in eb_shapes])
-    M = np.array([[(b * p * q).integral() for q in modes] for p in modes])
-
-    def block(table, col_ids, width):  # the same table on every triangle
-        return _moment_block(np.broadcast_to(table, (len(col_ids), 3, 3)), col_ids, width)
-
-    # each triangle's rows of M^-1 R need only its own moment rows: build per CHUNK
+def _bubble_rows(source, S, M, terms):
+    """Volume-bubble rows M^-1 R, per ``CHUNK`` triangles: a triangle's rows
+    need only its own moment rows.  R is block(S), the source basis's moments
+    (F, n_local, n_modes), minus block(table) @ H for each of `terms` in
+    order: moments of the host functions at columns col_ids whose
+    coefficients are H times the source ones.  M: bubbles against modes."""
+    F = source.mesh.n_triangles
     vol = []
     for lo in range(0, F, CHUNK):
         ts = slice(lo, lo + CHUNK)
-        R = (block(S_cr, source.cell_dofs[ts], n_src) - block(S_hat, tri[ts], V) @ W
-             - block(S_eb, tedges[ts], E) @ alpha)
-        vol.append(_block_inverse_kron(R.shape[0] // 3, M) @ R)
+        R = _moment_block(S[ts], source.cell_dofs[ts], source.ndofs)
+        for table, col_ids, H in terms:
+            R = R - _moment_block(table[ts], col_ids[ts], H.shape[0]) @ H
+        vol.append(_block_inverse_kron(R.shape[0] // len(M), M) @ R)
+    return vol
 
-    vfree = target.vertex_dof >= 0
+
+def _stack_rows(target, vertex_maps, edge_map, bubbles):
+    """J: per free host vertex one row of each vertex map, in turn, then the
+    free host edges' rows of `edge_map`, then the bubble rows."""
+    V = target.mesh.n_vertices
+    vfree = np.nonzero(target.vertex_dof.reshape(V, -1)[:, 0] >= 0)[0]
+    perm = (vfree[:, None] + V * np.arange(len(vertex_maps))).ravel()
     efree = target.edge_dof >= 0
-    return sp.vstack([W[vfree], alpha[efree], *vol], format="csr")
+    vertex_rows = sp.vstack(vertex_maps, format="csr")[perm]
+    return sp.vstack([vertex_rows, edge_map[efree], *bubbles], format="csr")
+
+
+def _cr_companion_matrix(source, target):
+    mesh = source.mesh
+    F = mesh.n_triangles
+
+    # stage 1: vertex averages of the CR function's corner values, its P1
+    # value there (the two adjacent-edge coefficients minus the opposite one)
+    (W,) = _vertex_average(source, target.kind == "COMPANION_CR")
+
+    # stage 2: edge bubbles restore every edge mean
+    alpha = 1.5 * _selector(source.edge_dof, source.ndofs) - 0.75 * (_edge_incidence(mesh) @ W)
+
+    # stage 3: volume bubbles enforce the P1 moment conditions per triangle
+    modes = bary_modes(1)
+    hats, edge_bubbles, bubbles = (target._modes[i:i + 3] for i in (0, 3, 6))
+
+    def table(polys):  # the same moments on every triangle
+        return np.broadcast_to(moment_matrix(polys, modes), (F, 3, 3))
+
+    vol = _bubble_rows(
+        source, table(source._modes), moment_matrix(bubbles, modes),
+        [(table(hats), mesh.triangles, W), (table(edge_bubbles), mesh.triangle_edges, alpha)],
+    )
+    return _stack_rows(target, [W], alpha, vol)
 
 
 def _morley_companion_matrix(source, target):
     mesh = source.mesh
-    V, E, F = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
-    n_src = source.ndofs
-    tri = mesh.triangles
-    tedges = mesh.triangle_edges
-    homogeneous = target.kind == "COMPANION_MORLEY"
+    V, F = mesh.n_vertices, mesh.n_triangles
 
-    # vertex values: Morley functions are single-valued at vertices
-    ok = source.vertex_dof >= 0
-    Wval = sp.coo_matrix(
-        (np.ones(int(ok.sum())), (np.nonzero(ok)[0], source.vertex_dof[ok])),
-        shape=(V, n_src),
-    ).tocsr()
-
+    # vertex values: Morley functions are single-valued at vertices;
     # vertex gradients by arithmetic averaging over the adjacent triangles
-    n_adj = np.bincount(tri.ravel(), minlength=V).astype(float)
-    gtab = source.tabulate(np.arange(F), 0, np.eye(3), 1)[1]  # (F, 6, 3, 2)
-    rows, cols, dx, dy = [], [], [], []
-    for k in range(3):
-        for j in range(6):
-            dofs = source.cell_dofs[:, j]
-            okk = dofs >= 0
-            rows.append(tri[okk, k])
-            cols.append(dofs[okk])
-            w = 1.0 / n_adj[tri[okk, k]]
-            dx.append(gtab[okk, j, k, 0] * w)
-            dy.append(gtab[okk, j, k, 1] * w)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    Wgx = sp.coo_matrix((np.concatenate(dx), (rows, cols)), shape=(V, n_src)).tocsr()
-    Wgy = sp.coo_matrix((np.concatenate(dy), (rows, cols)), shape=(V, n_src)).tocsr()
-    if homogeneous:
-        mask = sp.diags((~mesh.boundary_vertex_mask).astype(float))
-        Wgx = mask @ Wgx
-        Wgy = mask @ Wgy
+    Wval = _selector(source.vertex_dof, source.ndofs)
+    Wgx, Wgy = _vertex_average(source, target.kind == "COMPANION_MORLEY")
 
     # edge-midpoint normal derivatives chosen so each edge MEAN equals the
     # Morley dof (the normal derivative of a cubic is quadratic: Simpson)
-    okE = source.edge_dof >= 0
-    P_edge = sp.coo_matrix(
-        (np.ones(int(okE.sum())), (np.nonzero(okE)[0], source.edge_dof[okE])),
-        shape=(E, n_src),
-    ).tocsr()
-    inc = sp.coo_matrix(
-        (np.ones(2 * E), (np.repeat(np.arange(E), 2), mesh.edges.ravel())),
-        shape=(E, V),
-    ).tocsr()
+    inc = _edge_incidence(mesh)
     nu = mesh.edge_normal
-    N = 1.5 * P_edge - 0.25 * (
+    N = 1.5 * _selector(source.edge_dof, source.ndofs) - 0.25 * (
         sp.diags(nu[:, 0]) @ (inc @ Wgx) + sp.diags(nu[:, 1]) @ (inc @ Wgy)
     )
 
     # bubble corrections enforce the P2 moment conditions per triangle
     modes = bary_modes(2)
-    b = cubic_bubble()
-    M = np.array([[(b * b * p * q).integral() for q in modes] for p in modes])
-
     rule_s = triangle_rule(4)
     tabM = source.tabulate(np.arange(F), 0, rule_s.points, 0)[0]  # (F, 6, k)
-    qv = np.stack([p.eval(rule_s.points) for p in modes], axis=0)  # (6, k)
+    qv = bary_tabulate(modes, rule_s.points, 0)[0]  # (6, k)
     S = np.einsum("k,fjk,lk->fjl", rule_s.weights, tabM, qv)  # (F, 6 dof, 6 mode)
 
     # moments of the twelve HCT shape functions, subcell by subcell
     P_loc = np.zeros((F, 12, 6))
     for chunk in cells(mesh, triangle_rule(5), target):
         for c in chunk:
-            qv_s = np.stack([p.eval(c.parent) for p in modes], axis=1)  # (k, 6)
+            qv_s = bary_tabulate(modes, c.parent, 0)[0].T  # (k, 6)
             shape_vals = target.tabulate_cell(c, 0)[0][:, :12]  # (nts, 12, k)
             P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
 
-    S_glob = _moment_block(S, source.cell_dofs, n_src)
     # columns of the stacked HCT-dof matrix: value z -> z, d/dx z -> V + z,
     # d/dy z -> 2V + z, edge normal E -> 3V + E
-    cols_hct = np.empty((F, 12), dtype=np.int64)
-    for k in range(3):
-        cols_hct[:, 3 * k] = tri[:, k]
-        cols_hct[:, 3 * k + 1] = V + tri[:, k]
-        cols_hct[:, 3 * k + 2] = 2 * V + tri[:, k]
-    cols_hct[:, 9:] = 3 * V + tedges
+    cols_hct = np.concatenate(
+        [(mesh.triangles[:, :, None] + V * np.arange(3)).reshape(F, 9),
+         3 * V + mesh.triangle_edges], axis=1)
     H_all = sp.vstack([Wval, Wgx, Wgy, N]).tocsr()
-    P_glob = _moment_block(P_loc, cols_hct, 3 * V + E)
-    R = S_glob - P_glob @ H_all
-    bub = _block_inverse_kron(F, M) @ R
-
-    # interleave (value, d/dx, d/dy) rows per free vertex
-    vfree = np.nonzero(target.vertex_dof[:, 0] >= 0)[0]
-    VS = sp.vstack([Wval, Wgx, Wgy]).tocsr()
-    perm = np.stack([vfree, V + vfree, 2 * V + vfree], axis=1).ravel()
-    efree = target.edge_dof >= 0
-    J = sp.vstack([VS[perm], N[efree], bub]).tocsr()
-    return J
+    vol = _bubble_rows(source, S, moment_matrix(target._bubbles, modes),
+                       [(P_loc, cols_hct, H_all)])
+    return _stack_rows(target, [Wval, Wgx, Wgy], N, vol)
 
 
 def build_companion(space, target=None):

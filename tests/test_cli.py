@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncfem
 from ncfem.cli import USAGE_ERROR, main
 from ncfem.linalg import EigenError
 
@@ -165,6 +169,47 @@ def test_config_overrides_builtin_defaults(tmp_path):
     report = json.loads(out.read_text())
     assert report["scheme"] == "modified"
     assert report["h_convention"] == "sqrt_area"
+
+
+def test_config_supplies_required_flags(tmp_path):
+    cfg = tmp_path / "rates.json"
+    cfg.write_text(json.dumps({"problem": "square-smooth-m1", "levels": 2}))
+    out = tmp_path / "rates_out.json"
+    assert main(["--config", str(cfg), "rates", "--json", str(out)]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 2
+    # a flag still wins over the file
+    assert main(["--config", str(cfg), "rates", "--levels", "3", "--json", str(out)]) == 0
+    assert len(json.loads(out.read_text())["rows"]) == 3
+    cfg = tmp_path / "estimate.json"
+    cfg.write_text(json.dumps({"problem": "square-smooth-m1", "level": 1}))
+    out = tmp_path / "est_out.json"
+    assert main(["--config", str(cfg), "estimate", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["problem"], report["level"]) == ("square-smooth-m1", 1)
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        ({"G": {"poly2": [[1, 0, 0]]}}, ["solve", "--m", "1", "--mesh", "square:2", "--data"]),
+        ({"g": 5}, ["solve", "--m", "1", "--mesh", "square:2", "--data"]),
+        ({"point_forces": [{"beta": 1.0}]},
+         ["solve", "--m", "2", "--mesh", "square:2", "--data"]),
+        (5, ["--config"]),
+    ],
+    ids=["vector-field-without-poly1", "scalar-field-not-a-list",
+         "point-force-without-location", "config-not-an-object"],
+)
+def test_malformed_input_file_exits_one_with_one_line(content, argv, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    argv = argv + [str(path)] + (["lambda0", "--m", "1"] if argv == ["--config"] else [])
+    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ncfem.cli", *argv], env=env,
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == USAGE_ERROR
+    assert done.stderr.startswith("ncfem: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_config_value_outside_choices_rejected(tmp_path):

@@ -50,6 +50,28 @@ def test_counterexamples_pass(square2):
         assert not report.get("degenerate", False)
 
 
+@pytest.mark.parametrize(
+    "run, saddle_size",
+    [
+        # P1 with the mean constraint; vector P1 with the three rigid motions
+        (run_counterexample_cr, lambda mesh: mesh.n_vertices + 1),
+        (run_counterexample_morley, lambda mesh: 2 * mesh.n_vertices + 3),
+    ],
+    ids=["cr", "morley"],
+)
+def test_counterexamples_factor_their_saddle_point_matrix_through_linalg(
+    run, saddle_size, square2, monkeypatch
+):
+    import ncfem.linalg
+
+    sizes = []
+    factor = ncfem.linalg.factor
+    monkeypatch.setattr(ncfem.linalg, "factor", lambda A: sizes.append(A.shape) or factor(A))
+    assert run(square2)["passed"]
+    n = saddle_size(square2)
+    assert sizes.count((n, n)) == 1
+
+
 def test_counterexample_cr_smallest_mesh():
     # the 2-triangle square: the diagonal CR function is continuous, the
     # builder must skip it and still find a nonconforming direction

@@ -13,7 +13,7 @@ from ncfem import assembly, operators
 from ncfem._poly import BaryPoly, bary_modes, cubic_bubble
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import ExactSolution, fe_value, field_sum
-from ncfem.mesh import l_shape_mesh, red_refine, unit_square_mesh
+from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.norms import error_norms
 from ncfem.operators import (
     CompanionMap,
@@ -25,7 +25,7 @@ from ncfem.operators import (
     interpolate,
     kappa_constant,
 )
-from ncfem.quadrature import edge_rule, triangle_rule
+from ncfem.quadrature import cells, edge_rule, triangle_rule
 
 MESHES = [unit_square_mesh(1), unit_square_mesh(2), l_shape_mesh(1)]
 KINDS = ["CR1_0", "MORLEY_0", "CR1_full", "MORLEY_full"]
@@ -283,6 +283,102 @@ def test_chunked_cr_companion_equals_one_shot_build(kind, make_mesh):
     assert space.mesh.n_triangles > operators.CHUNK
     cmap = build_companion(space)
     got, want = cmap.matrix, _one_shot_cr_companion(space, cmap.target)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _one_shot_morley_companion(source, target):
+    """The Morley companion matrix built for all triangles at once."""
+    mesh = source.mesh
+    V, E, F = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
+    n_src = source.ndofs
+    tri = mesh.triangles
+    ok = source.vertex_dof >= 0
+    Wval = sp.coo_matrix(
+        (np.ones(int(ok.sum())), (np.nonzero(ok)[0], source.vertex_dof[ok])), shape=(V, n_src)
+    ).tocsr()
+    n_adj = np.bincount(tri.ravel(), minlength=V).astype(float)
+    gtab = source.tabulate(np.arange(F), 0, np.eye(3), 1)[1]  # (F, 6, 3, 2)
+    rows, cols, dx, dy = [], [], [], []
+    for k in range(3):
+        for j in range(6):
+            dofs = source.cell_dofs[:, j]
+            okk = dofs >= 0
+            rows.append(tri[okk, k])
+            cols.append(dofs[okk])
+            w = 1.0 / n_adj[tri[okk, k]]
+            dx.append(gtab[okk, j, k, 0] * w)
+            dy.append(gtab[okk, j, k, 1] * w)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    Wgx = sp.coo_matrix((np.concatenate(dx), (rows, cols)), shape=(V, n_src)).tocsr()
+    Wgy = sp.coo_matrix((np.concatenate(dy), (rows, cols)), shape=(V, n_src)).tocsr()
+    if target.kind == "COMPANION_MORLEY":
+        mask = sp.diags((~mesh.boundary_vertex_mask).astype(float))
+        Wgx = mask @ Wgx
+        Wgy = mask @ Wgy
+    okE = source.edge_dof >= 0
+    P_edge = sp.coo_matrix(
+        (np.ones(int(okE.sum())), (np.nonzero(okE)[0], source.edge_dof[okE])), shape=(E, n_src)
+    ).tocsr()
+    inc = sp.coo_matrix(
+        (np.ones(2 * E), (np.repeat(np.arange(E), 2), mesh.edges.ravel())), shape=(E, V)
+    ).tocsr()
+    nu = mesh.edge_normal
+    N = 1.5 * P_edge - 0.25 * (
+        sp.diags(nu[:, 0]) @ (inc @ Wgx) + sp.diags(nu[:, 1]) @ (inc @ Wgy)
+    )
+    modes = bary_modes(2)
+    b = cubic_bubble()
+    M = np.array([[(b * b * p * q).integral() for q in modes] for p in modes])
+    rule_s = triangle_rule(4)
+    tabM = source.tabulate(np.arange(F), 0, rule_s.points, 0)[0]
+    qv = np.stack([p.eval(rule_s.points) for p in modes], axis=0)
+    S = np.einsum("k,fjk,lk->fjl", rule_s.weights, tabM, qv)
+    P_loc = np.zeros((F, 12, 6))
+    for chunk in cells(mesh, triangle_rule(5), target):
+        for c in chunk:
+            qv_s = np.stack([p.eval(c.parent) for p in modes], axis=1)
+            shape_vals = target.tabulate_cell(c, 0)[0][:, :12]
+            P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
+    S_glob = operators._moment_block(S, source.cell_dofs, n_src)
+    cols_hct = np.empty((F, 12), dtype=np.int64)
+    for k in range(3):
+        cols_hct[:, 3 * k] = tri[:, k]
+        cols_hct[:, 3 * k + 1] = V + tri[:, k]
+        cols_hct[:, 3 * k + 2] = 2 * V + tri[:, k]
+    cols_hct[:, 9:] = 3 * V + mesh.triangle_edges
+    H_all = sp.vstack([Wval, Wgx, Wgy, N]).tocsr()
+    P_glob = operators._moment_block(P_loc, cols_hct, 3 * V + E)
+    bub = operators._block_inverse_kron(F, M) @ (S_glob - P_glob @ H_all)
+    vfree = np.nonzero(target.vertex_dof[:, 0] >= 0)[0]
+    VS = sp.vstack([Wval, Wgx, Wgy]).tocsr()
+    perm = np.stack([vfree, V + vfree, 2 * V + vfree], axis=1).ravel()
+    efree = target.edge_dof >= 0
+    return sp.vstack([VS[perm], N[efree], bub]).tocsr()
+
+
+def _jittered(base, amplitude):
+    rng = np.random.default_rng(7)
+    verts = base.vertices.copy()
+    interior = ~base.boundary_vertex_mask
+    verts[interior] += amplitude * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
+    return Triangulation(verts, base.triangles)
+
+
+@pytest.mark.parametrize("kind", ["MORLEY_0", "MORLEY_full"])
+@pytest.mark.parametrize(
+    "make_mesh",
+    [lambda: unit_square_mesh(33), lambda: _jittered(unit_square_mesh(33), 0.25 / 33)],
+    ids=["square33", "jittered-square33"],
+)
+def test_chunked_morley_companion_equals_one_shot_build(kind, make_mesh):
+    # 2178 triangles: a full and a partial chunk
+    space = build_space(make_mesh(), kind)
+    assert space.mesh.n_triangles > operators.CHUNK
+    cmap = build_companion(space)
+    got, want = cmap.matrix, _one_shot_morley_companion(space, cmap.target)
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -135,7 +135,7 @@ def _parse_args(argv):
             f"ncfem: unknown config keys: {sorted(unknown)} (exit {USAGE_ERROR})"
         )
     if not pre.subcommand and "command" in cfg:
-        argv.append(cfg["command"])
+        argv.append(str(cfg["command"]))
     rest = {k: v for k, v in cfg.items() if k != "command"}
     parser = _build_parser()  # set_defaults below must not reach the shared parser
     # a subcommand's defaults overwrite the top-level namespace, so each

@@ -219,7 +219,7 @@ def _vertex_average(source, homogeneous):
     tri = mesh.triangles
     o = source.m - 1
     corner = source.tabulate(np.arange(F), 0, np.eye(3), o)[o].reshape(F, source.n_local, 3, -1)
-    w = 1.0 / np.bincount(tri.ravel(), minlength=V).astype(float)
+    n_adj = np.bincount(tri.ravel(), minlength=V).astype(float)
     rows, cols, data = [], [], []
     for k in range(3):
         for j in range(source.n_local):
@@ -227,7 +227,7 @@ def _vertex_average(source, homogeneous):
             ok = dofs >= 0
             rows.append(tri[ok, k])
             cols.append(dofs[ok])
-            data.append(corner[ok, j, k] * w[tri[ok, k], None])
+            data.append(corner[ok, j, k] * (1.0 / n_adj[tri[ok, k]])[:, None])
     rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
     mats = [
         sp.coo_matrix((d, (rows, cols)), shape=(V, source.ndofs)).tocsr() for d in data.T

@@ -191,19 +191,21 @@ def test_config_supplies_required_flags(tmp_path):
 @pytest.mark.parametrize(
     "content, argv",
     [
-        ({"G": {"poly2": [[1, 0, 0]]}}, ["solve", "--m", "1", "--mesh", "square:2", "--data"]),
-        ({"g": 5}, ["solve", "--m", "1", "--mesh", "square:2", "--data"]),
+        ({"G": {"poly2": [[1, 0, 0]]}},
+         ["solve", "--m", "1", "--mesh", "square:2", "--data", "FILE"]),
+        ({"g": 5}, ["solve", "--m", "1", "--mesh", "square:2", "--data", "FILE"]),
         ({"point_forces": [{"beta": 1.0}]},
-         ["solve", "--m", "2", "--mesh", "square:2", "--data"]),
-        (5, ["--config"]),
+         ["solve", "--m", "2", "--mesh", "square:2", "--data", "FILE"]),
+        (5, ["--config", "FILE", "lambda0", "--m", "1"]),
+        ({"command": 5}, ["--config", "FILE"]),
     ],
     ids=["vector-field-without-poly1", "scalar-field-not-a-list",
-         "point-force-without-location", "config-not-an-object"],
+         "point-force-without-location", "config-not-an-object", "config-command-not-a-name"],
 )
 def test_malformed_input_file_exits_one_with_one_line(content, argv, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
-    argv = argv + [str(path)] + (["lambda0", "--m", "1"] if argv == ["--config"] else [])
+    argv = [str(path) if a == "FILE" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "ncfem.cli", *argv], env=env,
                           capture_output=True, text=True, cwd=tmp_path)

@@ -18,12 +18,6 @@ import sys
 
 USAGE_ERROR, ASSERT_ERROR = 1, 2
 
-_GLOBAL_KEYS = {
-    "command", "m", "mesh", "scheme", "problem", "data", "levels", "seed",
-    "h_convention", "out", "json", "csv", "solution", "threads", "samples",
-    "kind", "level", "estimates", "lambda_j", "tol",
-}
-
 
 def _set_thread_env(n):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -96,6 +90,9 @@ def _build_parser():
     sp.add_argument("--lambda-j", dest="lambda_j", type=float,
                     help="certified companion constant; defaults to lambda0")
     p.subcommands = sub.choices
+    # the settings a config may give and a report records: every destination
+    p.settings = {a.dest for q in (p, *sub.choices.values()) for a in q._actions}
+    p.settings -= {"help", "config"}
     return p
 
 
@@ -114,12 +111,15 @@ def _parse_args(argv):
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level options alone, read as the full parser reads them, so a
-    # flag the config supplies is not required on the command line
+    # flag the config supplies is not required on the command line; they
+    # precede the subcommand, whose own flags (rates --c for --csv) stay its own
     top = _Parser(add_help=False)
     top.add_argument("--config")
     top.add_argument("--threads")
-    top.add_argument("subcommand", nargs=argparse.REMAINDER)
-    pre = top.parse_known_args(argv)[0]
+    subcommands = _shared_parser().subcommands
+    cut = next((i for i, a in enumerate(argv) if a in subcommands), len(argv))
+    pre, tail = top.parse_known_args(argv[:cut])
+    tail += argv[cut:]
     if not pre.config:
         return _shared_parser().parse_args(argv)
     try:
@@ -129,15 +129,17 @@ def _parse_args(argv):
         top.error(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
         top.error(f"config must be a JSON object, not {type(cfg).__name__}")
-    unknown = set(cfg) - _GLOBAL_KEYS
+    parser = _build_parser()  # set_defaults below must not reach the shared parser
+    unknown = set(cfg) - parser.settings
     if unknown:
         raise SystemExit(
             f"ncfem: unknown config keys: {sorted(unknown)} (exit {USAGE_ERROR})"
         )
-    if not pre.subcommand and "command" in cfg:
-        argv.append(str(cfg["command"]))
+    if "command" in cfg and not (tail and tail[0] in subcommands):
+        # the config's subcommand goes between the top-level options and the rest
+        threads = [] if pre.threads is None else ["--threads", pre.threads]
+        argv = ["--config", pre.config, *threads, str(cfg["command"]), *tail]
     rest = {k: v for k, v in cfg.items() if k != "command"}
-    parser = _build_parser()  # set_defaults below must not reach the shared parser
     # a subcommand's defaults overwrite the top-level namespace, so each
     # subparser takes only the keys it owns; the top level takes the rest
     for sp in parser.subcommands.values():
@@ -164,7 +166,7 @@ def _slug(mesh_id):
 
 
 def _parse_mesh(spec):
-    from .mesh import l_shape_mesh, load_mesh, unit_square_mesh
+    from .mesh import BUILTIN_MESHES, load_mesh
 
     if spec is None:
         raise SystemExit(f"ncfem: --mesh is required (exit {USAGE_ERROR})")
@@ -174,11 +176,9 @@ def _parse_mesh(spec):
             n = int(n)
         except ValueError:
             raise SystemExit(f"ncfem: bad mesh size in {spec!r} (exit {USAGE_ERROR})")
-        if name == "square":
-            return unit_square_mesh(n), spec
-        if name == "lshape":
-            return l_shape_mesh(n), spec
-        raise SystemExit(f"ncfem: unknown builtin mesh {name!r} (exit {USAGE_ERROR})")
+        if name not in BUILTIN_MESHES:
+            raise SystemExit(f"ncfem: unknown builtin mesh {name!r} (exit {USAGE_ERROR})")
+        return BUILTIN_MESHES[name](n), spec
     return load_mesh(spec), spec
 
 
@@ -202,25 +202,15 @@ def _poly_field(entry, shape):
     if shape == ():
         fn, deg = poly(entry)
         return ScalarField(fn, degree=deg)
-    if shape == (2,):
-        f1, d1 = poly(entry["poly1"])
-        f2, d2 = poly(entry["poly2"])
-        return VectorField(
-            lambda x, y: np.stack([f1(x, y), f2(x, y)], axis=-1), degree=max(d1, d2)
-        )
-    f11, d11 = poly(entry["poly11"])
-    f12, d12 = poly(entry["poly12"])
-    f22, d22 = poly(entry["poly22"])
+    # the components in row-major order; the symmetric matrix repeats poly12
+    keys = ("poly1", "poly2") if shape == (2,) else ("poly11", "poly12", "poly12", "poly22")
+    parts = [poly(entry[k]) for k in keys]
 
     def fn(x, y):
-        out = np.empty(np.shape(x) + (2, 2))
-        out[..., 0, 0] = f11(x, y)
-        out[..., 0, 1] = f12(x, y)
-        out[..., 1, 0] = f12(x, y)
-        out[..., 1, 1] = f22(x, y)
-        return out
+        return np.stack([f(x, y) for f, _ in parts], axis=-1).reshape(np.shape(x) + shape)
 
-    return MatrixField(fn, degree=max(d11, d12, d22))
+    field = VectorField if shape == (2,) else MatrixField
+    return field(fn, degree=max(deg for _, deg in parts))
 
 
 def _load_inline_data(path, m, mesh):
@@ -229,7 +219,10 @@ def _load_inline_data(path, m, mesh):
     from .assembly import PointForce, RhsData
 
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"ncfem: cannot read data file {path}: {exc} (exit 1)")
     try:
         unknown = set(raw) - {"G", "g", "point_forces"}
         if unknown:
@@ -269,11 +262,16 @@ def _find_edge(mesh, point):
     return e
 
 
-def _write_json(args, report, default_name):
-    path = args.json
+def _out_path(args, path, default_name):
+    """`path` as given, else `default_name` in the --out directory, if any."""
     if path is None and args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, default_name)
+        return os.path.join(args.out, default_name)
+    return path
+
+
+def _write_json(args, report, default_name):
+    path = _out_path(args, args.json, default_name)
     if path:
         with open(path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -282,11 +280,8 @@ def _write_json(args, report, default_name):
 
 def _config_snapshot(args):
     # defaults and effective settings recorded for reproducibility
-    return {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k in _GLOBAL_KEYS and v is not None
-    }
+    settings = _shared_parser().settings
+    return {k: v for k, v in sorted(vars(args).items()) if k in settings and v is not None}
 
 
 def _finish(args, report, default_name):
@@ -429,6 +424,9 @@ def _cmd_compare(args):
 def _cmd_rates(args):
     from .experiments import run_rate_study
 
+    if args.levels < 2:
+        raise SystemExit(f"ncfem: --levels must be at least 2, not {args.levels} "
+                         f"(exit {USAGE_ERROR})")
     table = run_rate_study(
         args.problem,
         args.levels,
@@ -439,12 +437,9 @@ def _cmd_rates(args):
     )
     report = table.to_dict()
     report["passed"] = True
-    csv_path = args.csv
-    if csv_path is None and args.out:
-        os.makedirs(args.out, exist_ok=True)
-        csv_path = os.path.join(
-            args.out, f"rates_{args.problem}_m{table.m}_{args.scheme}_{args.seed}.csv"
-        )
+    csv_path = _out_path(
+        args, args.csv, f"rates_{args.problem}_m{table.m}_{args.scheme}_{args.seed}.csv"
+    )
     if csv_path:
         with open(csv_path, "w") as fh:
             fh.write(table.to_csv())
@@ -529,6 +524,9 @@ def _cmd_estimate(args):
     from .operators import SCHEME_TOL, Discretization
     from .problems import get_problem
 
+    if args.level < 0:
+        raise SystemExit(f"ncfem: --level must be at least 0, not {args.level} "
+                         f"(exit {USAGE_ERROR})")
     prob = get_problem(args.problem)
     mesh = prob.base_mesh()
     for _ in range(args.level):

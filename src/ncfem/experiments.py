@@ -39,6 +39,10 @@ __all__ = [
     "RateTable",
 ]
 
+# tolerance of every exact identity, recorded with each assertion
+TOL = 1e-8
+
+
 def _mesh_info(mesh, mesh_id=None):
     return {
         "id": mesh_id,
@@ -89,7 +93,7 @@ def _assert_ge(report, name, value, bound):
                    lower_bound=float(bound))
 
 
-def run_attainment(mesh, m, seed=0, tol=1e-8, mesh_id=None):
+def run_attainment(mesh, m, seed=0, mesh_id=None):
     """Exact attainment of the best-approximation constant.
 
     The extremal eigenfunction v of the defect eigenproblem defines the
@@ -97,10 +101,10 @@ def run_attainment(mesh, m, seed=0, tol=1e-8, mesh_id=None):
     then returns -(1 + lambda0^2) v, and the error/interpolation-error
     ratio equals sqrt(1 + lambda0^2) exactly.
     """
-    return _attainment(Discretization(mesh, nc_kind(m)), seed, tol, mesh_id)
+    return _attainment(Discretization(mesh, nc_kind(m)), seed, mesh_id)
 
 
-def run_scheme_comparison(mesh, m, seed=0, tol=1e-8, mesh_id=None):
+def run_scheme_comparison(mesh, m, seed=0, mesh_id=None):
     """Data built from the extremal defect function separates the schemes.
 
     With tensor data equal to the m-th derivative of the companion image
@@ -108,20 +112,20 @@ def run_scheme_comparison(mesh, m, seed=0, tol=1e-8, mesh_id=None):
     interpolant exactly while the smoothed scheme misses it by exactly
     lambda0^2 in energy.
     """
-    return _scheme_comparison(Discretization(mesh, nc_kind(m)), seed, tol, mesh_id)
+    return _scheme_comparison(Discretization(mesh, nc_kind(m)), seed, mesh_id)
 
 
-def run_compare(mesh, m, seed=0, tol=1e-8, mesh_id=None):
+def run_compare(mesh, m, seed=0, mesh_id=None):
     """Scheme comparison with the attainment report under ``"attainment"``,
     on one companion and one lambda0 eigensolve; passes when both pass."""
     disc = Discretization(mesh, nc_kind(m))
-    report = _scheme_comparison(disc, seed, tol, mesh_id)
-    report["attainment"] = _attainment(disc, seed, tol, mesh_id)
+    report = _scheme_comparison(disc, seed, mesh_id)
+    report["attainment"] = _attainment(disc, seed, mesh_id)
     report["passed"] = report["passed"] and report["attainment"]["passed"]
     return report
 
 
-def _attainment(disc, seed, tol, mesh_id):
+def _attainment(disc, seed, mesh_id):
     mesh, space, res = disc.mesh, disc.space, disc.lam0
     m = space.m
     lam0 = res.lambda0
@@ -138,19 +142,19 @@ def _attainment(disc, seed, tol, mesh_id):
 
     scale = np.abs(u_nc.coeffs).max()
     dev = np.abs(u_nc.coeffs + (1.0 + lam0**2) * v.coeffs).max() / scale
-    _assert(report, "coefficients u_nc = -(1+lambda0^2) v", dev, 0.0, tol, relative=False)
+    _assert(report, "coefficients u_nc = -(1+lambda0^2) v", dev, 0.0, TOL, relative=False)
 
     iu = interpolate(space, u)
     e_pw, e_int = (
         b.energy_pw for b in error_norms([(u_nc, (m,)), (iu, (m,))], reference=u)
     )
     _assert(report, "energy error equals lambda0*sqrt(1+lambda0^2)",
-            e_pw, lam0 * np.sqrt(1.0 + lam0**2), tol)
-    _assert(report, "interpolation error equals lambda0", e_int, lam0, tol)
+            e_pw, lam0 * np.sqrt(1.0 + lam0**2), TOL)
+    _assert(report, "interpolation error equals lambda0", e_int, lam0, TOL)
 
     ratio = e_pw / e_int
-    _assert(report, "ratio equals sqrt(1+lambda0^2)", ratio, np.sqrt(1.0 + lam0**2), tol)
-    _assert(report, "ratio^2 - 1 - lambda0^2", ratio**2 - 1.0 - lam0**2, 0.0, tol,
+    _assert(report, "ratio equals sqrt(1+lambda0^2)", ratio, np.sqrt(1.0 + lam0**2), TOL)
+    _assert(report, "ratio^2 - 1 - lambda0^2", ratio**2 - 1.0 - lam0**2, 0.0, TOL,
             relative=False)
 
     if space.ndofs <= 200:
@@ -161,7 +165,7 @@ def _attainment(disc, seed, tol, mesh_id):
     return report
 
 
-def _scheme_comparison(disc, seed, tol, mesh_id):
+def _scheme_comparison(disc, seed, mesh_id):
     mesh, space, res = disc.mesh, disc.space, disc.lam0
     m = space.m
     lam0 = res.lambda0
@@ -179,24 +183,24 @@ def _scheme_comparison(disc, seed, tol, mesh_id):
     iu = interpolate(space, jz)
     scale = max(np.abs(u_org.coeffs).max(), 1.0)
     dev_a = np.abs(u_org.coeffs - iu.coeffs).max() / scale
-    _assert(report, "(a) natural solution equals the interpolant", dev_a, 0.0, tol,
+    _assert(report, "(a) natural solution equals the interpolant", dev_a, 0.0, TOL,
             relative=False)
     dev_a2 = np.abs(u_org.coeffs - z.coeffs).max() / scale
-    _assert(report, "(a') natural solution equals z", dev_a2, 0.0, tol, relative=False)
+    _assert(report, "(a') natural solution equals z", dev_a2, 0.0, TOL, relative=False)
 
     diff = FeFunction(space, u_org.coeffs - u_mod.coeffs)
     e_diff = error_norms(diff, orders=(m,)).energy_pw
-    _assert(report, "(b) scheme gap equals lambda0^2", e_diff, lam0**2, tol)
+    _assert(report, "(b) scheme gap equals lambda0^2", e_diff, lam0**2, TOL)
 
     e_mod = error_norms(u_mod, reference=jz, orders=(m,)).energy_pw
     _assert(report, "(c) squared error equals lambda0^2 (1+lambda0^2)",
-            e_mod**2, lam0**2 * (1.0 + lam0**2), tol)
+            e_mod**2, lam0**2 * (1.0 + lam0**2), TOL)
 
     g_osc_dist = assembly.distance_to_p0(G, mesh)
-    _assert(report, "tensor-data oscillation equals lambda0", g_osc_dist, lam0, tol)
+    _assert(report, "tensor-data oscillation equals lambda0", g_osc_dist, lam0, TOL)
     comparison_ratio = (e_diff / lam0) / g_osc_dist if lam0 > 0 else 0.0
     _assert_le(report, "scheme-gap bound holds with equality", comparison_ratio,
-               1.0 + tol)
+               1.0 + TOL)
 
     # the per-triangle constant part of the data is the derivative of z itself
     proj = assembly.l2_project(G, 0, mesh)
@@ -236,7 +240,7 @@ def _first_nonconforming_direction(stiff_nc, riesz_map, kkt_solve, n_candidates)
     return None, 0.0
 
 
-def _only_natural_scheme_fails(report, disc, data, rhs_tol, tol):
+def _only_natural_scheme_fails(report, disc, data, rhs_tol):
     """The smoothed load and solution vanish; the natural solution has unit energy."""
     rhs_mod = disc.rhs("modified", data)
     rhs_org = disc.rhs("original", data)
@@ -245,13 +249,13 @@ def _only_natural_scheme_fails(report, disc, data, rhs_tol, tol):
             np.abs(rhs_mod).max() / rhs_scale, 0.0, rhs_tol, relative=False)
     energy = (disc.space.m,)
     _assert(report, "smoothed solution vanishes",
-            error_norms(disc.solve(rhs_mod), orders=energy).energy_pw, 0.0, tol,
+            error_norms(disc.solve(rhs_mod), orders=energy).energy_pw, 0.0, TOL,
             relative=False)
     _assert(report, "natural solution has unit energy",
-            error_norms(disc.solve(rhs_org), orders=energy).energy_pw, 1.0, tol)
+            error_norms(disc.solve(rhs_org), orders=energy).energy_pw, 1.0, TOL)
 
 
-def run_counterexample_cr(mesh, seed=0, tol=1e-8, mesh_id=None):
+def run_counterexample_cr(mesh, seed=0, mesh_id=None):
     """Natural right-hand side without best-approximation (second order).
 
     A Crouzeix-Raviart function orthogonal to the continuous P1 space is
@@ -278,7 +282,7 @@ def run_counterexample_cr(mesh, seed=0, tol=1e-8, mesh_id=None):
     G = fe_rotated_gradient(jb)
     data = assembly.RhsData(G=G)
 
-    _only_natural_scheme_fails(report, Discretization(mesh, "CR1_0"), data, 1e-10, tol)
+    _only_natural_scheme_fails(report, Discretization(mesh, "CR1_0"), data, 1e-10)
 
     # P0 part of the data is the rotated piecewise gradient of the seed
     proj = assembly.l2_project(G, 0, mesh)
@@ -290,7 +294,7 @@ def run_counterexample_cr(mesh, seed=0, tol=1e-8, mesh_id=None):
     return report
 
 
-def run_counterexample_morley(mesh, seed=0, tol=1e-8, mesh_id=None):
+def run_counterexample_morley(mesh, seed=0, mesh_id=None):
     """Natural right-hand side without best-approximation (fourth order).
 
     A vector Crouzeix-Raviart field whose symmetric gradient is orthogonal
@@ -334,7 +338,7 @@ def run_counterexample_morley(mesh, seed=0, tol=1e-8, mesh_id=None):
     nE_ = assembly.weighted_field_l2(eps, mesh)
     _assert(report, "rotation identity |G| = |strain(Jb)|", nG, nE_, 1e-11)
 
-    _only_natural_scheme_fails(report, Discretization(mesh, "MORLEY_0"), data, 1e-9, tol)
+    _only_natural_scheme_fails(report, Discretization(mesh, "MORLEY_0"), data, 1e-9)
 
     # P0 projection equals the rotated piecewise gradient of the seed field:
     # sym Curl (b2, -b1), which matches the strain of b in norm, not entrywise
@@ -351,7 +355,7 @@ def run_counterexample_morley(mesh, seed=0, tol=1e-8, mesh_id=None):
     return report
 
 
-def run_oscillation_example(mesh, seed=0, target_osc=0.5, tol=1e-8, mesh_id=None):
+def run_oscillation_example(mesh, seed=0, mesh_id=None):
     """Dominating data oscillations: zero error, order-one estimator.
 
     A continuous P1 vector field is enriched with volume bubbles that
@@ -375,7 +379,7 @@ def run_oscillation_example(mesh, seed=0, target_osc=0.5, tol=1e-8, mesh_id=None
     zb1 = make_component(np.zeros(V), amp1)
     zb2 = make_component(np.zeros(V), amp2)
     bubble_osc = assembly.weighted_field_l2(sym_curl_of_pair(zb1, zb2), mesh)
-    scale = target_osc / bubble_osc
+    scale = 0.5 / bubble_osc  # the bubbles' share of the data norm
     z1 = make_component(nodal1, scale * amp1)
     z2 = make_component(nodal2, scale * amp2)
     G = sym_curl_of_pair(z1, z2)
@@ -386,9 +390,9 @@ def run_oscillation_example(mesh, seed=0, target_osc=0.5, tol=1e-8, mesh_id=None
     u_mod = disc.solve(disc.rhs("modified", data))
     energy = (2,)
     _assert(report, "natural solution vanishes",
-            error_norms(u_org, orders=energy).energy_pw, 0.0, tol, relative=False)
+            error_norms(u_org, orders=energy).energy_pw, 0.0, TOL, relative=False)
     _assert(report, "smoothed solution vanishes",
-            error_norms(u_mod, orders=energy).energy_pw, 0.0, tol, relative=False)
+            error_norms(u_mod, orders=energy).energy_pw, 0.0, TOL, relative=False)
 
     G_osc = assembly.distance_to_p0(G, mesh)
     report["values"]["G_osc"] = G_osc
@@ -471,8 +475,8 @@ def run_rate_study(
     reference_extra_levels=2,
 ):
     """Solve a built-in problem over a red-refinement hierarchy and fit rates."""
-    if levels > 7:
-        raise ValueError("at most 7 refinement levels are supported")
+    if not 2 <= levels <= 7:
+        raise ValueError(f"a rate study needs 2 to 7 refinement levels, not {levels}")
     problem = get_problem(problem_name)
     m = problem.m
     meshes = [problem.base_mesh()]

@@ -105,6 +105,30 @@ def _free_entities(mesh, kind):
     return ~mesh.boundary_vertex_mask, mesh.interior_edge_mask
 
 
+def _number_dofs(space, per_vertex, per_triangle):
+    """Number the dofs of `space`: free vertices (vertex-major), free edges,
+    then every triangle.
+
+    Sets ``vertex_dof`` ((V,), or (V, per_vertex) for several dofs per
+    vertex), ``edge_dof``, ``tri_dofs`` (F, per_triangle), ``ndofs`` and
+    ``cell_dofs``; constrained entities carry -1.
+    """
+    mesh = space.mesh
+    F = mesh.n_triangles
+    vfree, efree = _free_entities(mesh, space.kind)
+    vertex_dof, nv = _number(np.repeat(vfree, per_vertex))
+    space.vertex_dof = vertex_dof if per_vertex == 1 else vertex_dof.reshape(-1, per_vertex)
+    space.edge_dof, ne = _number(efree)
+    space.edge_dof[efree] += nv
+    n_tri = per_triangle * F
+    space.tri_dofs = nv + ne + np.arange(n_tri, dtype=np.int64).reshape(F, per_triangle)
+    space.ndofs = nv + ne + n_tri
+    space.cell_dofs = np.concatenate(
+        [space.vertex_dof[mesh.triangles].reshape(F, 3 * per_vertex),
+         space.edge_dof[mesh.triangle_edges], space.tri_dofs], axis=1
+    )
+
+
 def _cell(space, ts, s, bary):
     """Cell for subcell barycentric points on subcell s of triangles ts."""
     bary = np.asarray(bary, dtype=float)
@@ -247,14 +271,7 @@ class MorleySpace(FeSpace):
 
     def __init__(self, mesh, kind):
         super().__init__(mesh, kind)
-        vfree, efree = _free_entities(mesh, kind)
-        self.vertex_dof, nv = _number(vfree)
-        self.edge_dof, ne = _number(efree)
-        self.edge_dof[efree] += nv
-        self.ndofs = nv + ne
-        self.cell_dofs = np.concatenate(
-            [self.vertex_dof[mesh.triangles], self.edge_dof[mesh.triangle_edges]], axis=1
-        )
+        _number_dofs(self, 1, 0)
         self._coeff = self._build_local_bases()
         self._modes = bary_modes(2)
         self._mode_coef = _mono_to_modes(mesh, _EXPS2, self._coeff[:, None])
@@ -292,17 +309,7 @@ class CompanionCRSpace(FeSpace):
 
     def __init__(self, mesh, kind):
         super().__init__(mesh, kind)
-        vfree, efree = _free_entities(mesh, kind)
-        self.vertex_dof, nv = _number(vfree)
-        self.edge_dof, ne = _number(efree)
-        self.edge_dof[efree] += nv
-        F = mesh.n_triangles
-        self.tri_dofs = nv + ne + np.arange(3 * F, dtype=np.int64).reshape(F, 3)
-        self.ndofs = nv + ne + 3 * F
-        self.cell_dofs = np.concatenate(
-            [self.vertex_dof[mesh.triangles], self.edge_dof[mesh.triangle_edges], self.tri_dofs],
-            axis=1,
-        )
+        _number_dofs(self, 1, 3)
         b = cubic_bubble()
         lam = [BaryPoly.lam(k) for k in range(3)]
         ebub = [4.0 * lam[(k + 1) % 3] * lam[(k + 2) % 3] for k in range(3)]
@@ -320,24 +327,7 @@ class CompanionMorleySpace(FeSpace):
 
     def __init__(self, mesh, kind):
         super().__init__(mesh, kind)
-        vfree, efree = _free_entities(mesh, kind)
-        # vertex block: value, d/dx, d/dy per free vertex
-        self.vertex_dof = -np.ones((mesh.n_vertices, 3), dtype=np.int64)
-        nv = int(vfree.sum())
-        self.vertex_dof[vfree] = np.arange(3 * nv).reshape(nv, 3)
-        self.edge_dof, ne = _number(efree)
-        self.edge_dof[efree] += 3 * nv
-        F = mesh.n_triangles
-        self.tri_dofs = 3 * nv + ne + np.arange(6 * F, dtype=np.int64).reshape(F, 6)
-        self.ndofs = 3 * nv + ne + 6 * F
-        self.cell_dofs = np.concatenate(
-            [
-                self.vertex_dof[mesh.triangles].reshape(F, 9),
-                self.edge_dof[mesh.triangle_edges],
-                self.tri_dofs,
-            ],
-            axis=1,
-        )
+        _number_dofs(self, 3, 6)  # per vertex: value, d/dx, d/dy
         self.hct_coef = hct_coefficients(mesh)
         b = cubic_bubble()
         self._bubbles = [b * b * p for p in bary_modes(2)]

@@ -21,6 +21,7 @@ __all__ = [
     "Triangulation",
     "unit_square_mesh",
     "l_shape_mesh",
+    "BUILTIN_MESHES",
     "red_refine",
     "save_mesh",
     "load_mesh",
@@ -260,23 +261,17 @@ def mesh_size(mesh, convention="diameter"):
     return MeshSize(per_triangle_h=h, convention=convention)
 
 
-def _grid_mesh(nx, ny, x, y, keep_cell):
-    """Triangulate the cells of a tensor grid for which keep_cell is true."""
-    V = np.zeros(((nx + 1) * (ny + 1), 2))
-    idx = lambda i, j: i * (ny + 1) + j
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            V[idx(i, j)] = (x[i], y[j])
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            if not keep_cell(i, j):
-                continue
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    tris = np.array(tris, dtype=np.int64)
+def _grid_mesh(coords, keep):
+    """Triangulate the cells (i, j) of the tensor grid coords x coords where
+    keep[i, j]: two triangles per cell, cells in row-major order, vertex
+    (i, j) numbered i * len(coords) + j before the unused ones are dropped."""
+    n = len(coords)
+    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    V = np.column_stack([X.ravel(), Y.ravel()])
+    i, j = np.nonzero(keep)
+    v00 = i * n + j
+    v10, v01 = v00 + n, v00 + 1
+    tris = np.stack([v00, v10, v10 + 1, v00, v10 + 1, v01], axis=1).reshape(-1, 3)
     used = np.unique(tris)
     remap = -np.ones(len(V), dtype=np.int64)
     remap[used] = np.arange(len(used))
@@ -287,8 +282,7 @@ def unit_square_mesh(n):
     """Uniform criss mesh of (0,1)^2 with 2*n^2 triangles."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    coords = np.linspace(0.0, 1.0, n + 1)
-    return _grid_mesh(n, n, coords, coords, lambda i, j: True)
+    return _grid_mesh(np.linspace(0.0, 1.0, n + 1), np.ones((n, n), dtype=bool))
 
 
 def l_shape_mesh(n):
@@ -301,12 +295,13 @@ def l_shape_mesh(n):
     if n < 1:
         raise ValueError("n must be a positive integer")
     coords = np.linspace(-1.0, 1.0, 2 * n + 1)
+    # drop cells inside [0,1] x [-1,0]
+    cut = (coords[:-1] >= -1e-15)[:, None] & (coords[1:] <= 1e-15)[None, :]
+    return _grid_mesh(coords, ~cut)
 
-    def keep(i, j):
-        # drop cells inside [0,1] x [-1,0]
-        return not (coords[i] >= -1e-15 and coords[j + 1] <= 1e-15)
 
-    return _grid_mesh(2 * n, 2 * n, coords, coords, keep)
+# builtin domains by name, each a function of the cells per unit side
+BUILTIN_MESHES = {"square": unit_square_mesh, "lshape": l_shape_mesh}
 
 
 def red_refine(mesh):

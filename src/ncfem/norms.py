@@ -8,7 +8,7 @@ import numpy as np
 
 from ._poly import bary_tabulate
 from .fespace import CRSpace, FeFunction, MorleySpace
-from .fields import ExactSolution
+from .fields import SMOOTH_DEGREE, ExactSolution
 from .quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
 
 __all__ = ["ErrorBundle", "error_norms", "convergence_rate", "errors_vs_fine"]
@@ -74,7 +74,7 @@ def error_norms(f, reference=None, quad_degree=None, orders=None):
         ref_space = reference.space
         ref_deg = ref_space.poly_degree
     elif reference is not None:
-        ref_deg = reference.degree if reference.degree is not None else 12
+        ref_deg = reference.degree if reference.degree is not None else SMOOTH_DEGREE
     passes = {}  # (rule degree, subcells) -> (function, totals) pairs sharing that pass
     totals = []  # per function: order -> integral of the squared difference
     for f, orders in items:
@@ -120,10 +120,10 @@ def error_norms(f, reference=None, quad_degree=None, orders=None):
     return bundles[0] if single else bundles
 
 
-def convergence_rate(h_list, e_list, floor=1e-13):
+def convergence_rate(h_list, e_list):
     """Per-step rates log(e_i/e_{i+1}) / log(h_i/h_{i+1}) plus a LS fit.
 
-    Entries at or below the tolerance floor are flagged; pairwise rates
+    Entries at or below the roundoff floor 1e-13 are flagged; pairwise rates
     touching them come out as NaN and are excluded from the fit.
     """
     h = np.asarray(h_list, dtype=float)
@@ -132,7 +132,7 @@ def convergence_rate(h_list, e_list, floor=1e-13):
         raise ValueError("need at least two matching (h, error) entries")
     if np.any(h <= 0) or np.any(np.diff(h) >= 0):
         raise ValueError("mesh sizes must be positive and strictly decreasing")
-    floored = e <= floor
+    floored = e <= 1e-13
     rates = np.full(len(h) - 1, np.nan)
     for i in range(len(h) - 1):
         if not (floored[i] or floored[i + 1]):

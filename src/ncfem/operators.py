@@ -31,16 +31,8 @@ import scipy.sparse as sp
 from . import assembly, linalg
 from ._hct import CHUNK
 from ._poly import bary_modes, bary_tabulate, moment_matrix
-from .fespace import (
-    COMPANION_KIND,
-    CompanionCRSpace,
-    CompanionMorleySpace,
-    CRSpace,
-    FeFunction,
-    MorleySpace,
-    build_space,
-)
-from .fields import ExactSolution
+from .fespace import COMPANION_KIND, CRSpace, FeFunction, MorleySpace, build_space
+from .fields import SMOOTH_DEGREE, ExactSolution
 from .quadrature import Cell, cells, edge_rule, triangle_rule
 
 __all__ = [
@@ -93,13 +85,13 @@ def _fef_on_edges(f, edges_idx, rule, order):
     return out
 
 
-def _edge_means(f, mesh, edges_idx, order, degree=None):
+def _edge_means(f, mesh, edges_idx, order):
     """Edge means of f (order 0) or of its gradient (order 1)."""
     if isinstance(f, FeFunction):
-        rule = edge_rule(degree if degree is not None else f.space.poly_degree)
+        rule = edge_rule(f.space.poly_degree)
         vals = _fef_on_edges(f, edges_idx, rule, order)
     elif isinstance(f, ExactSolution):
-        rule = edge_rule(degree if degree is not None else (f.degree or 12))
+        rule = edge_rule(f.degree or SMOOTH_DEGREE)
         pts = _edge_points(mesh, edges_idx, rule)
         vals = f.eval(order, pts[..., 0], pts[..., 1])
     else:
@@ -130,20 +122,20 @@ def _vertex_values(f, mesh, vertices):
     return out
 
 
-def interpolate(space, f, degree=None):
+def interpolate(space, f):
     """Nonconforming interpolation: edge means (CR) or vertex values plus
     edge-mean normal derivatives (Morley), onto the free dofs of `space`."""
     mesh = space.mesh
     coeffs = np.zeros(space.ndofs)
     if isinstance(space, CRSpace):
         edges = np.nonzero(space.edge_dof >= 0)[0]
-        coeffs[space.edge_dof[edges]] = _edge_means(f, mesh, edges, 0, degree)
+        coeffs[space.edge_dof[edges]] = _edge_means(f, mesh, edges, 0)
         return FeFunction(space, coeffs)
     if isinstance(space, MorleySpace):
         verts = np.nonzero(space.vertex_dof >= 0)[0]
         coeffs[space.vertex_dof[verts]] = _vertex_values(f, mesh, verts)
         edges = np.nonzero(space.edge_dof >= 0)[0]
-        gmeans = _edge_means(f, mesh, edges, 1, degree)
+        gmeans = _edge_means(f, mesh, edges, 1)
         coeffs[space.edge_dof[edges]] = np.einsum(
             "fd,fd->f", gmeans, mesh.edge_normal[edges]
         )
@@ -334,19 +326,14 @@ def _morley_companion_matrix(source, target):
     return _stack_rows(target, [Wval, Wgx, Wgy], N, vol)
 
 
-def build_companion(space, target=None):
+def build_companion(space):
     """Companion map for a CR or Morley space into its conforming host."""
-    if target is None:
-        target = build_space(space.mesh, COMPANION_KIND[space.kind])
-    if isinstance(space, CRSpace) and isinstance(target, CompanionCRSpace):
-        matrix = _cr_companion_matrix(space, target)
-    elif isinstance(space, MorleySpace) and isinstance(target, CompanionMorleySpace):
-        matrix = _morley_companion_matrix(space, target)
-    else:
-        raise ValueError(
-            f"no companion construction for {space.kind} -> {getattr(target, 'kind', target)}"
-        )
-    return CompanionMap(source=space, target=target, matrix=matrix)
+    if space.kind not in COMPANION_KIND:
+        raise ValueError(f"no companion construction for {space.kind}; "
+                         f"one of {sorted(COMPANION_KIND)}")
+    target = build_space(space.mesh, COMPANION_KIND[space.kind])
+    build = _cr_companion_matrix if isinstance(space, CRSpace) else _morley_companion_matrix
+    return CompanionMap(source=space, target=target, matrix=build(space, target))
 
 
 # -- constants and the defect norm ------------------------------------------
@@ -477,21 +464,21 @@ class Discretization:
         return u
 
 
-def best_approx_orthogonality_check(space, v, degree=None):
+def best_approx_orthogonality_check(space, v):
     """Max P_m-moment of the m-th derivative of the interpolation defect.
 
     The interpolation is characterized by per-triangle orthogonality of
     D^m (v - I v) to constants, which is what this evaluates (polynomials
     of lower order drop out of the piecewise energy product).
     """
-    iv = interpolate(space, v, degree=degree)
+    iv = interpolate(space, v)
     mesh = space.mesh
     m = space.m
     if isinstance(v, FeFunction):
         deg = max(v.space.poly_degree - m, 1)
         over = [v.space]
     else:
-        deg = (v.degree or 12) if isinstance(v, ExactSolution) else 12
+        deg = v.degree or SMOOTH_DEGREE
         over = []
     total = np.zeros((mesh.n_triangles,) + ((2,) if m == 1 else (2, 2)))
     for chunk in cells(mesh, triangle_rule(deg), *over):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .assembly import PointForce, RhsData
 from .fields import ExactSolution, ScalarField
-from .mesh import l_shape_mesh, unit_square_mesh
+from .mesh import BUILTIN_MESHES
 
 __all__ = ["Problem", "PROBLEMS", "get_problem"]
 
@@ -44,9 +44,7 @@ class Problem:
     reference_kind: str  # "analytic" or "fine-grid"
 
     def base_mesh(self):
-        if self.domain == "square":
-            return unit_square_mesh(self.base_n)
-        return l_shape_mesh(self.base_n)
+        return BUILTIN_MESHES[self.domain](self.base_n)
 
     def data(self, mesh):
         raise NotImplementedError

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import reject, settings
+from hypothesis import strategies as st
 
-from ncfem.mesh import l_shape_mesh, unit_square_mesh
+from ncfem.mesh import MeshTopologyError, Triangulation, l_shape_mesh, unit_square_mesh
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +19,30 @@ def lshape1():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def jittered(mesh, amplitude, rng):
+    """`mesh` with every interior vertex moved by uniform offsets in
+    [-amplitude, amplitude], one per coordinate, drawn from `rng`."""
+    verts = mesh.vertices.copy()
+    interior = ~mesh.boundary_vertex_mask
+    verts[interior] += amplitude * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
+    return Triangulation(verts, mesh.triangles)
+
+
+@st.composite
+def jittered_meshes(draw):
+    """(mesh, seed): a square or L-shaped mesh of 2 to 6 cells per unit side
+    whose interior vertices move by up to a quarter of the mesh size, drawn
+    with `seed`; meshes with inverted triangles are rejected."""
+    base = draw(st.sampled_from([unit_square_mesh, l_shape_mesh]))
+    n = draw(st.integers(2, 6))
+    amplitude = draw(st.floats(0.0, 0.25)) / n  # every cell has legs h = 1/n
+    seed = draw(st.integers(0, 2**32 - 1))
+    try:
+        return jittered(base(n), amplitude, np.random.default_rng(seed)), seed
+    except MeshTopologyError:
+        reject()
 
 
 # property tests check the same examples on every run, in bounded time

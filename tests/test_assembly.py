@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import jittered
 
 from ncfem import assembly
 from ncfem.assembly import PointForce, RhsData
@@ -290,14 +291,6 @@ def test_galerkin_consistency(square2):
 # -- companion stiffness against the per-point quadrature loop -------------
 
 
-def _jittered(base, amplitude):
-    rng = np.random.default_rng(42)
-    verts = base.vertices.copy()
-    interior = ~base.boundary_vertex_mask
-    verts[interior] += amplitude * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
-    return Triangulation(verts, base.triangles)
-
-
 def _per_point_stiffness(space):
     """Dense stiffness from the local basis derivatives tabulated at every
     quadrature point of every subcell."""
@@ -322,8 +315,8 @@ def _per_point_stiffness(space):
     [
         lambda: unit_square_mesh(4),
         lambda: l_shape_mesh(2),
-        lambda: _jittered(unit_square_mesh(4), 0.25 * 0.25),
-        lambda: _jittered(l_shape_mesh(2), 0.25 * 0.5),
+        lambda: jittered(unit_square_mesh(4), 0.25 * 0.25, np.random.default_rng(42)),
+        lambda: jittered(l_shape_mesh(2), 0.25 * 0.5, np.random.default_rng(42)),
     ],
     ids=["square4", "lshape2", "jittered-square4", "jittered-lshape2"],
 )
@@ -354,7 +347,8 @@ def test_companion_morley_stiffness_peak_memory():
 @pytest.mark.parametrize("kind", ["COMPANION_CR", "COMPANION_MORLEY", "COMPANION_MORLEY_full"])
 @pytest.mark.parametrize(
     "make_mesh",
-    [lambda: unit_square_mesh(16), lambda: _jittered(unit_square_mesh(4), 0.25 * 0.25)],
+    [lambda: unit_square_mesh(16),
+     lambda: jittered(unit_square_mesh(4), 0.25 * 0.25, np.random.default_rng(42))],
     ids=["square16", "jittered-square4"],
 )
 def test_companion_stiffness_is_exactly_symmetric(kind, make_mesh):

@@ -424,3 +424,63 @@ def test_rates_csv_matches_golden_table(problem, levels, tmp_path):
 def test_missing_m_is_a_usage_error(command, capsys):
     assert main([command, "--mesh", "square:2"]) == USAGE_ERROR
     assert capsys.readouterr().err == "ncfem: the order m must be 1 or 2, not None\n"
+
+
+def test_config_command_takes_flags_from_the_command_line(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "verify", "mesh": "square:2", "m": 2,
+                               "samples": 2}))
+    out = tmp_path / "v.json"
+    assert main(["--config", str(cfg), "--seed", "4", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["seed"] == 4 and report["config"]["command"] == "verify"
+
+
+def test_config_rejects_the_removed_tol_key(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 0.5}))
+    with pytest.raises(SystemExit, match="unknown config keys: \\['tol'\\]"):
+        main(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2"])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rates", "--problem", "square-smooth-m1", "--levels", "1"], "--levels"),
+        (["rates", "--problem", "square-smooth-m1", "--levels", "0"], "--levels"),
+        (["estimate", "--problem", "square-smooth-m1", "--level", "-1"], "--level"),
+    ],
+    ids=["levels-1", "levels-0", "level-minus-1"],
+)
+def test_out_of_range_levels_exit_one_before_any_mesh(argv, flag, monkeypatch):
+    import ncfem.mesh
+
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    for name in ncfem.mesh.BUILTIN_MESHES:
+        monkeypatch.setitem(ncfem.mesh.BUILTIN_MESHES, name, no_mesh)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert message.startswith(f"ncfem: {flag} ") and "\n" not in message
+
+
+def test_data_file_that_is_not_json_is_named(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{bad")
+    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ncfem.cli", "solve", "--m", "1", "--mesh", "square:2",
+         "--data", str(path)], env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == USAGE_ERROR
+    assert done.stderr.startswith("ncfem: ") and done.stderr.count("\n") == 1
+    assert str(path) in done.stderr
+
+
+def test_subcommand_flag_abbreviation_is_not_read_as_config(tmp_path):
+    # --c abbreviates rates' --csv; the top-level --config precedes the subcommand
+    out = tmp_path / "r.csv"
+    assert main(["rates", "--problem", "square-smooth-m1", "--levels", "2",
+                 "--c", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("level,ndof,hmax,")

@@ -223,3 +223,15 @@ def test_rate_study_guards():
 def test_attainment_works_on_lshape():
     report = run_attainment(l_shape_mesh(1), 1)
     assert report["passed"]
+
+
+@pytest.mark.parametrize("levels", [0, 1])
+def test_rate_study_rejects_too_few_levels_before_any_mesh(levels, monkeypatch):
+    import ncfem.mesh
+
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setitem(ncfem.mesh.BUILTIN_MESHES, "square", no_mesh)
+    with pytest.raises(ValueError, match="2 to 7 refinement levels"):
+        run_rate_study("square-smooth-m1", levels)

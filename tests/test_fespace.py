@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import jittered
 
 from ncfem import fespace
 from ncfem.fespace import (
@@ -205,14 +206,9 @@ def test_coefficient_shape_checked(square2):
 
 
 def _jittered_mesh(base=None, amplitude=0.25 * 0.25):
-    """Interior vertices of `base` (default unit_square_mesh(4)) moved by up
-    to `amplitude` in each coordinate."""
+    """`base` (default unit_square_mesh(4)) jittered with seed 42."""
     base = unit_square_mesh(4) if base is None else base
-    rng = np.random.default_rng(42)
-    verts = base.vertices.copy()
-    interior = ~base.boundary_vertex_mask
-    verts[interior] += amplitude * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
-    return Triangulation(verts, base.triangles)
+    return jittered(base, amplitude, np.random.default_rng(42))
 
 
 def _einsum_from_bary(space, polys, bary, ts, order):

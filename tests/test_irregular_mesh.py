@@ -6,6 +6,7 @@ geometry-dependent code path (edge orientations, HCT subtriangle systems,
 normal-derivative conventions) away from the symmetric special case.
 """
 
+import conftest
 import numpy as np
 import pytest
 
@@ -13,19 +14,14 @@ from ncfem import assembly
 from ncfem.assembly import PointForce, RhsData
 from ncfem.experiments import run_attainment, run_scheme_comparison
 from ncfem.fespace import FeFunction, build_space
-from ncfem.mesh import Triangulation, unit_square_mesh
+from ncfem.mesh import unit_square_mesh
 from ncfem.operators import build_companion, companion, interpolate
 from ncfem.quadrature import edge_rule
 
 
 @pytest.fixture(scope="module")
 def jittered():
-    base = unit_square_mesh(4)
-    rng = np.random.default_rng(42)
-    verts = base.vertices.copy()
-    interior = ~base.boundary_vertex_mask
-    verts[interior] += 0.25 * 0.25 * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
-    return Triangulation(verts, base.triangles)
+    return conftest.jittered(unit_square_mesh(4), 0.25 * 0.25, np.random.default_rng(42))
 
 
 @pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0", "CR1_full", "MORLEY_full"])

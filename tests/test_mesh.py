@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import jittered
 
 from ncfem.mesh import (
     MeshFormatError,
@@ -204,15 +205,12 @@ def _edges_by_row_unique(mesh):
 
 
 def _jittered_renumbered_square(n=5, seed=7):
-    base = unit_square_mesh(n)
     rng = np.random.default_rng(seed)
-    verts = base.vertices.copy()
-    interior = ~base.boundary_vertex_mask
-    verts[interior] += 0.2 / n * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
-    perm = rng.permutation(len(verts))  # new index of each old vertex
-    new_verts = np.empty_like(verts)
-    new_verts[perm] = verts
-    tris = perm[base.triangles][rng.permutation(base.n_triangles)]
+    mesh = jittered(unit_square_mesh(n), 0.2 / n, rng)
+    perm = rng.permutation(mesh.n_vertices)  # new index of each old vertex
+    new_verts = np.empty_like(mesh.vertices)
+    new_verts[perm] = mesh.vertices
+    tris = perm[mesh.triangles][rng.permutation(mesh.n_triangles)]
     return Triangulation(new_verts, tris)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import jittered
 from scipy.optimize import brentq
 
 import ncfem
@@ -13,7 +14,7 @@ from ncfem import assembly, operators
 from ncfem._poly import BaryPoly, bary_modes, cubic_bubble
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import ExactSolution, fe_value, field_sum
-from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
+from ncfem.mesh import l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.norms import error_norms
 from ncfem.operators import (
     CompanionMap,
@@ -92,6 +93,12 @@ def test_right_inverse(kind, mesh_idx, rng):
         iv = interpolate(space, jv)
         scale = np.abs(v.coeffs).max()
         assert np.abs(iv.coeffs - v.coeffs).max() <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("kind", ["COMPANION_CR", "COMPANION_MORLEY_full"])
+def test_companion_of_a_conforming_space_is_a_value_error(kind, square2):
+    with pytest.raises(ValueError, match=f"no companion construction for {kind}"):
+        build_companion(build_space(square2, kind))
 
 
 @pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0"])
@@ -359,18 +366,11 @@ def _one_shot_morley_companion(source, target):
     return sp.vstack([VS[perm], N[efree], bub]).tocsr()
 
 
-def _jittered(base, amplitude):
-    rng = np.random.default_rng(7)
-    verts = base.vertices.copy()
-    interior = ~base.boundary_vertex_mask
-    verts[interior] += amplitude * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
-    return Triangulation(verts, base.triangles)
-
-
 @pytest.mark.parametrize("kind", ["MORLEY_0", "MORLEY_full"])
 @pytest.mark.parametrize(
     "make_mesh",
-    [lambda: unit_square_mesh(33), lambda: _jittered(unit_square_mesh(33), 0.25 / 33)],
+    [lambda: unit_square_mesh(33),
+     lambda: jittered(unit_square_mesh(33), 0.25 / 33, np.random.default_rng(7))],
     ids=["square33", "jittered-square33"],
 )
 def test_chunked_morley_companion_equals_one_shot_build(kind, make_mesh):

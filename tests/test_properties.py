@@ -9,30 +9,12 @@ examples.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
+from conftest import jittered_meshes
+from hypothesis import given
 
 from ncfem import assembly
 from ncfem.fespace import FeFunction
-from ncfem.mesh import Triangulation, l_shape_mesh, unit_square_mesh
 from ncfem.operators import Discretization, companion, interpolate
-
-
-@st.composite
-def jittered_meshes(draw):
-    base = draw(st.sampled_from([unit_square_mesh, l_shape_mesh]))
-    n = draw(st.integers(2, 6))
-    amplitude = draw(st.floats(0.0, 0.25)) / n  # every cell has legs h = 1/n
-    seed = draw(st.integers(0, 2**32 - 1))
-    mesh = base(n)
-    verts = mesh.vertices.copy()
-    interior = ~mesh.boundary_vertex_mask
-    rng = np.random.default_rng(seed)
-    verts[interior] += amplitude * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
-    p = verts[mesh.triangles]
-    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    assume(np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0))
-    return Triangulation(verts, mesh.triangles), seed
 
 
 @pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0"])

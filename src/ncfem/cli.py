@@ -425,8 +425,7 @@ def _cmd_rates(args):
     from .experiments import run_rate_study
 
     if args.levels < 2:
-        raise SystemExit(f"ncfem: --levels must be at least 2, not {args.levels} "
-                         f"(exit {USAGE_ERROR})")
+        raise SystemExit(f"ncfem: --levels must be at least 2, not {args.levels} (exit 1)")
     table = run_rate_study(
         args.problem,
         args.levels,
@@ -464,10 +463,7 @@ def _cmd_solve(args):
     if args.problem:
         prob = get_problem(args.problem)
         m = prob.m
-        if args.mesh:
-            mesh, mesh_id = _parse_mesh(args.mesh)
-        else:
-            mesh, mesh_id = prob.base_mesh(), f"{prob.domain}:{prob.base_n}"
+        mesh, mesh_id = _parse_mesh(args.mesh or f"{prob.domain}:{prob.base_n}")
         data = prob.data(mesh)
         reference = prob.reference() if prob.reference_kind == "analytic" else None
     else:
@@ -525,8 +521,7 @@ def _cmd_estimate(args):
     from .problems import get_problem
 
     if args.level < 0:
-        raise SystemExit(f"ncfem: --level must be at least 0, not {args.level} "
-                         f"(exit {USAGE_ERROR})")
+        raise SystemExit(f"ncfem: --level must be at least 0, not {args.level} (exit 1)")
     prob = get_problem(args.problem)
     mesh = prob.base_mesh()
     for _ in range(args.level):

@@ -25,6 +25,12 @@ def _set_thread_env(n):
         os.environ.setdefault(var, str(n))
 
 
+def _usage_error(message):
+    """Stop with one ``ncfem: <message>`` line; a SystemExit that carries a
+    message exits with status 1, USAGE_ERROR."""
+    raise SystemExit(f"ncfem: {message}")
+
+
 class _Parser(argparse.ArgumentParser):
     """Report usage errors on one line with USAGE_ERROR, not argparse's 2."""
 
@@ -126,15 +132,13 @@ def _parse_args(argv):
         with open(pre.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        top.error(f"cannot read config: {exc}")
+        top.error(f"cannot read config {pre.config}: {exc}")
     if not isinstance(cfg, dict):
         top.error(f"config must be a JSON object, not {type(cfg).__name__}")
     parser = _build_parser()  # set_defaults below must not reach the shared parser
     unknown = set(cfg) - parser.settings
     if unknown:
-        raise SystemExit(
-            f"ncfem: unknown config keys: {sorted(unknown)} (exit {USAGE_ERROR})"
-        )
+        _usage_error(f"unknown config keys: {sorted(unknown)}")
     if "command" in cfg and not (tail and tail[0] in subcommands):
         # the config's subcommand goes between the top-level options and the rest
         threads = [] if pre.threads is None else ["--threads", pre.threads]
@@ -154,10 +158,7 @@ def _parse_args(argv):
     for a in sp._actions if sp else ():
         value = getattr(args, a.dest, None)
         if a.dest in rest and a.choices is not None and value not in a.choices:
-            raise SystemExit(
-                f"ncfem: config entry {a.dest}={value!r} is not one of "
-                f"{list(a.choices)} (exit {USAGE_ERROR})"
-            )
+            _usage_error(f"config entry {a.dest}={value!r} is not one of {list(a.choices)}")
     return args
 
 
@@ -169,15 +170,15 @@ def _parse_mesh(spec):
     from .mesh import BUILTIN_MESHES, load_mesh
 
     if spec is None:
-        raise SystemExit(f"ncfem: --mesh is required (exit {USAGE_ERROR})")
+        _usage_error("--mesh is required")
     if ":" in spec:
         name, _, n = spec.partition(":")
         try:
             n = int(n)
         except ValueError:
-            raise SystemExit(f"ncfem: bad mesh size in {spec!r} (exit {USAGE_ERROR})")
+            _usage_error(f"bad mesh size in {spec!r}")
         if name not in BUILTIN_MESHES:
-            raise SystemExit(f"ncfem: unknown builtin mesh {name!r} (exit {USAGE_ERROR})")
+            _usage_error(f"unknown builtin mesh {name!r}")
         return BUILTIN_MESHES[name](n), spec
     return load_mesh(spec), spec
 
@@ -222,11 +223,11 @@ def _load_inline_data(path, m, mesh):
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise SystemExit(f"ncfem: cannot read data file {path}: {exc} (exit 1)")
+            _usage_error(f"cannot read data file {path}: {exc}")
     try:
         unknown = set(raw) - {"G", "g", "point_forces"}
         if unknown:
-            raise SystemExit(f"ncfem: unknown data keys {sorted(unknown)} (exit 1)")
+            _usage_error(f"unknown data keys {sorted(unknown)}")
         g = _poly_field(raw["g"], ()) if "g" in raw else None
         G = _poly_field(raw["G"], (2,) if m == 1 else (2, 2)) if "G" in raw else None
         forces = []
@@ -241,9 +242,7 @@ def _load_inline_data(path, m, mesh):
                                mu=pf.get("mu", 0.5))
                 )
     except (KeyError, TypeError) as exc:
-        raise SystemExit(
-            f"ncfem: malformed data file {path}: {type(exc).__name__} {exc} (exit {USAGE_ERROR})"
-        ) from None
+        _usage_error(f"malformed data file {path}: {type(exc).__name__} {exc}")
     return RhsData(G=G, g=g, point_forces=forces)
 
 
@@ -258,7 +257,7 @@ def _find_edge(mesh, point):
     d = np.linalg.norm(a + t[:, None] * seg - point, axis=1)
     e = int(np.argmin(d))
     if d[e] > 1e-10 * max(1.0, np.sqrt(L2[e])):
-        raise SystemExit(f"ncfem: point {point.tolist()} lies on no edge (exit 1)")
+        _usage_error(f"point {point.tolist()} lies on no edge")
     return e
 
 
@@ -422,10 +421,11 @@ def _cmd_compare(args):
 
 
 def _cmd_rates(args):
-    from .experiments import run_rate_study
+    from .experiments import RATE_LEVELS, run_rate_study
 
-    if args.levels < 2:
-        raise SystemExit(f"ncfem: --levels must be at least 2, not {args.levels} (exit 1)")
+    if args.levels not in RATE_LEVELS:
+        lo, hi = RATE_LEVELS[0], RATE_LEVELS[-1]
+        _usage_error(f"--levels must be from {lo} to {hi}, not {args.levels}")
     table = run_rate_study(
         args.problem,
         args.levels,
@@ -457,18 +457,16 @@ def _cmd_solve(args):
     from .problems import get_problem
 
     if (args.problem is None) == (args.data is None):
-        raise SystemExit(
-            f"ncfem: exactly one of --problem / --data is required (exit {USAGE_ERROR})"
-        )
+        _usage_error("exactly one of --problem / --data is required")
     if args.problem:
         prob = get_problem(args.problem)
         m = prob.m
         mesh, mesh_id = _parse_mesh(args.mesh or f"{prob.domain}:{prob.base_n}")
         data = prob.data(mesh)
-        reference = prob.reference() if prob.reference_kind == "analytic" else None
+        reference = prob.reference()
     else:
         if args.m not in (1, 2):
-            raise SystemExit(f"ncfem: --m is required with --data (exit {USAGE_ERROR})")
+            _usage_error("--m is required with --data")
         m = args.m
         mesh, mesh_id = _parse_mesh(args.mesh)
         data = _load_inline_data(args.data, m, mesh)
@@ -521,7 +519,7 @@ def _cmd_estimate(args):
     from .problems import get_problem
 
     if args.level < 0:
-        raise SystemExit(f"ncfem: --level must be at least 0, not {args.level} (exit 1)")
+        _usage_error(f"--level must be at least 0, not {args.level}")
     prob = get_problem(args.problem)
     mesh = prob.base_mesh()
     for _ in range(args.level):
@@ -530,7 +528,7 @@ def _cmd_estimate(args):
     data = prob.data(mesh)
     # the estimators check the solution's residual themselves
     u, _ = disc.solve_report(disc.rhs(args.scheme, data), tol=SCHEME_TOL[prob.m])
-    reference = prob.reference() if prob.reference_kind == "analytic" else None
+    reference = prob.reference()
     if args.scheme == "original":
         est = estimate_original(disc, data, u, reference=reference,
                                 h_convention=args.h_convention)

@@ -41,6 +41,8 @@ __all__ = [
 
 # tolerance of every exact identity, recorded with each assertion
 TOL = 1e-8
+# the refinement levels a rate study may run
+RATE_LEVELS = range(2, 8)
 
 
 def _mesh_info(mesh, mesh_id=None):
@@ -475,16 +477,17 @@ def run_rate_study(
     reference_extra_levels=2,
 ):
     """Solve a built-in problem over a red-refinement hierarchy and fit rates."""
-    if not 2 <= levels <= 7:
-        raise ValueError(f"a rate study needs 2 to 7 refinement levels, not {levels}")
+    if levels not in RATE_LEVELS:
+        lo, hi = RATE_LEVELS[0], RATE_LEVELS[-1]
+        raise ValueError(f"a rate study needs {lo} to {hi} refinement levels, not {levels}")
     problem = get_problem(problem_name)
     m = problem.m
     meshes = [problem.base_mesh()]
     for _ in range(levels - 1):
         meshes.append(red_refine(meshes[-1]))
-    reference = problem.reference() if problem.reference_kind == "analytic" else None
+    reference = problem.reference()
     fine_ref = None
-    if problem.reference_kind == "fine-grid":
+    if reference is None:
         fine_ref = _fine_reference(problem, meshes[-1], reference_extra_levels, dof_cap)
 
     norms = ["energy_pw", "l2_post", "l2_nc"] if reference else ["energy_pw", "l2_nc"]

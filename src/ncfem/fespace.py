@@ -158,9 +158,23 @@ class FeSpace:
         return subcell_corners(self.mesh, ts, s, self.n_subcells)
 
     def locate_subcell(self, t, points):
-        """Subcell index and subcell barycentric coords for points inside t."""
-        lam = self.mesh.barycentric(t, np.atleast_2d(points))
-        return np.zeros(len(lam), dtype=int), lam
+        """Subcell index and subcell barycentric coords for points inside t:
+        per point, the subcell whose smallest coordinate is largest."""
+        points = np.atleast_2d(points)
+        best_s = np.zeros(len(points), dtype=int)
+        best_bary = np.full((len(points), 3), np.nan)
+        best_min = np.full(len(points), -np.inf)
+        for s in range(self.n_subcells):
+            corners = self._subcell_corners(np.array([t]), s)[0]
+            T = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
+            lam12 = (points - corners[0]) @ np.linalg.inv(T).T
+            lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
+            m = lam.min(axis=1)
+            better = m > best_min
+            best_s[better] = s
+            best_bary[better] = lam[better]
+            best_min[better] = m[better]
+        return best_s, best_bary
 
     def tabulate(self, ts, s, bary, order):
         """Local basis on subcell s of triangles ts at subcell barycentric points.
@@ -334,23 +348,6 @@ class CompanionMorleySpace(FeSpace):
         self._exps3 = monomial_exponents(3)
         self._modes = bary_modes(3) + self._bubbles
         self._mode_coef = _mono_to_modes(mesh, self._exps3, self.hct_coef)
-
-    def locate_subcell(self, t, points):
-        points = np.atleast_2d(points)
-        best_s = np.zeros(len(points), dtype=int)
-        best_bary = np.empty((len(points), 3))
-        best_min = np.full(len(points), -np.inf)
-        for s in range(3):
-            corners = self._subcell_corners(np.array([t]), s)[0]
-            T = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
-            lam12 = (points - corners[0]) @ np.linalg.inv(T).T
-            lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
-            m = lam.min(axis=1)
-            better = m > best_min
-            best_s[better] = s
-            best_bary[better] = lam[better]
-            best_min[better] = m[better]
-        return best_s, best_bary
 
 
 _KIND_CLASS = {

@@ -24,7 +24,6 @@ EIG_RESIDUAL_TOL = 1e-9
 @dataclass(frozen=True)
 class SolveReport:
     method: str
-    iterations: int
     residual: float
     converged: bool
 
@@ -64,10 +63,10 @@ def solve_spd(A, b, tol=1e-12, lu=None):
         raise ValueError("tol must lie in (0, 1)")
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SolveReport("trivial", 0, 0.0, True)
+        return np.zeros(n), SolveReport("trivial", 0.0, True)
     x = (factor(A) if lu is None else lu).solve(b)
     res = float(np.linalg.norm(A @ x - b) / bnorm)
-    return x, SolveReport("direct", 1, res, res <= max(tol, 1e-10))
+    return x, SolveReport("direct", res, res <= max(tol, 1e-10))
 
 
 def _fix_sign(x):

@@ -58,14 +58,11 @@ class Triangulation:
     vertices : (V, 2) float array
     triangles : (F, 3) int array, counterclockwise vertex triples
     edges : (E, 2) int array, canonical (low, high) vertex pairs
-    edge_normal, edge_tangent : (E, 2) unit vectors (normal per the global
-        orientation convention, tangent = normal rotated by +90 degrees)
-    edge_length, edge_midpoint : per-edge geometry
+    edge_normal : (E, 2) unit normals per the global orientation convention
+    edge_midpoint : (E, 2) edge midpoints
     edge_triangles : (E, 2) adjacent triangle indices, second entry -1 on
         boundary edges; interior entries sorted ascending
     triangle_edges : (F, 3) edge index opposite each local vertex
-    triangle_edge_sign : (F, 3) +1 where the global edge normal points out
-        of the triangle, -1 otherwise
     interior_edge_mask, boundary_edge_mask, boundary_vertex_mask : bool masks
     parents : (F,) int array of parent triangle indices for red-refined
         meshes (children of parent t sit at 4t..4t+3), else None
@@ -85,14 +82,10 @@ class Triangulation:
         self._build_edges()
         if validate:
             self._validate_topology()
-        # freeze everything
-        for name in (
-            "vertices", "triangles", "edges", "edge_normal", "edge_tangent",
-            "edge_length", "edge_midpoint", "edge_triangles", "triangle_edges",
-            "triangle_edge_sign", "signed_area", "area", "diameter", "centroid",
-            "boundary_vertex_mask",
-        ):
-            getattr(self, name).setflags(write=False)
+        # immutable: every array attribute is read-only
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     # -- construction -----------------------------------------------------
 
@@ -169,21 +162,15 @@ class Triangulation:
         a = self.vertices[edges[:, 0]]
         b = self.vertices[edges[:, 1]]
         vec = b - a
-        self.edge_length = np.linalg.norm(vec, axis=1)
         self.edge_midpoint = 0.5 * (a + b)
-        normal = np.stack([vec[:, 1], -vec[:, 0]], axis=1) / self.edge_length[:, None]
+        length = np.linalg.norm(vec, axis=1)
+        normal = np.stack([vec[:, 1], -vec[:, 0]], axis=1) / length[:, None]
         # flip so the normal points out of the first (lower-index) triangle
         first = adj[:, 0]
         out = np.einsum("ij,ij->i", normal, self.edge_midpoint - self.centroid[first])
         flip = out < 0
         normal[flip] *= -1.0
         self.edge_normal = normal
-        self.edge_tangent = np.stack([-normal[:, 1], normal[:, 0]], axis=1)
-
-        mid = self.edge_midpoint[self.triangle_edges]  # (F, 3, 2)
-        nrm = self.edge_normal[self.triangle_edges]
-        outward = np.einsum("fkj,fkj->fk", nrm, mid - self.centroid[:, None, :])
-        self.triangle_edge_sign = np.where(outward > 0, 1.0, -1.0)
 
         bvm = np.zeros(len(self.vertices), dtype=bool)
         bvm[edges[self.boundary_edge_mask].ravel()] = True

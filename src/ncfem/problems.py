@@ -41,7 +41,6 @@ class Problem:
     domain: str
     base_n: int
     sigma: float | None
-    reference_kind: str  # "analytic" or "fine-grid"
 
     def base_mesh(self):
         return BUILTIN_MESHES[self.domain](self.base_n)
@@ -50,6 +49,7 @@ class Problem:
         raise NotImplementedError
 
     def reference(self):
+        """The exact solution, or None when rates need a fine-grid reference."""
         return None
 
     def expected_rate(self, s):
@@ -253,19 +253,14 @@ class _LShapePointForceM2(Problem):
 
 
 PROBLEMS = {
-    "square-smooth-m1": _SquareSmoothM1(
-        "square-smooth-m1", 1, "square", 2, 1.0, "analytic"
-    ),
-    "square-smooth-m2": _SquareSmoothM2(
-        "square-smooth-m2", 2, "square", 2, 1.0, "analytic"
-    ),
-    "lshape-singular-m1": _LShapeSingularM1(
-        "lshape-singular-m1", 1, "lshape", 2, 2.0 / 3.0, "analytic"
-    ),
-    "lshape-f1-m2": _LShapeF1M2("lshape-f1-m2", 2, "lshape", 1, None, "fine-grid"),
-    "lshape-pointforce-m2": _LShapePointForceM2(
-        "lshape-pointforce-m2", 2, "lshape", 2, None, "fine-grid"
-    ),
+    p.name: p
+    for p in (
+        _SquareSmoothM1("square-smooth-m1", 1, "square", 2, 1.0),
+        _SquareSmoothM2("square-smooth-m2", 2, "square", 2, 1.0),
+        _LShapeSingularM1("lshape-singular-m1", 1, "lshape", 2, 2.0 / 3.0),
+        _LShapeF1M2("lshape-f1-m2", 2, "lshape", 1, None),
+        _LShapePointForceM2("lshape-pointforce-m2", 2, "lshape", 2, None),
+    )
 }
 
 

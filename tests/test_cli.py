@@ -448,9 +448,10 @@ def test_config_rejects_the_removed_tol_key(tmp_path):
     [
         (["rates", "--problem", "square-smooth-m1", "--levels", "1"], "--levels"),
         (["rates", "--problem", "square-smooth-m1", "--levels", "0"], "--levels"),
+        (["rates", "--problem", "square-smooth-m1", "--levels", "8"], "--levels"),
         (["estimate", "--problem", "square-smooth-m1", "--level", "-1"], "--level"),
     ],
-    ids=["levels-1", "levels-0", "level-minus-1"],
+    ids=["levels-1", "levels-0", "levels-8", "level-minus-1"],
 )
 def test_out_of_range_levels_exit_one_before_any_mesh(argv, flag, monkeypatch):
     import ncfem.mesh
@@ -466,13 +467,21 @@ def test_out_of_range_levels_exit_one_before_any_mesh(argv, flag, monkeypatch):
     assert message.startswith(f"ncfem: {flag} ") and "\n" not in message
 
 
-def test_data_file_that_is_not_json_is_named(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--m", "1", "--mesh", "square:2", "--data", "FILE"],
+        ["--config", "FILE", "lambda0", "--m", "1", "--mesh", "square:2"],
+    ],
+    ids=["data", "config"],
+)
+def test_data_file_that_is_not_json_is_named(argv, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{bad")
+    argv = [str(path) if a == "FILE" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "ncfem.cli", "solve", "--m", "1", "--mesh", "square:2",
-         "--data", str(path)], env=env, capture_output=True, text=True, cwd=tmp_path)
+    done = subprocess.run([sys.executable, "-m", "ncfem.cli", *argv], env=env,
+                          capture_output=True, text=True, cwd=tmp_path)
     assert done.returncode == USAGE_ERROR
     assert done.stderr.startswith("ncfem: ") and done.stderr.count("\n") == 1
     assert str(path) in done.stderr

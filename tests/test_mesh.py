@@ -103,6 +103,16 @@ def test_red_refine_counts_and_shape():
     assert r.parents is not None and np.all(r.parents == np.arange(2).repeat(4))
 
 
+@pytest.mark.parametrize("levels", [0, 1], ids=["base", "refined"])
+def test_every_mesh_array_is_read_only(levels):
+    m = l_shape_mesh(1)
+    for _ in range(levels):
+        m = red_refine(m)
+    arrays = {k: v for k, v in vars(m).items() if isinstance(v, np.ndarray)}
+    assert "interior_edge_mask" in arrays and ("parents" in arrays) == bool(levels)
+    assert sorted(k for k, v in arrays.items() if v.flags.writeable) == []
+
+
 def test_red_refine_preserves_boundary():
     m = l_shape_mesh(1)
     r = red_refine(m)

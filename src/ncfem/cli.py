@@ -215,9 +215,7 @@ def _poly_field(entry, shape):
 
 
 def _load_inline_data(path, m, mesh):
-    import numpy as np
-
-    from .assembly import PointForce, RhsData
+    from .assembly import RhsData
 
     with open(path) as fh:
         try:
@@ -230,23 +228,51 @@ def _load_inline_data(path, m, mesh):
             _usage_error(f"unknown data keys {sorted(unknown)}")
         g = _poly_field(raw["g"], ()) if "g" in raw else None
         G = _poly_field(raw["G"], (2,) if m == 1 else (2, 2)) if "G" in raw else None
-        forces = []
-        for pf in raw.get("point_forces", []):
-            if "vertex" in pf:
-                forces.append(PointForce(beta=pf["beta"], vertex=int(pf["vertex"])))
-            else:
-                point = np.asarray(pf["edge_point"], dtype=float)
-                edge = _find_edge(mesh, point)
-                forces.append(
-                    PointForce(beta=pf["beta"], edge=edge, point=tuple(point),
-                               mu=pf.get("mu", 0.5))
-                )
+        forces = [_point_force(pf, mesh, path) for pf in raw.get("point_forces", [])]
     except (KeyError, TypeError) as exc:
         _usage_error(f"malformed data file {path}: {type(exc).__name__} {exc}")
     return RhsData(G=G, g=g, point_forces=forces)
 
 
+def _is_number(value):
+    return type(value) in (int, float)  # what json reads as a number; bool is no number
+
+
+def _point_force(pf, mesh, path):
+    """The PointForce of one ``point_forces`` entry of the data file `path`:
+    a finite ``beta`` at an integer ``vertex``, or at an ``edge_point`` on an
+    edge with a split ``mu`` in [0, 1] (default 0.5)."""
+    import math
+
+    import numpy as np
+
+    from .assembly import PointForce
+
+    def bad(what):
+        _usage_error(f"bad point force in data file {path}: {what}")
+
+    beta = pf["beta"]
+    if not (_is_number(beta) and math.isfinite(beta)):
+        bad(f"beta must be a finite number, not {beta!r}")
+    if "vertex" in pf:
+        v = pf["vertex"]
+        if not (type(v) is int and 0 <= v < mesh.n_vertices):
+            bad(f"vertex must be an integer from 0 to {mesh.n_vertices - 1}, not {v!r}")
+        return PointForce(beta=beta, vertex=v)
+    point, mu = pf["edge_point"], pf.get("mu", 0.5)
+    if not (isinstance(point, list) and len(point) == 2 and all(map(_is_number, point))):
+        bad(f"edge_point must be a pair of numbers, not {point!r}")
+    if not (_is_number(mu) and 0.0 <= mu <= 1.0):
+        bad(f"mu must be a number in [0, 1], not {mu!r}")
+    point = np.array(point, dtype=float)
+    edge = _find_edge(mesh, point)
+    if edge is None:
+        bad(f"point {point.tolist()} lies on no edge")
+    return PointForce(beta=beta, edge=edge, point=tuple(point), mu=mu)
+
+
 def _find_edge(mesh, point):
+    """The edge through `point`, or None when no edge passes through it."""
     import numpy as np
 
     a = mesh.vertices[mesh.edges[:, 0]]
@@ -256,8 +282,9 @@ def _find_edge(mesh, point):
     t = np.clip(np.einsum("ed,ed->e", point - a, seg) / L2, 0.0, 1.0)
     d = np.linalg.norm(a + t[:, None] * seg - point, axis=1)
     e = int(np.argmin(d))
-    if d[e] > 1e-10 * max(1.0, np.sqrt(L2[e])):
-        _usage_error(f"point {point.tolist()} lies on no edge")
+    # "not <=" so that a NaN distance (a NaN coordinate) matches no edge
+    if not d[e] <= 1e-10 * max(1.0, np.sqrt(L2[e])):
+        return None
     return e
 
 

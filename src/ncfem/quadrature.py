@@ -4,6 +4,9 @@ Triangle rules are conical (Duffy) products of Gauss-Legendre and
 Gauss-Jacobi nodes, so every assembly integrand in this package is
 integrated exactly up to roundoff; points are strictly interior.  Weights
 are normalized to sum to one and are meant to be scaled by |T| or |E|.
+The one-dimensional rules are tabulated, not computed: they are the
+float64 nodes and weights of scipy's ``roots_legendre`` and
+``roots_jacobi(n, 1, 0)``, so no command imports ``scipy.special``.
 
 Every element integral in the package runs through :func:`cells`: it walks
 the mesh in chunks of triangles and yields, per chunk, one :class:`Cell`
@@ -18,7 +21,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from ._hct import CHUNK, SUB_TO_PARENT
 
@@ -33,6 +35,72 @@ __all__ = [
 ]
 
 MAX_TRIANGLE_DEGREE = 16
+
+# n-point Gauss-Legendre and Gauss-Jacobi (alpha=1, beta=0) rules on [-1, 1],
+# n: (nodes, weights) for n = 1..9, the points MAX_TRIANGLE_DEGREE needs.  The
+# literals are exactly what scipy 1.17.1's roots_legendre(n) and
+# roots_jacobi(n, 1, 0) return (Golub and Welsch, Math. Comp. 23, 1969);
+# tests/test_quadrature.py compares them with scipy byte for byte.
+_LEGENDRE = {
+    1: ((0.0,), (2.0,)),
+    2: ((-0.5773502691896257, 0.5773502691896257), (1.0, 1.0)),
+    3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555558, 0.8888888888888883, 0.5555555555555558)),
+    4: ((-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526),
+        (0.3478548451374538, 0.6521451548625462, 0.6521451548625462, 0.3478548451374538)),
+    5: ((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
+        (0.23692688505618897, 0.4786286704993665, 0.568888888888889, 0.4786286704993665,
+         0.23692688505618897)),
+    6: ((-0.932469514203152, -0.6612093864662645, -0.23861918608319693, 0.23861918608319693,
+         0.6612093864662645, 0.932469514203152),
+        (0.17132449237917016, 0.36076157304813855, 0.4679139345726912, 0.4679139345726912,
+         0.36076157304813855, 0.17132449237917016)),
+    7: ((-0.9491079123427584, -0.7415311855993945, -0.4058451513773972, 0.0,
+         0.4058451513773972, 0.7415311855993945, 0.9491079123427584),
+        (0.12948496616886992, 0.2797053914892766, 0.38183005050511876, 0.4179591836734691,
+         0.38183005050511876, 0.2797053914892766, 0.12948496616886992)),
+    8: ((-0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.18343464249564984,
+         0.18343464249564984, 0.525532409916329, 0.7966664774136267, 0.9602898564975363),
+        (0.10122853629037562, 0.22238103445337473, 0.3137066458778876, 0.36268378337836205,
+         0.36268378337836205, 0.3137066458778876, 0.22238103445337473, 0.10122853629037562)),
+    9: ((-0.9681602395076261, -0.8360311073266358, -0.6133714327005904, -0.3242534234038089,
+         0.0, 0.3242534234038089, 0.6133714327005904, 0.8360311073266358, 0.9681602395076261),
+        (0.08127438836157413, 0.1806481606948576, 0.2606106964029355, 0.31234707704000275,
+         0.3302393550012596, 0.31234707704000275, 0.2606106964029355, 0.1806481606948576,
+         0.08127438836157413)),
+}
+
+_JACOBI_1_0 = {
+    1: ((-0.3333333333333333,), (2.0,)),
+    2: ((-0.6898979485566357, 0.2898979485566358),
+        (1.2721655269759087, 0.7278344730240913)),
+    3: ((-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+        (0.8037276549558384, 0.9169644254383448, 0.2793079196058167)),
+    4: ((-0.8857916077709646, -0.44631397272375245, 0.16718086473783364, 0.7204802713124389),
+        (0.5420276537259541, 0.8138582720410844, 0.5193901904329293, 0.12472388380003234)),
+    5: ((-0.9203802858970626, -0.6039731642527836, -0.1240503795052277, 0.39092854670727223,
+         0.8029298284023472),
+        (0.3871263609066059, 0.6686985523774788, 0.5855479483386794, 0.2956354802904667,
+         0.0629916580867692)),
+    6: ((-0.9413671456804301, -0.7038428006630314, -0.3260306194376914, 0.1173430375431003,
+         0.538467724060109, 0.8538913426394822),
+        (0.2892413229020356, 0.5421699889260747, 0.5631702151527953, 0.3946446035626208,
+         0.17582066220203585, 0.034953207254438116)),
+    7: ((-0.955041227122575, -0.7706418936781917, -0.4684203544308209, -0.09430725266111074,
+         0.2947505657736607, 0.6395186165262152, 0.8874748789261557),
+        (0.22386945369396347, 0.4420370327634976, 0.5095635891983541, 0.42850026278349523,
+         0.2655387858619663, 0.10963342688749395, 0.020857448811229563)),
+    8: ((-0.9644401697052731, -0.817352784200412, -0.5713830412087385, -0.2561356708334554,
+         0.09037336960685335, 0.4263504857111389, 0.7112674859157089, 0.9107320894200603),
+        (0.17820321744622417, 0.3644760945454951, 0.4500231978835482, 0.42418943774372003,
+         0.31679839796927683, 0.18175727801879568, 0.0713716106239449, 0.013180765768995064)),
+    9: ((-0.9711751807022471, -0.8512252205816078, -0.6477666876740094, -0.3806648401447244,
+         -0.07605919783797811, 0.23623446939058804, 0.5256460303700793, 0.7638420424200026,
+         0.9274843742335811),
+        (0.14511201409311436, 0.30429702043723433, 0.3941349686893839, 0.40123523677347395,
+         0.33743328737968203, 0.23360478118066105, 0.1272192859642162, 0.04824001713914158,
+         0.008723388343092527)),
+}
 
 
 @dataclass(frozen=True)
@@ -52,6 +120,15 @@ class QuadRule:
         return len(self.weights)
 
 
+def _n_points(degree, shape):
+    """Number of Gauss points for `degree`; n points are exact to 2n-1."""
+    if not 0 <= degree <= MAX_TRIANGLE_DEGREE:
+        raise ValueError(
+            f"{shape} rule degree must be in 0..{MAX_TRIANGLE_DEGREE}, got {degree}"
+        )
+    return max(1, (degree + 2) // 2)
+
+
 @lru_cache(maxsize=None)
 def triangle_rule(degree):
     """Rule integrating all polynomials up to `degree` exactly on a triangle.
@@ -59,13 +136,9 @@ def triangle_rule(degree):
     Usage: ``integral = area * (weights @ f(points))`` with `points` the
     (n, 3) barycentric nodes.
     """
-    if not 0 <= degree <= MAX_TRIANGLE_DEGREE:
-        raise ValueError(
-            f"triangle rule degree must be in 0..{MAX_TRIANGLE_DEGREE}, got {degree}"
-        )
-    n = max(1, (degree + 2) // 2)  # Gauss with n points is exact to 2n-1
-    x_leg, w_leg = roots_legendre(n)
-    x_jac, w_jac = roots_jacobi(n, 1, 0)
+    n = _n_points(degree, "triangle")
+    x_leg, w_leg = map(np.array, _LEGENDRE[n])
+    x_jac, w_jac = map(np.array, _JACOBI_1_0[n])
     xi = 0.5 * (x_leg + 1.0)
     wxi = 0.5 * w_leg
     eta = 0.5 * (x_jac + 1.0)
@@ -81,10 +154,7 @@ def triangle_rule(degree):
 @lru_cache(maxsize=None)
 def edge_rule(degree):
     """Gauss-Legendre rule on a segment, barycentric (1-t, t) nodes."""
-    if degree < 0:
-        raise ValueError("edge rule degree must be nonnegative")
-    n = max(1, (degree + 2) // 2)
-    x, w = roots_legendre(n)
+    x, w = map(np.array, _LEGENDRE[_n_points(degree, "edge")])
     t = 0.5 * (x + 1.0)
     bary = np.column_stack([1.0 - t, t])
     return QuadRule(points=bary, weights=0.5 * w, exactness_degree=degree)

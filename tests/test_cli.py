@@ -214,6 +214,50 @@ def test_malformed_input_file_exits_one_with_one_line(content, argv, tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "force",
+    [
+        {"beta": 1.0, "vertex": -1},
+        {"beta": 1.0, "vertex": 99999},
+        {"beta": 1.0, "vertex": 1.5},
+        {"beta": 1.0, "edge_point": [float("nan"), 0.5]},
+        {"beta": 1.0, "edge_point": [0.5]},
+        {"beta": float("nan"), "vertex": 4},
+        {"beta": 1.0, "edge_point": [0.5, 0.0], "mu": float("nan")},
+    ],
+    ids=["vertex-negative", "vertex-too-large", "vertex-not-integer", "edge-point-nan",
+         "edge-point-one-coordinate", "beta-nan", "mu-nan"],
+)
+def test_bad_point_force_exits_one_with_one_line_naming_the_file(force, tmp_path):
+    path = tmp_path / "forces.json"
+    path.write_text(json.dumps({"point_forces": [force]}))  # json writes NaN as NaN
+    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ncfem.cli", "solve", "--m", "2", "--mesh",
+                           "square:2", "--data", str(path)],
+                          env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == USAGE_ERROR
+    assert done.stderr.startswith("ncfem: ") and done.stderr.count("\n") == 1
+    assert str(path) in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_valid_vertex_force_still_loads(tmp_path):
+    from ncfem.assembly import PointForce
+    from ncfem.cli import _load_inline_data
+    from ncfem.mesh import unit_square_mesh
+
+    path = tmp_path / "forces.json"
+    path.write_text(json.dumps({"point_forces": [{"beta": 1.0, "vertex": 4},
+                                                 {"beta": 2, "edge_point": [0.25, 0.0]}]}))
+    mesh = unit_square_mesh(2)
+    at_vertex, on_edge = _load_inline_data(str(path), 2, mesh).point_forces
+    assert at_vertex == PointForce(beta=1.0, vertex=4)
+    assert (on_edge.beta, on_edge.point, on_edge.mu) == (2, (0.25, 0.0), 0.5)
+    assert sorted(mesh.vertices[mesh.edges[on_edge.edge]].tolist()) == [[0, 0], [0.5, 0]]
+    assert main(["solve", "--m", "2", "--mesh", "square:2", "--data", str(path),
+                 "--json", str(tmp_path / "r.json")]) == 0
+
+
 def test_config_value_outside_choices_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scheme": "both"}))

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
+import ncfem
+from ncfem import quadrature
 from ncfem.fespace import build_space
 from ncfem.mesh import unit_square_mesh
-from ncfem.quadrature import cells, edge_rule, triangle_rule
+from ncfem.quadrature import MAX_TRIANGLE_DEGREE, cells, edge_rule, triangle_rule
 
 
 def simplex_monomial_integral(a, b):
@@ -64,6 +71,40 @@ def test_degree_out_of_range():
         triangle_rule(17)
     with pytest.raises(ValueError):
         triangle_rule(-1)
+
+
+@pytest.mark.parametrize("degree", [-1, 17])
+def test_edge_degree_out_of_range(degree):
+    with pytest.raises(ValueError, match="edge rule degree"):
+        edge_rule(degree)
+
+
+def test_gauss_table_covers_every_degree():
+    # degree 16 takes 9 points per direction, the largest n a rule asks for
+    assert triangle_rule(MAX_TRIANGLE_DEGREE).n_points == 9 * 9
+    assert list(quadrature._LEGENDRE) == list(quadrature._JACOBI_1_0) == list(range(1, 10))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_tabulated_gauss_rules_are_scipys_bytes(n):
+    # tobytes, not array_equal: a signed zero or a last-bit difference counts
+    for table, want in ((quadrature._LEGENDRE, roots_legendre(n)),
+                        (quadrature._JACOBI_1_0, roots_jacobi(n, 1, 0))):
+        for got, ref in zip(table[n], want):
+            got = np.array(got)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_cli_stack_does_not_import_scipy_special(tmp_path):
+    # the rules are tabulated; scipy.special costs about 0.1 s of every start-up
+    code = ("import sys, ncfem.cli, ncfem.experiments, ncfem.estimator; "
+            "assert ncfem.cli.main(['verify', '--m', '1', '--mesh', 'square:2', "
+            "'--samples', '2']) == 0; "
+            "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'")
+    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
 
 
 def test_points_strictly_interior():

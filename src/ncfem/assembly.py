@@ -32,7 +32,6 @@ __all__ = [
     "l2_project",
     "weighted_field_l2",
     "oscillation",
-    "distance_to_p0",
     "preprocess_data",
     "p1_stiffness",
     "p1_to_cr",
@@ -261,15 +260,8 @@ def oscillation(g, m, mesh, h_convention="diameter"):
     """Data oscillation ||h^m (g - Pi_m g)|| with the stated size convention."""
     proj = l2_project(g, m, mesh)
     diff = field_sum(g, proj, 1.0, -1.0)
-    h = mesh_size(mesh, h_convention).per_triangle_h
+    h = mesh_size(mesh, h_convention)
     return weighted_field_l2(diff, mesh, weights=h**m)
-
-
-def distance_to_p0(fld, mesh):
-    """||field - Pi_0 field|| over the whole mesh."""
-    proj = l2_project(fld, 0, mesh)
-    diff = field_sum(fld, proj, 1.0, -1.0)
-    return weighted_field_l2(diff, mesh)
 
 
 def preprocess_data(data, Q, div_m_Q):

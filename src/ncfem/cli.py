@@ -38,13 +38,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"ncfem: {message}\n")
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return n
+
+
 def _build_parser():
     p = _Parser(
         prog="ncfem",
         description="Nonconforming FEM laboratory (Crouzeix-Raviart / Morley)",
     )
     p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--threads", type=int, help="cap worker/BLAS threads")
+    p.add_argument("--threads", type=_positive_int, help="cap worker/BLAS threads")
     sub = p.add_subparsers(dest="command")
 
     def common(sp, mesh=True, m=True):
@@ -183,22 +193,36 @@ def _parse_mesh(spec):
     return load_mesh(spec), spec
 
 
-def _poly_field(entry, shape):
+def _poly_field(entry, shape, path):
+    """The field of a ``g`` or ``G`` entry of the data file `path`: per
+    component, a list of [c, i, j] terms c * x**i * y**j with a finite c and
+    integers i, j >= 0 of a degree the quadrature integrates exactly."""
+    import math
+
     import numpy as np
 
     from .fields import MatrixField, ScalarField, VectorField
+    from .quadrature import MAX_TRIANGLE_DEGREE
 
     def poly(terms):
-        terms = [tuple(t) for t in terms]
+        for t in terms:
+            if not (isinstance(t, list) and len(t) == 3
+                    and _is_number(t[0]) and math.isfinite(t[0])
+                    and all(type(e) is int and e >= 0 for e in t[1:])
+                    and t[1] + t[2] <= MAX_TRIANGLE_DEGREE):
+                _usage_error(
+                    f"bad polynomial term in data file {path}: {json.dumps(t)} is not"
+                    f" [c, i, j] with a finite number c and integers i, j >= 0,"
+                    f" i + j <= {MAX_TRIANGLE_DEGREE}"
+                )
 
         def fn(x, y):
             out = np.zeros(np.shape(x))
             for c, i, j in terms:
-                out = out + c * x ** int(i) * y ** int(j)
+                out = out + c * x**i * y**j
             return out
 
-        deg = max((int(i) + int(j) for _, i, j in terms), default=0)
-        return fn, deg
+        return fn, max((i + j for _, i, j in terms), default=0)
 
     if shape == ():
         fn, deg = poly(entry)
@@ -226,8 +250,8 @@ def _load_inline_data(path, m, mesh):
         unknown = set(raw) - {"G", "g", "point_forces"}
         if unknown:
             _usage_error(f"unknown data keys {sorted(unknown)}")
-        g = _poly_field(raw["g"], ()) if "g" in raw else None
-        G = _poly_field(raw["G"], (2,) if m == 1 else (2, 2)) if "G" in raw else None
+        g = _poly_field(raw["g"], (), path) if "g" in raw else None
+        G = _poly_field(raw["G"], (2,) if m == 1 else (2, 2), path) if "G" in raw else None
         forces = [_point_force(pf, mesh, path) for pf in raw.get("point_forces", [])]
     except (KeyError, TypeError) as exc:
         _usage_error(f"malformed data file {path}: {type(exc).__name__} {exc}")
@@ -578,9 +602,6 @@ def _cmd_estimate(args):
 
 def main(argv=None):
     args = _parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("NCFEM_THREADS")
-        args.threads = int(env) if env else None
     if args.threads:
         _set_thread_env(args.threads)
     if args.command is None:

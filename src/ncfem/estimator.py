@@ -61,9 +61,9 @@ class EstimateReport:
 def _data_terms(space, data, h_convention):
     mesh = space.mesh
     m = space.m
-    G_osc = assembly.distance_to_p0(data.G, mesh) if data.G is not None else 0.0
+    G_osc = assembly.oscillation(data.G, 0, mesh) if data.G is not None else 0.0
     if data.g is not None:
-        h = mesh_size(mesh, h_convention).per_triangle_h
+        h = mesh_size(mesh, h_convention)
         g_weighted = assembly.weighted_field_l2(data.g, mesh, weights=h**m)
         g_osc = assembly.oscillation(data.g, m, mesh, h_convention)
     else:

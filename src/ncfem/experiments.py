@@ -198,7 +198,7 @@ def _scheme_comparison(disc, seed, mesh_id):
     _assert(report, "(c) squared error equals lambda0^2 (1+lambda0^2)",
             e_mod**2, lam0**2 * (1.0 + lam0**2), TOL)
 
-    g_osc_dist = assembly.distance_to_p0(G, mesh)
+    g_osc_dist = assembly.oscillation(G, 0, mesh)
     _assert(report, "tensor-data oscillation equals lambda0", g_osc_dist, lam0, TOL)
     comparison_ratio = (e_diff / lam0) / g_osc_dist if lam0 > 0 else 0.0
     _assert_le(report, "scheme-gap bound holds with equality", comparison_ratio,
@@ -292,7 +292,7 @@ def run_counterexample_cr(mesh, seed=0, mesh_id=None):
     curl_b = np.stack([-gb[:, 1], gb[:, 0]], axis=1)
     _assert(report, "P0 projection equals rotated gradient of the seed",
             np.abs(proj.coeffs[:, 0] - curl_b).max(), 0.0, 1e-10, relative=False)
-    report["values"]["G_osc"] = assembly.distance_to_p0(G, mesh)
+    report["values"]["G_osc"] = assembly.oscillation(G, 0, mesh)
     return report
 
 
@@ -353,7 +353,7 @@ def run_counterexample_morley(mesh, seed=0, mesh_id=None):
     pw[:, 1, 0] = pw[:, 0, 1]
     _assert(report, "P0 projection equals the rotated seed gradient",
             np.abs(proj.coeffs[:, 0] - pw).max(), 0.0, 1e-10, relative=False)
-    report["values"]["G_osc"] = assembly.distance_to_p0(G, mesh)
+    report["values"]["G_osc"] = assembly.oscillation(G, 0, mesh)
     return report
 
 
@@ -396,7 +396,7 @@ def run_oscillation_example(mesh, seed=0, mesh_id=None):
     _assert(report, "smoothed solution vanishes",
             error_norms(u_mod, orders=energy).energy_pw, 0.0, TOL, relative=False)
 
-    G_osc = assembly.distance_to_p0(G, mesh)
+    G_osc = assembly.oscillation(G, 0, mesh)
     report["values"]["G_osc"] = G_osc
     _assert_ge(report, "data oscillation stays bounded away from zero", G_osc, 0.1)
 

@@ -59,7 +59,6 @@ __all__ = [
     "FeFunction",
     "build_space",
     "nc_kind",
-    "evaluate",
     "vertex_eval",
     "split_point_eval",
     "save_function",
@@ -133,7 +132,7 @@ def _cell(space, ts, s, bary):
     """Cell for subcell barycentric points on subcell s of triangles ts."""
     bary = np.asarray(bary, dtype=float)
     parent = bary if space.n_subcells == 1 else bary @ SUB_TO_PARENT[s]
-    return Cell(np.asarray(ts), s, space.n_subcells, bary, parent, None, None, None)
+    return Cell(np.asarray(ts), s, space.n_subcells, parent, None, None, None)
 
 
 class FeSpace:
@@ -154,9 +153,6 @@ class FeSpace:
         self._lgrad = lambda_gradients(mesh)
         self._bary_cache = {}
 
-    def _subcell_corners(self, ts, s):
-        return subcell_corners(self.mesh, ts, s, self.n_subcells)
-
     def locate_subcell(self, t, points):
         """Subcell index and subcell barycentric coords for points inside t:
         per point, the subcell whose smallest coordinate is largest."""
@@ -165,7 +161,7 @@ class FeSpace:
         best_bary = np.full((len(points), 3), np.nan)
         best_min = np.full(len(points), -np.inf)
         for s in range(self.n_subcells):
-            corners = self._subcell_corners(np.array([t]), s)[0]
+            corners = subcell_corners(self.mesh, np.array([t]), s, self.n_subcells)[0]
             T = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
             lam12 = (points - corners[0]) @ np.linalg.inv(T).T
             lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
@@ -272,8 +268,7 @@ class CRSpace(FeSpace):
         super().__init__(mesh, kind)
         self.edge_dof, self.ndofs = _number(_free_entities(mesh, kind)[1])
         self.cell_dofs = self.edge_dof[mesh.triangle_edges]
-        self._shapes = [BaryPoly.const(1.0) - 2.0 * BaryPoly.lam(k) for k in range(3)]
-        self._modes = self._shapes
+        self._modes = [BaryPoly.const(1.0) - 2.0 * BaryPoly.lam(k) for k in range(3)]
 
 
 class MorleySpace(FeSpace):
@@ -327,8 +322,7 @@ class CompanionCRSpace(FeSpace):
         b = cubic_bubble()
         lam = [BaryPoly.lam(k) for k in range(3)]
         ebub = [4.0 * lam[(k + 1) % 3] * lam[(k + 2) % 3] for k in range(3)]
-        self._shapes = lam + ebub + [b * p for p in bary_modes(1)]
-        self._modes = self._shapes
+        self._modes = lam + ebub + [b * p for p in bary_modes(1)]
 
 
 class CompanionMorleySpace(FeSpace):
@@ -425,15 +419,17 @@ class FeFunction:
         return space.mode_values(cell.ts, a, space._cached_bary(cell.parent, order), order)
 
     def evaluate(self, t, points, order=0):
-        """Evaluate at physical points inside triangle t (value/grad/Hessian)."""
+        """Value (order 0), gradient (1) or Hessian (2) at physical points
+        inside triangle t: dict o -> (1, k, ...) for every o up to `order`."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, not {order!r}")
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        lam = self.space.mesh.barycentric(t, points)
-        if lam.min() < -1e-10:
+        subs, sub_bary = self.space.locate_subcell(t, points)
+        if sub_bary.min() < -1e-10:
             raise ValueError(
-                f"point {points[np.unravel_index(lam.argmin(), lam.shape)[0]]} "
+                f"point {points[np.unravel_index(sub_bary.argmin(), sub_bary.shape)[0]]} "
                 f"lies outside triangle {t}"
             )
-        subs, sub_bary = self.space.locate_subcell(t, points)
         out = None
         for s in range(self.space.n_subcells):
             sel = subs == s
@@ -448,14 +444,6 @@ class FeFunction:
         return out
 
 
-def evaluate(f, t, point, derivative_order=0):
-    """Value (order 0), gradient (1) or Hessian (2) of f inside triangle t."""
-    if derivative_order not in (0, 1, 2):
-        raise ValueError("derivative_order must be 0, 1 or 2")
-    out = f.evaluate(t, point, derivative_order)
-    return out[derivative_order][0]
-
-
 def vertex_eval(f, vertex):
     """Single-valued vertex value of a Morley-type function.
 
@@ -468,7 +456,7 @@ def vertex_eval(f, vertex):
     mesh = space.mesh
     x = mesh.vertices[vertex]
     t = int(np.nonzero((mesh.triangles == vertex).any(axis=1))[0][0])
-    return float(evaluate(f, t, x, 0)[0])
+    return float(f.evaluate(t, x)[0][0, 0])
 
 
 def split_point_eval(f, edge, point, mu=0.5):
@@ -493,9 +481,9 @@ def split_point_eval(f, edge, point, mu=0.5):
         raise ValueError(f"point {point} does not lie on edge {edge}")
     t_lo, t_hi = mesh.edge_triangles[edge]
     if t_hi < 0:
-        return float(evaluate(f, int(t_lo), point, 0)[0])
-    v_plus = float(evaluate(f, int(t_hi), point, 0)[0])
-    v_minus = float(evaluate(f, int(t_lo), point, 0)[0])
+        return float(f.evaluate(int(t_lo), point)[0][0, 0])
+    v_plus = float(f.evaluate(int(t_hi), point)[0][0, 0])
+    v_minus = float(f.evaluate(int(t_lo), point)[0][0, 0])
     return mu * v_plus + (1.0 - mu) * v_minus
 
 

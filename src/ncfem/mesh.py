@@ -9,15 +9,12 @@ deterministic everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "MeshError",
     "MeshFormatError",
     "MeshTopologyError",
-    "MeshSize",
     "Triangulation",
     "unit_square_mesh",
     "l_shape_mesh",
@@ -214,38 +211,19 @@ class Triangulation:
             t = t // 4
         return t
 
-    def barycentric(self, t, points):
-        """Barycentric coordinates of physical `points` (k, 2) in triangle t."""
-        tri = self.triangles[t]
-        p0, p1, p2 = self.vertices[tri[0]], self.vertices[tri[1]], self.vertices[tri[2]]
-        T = np.column_stack([p1 - p0, p2 - p0])
-        rhs = np.atleast_2d(points) - p0
-        lam12 = rhs @ np.linalg.inv(T).T
-        lam0 = 1.0 - lam12.sum(axis=1)
-        return np.column_stack([lam0, lam12])
-
     def to_physical(self, t, bary):
         """Map barycentric coordinates (k, 3) in triangle t to physical points."""
         tri = self.vertices[self.triangles[t]]
         return np.atleast_2d(bary) @ tri
 
 
-@dataclass(frozen=True)
-class MeshSize:
-    """Per-triangle mesh size under a named convention."""
-
-    per_triangle_h: np.ndarray
-    convention: str
-
-
 def mesh_size(mesh, convention="diameter"):
+    """Per-triangle mesh size (F,): the (read-only) diameters or sqrt(area)."""
     if convention == "diameter":
-        h = mesh.diameter.copy()
-    elif convention == "sqrt_area":
-        h = np.sqrt(mesh.area)
-    else:
-        raise ValueError(f"unknown mesh-size convention {convention!r}")
-    return MeshSize(per_triangle_h=h, convention=convention)
+        return mesh.diameter
+    if convention == "sqrt_area":
+        return np.sqrt(mesh.area)
+    raise ValueError(f"unknown mesh-size convention {convention!r}")
 
 
 def _grid_mesh(coords, keep):

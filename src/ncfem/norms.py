@@ -27,7 +27,6 @@ class ErrorBundle:
     energy_pw: float | None
     h1_pw: float | None
     l2: float | None
-    against: str
 
 
 def _ref_values(reference, cell, orders):
@@ -106,17 +105,12 @@ def error_norms(f, reference=None, quad_degree=None, orders=None):
                         diff = (fv[k] - rv[k]).reshape(fv[k].shape[:2] + (-1,))
                         dens = np.einsum("fkc,fkc->fk", diff, diff)
                         t[k] += float(np.einsum("k,f,fk->", c.weights, c.area, dens))
-    against = (
-        "zero"
-        if reference is None
-        else ("discrete" if isinstance(reference, FeFunction) else "analytic")
-    )
     bundles = []
     for (f, _), t in zip(items, totals):
         norm = {k: float(np.sqrt(v)) for k, v in t.items()}
-        bundles.append(ErrorBundle(
-            energy_pw=norm.get(f.space.m), h1_pw=norm.get(1), l2=norm.get(0), against=against
-        ))
+        bundles.append(
+            ErrorBundle(energy_pw=norm.get(f.space.m), h1_pw=norm.get(1), l2=norm.get(0))
+        )
     return bundles[0] if single else bundles
 
 

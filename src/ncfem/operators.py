@@ -80,8 +80,7 @@ def _fef_on_edges(f, edges_idx, rule, order):
             parent[:, (k + 1) % 3] = ta
             parent[:, (k + 2) % 3] = tb
             # outer edge k is the side (A_{k+1}, A_{k+2}) of HCT subtriangle k
-            sub = np.column_stack([np.zeros_like(t), ta, tb])
-            out[sel] = f.at(Cell(ts[sel], k, 3, sub, parent, None, None, None), order)[order]
+            out[sel] = f.at(Cell(ts[sel], k, 3, parent, None, None, None), order)[order]
     return out
 
 
@@ -116,8 +115,7 @@ def _vertex_values(f, mesh, vertices):
         if not sel.any():
             continue
         # A_k is local corner 1 of HCT subtriangle (k+2)%3
-        sub = np.array([[0.0, 1.0, 0.0]])
-        cell = Cell(ts[sel], (k + 2) % 3, 3, sub, np.eye(3)[k][None, :], None, None, None)
+        cell = Cell(ts[sel], (k + 2) % 3, 3, np.eye(3)[k][None, :], None, None, None)
         out[sel] = f.at(cell, 0)[0][:, 0]
     return out
 

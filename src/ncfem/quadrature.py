@@ -163,17 +163,16 @@ def edge_rule(degree):
 class Cell(NamedTuple):
     """Quadrature points of one rule on subcell `s` of the triangles `ts`.
 
-    `bary` are the rule's points in subcell coordinates and `parent` the
-    same points in triangle coordinates (the two coincide when `nsub` is
-    1); `phys` holds the physical points (nts, k, 2), `area` the subcell
-    areas |T|/nsub and `weights` the rule weights (summing to one).  A
-    Cell built for edge or vertex samples leaves the last three None.
+    `parent` holds the points in triangle coordinates (on the HCT split,
+    the rule's subcell points mapped to the parent); `phys` holds the
+    physical points (nts, k, 2), `area` the subcell areas |T|/nsub and
+    `weights` the rule weights (summing to one).  A Cell built for edge or
+    vertex samples leaves the last three None.
     """
 
     ts: np.ndarray
     s: int
     nsub: int
-    bary: np.ndarray
     parent: np.ndarray
     phys: np.ndarray
     area: np.ndarray
@@ -209,7 +208,6 @@ def cells(mesh, rule, *over):
                 ts,
                 s,
                 nsub,
-                rule.points,
                 rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s],
                 rule.points @ subcell_corners(mesh, ts, s, nsub),
                 area,

@@ -258,6 +258,64 @@ def test_valid_vertex_force_still_loads(tmp_path):
                  "--json", str(tmp_path / "r.json")]) == 0
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"g": [[float("nan"), 0, 0]]},
+        {"G": {"poly1": [[1.0, 0, 0]], "poly2": [["a", 0, 0]]}},
+        {"g": [[1.0, 2.5, 0]]},
+        {"g": [[1.0, -1, 0]]},
+        {"g": [[True, 1, 0]]},
+        {"g": [[1.0, 40, 0]]},
+        {"g": [[1.0, 0]]},
+    ],
+    ids=["coefficient-nan", "coefficient-string", "exponent-not-integer", "exponent-negative",
+         "coefficient-bool", "degree-too-high", "two-entries"],
+)
+def test_bad_polynomial_term_exits_one_with_one_line_naming_the_file(content, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(content))  # json writes NaN as NaN
+    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ncfem.cli", "solve", "--m", "1", "--mesh",
+                           "square:2", "--data", str(path)],
+                          env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == USAGE_ERROR
+    assert done.stderr.startswith("ncfem: bad polynomial term in data file ")
+    assert done.stderr.count("\n") == 1
+    assert str(path) in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_valid_polynomial_term_still_loads(tmp_path):
+    from ncfem.cli import _load_inline_data
+    from ncfem.mesh import unit_square_mesh
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"g": [[1.0, 2, 0]]}))
+    g = _load_inline_data(str(path), 1, unit_square_mesh(2)).g
+    assert g.degree == 2
+    assert main(["solve", "--m", "1", "--mesh", "square:2", "--data", str(path),
+                 "--json", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_must_be_a_positive_integer(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", value, "verify", "--m", "1", "--mesh", "square:2"])
+    assert exc.value.code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("ncfem: ") and err.count("\n") == 1
+
+
+def test_thread_cap_comes_from_the_flag_alone(tmp_path, monkeypatch):
+    # an environment variable does not set the cap, so the report does not record one
+    monkeypatch.setenv("NCFEM_THREADS", "2")
+    out = tmp_path / "v.json"
+    assert main(["verify", "--m", "1", "--mesh", "square:2", "--samples", "5",
+                 "--json", str(out)]) == 0
+    assert "threads" not in json.loads(out.read_text())["config"]
+
+
 def test_config_value_outside_choices_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scheme": "both"}))

@@ -1,6 +1,7 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ and the README's Python example run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,5 +20,15 @@ def test_demos_are_found():
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_python_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", blocks[0]], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -6,7 +6,6 @@ from ncfem import fespace
 from ncfem.fespace import (
     FeFunction,
     build_space,
-    evaluate,
     load_function,
     save_function,
     split_point_eval,
@@ -16,7 +15,7 @@ from ncfem import _hct
 from ncfem._hct import SUB_TO_PARENT, hct_coefficients
 from ncfem._poly import bary_tabulate, mono_tabulate, monomial_exponents
 from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
-from ncfem.quadrature import cells, edge_rule, triangle_rule
+from ncfem.quadrature import cells, edge_rule, subcell_corners, triangle_rule
 
 
 def test_dof_counts():
@@ -46,7 +45,7 @@ def test_cr_basis_midpoint_duality(square2):
         t = int(mesh.edge_triangles[e, 0])
         for k in range(3):
             e2 = mesh.triangle_edges[t, k]
-            val = evaluate(f, t, mesh.edge_midpoint[e2])[0]
+            val = f.evaluate(t, mesh.edge_midpoint[e2])[0][0, 0]
             assert abs(val - (1.0 if e2 == e else 0.0)) < 1e-13
 
 
@@ -75,7 +74,7 @@ def test_morley_duality(square2):
 def test_cr_hessian_is_zero(square2):
     space = build_space(square2, "CR1_0")
     f = FeFunction(space, np.arange(space.ndofs, dtype=float))
-    out = evaluate(f, 0, square2.centroid[0], 2)
+    out = f.evaluate(0, square2.centroid[0], 2)[2]
     assert np.abs(out).max() == 0.0
 
 
@@ -93,7 +92,7 @@ def test_constant_representable(rng):
         for i in range(100):
             t = i % mesh.n_triangles
             x = mesh.to_physical(t, pts_bary[i][None, :])
-            assert abs(evaluate(f, t, x)[0] - 1.0) < 1e-13
+            assert abs(f.evaluate(t, x)[0][0, 0] - 1.0) < 1e-13
 
 
 def test_local_duality_on_random_triangles(rng):
@@ -109,15 +108,26 @@ def test_local_duality_on_random_triangles(rng):
             f.coeffs[dofs[j]] = 1.0
             for k in range(3):
                 e = mesh.triangle_edges[t, k]
-                got = evaluate(f, int(t), mesh.edge_midpoint[e])[0]
+                got = f.evaluate(int(t), mesh.edge_midpoint[e])[0][0, 0]
                 assert abs(got - (1.0 if k == j else 0.0)) < 1e-12
 
 
 def test_point_outside_triangle_raises(square2):
-    space = build_space(square2, "CR1_0")
-    f = FeFunction(space)
-    with pytest.raises(ValueError, match="outside"):
-        evaluate(f, 0, np.array([5.0, 5.0]))
+    # on the plain triangles and on the HCT split (companion Morley)
+    for kind in ("CR1_0", "COMPANION_MORLEY"):
+        f = FeFunction(build_space(square2, kind))
+        with pytest.raises(ValueError, match="outside"):
+            f.evaluate(0, np.array([5.0, 5.0]))
+        # the vertices and edge midpoints of the triangle lie on its closure
+        f.evaluate(0, square2.vertices[square2.triangles[0]])
+        f.evaluate(0, square2.edge_midpoint[square2.triangle_edges[0]])
+
+
+@pytest.mark.parametrize("order", [3, -1])
+def test_evaluate_order_out_of_range(square2, order):
+    f = FeFunction(build_space(square2, "MORLEY_0"))
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+        f.evaluate(0, square2.centroid[0], order)
 
 
 def test_vertex_eval_refused_for_cr(square2):
@@ -140,8 +150,8 @@ def test_split_point_eval(square2, rng):
     # generic interior-edge midpoint: mu-weighted one-sided values
     z = mesh.edge_midpoint[e]
     t_lo, t_hi = mesh.edge_triangles[e]
-    v_lo = evaluate(f, int(t_lo), z)[0]
-    v_hi = evaluate(f, int(t_hi), z)[0]
+    v_lo = f.evaluate(int(t_lo), z)[0][0, 0]
+    v_hi = f.evaluate(int(t_hi), z)[0][0, 0]
     for mu in (0.0, 0.3, 1.0):
         want = mu * v_hi + (1 - mu) * v_lo
         assert abs(split_point_eval(f, e, z, mu) - want) < 1e-12
@@ -170,7 +180,7 @@ def test_point_evaluation_does_not_grow_bary_cache(rng):
     space = build_space(mesh, "COMPANION_CR")
     f = FeFunction(space, rng.standard_normal(space.ndofs))
     for t in rng.integers(mesh.n_triangles, size=500):
-        evaluate(f, int(t), rng.dirichlet(np.ones(3)) @ mesh.vertices[mesh.triangles[t]])
+        f.evaluate(int(t), rng.dirichlet(np.ones(3)) @ mesh.vertices[mesh.triangles[t]])
     assert len(space._bary_cache) <= fespace._BARY_CACHE_SIZE
     # repeated rule tabulation and repeated evaluation at one point are hits
     ts = np.arange(mesh.n_triangles)
@@ -223,7 +233,7 @@ def _einsum_from_bary(space, polys, bary, ts, order):
 
 
 def _einsum_from_mono(space, exps, coeff, ts, s, bary, order):
-    corners = space._subcell_corners(ts, s)
+    corners = subcell_corners(space.mesh, ts, s, space.n_subcells)
     phys = np.einsum("kc,fcd->fkd", bary, corners)
     h = space.mesh.diameter[ts]
     xi = (phys - space.mesh.centroid[ts][:, None]) / h[:, None, None]
@@ -236,7 +246,7 @@ def _einsum_tabulate(space, ts, s, bary, order):
     """Reference tabulation written directly as einsum contractions."""
     kind = space.kind
     if kind.startswith("CR1") or kind.startswith("COMPANION_CR"):
-        return _einsum_from_bary(space, space._shapes, bary, ts, order)
+        return _einsum_from_bary(space, space._modes, bary, ts, order)
     if kind.startswith("MORLEY"):
         exps = monomial_exponents(2)
         return _einsum_from_mono(space, exps, space._coeff[ts], ts, 0, bary, order)

@@ -136,9 +136,9 @@ def test_mesh_size_conventions():
     m = unit_square_mesh(2)
     d = mesh_size(m, "diameter")
     s = mesh_size(m, "sqrt_area")
-    assert np.allclose(d.per_triangle_h, m.diameter)
-    assert np.allclose(s.per_triangle_h, np.sqrt(m.area))
-    assert np.all(d.per_triangle_h >= s.per_triangle_h)
+    assert np.allclose(d, m.diameter)
+    assert np.allclose(s, np.sqrt(m.area))
+    assert np.all(d >= s)
     with pytest.raises(ValueError):
         mesh_size(m, "nope")
 

@@ -181,7 +181,7 @@ def test_cells_partition_the_mesh(mesh33, split):
             want = c.parent @ mesh.vertices[mesh.triangles[c.ts]]
             assert np.abs(c.phys - want).max() <= 1e-14 * np.abs(want).max()
             if not split:
-                assert np.array_equal(c.parent, c.bary)
+                assert np.array_equal(c.parent, rule.points)
     assert np.all(seen == 1)
     assert np.abs(measure - mesh.area).max() <= 1e-14 * mesh.area.max()
 

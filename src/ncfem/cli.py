@@ -70,7 +70,7 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="run the operator-invariant suite")
     common(sp)
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--samples", type=_positive_int, default=20)
 
     sp = sub.add_parser("solve", help="solve one problem and report norms")
     common(sp)
@@ -163,11 +163,21 @@ def _parse_args(argv):
         sp.set_defaults(**{a.dest: rest[a.dest] for a in owned})
     parser.set_defaults(**rest)
     args = parser.parse_args(argv)
-    # argparse checks choices only for flags, not for defaults
+    # argparse converts and checks only flags and string defaults, so a config
+    # value of another JSON type goes through its action's type and choices here
     sp = parser.subcommands.get(args.command)
-    for a in sp._actions if sp else ():
+    for a in (*parser._actions, *(sp._actions if sp else ())):
+        if a.dest not in rest:
+            continue
         value = getattr(args, a.dest, None)
-        if a.dest in rest and a.choices is not None and value not in a.choices:
+        if a.type is not None and value is not None and not isinstance(value, str):
+            try:
+                setattr(args, a.dest, a.type(str(value)))
+            except argparse.ArgumentTypeError as exc:
+                _usage_error(f"config entry {a.dest}={value!r}: {exc}")
+            except ValueError:
+                _usage_error(f"config entry {a.dest}={value!r} is not a valid {a.type.__name__}")
+        if a.choices is not None and value not in a.choices:
             _usage_error(f"config entry {a.dest}={value!r} is not one of {list(a.choices)}")
     return args
 

@@ -323,6 +323,38 @@ def test_config_value_outside_choices_rejected(tmp_path):
         main(["--config", str(cfg), "estimate", "--problem", "square-smooth-m1"])
 
 
+@pytest.mark.parametrize(
+    "entry, key",
+    [({"threads": -3}, "threads"), ({"threads": 2.5}, "threads"), ({"seed": 1.5}, "seed")],
+    ids=["threads-negative", "threads-fractional", "seed-fractional"],
+)
+def test_config_value_of_the_wrong_type_rejected(entry, key, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2"])
+    message = str(exc.value.code)
+    assert message.startswith(f"ncfem: config entry {key}=") and "\n" not in message
+
+
+def test_config_value_of_the_right_type_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 4}))
+    out = tmp_path / "v.json"
+    assert main(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2",
+                 "--samples", "2", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 4
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_samples_must_be_a_positive_integer(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "1", "--mesh", "square:2", "--samples", value])
+    assert exc.value.code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("ncfem: argument --samples") and err.count("\n") == 1
+
+
 def test_config_supplies_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "verify", "mesh": "square:2", "m": 1,

@@ -3,10 +3,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import ncfem.linalg as linalg
 from ncfem.linalg import (
     EIG_RESIDUAL_TOL,
+    TRIM_MIN_ROWS,
     EigenError,
     _fix_sign,
+    factor,
     max_generalized_eig,
     solve_spd,
 )
@@ -62,6 +65,39 @@ def test_dimension_mismatch():
 def test_zero_rhs():
     x, rep = solve_spd(np.eye(4), np.zeros(4))
     assert np.all(x == 0) and rep.converged
+
+
+def test_heap_release_is_silent_without_malloc_trim(monkeypatch):
+    import ctypes
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    linalg._release_free_heap()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # no malloc_trim
+    linalg._release_free_heap()
+
+
+def test_factor_releases_the_heap_from_the_row_threshold_on(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "_release_free_heap", lambda: calls.append(1))
+    factor(sp.identity(TRIM_MIN_ROWS - 1))
+    assert calls == []
+    factor(sp.identity(TRIM_MIN_ROWS))
+    assert calls == [1]
+
+
+def test_solve_after_a_heap_release_is_bitwise_unchanged(monkeypatch, rng):
+    # the 2-D five-point Laplacian on a 110 x 110 grid: 12,100 rows, above the threshold
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(110, 110))
+    A = sp.kronsum(T, T, format="csr")
+    assert A.shape[0] >= TRIM_MIN_ROWS
+    b = rng.standard_normal(A.shape[0])
+    trimmed = factor(A).solve(b)
+    monkeypatch.setattr(linalg, "_release_free_heap", lambda: None)
+    plain = factor(A).solve(b)
+    assert trimmed.tobytes() == plain.tobytes()
 
 
 def test_eig_b_equals_a(rng):

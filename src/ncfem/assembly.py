@@ -14,12 +14,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.sparse as sp
 
-from ._hct import SUB_TO_PARENT
 from ._poly import bary_modes, bary_tabulate, lambda_gradients, moment_matrix
 from .fespace import CompanionMorleySpace, CRSpace, MorleySpace
-from .fields import FieldBase, field_sum
+from .fields import FieldBase, field_sum, quad_degree
 from .mesh import mesh_size
-from .quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
+from .quadrature import cells, pairing, parent_points, triangle_rule
 
 __all__ = [
     "PointForce",
@@ -106,13 +105,13 @@ def _companion_stiffness(space):
     subcell's mode coefficients map the result to the local basis.
     """
     m, nsub, F, n = space.m, space.n_subcells, space.mesh.n_triangles, len(space._modes)
-    rule = triangle_rule(min(2 * (space.poly_degree - m), MAX_TRIANGLE_DEGREE))
+    rule = triangle_rule(2 * (space.poly_degree - m))
     G = space._lgrad_powers(np.arange(F), m)[m]  # (F, 3**m, 2**m)
     Q = (G @ G.swapaxes(1, 2)).reshape(F, -1) * (space.mesh.area / nsub)[:, None]
     D = space._mode_coef  # None, or (F, nsub, r, q): see FeSpace
     local = 0.0
     for s in range(nsub):
-        parent = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
+        parent = parent_points(rule.points, s, nsub)
         P = space._cached_bary(parent, m)[m].reshape(n, rule.n_points, -1)
         K = np.einsum("k,ika,jkb->ijab", rule.weights, P, P).reshape(n * n, -1)
         modes = (Q @ K.T).reshape(F, n, n)
@@ -149,14 +148,13 @@ def assemble_load(space, data):
     vec = np.zeros(space.ndofs)
     terms = []
     if data.G is not None:
-        deg = data.G.quad_degree() + (space.poly_degree - m)
+        deg = quad_degree(data.G) + (space.poly_degree - m)
         terms.append((data.G, m, deg))
     if data.g is not None:
-        deg = data.g.quad_degree() + space.poly_degree
+        deg = quad_degree(data.g) + space.poly_degree
         terms.append((data.g, 0, deg))
     for fld, order, deg in terms:
-        rule = triangle_rule(min(deg, MAX_TRIANGLE_DEGREE))
-        for chunk in cells(mesh, rule, space, fld):
+        for chunk in cells(mesh, deg, space, fld):
             ts = chunk[0].ts
             contrib = np.zeros((len(ts), space.n_local))
             for c in chunk:
@@ -227,10 +225,9 @@ def l2_project(fld, degree, mesh):
     modes = bary_modes(degree)
     nb = len(modes)
     gram_inv = np.linalg.inv(moment_matrix(modes, modes))
-    rule = triangle_rule(min(fld.quad_degree() + degree, MAX_TRIANGLE_DEGREE))
     shape = fld.shape
     moments = np.zeros((mesh.n_triangles, nb) + shape)
-    for chunk in cells(mesh, rule, fld):
+    for chunk in cells(mesh, quad_degree(fld) + degree, fld):
         for c in chunk:
             pv = bary_tabulate(modes, c.parent, 0)[0]  # (nb, k)
             moments[c.ts] += np.einsum(
@@ -242,17 +239,12 @@ def l2_project(fld, degree, mesh):
 
 def weighted_field_l2(fld, mesh, weights=None):
     """sqrt( sum_T w_T^2 int_T |field|^2 ), Frobenius for tensor fields."""
-    rule = triangle_rule(min(2 * fld.quad_degree(), MAX_TRIANGLE_DEGREE))
     total = 0.0
-    for chunk in cells(mesh, rule, fld):
+    for chunk in cells(mesh, 2 * quad_degree(fld), fld):
         for c in chunk:
             w2 = np.ones(len(c.ts)) if weights is None else weights[c.ts] ** 2
             fv = fld.eval_batch(c)
-            mag = fv.reshape(fv.shape[:2] + (-1,))
-            dens = np.einsum("fkc,fkc->fk", mag, mag)
-            total += float(
-                np.einsum("k,f,fk->", c.weights, w2 * mesh.area[c.ts] / c.nsub, dens)
-            )
+            total += pairing(c, fv, fv, area=w2 * mesh.area[c.ts] / c.nsub)
     return float(np.sqrt(max(total, 0.0)))
 
 

@@ -17,10 +17,11 @@ import numpy as np
 
 from . import assembly
 from .fespace import FeFunction, vertex_eval
+from .fields import quad_degree
 from .mesh import mesh_size
 from .norms import error_norms
 from .operators import companion, interpolate, kappa_constant
-from .quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
+from .quadrature import cells, pairing
 
 __all__ = ["EstimateReport", "estimate_original", "estimate_modified", "efficiency_terms"]
 
@@ -91,19 +92,12 @@ def _fhat_of_defect(space, data, u_nc, ju_nc):
     if data.g is not None:
         rule_terms.append((data.g, 0))
     for fld, order in rule_terms:
-        deg = min(
-            fld.quad_degree() + max(space.poly_degree, ju_nc.space.poly_degree),
-            MAX_TRIANGLE_DEGREE,
-        )
-        for chunk in cells(mesh, triangle_rule(deg), space, ju_nc.space, fld):
+        deg = quad_degree(fld) + max(space.poly_degree, ju_nc.space.poly_degree)
+        for chunk in cells(mesh, deg, space, ju_nc.space, fld):
             for c in chunk:
-                fv = fld.eval_batch(c)
                 du = u_nc.at(c, order)[order]
                 dj = ju_nc.at(c, order)[order]
-                diff = (du - dj).reshape(du.shape[:2] + (-1,))
-                fvf = fv.reshape(fv.shape[:2] + (-1,))
-                dens = np.einsum("fkc,fkc->fk", fvf, diff)
-                total += float(np.einsum("k,f,fk->", c.weights, c.area, dens))
+                total += pairing(c, fld.eval_batch(c), du - dj)
     for pf in data.point_forces:
         total += pf.beta * (vertex_eval(u_nc, pf.vertex) - vertex_eval(ju_nc, pf.vertex))
     return total

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._hct import SUB_TO_PARENT, hct_coefficients
+from ._hct import EXPS3, hct_coefficients
 from ._poly import (
     BaryPoly,
     bary_modes,
@@ -52,7 +52,7 @@ from ._poly import (
     mono_tabulate,
     monomial_exponents,
 )
-from .quadrature import Cell, subcell_corners
+from .quadrature import Cell, parent_points, subcell_corners
 
 __all__ = [
     "FeSpace",
@@ -131,7 +131,7 @@ def _number_dofs(space, per_vertex, per_triangle):
 def _cell(space, ts, s, bary):
     """Cell for subcell barycentric points on subcell s of triangles ts."""
     bary = np.asarray(bary, dtype=float)
-    parent = bary if space.n_subcells == 1 else bary @ SUB_TO_PARENT[s]
+    parent = parent_points(bary, s, space.n_subcells)
     return Cell(np.asarray(ts), s, space.n_subcells, parent, None, None, None)
 
 
@@ -339,9 +339,8 @@ class CompanionMorleySpace(FeSpace):
         self.hct_coef = hct_coefficients(mesh)
         b = cubic_bubble()
         self._bubbles = [b * b * p for p in bary_modes(2)]
-        self._exps3 = monomial_exponents(3)
         self._modes = bary_modes(3) + self._bubbles
-        self._mode_coef = _mono_to_modes(mesh, self._exps3, self.hct_coef)
+        self._mode_coef = _mono_to_modes(mesh, EXPS3, self.hct_coef)
 
 
 _KIND_CLASS = {
@@ -392,9 +391,6 @@ class FeFunction:
                 f"coefficient vector has shape {coeffs.shape}, expected ({space.ndofs},)"
             )
         self.coeffs = coeffs
-
-    def copy(self):
-        return FeFunction(self.space, self.coeffs.copy())
 
     def local_coeffs(self, ts):
         dofs = self.space.cell_dofs[ts]

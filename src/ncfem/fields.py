@@ -6,8 +6,8 @@ evaluate from the physical points; fields derived from finite element
 functions evaluate triangle-locally through :meth:`FeFunction.at`, and
 declare ``n_subcells = 3`` when they live on the HCT split so that
 :func:`~ncfem.quadrature.cells` integrates them on the split.  Every field
-declares a polynomial `degree` (None means smooth; a fixed high-order rule,
-degree 12, is used).
+declares a polynomial `degree` (None means smooth); :func:`quad_degree` turns
+it into the degree quadrature integrates at.
 """
 
 from __future__ import annotations
@@ -31,16 +31,19 @@ __all__ = [
     "field_scale",
     "ExactSolution",
     "SMOOTH_DEGREE",
+    "quad_degree",
 ]
+
+
+def quad_degree(x):
+    """Declared degree of a field or ExactSolution; SMOOTH_DEGREE for None."""
+    return SMOOTH_DEGREE if x.degree is None else x.degree
 
 
 class FieldBase:
     degree = None  # polynomial degree, None = smooth
     n_subcells = 1
     shape = ()
-
-    def quad_degree(self):
-        return SMOOTH_DEGREE if self.degree is None else self.degree
 
     def eval_batch(self, cell):
         """Sample at the points of a quadrature Cell.

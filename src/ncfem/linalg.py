@@ -105,8 +105,9 @@ def max_generalized_eig(B, A, lu=None):
     Implicitly restarted Lanczos (ARPACK, sparse LU of A as M^-1, `lu` when
     given) from a fixed start vector; a 1x1 pencil is the quotient.  The
     eigenvector is scaled to sqrt(x' A x) = 1 with its first significant
-    component positive.  Raises :class:`EigenError` unless
-    ||Bx - lambda Ax|| <= EIG_RESIDUAL_TOL ||Ax||.
+    component positive.  Returns (lambda, x, residual) with the relative
+    residual ||Bx - lambda Ax|| / ||Ax||; raises :class:`EigenError` when it
+    exceeds EIG_RESIDUAL_TOL.
     """
     B = _as_csr(B)
     A = _as_csr(A)
@@ -130,4 +131,4 @@ def max_generalized_eig(B, A, lu=None):
     ref = float(np.linalg.norm(A @ x))
     if res > EIG_RESIDUAL_TOL * ref:
         raise EigenError("generalized eigenpair misses the residual bound", res / ref)
-    return lam, x
+    return lam, x, res / ref

@@ -211,11 +211,6 @@ class Triangulation:
             t = t // 4
         return t
 
-    def to_physical(self, t, bary):
-        """Map barycentric coordinates (k, 3) in triangle t to physical points."""
-        tri = self.vertices[self.triangles[t]]
-        return np.atleast_2d(bary) @ tri
-
 
 def mesh_size(mesh, convention="diameter"):
     """Per-triangle mesh size (F,): the (read-only) diameters or sqrt(area)."""

@@ -8,8 +8,8 @@ import numpy as np
 
 from ._poly import bary_tabulate
 from .fespace import CRSpace, FeFunction, MorleySpace
-from .fields import SMOOTH_DEGREE, ExactSolution
-from .quadrature import MAX_TRIANGLE_DEGREE, cells, triangle_rule
+from .fields import ExactSolution, quad_degree
+from .quadrature import MAX_TRIANGLE_DEGREE, cells, pairing
 
 __all__ = ["ErrorBundle", "error_norms", "convergence_rate", "errors_vs_fine"]
 
@@ -45,7 +45,7 @@ def _ref_values(reference, cell, orders):
     return {0: reference.eval_batch(cell)}
 
 
-def error_norms(f, reference=None, quad_degree=None, orders=None):
+def error_norms(f, reference=None, orders=None):
     """Quadrature evaluation of ||D^k (f - reference)|| for k in {0, 1, m}.
 
     Exact when both sides are piecewise polynomial at the declared degree.
@@ -73,7 +73,7 @@ def error_norms(f, reference=None, quad_degree=None, orders=None):
         ref_space = reference.space
         ref_deg = ref_space.poly_degree
     elif reference is not None:
-        ref_deg = reference.degree if reference.degree is not None else SMOOTH_DEGREE
+        ref_deg = quad_degree(reference)
     passes = {}  # (rule degree, subcells) -> (function, totals) pairs sharing that pass
     totals = []  # per function: order -> integral of the squared difference
     for f, orders in items:
@@ -84,27 +84,21 @@ def error_norms(f, reference=None, quad_degree=None, orders=None):
         want = every if orders is None else set(orders)
         if not want or not want <= every:
             raise ValueError(f"orders must be a nonempty subset of {sorted(every)}")
-        if quad_degree is not None and quad_degree < 2 * space.poly_degree:
-            raise ValueError(
-                f"declared quadrature degree {quad_degree} cannot integrate "
-                f"squares of degree-{space.poly_degree} polynomials exactly"
-            )
-        deg = 2 * max(space.poly_degree, ref_deg) if quad_degree is None else quad_degree
+        deg = 2 * max(space.poly_degree, ref_deg)
         nsub = max(space.n_subcells, 1 if ref_space is None else ref_space.n_subcells)
         totals.append(dict.fromkeys(sorted(want), 0.0))
         passes.setdefault((min(deg, MAX_TRIANGLE_DEGREE), nsub), []).append((f, totals[-1]))
     for (deg, _), members in passes.items():
         over = [f.space for f, _ in members] + [ref_space]
         union = sorted(set().union(*(t for _, t in members)))
-        for chunk in cells(mesh, triangle_rule(deg), *over):
+        for chunk in cells(mesh, deg, *over):
             for c in chunk:
                 rv = _ref_values(reference, c, union)
                 for f, t in members:
                     fv = f.at(c, max(t))
                     for k in t:
-                        diff = (fv[k] - rv[k]).reshape(fv[k].shape[:2] + (-1,))
-                        dens = np.einsum("fkc,fkc->fk", diff, diff)
-                        t[k] += float(np.einsum("k,f,fk->", c.weights, c.area, dens))
+                        diff = fv[k] - rv[k]
+                        t[k] += pairing(c, diff, diff)
     bundles = []
     for (f, _), t in zip(items, totals):
         norm = {k: float(np.sqrt(v)) for k, v in t.items()}
@@ -170,7 +164,7 @@ def errors_vs_fine(coarse, fine, generations):
     m = fine.space.m
     totals = {0: 0.0, m: 0.0}
     corners_c = mesh_c.vertices[mesh_c.triangles]
-    for (c,) in cells(mesh_f, triangle_rule(_FINE_DEGREE), fine.space):
+    for (c,) in cells(mesh_f, _FINE_DEGREE, fine.space):
         anc = mesh_f.ancestor(c.ts, generations)
         # barycentric in the ancestor triangle
         p0 = corners_c[anc, 0]
@@ -189,9 +183,8 @@ def errors_vs_fine(coarse, fine, generations):
         fv = fine.at(c, m)
         for k in (0, m):
             cv = _eval_coarse_at(coarse, anc, bary_c, k)
-            diff = (fv[k] - cv).reshape(fv[k].shape[:2] + (-1,))
-            dens = np.einsum("fkc,fkc->fk", diff, diff)
-            totals[k] += float(np.einsum("k,f,fk->", c.weights, c.area, dens))
+            diff = fv[k] - cv
+            totals[k] += pairing(c, diff, diff)
     return {
         "energy_pw": float(np.sqrt(totals[m])),
         "l2": float(np.sqrt(totals[0])),

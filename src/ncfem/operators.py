@@ -32,7 +32,7 @@ from . import assembly, linalg
 from ._hct import CHUNK
 from ._poly import bary_modes, bary_tabulate, moment_matrix
 from .fespace import COMPANION_KIND, CRSpace, FeFunction, MorleySpace, build_space
-from .fields import SMOOTH_DEGREE, ExactSolution
+from .fields import ExactSolution, quad_degree
 from .quadrature import Cell, cells, edge_rule, triangle_rule
 
 __all__ = [
@@ -90,7 +90,7 @@ def _edge_means(f, mesh, edges_idx, order):
         rule = edge_rule(f.space.poly_degree)
         vals = _fef_on_edges(f, edges_idx, rule, order)
     elif isinstance(f, ExactSolution):
-        rule = edge_rule(f.degree or SMOOTH_DEGREE)
+        rule = edge_rule(quad_degree(f))
         pts = _edge_points(mesh, edges_idx, rule)
         vals = f.eval(order, pts[..., 0], pts[..., 1])
     else:
@@ -307,7 +307,7 @@ def _morley_companion_matrix(source, target):
 
     # moments of the twelve HCT shape functions, subcell by subcell
     P_loc = np.zeros((F, 12, 6))
-    for chunk in cells(mesh, triangle_rule(5), target):
+    for chunk in cells(mesh, 5, target):
         for c in chunk:
             qv_s = bary_tabulate(modes, c.parent, 0)[0].T  # (k, 6)
             shape_vals = target.tabulate_cell(c, 0)[0][:, :12]  # (nts, 12, k)
@@ -380,8 +380,7 @@ def compute_lambda0(space, cmap, A, lu=None):
     J = cmap.matrix
     B = (J.T @ (Ac @ J)).tocsr()
     B = 0.5 * (B + B.T)
-    lam, x = linalg.max_generalized_eig(B, A, lu=lu)
-    res = float(np.linalg.norm(B @ x - lam * (A @ x)) / np.linalg.norm(A @ x))
+    lam, x, res = linalg.max_generalized_eig(B, A, lu=lu)
     lam0 = float(np.sqrt(max(lam - 1.0, 0.0)))
     return Lambda0Result(
         lambda0=lam0,
@@ -476,10 +475,10 @@ def best_approx_orthogonality_check(space, v):
         deg = max(v.space.poly_degree - m, 1)
         over = [v.space]
     else:
-        deg = v.degree or SMOOTH_DEGREE
+        deg = quad_degree(v)
         over = []
     total = np.zeros((mesh.n_triangles,) + ((2,) if m == 1 else (2, 2)))
-    for chunk in cells(mesh, triangle_rule(deg), *over):
+    for chunk in cells(mesh, deg, *over):
         for c in chunk:
             if isinstance(v, FeFunction):
                 dv = v.at(c, m)[m]

@@ -8,10 +8,11 @@ The one-dimensional rules are tabulated, not computed: they are the
 float64 nodes and weights of scipy's ``roots_legendre`` and
 ``roots_jacobi(n, 1, 0)``, so no command imports ``scipy.special``.
 
-Every element integral in the package runs through :func:`cells`: it walks
-the mesh in chunks of triangles and yields, per chunk, one :class:`Cell`
-per subcell of the integration partition (the plain triangles, or the
-three HCT subtriangles when any participant lives on the split).
+Every element integral in the package runs through :func:`cells`: it picks
+the rule from the integrand's degree, walks the mesh in chunks of triangles
+and yields, per chunk, one :class:`Cell` per subcell of the integration
+partition (the plain triangles, or the three HCT subtriangles when any
+participant lives on the split); :func:`pairing` integrates over a Cell.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "triangle_rule",
     "edge_rule",
     "cells",
+    "pairing",
+    "parent_points",
     "subcell_corners",
     "MAX_TRIANGLE_DEGREE",
 ]
@@ -192,13 +195,22 @@ def subcell_corners(mesh, ts, s, nsub):
     return corners
 
 
-def cells(mesh, rule, *over):
+def parent_points(points, s, nsub):
+    """Triangle coordinates of the barycentric `points` of subcell s: the
+    points themselves when nsub is 1, else mapped from HCT subtriangle s."""
+    return points if nsub == 1 else points @ SUB_TO_PARENT[s]
+
+
+def cells(mesh, degree, *over):
     """Yield, per chunk of at most ``CHUNK`` triangles, the list of its Cells.
 
-    The partition is the HCT split (three subcells per triangle) when any
-    of `over` (spaces or fields; None is skipped) has ``n_subcells == 3``,
-    else the plain triangles (one cell per chunk).
+    The rule is ``triangle_rule`` at the integrand's polynomial `degree`,
+    capped at ``MAX_TRIANGLE_DEGREE``.  The partition is the HCT split
+    (three subcells per triangle) when any of `over` (spaces or fields; None
+    is skipped) has ``n_subcells == 3``, else the plain triangles (one cell
+    per chunk).
     """
+    rule = triangle_rule(min(degree, MAX_TRIANGLE_DEGREE))
     nsub = max([1] + [o.n_subcells for o in over if o is not None])
     for start in range(0, mesh.n_triangles, CHUNK):
         ts = np.arange(start, min(start + CHUNK, mesh.n_triangles))
@@ -208,10 +220,19 @@ def cells(mesh, rule, *over):
                 ts,
                 s,
                 nsub,
-                rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s],
+                parent_points(rule.points, s, nsub),
                 rule.points @ subcell_corners(mesh, ts, s, nsub),
                 area,
                 rule.weights,
             )
             for s in range(nsub)
         ]
+
+
+def pairing(cell, a, b, area=None):
+    """Sum over the cell's triangles and points of weight * area * (a:b) for
+    samples a, b of shape (nts, k) + shape; `area` defaults to the cell's."""
+    a = a.reshape(a.shape[:2] + (-1,))
+    b = b.reshape(b.shape[:2] + (-1,))
+    dens = np.einsum("fkc,fkc->fk", a, b)
+    return float(np.einsum("k,f,fk->", cell.weights, cell.area if area is None else area, dens))

@@ -293,9 +293,10 @@ def _per_point_stiffness(space):
     """Dense stiffness from the local basis derivatives tabulated at every
     quadrature point of every subcell."""
     m, L = space.m, space.n_local
-    rule = triangle_rule(2 * (space.poly_degree - m))
+    deg = 2 * (space.poly_degree - m)
+    rule = triangle_rule(deg)
     A = np.zeros((space.ndofs, space.ndofs))
-    for chunk in cells(space.mesh, rule, space):
+    for chunk in cells(space.mesh, deg, space):
         for c in chunk:
             tab = space.tabulate_cell(c, m)[m].reshape(len(c.ts), L, rule.n_points, -1)
             local = np.einsum("k,f,fikd,fjkd->fij", c.weights, c.area, tab, tab)

@@ -91,7 +91,7 @@ def test_constant_representable(rng):
         f = FeFunction(space, coeffs)
         for i in range(100):
             t = i % mesh.n_triangles
-            x = mesh.to_physical(t, pts_bary[i][None, :])
+            x = pts_bary[i][None, :] @ mesh.vertices[mesh.triangles[t]]
             assert abs(f.evaluate(t, x)[0][0, 0] - 1.0) < 1e-13
 
 
@@ -250,7 +250,7 @@ def _einsum_tabulate(space, ts, s, bary, order):
     if kind.startswith("MORLEY"):
         exps = monomial_exponents(2)
         return _einsum_from_mono(space, exps, space._coeff[ts], ts, 0, bary, order)
-    hct = _einsum_from_mono(space, space._exps3, space.hct_coef[ts, s], ts, s, bary, order)
+    hct = _einsum_from_mono(space, _hct.EXPS3, space.hct_coef[ts, s], ts, s, bary, order)
     bub = _einsum_from_bary(space, space._bubbles, bary @ SUB_TO_PARENT[s], ts, order)
     return {o: np.concatenate([hct[o], bub[o]], axis=1) for o in hct}
 
@@ -341,7 +341,7 @@ def test_at_matches_coefficients_times_tabulate_cell(kind):
     split = build_space(mesh, "COMPANION_MORLEY")
     # plain cells, then the HCT split (which plain spaces read in triangle coordinates)
     for over in ((space,), (space, split)):
-        for chunk in cells(mesh, triangle_rule(6), *over):
+        for chunk in cells(mesh, 6, *over):
             for c in chunk:
                 c_loc = f.local_coeffs(c.ts)
                 for order in range(3):

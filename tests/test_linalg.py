@@ -102,14 +102,14 @@ def test_solve_after_a_heap_release_is_bitwise_unchanged(monkeypatch, rng):
 
 def test_eig_b_equals_a(rng):
     A = sp.csr_matrix(random_spd(20, rng))
-    lam, x = max_generalized_eig(A, A)
+    lam, x, _ = max_generalized_eig(A, A)
     assert lam == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eig_diagonal_pair():
     B = sp.diags([1.0, 2.0, 5.0])
     A = sp.identity(3, format="csr")
-    lam, x = max_generalized_eig(B, A)
+    lam, x, _ = max_generalized_eig(B, A)
     assert lam == pytest.approx(5.0, abs=1e-12)
     assert np.abs(x / np.linalg.norm(x)) @ np.array([0, 0, 1]) == pytest.approx(1.0)
 
@@ -121,10 +121,11 @@ def test_eig_against_dense_oracle(rng):
     C = rng.standard_normal((30, 30))
     B = C @ C.T + 0.1 * np.eye(30)
     want = sla.eigh(B, A, eigvals_only=True)[-1]
-    lam, x = max_generalized_eig(sp.csr_matrix(B), sp.csr_matrix(A))
+    lam, x, res = max_generalized_eig(sp.csr_matrix(B), sp.csr_matrix(A))
     assert abs(lam - want) <= 1e-9 * max(1.0, abs(want))
-    # contract: small eigen residual and A-normalization
+    # contract: small eigen residual, the one returned, and A-normalization
     assert np.linalg.norm(B @ x - lam * (A @ x)) <= 1e-9 * np.linalg.norm(A @ x)
+    assert 0.0 <= res <= EIG_RESIDUAL_TOL
     assert x @ (A @ x) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -146,7 +147,7 @@ def test_eig_nonconvergence_reports_residual(monkeypatch):
 
 
 def test_eig_one_by_one_pencil():
-    lam, x = max_generalized_eig(sp.csr_matrix([[6.0]]), sp.csr_matrix([[4.0]]))
+    lam, x, _ = max_generalized_eig(sp.csr_matrix([[6.0]]), sp.csr_matrix([[4.0]]))
     assert lam == 1.5
     assert x.shape == (1,) and x[0] == pytest.approx(0.5, rel=1e-15)
 
@@ -154,7 +155,7 @@ def test_eig_one_by_one_pencil():
 def test_eig_sign_convention(rng):
     B = sp.diags([1.0, 3.0])
     A = sp.identity(2, format="csr")
-    _, x = max_generalized_eig(B, A)
+    _, x, _ = max_generalized_eig(B, A)
     assert x[np.nonzero(np.abs(x) > 1e-12)[0][0]] > 0
 
 
@@ -168,7 +169,7 @@ def test_top_eigenpair_matches_full_eigh(rng):
     w, V = sla.eigh(B, A)
     want = _fix_sign(V[:, -1])
     want = want / np.sqrt(want @ (A @ want))
-    lam, x = max_generalized_eig(sp.csr_matrix(B), sp.csr_matrix(A))
+    lam, x, _ = max_generalized_eig(sp.csr_matrix(B), sp.csr_matrix(A))
     assert lam == pytest.approx(w[-1], rel=1e-12)
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
 

@@ -68,13 +68,6 @@ def test_norm_homogeneity(square2, rng):
         assert getattr(b2, k) == pytest.approx(3.5 * getattr(b1, k), rel=1e-12)
 
 
-def test_insufficient_quadrature_degree(square2):
-    space = build_space(square2, "MORLEY_0")
-    f = FeFunction(space)
-    with pytest.raises(ValueError, match="quadrature degree"):
-        error_norms(f, quad_degree=1)
-
-
 def test_rate_exact_powers():
     h = [0.4, 0.2, 0.1, 0.05]
     out = convergence_rate(h, [3.0 * hh**2 for hh in h])

@@ -344,7 +344,7 @@ def _one_shot_morley_companion(source, target):
     qv = np.stack([p.eval(rule_s.points) for p in modes], axis=0)
     S = np.einsum("k,fjk,lk->fjl", rule_s.weights, tabM, qv)
     P_loc = np.zeros((F, 12, 6))
-    for chunk in cells(mesh, triangle_rule(5), target):
+    for chunk in cells(mesh, 5, target):
         for c in chunk:
             qv_s = np.stack([p.eval(c.parent) for p in modes], axis=1)
             shape_vals = target.tabulate_cell(c, 0)[0][:, :12]

@@ -11,8 +11,15 @@ from scipy.special import roots_jacobi, roots_legendre
 import ncfem
 from ncfem import quadrature
 from ncfem.fespace import build_space
+from ncfem.fields import SMOOTH_DEGREE, ExactSolution, ScalarField, quad_degree
 from ncfem.mesh import unit_square_mesh
-from ncfem.quadrature import MAX_TRIANGLE_DEGREE, cells, edge_rule, triangle_rule
+from ncfem.quadrature import (
+    MAX_TRIANGLE_DEGREE,
+    cells,
+    edge_rule,
+    pairing,
+    triangle_rule,
+)
 
 
 def simplex_monomial_integral(a, b):
@@ -168,7 +175,7 @@ def test_cells_partition_the_mesh(mesh33, split):
     rule = triangle_rule(4)
     seen = np.zeros((mesh.n_triangles, nsub), dtype=int)
     measure = np.zeros(mesh.n_triangles)
-    chunks = list(cells(mesh, rule, *over))
+    chunks = list(cells(mesh, 4, *over))
     assert len(chunks) == 2
     for chunk in chunks:
         assert [c.s for c in chunk] == list(range(nsub))
@@ -188,8 +195,44 @@ def test_cells_partition_the_mesh(mesh33, split):
 
 def test_cells_split_only_for_split_participants(square2):
     mesh = square2
-    rule = triangle_rule(2)
     plain = build_space(mesh, "CR1_0")
     split = build_space(mesh, "COMPANION_MORLEY")
-    assert [len(ch) for ch in cells(mesh, rule, plain, None)] == [1]
-    assert [len(ch) for ch in cells(mesh, rule, plain, split)] == [3]
+    assert [len(ch) for ch in cells(mesh, 2, plain, None)] == [1]
+    assert [len(ch) for ch in cells(mesh, 2, plain, split)] == [3]
+
+
+def test_cells_cap_the_integrand_degree(square2):
+    top = triangle_rule(MAX_TRIANGLE_DEGREE)
+    (c,) = next(cells(square2, MAX_TRIANGLE_DEGREE + 7))
+    assert c.parent.tobytes() == top.points.tobytes()
+    assert c.weights.tobytes() == top.weights.tobytes()
+
+
+def test_cells_refuse_a_negative_degree(square2):
+    with pytest.raises(ValueError, match="triangle rule degree"):
+        next(cells(square2, -1))
+
+
+def test_quad_degree_keeps_a_declared_zero():
+    def one(x, y):
+        return np.ones_like(x)
+
+    assert quad_degree(ScalarField(one, degree=0)) == 0
+    assert quad_degree(ScalarField(one)) == SMOOTH_DEGREE
+    assert quad_degree(ExactSolution(one, degree=0)) == 0
+    assert quad_degree(ExactSolution(one)) == SMOOTH_DEGREE
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pairing_is_the_two_einsum_form(square2, rng, split, weighted):
+    over = (build_space(square2, "COMPANION_MORLEY"),) if split else ()
+    for c in next(cells(square2, 6, *over)):
+        a = rng.standard_normal((len(c.ts), len(c.weights), 2, 2))
+        b = rng.standard_normal(a.shape)
+        area = rng.random(len(c.ts)) * c.area if weighted else None
+        dens = np.einsum("fkc,fkc->fk", a.reshape(a.shape[:2] + (-1,)),
+                         b.reshape(b.shape[:2] + (-1,)))
+        want = float(np.einsum("k,f,fk->", c.weights, c.area if area is None else area, dens))
+        got = pairing(c, a, b, area=area)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

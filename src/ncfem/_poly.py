@@ -159,10 +159,6 @@ class BaryPoly:
         """Exact integral over the triangle, per unit area."""
         return sum(c * bary_integral(*e) for e, c in self.terms.items())
 
-    @property
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
 
 def bary_modes(k):
     """Basis of P_k on a triangle: u^a v^b (a + b <= k) with u = lambda1 -

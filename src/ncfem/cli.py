@@ -57,16 +57,17 @@ def _build_parser():
     p.add_argument("--threads", type=_positive_int, help="cap worker/BLAS threads")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, mesh=True, m=True):
+    def common(sp, mesh=True, m=True, h_convention=False):
         if mesh:
             sp.add_argument("--mesh", help="square:N, lshape:N, or a mesh file path")
         if m:
             sp.add_argument("--m", type=int, choices=(1, 2))
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--h-convention", dest="h_convention",
-                        choices=("diameter", "sqrt_area"), default="diameter")
         sp.add_argument("--json", help="write the JSON report here")
         sp.add_argument("--out", help="output directory for default file names")
+        if h_convention:
+            sp.add_argument("--h-convention", dest="h_convention",
+                            choices=("diameter", "sqrt_area"), default="diameter")
 
     sp = sub.add_parser("verify", help="run the operator-invariant suite")
     common(sp)
@@ -81,7 +82,7 @@ def _build_parser():
     sp.add_argument("--solution", help="write solution coefficients here")
 
     sp = sub.add_parser("rates", help="convergence-rate study")
-    common(sp, mesh=False, m=False)
+    common(sp, mesh=False, m=False, h_convention=True)
     sp.add_argument("--problem", required=True)
     sp.add_argument("--levels", type=int, required=True)
     sp.add_argument("--scheme", choices=("original", "modified"), default="modified")
@@ -99,16 +100,13 @@ def _build_parser():
     common(sp)
 
     sp = sub.add_parser("estimate", help="a posteriori bounds for one solve")
-    common(sp, mesh=False)
+    common(sp, mesh=False, m=False, h_convention=True)
     sp.add_argument("--problem", required=True)
     sp.add_argument("--level", type=int, default=0)
     sp.add_argument("--scheme", choices=("original", "modified"), default="modified")
     sp.add_argument("--lambda-j", dest="lambda_j", type=float,
                     help="certified companion constant; defaults to lambda0")
     p.subcommands = sub.choices
-    # the settings a config may give and a report records: every destination
-    p.settings = {a.dest for q in (p, *sub.choices.values()) for a in q._actions}
-    p.settings -= {"help", "config"}
     return p
 
 
@@ -121,9 +119,10 @@ def _shared_parser():
 def _parse_args(argv):
     """Parse argv; with --config, file entries replace the built-in defaults.
 
-    The config entries become the defaults of a freshly built parser and
-    argv is parsed again, so a flag given on the command line wins and every
-    other key takes the file's value, whatever the built-in default is.
+    Each entry but ``command`` must belong to the top level or to the
+    subcommand that runs.  It is read as its flag's command-line text would be
+    and becomes that flag's default, no longer required, on a freshly built
+    parser; so a flag on the command line wins, yet the entry is still checked.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level options alone, read as the full parser reads them, so a
@@ -135,7 +134,6 @@ def _parse_args(argv):
     subcommands = _shared_parser().subcommands
     cut = next((i for i, a in enumerate(argv) if a in subcommands), len(argv))
     pre, tail = top.parse_known_args(argv[:cut])
-    tail += argv[cut:]
     if not pre.config:
         return _shared_parser().parse_args(argv)
     try:
@@ -145,41 +143,40 @@ def _parse_args(argv):
         top.error(f"cannot read config {pre.config}: {exc}")
     if not isinstance(cfg, dict):
         top.error(f"config must be a JSON object, not {type(cfg).__name__}")
-    parser = _build_parser()  # set_defaults below must not reach the shared parser
-    unknown = set(cfg) - parser.settings
+    command = argv[cut] if cut < len(argv) else None
+    if command is None and "command" in cfg:
+        # the config's subcommand goes between the top-level options and the rest
+        command = str(cfg["command"])
+        threads = [] if pre.threads is None else ["--threads", pre.threads]
+        argv = ["--config", pre.config, *threads, command, *tail]
+    parser = _build_parser()  # the defaults set below must not reach the shared parser
+    owners = [q for q in (parser, parser.subcommands.get(command)) if q is not None]
+    actions = {a.dest: a for q in owners for a in q._actions
+               if a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(actions)
     if unknown:
         _usage_error(f"unknown config keys: {sorted(unknown)}")
-    if "command" in cfg and not (tail and tail[0] in subcommands):
-        # the config's subcommand goes between the top-level options and the rest
-        threads = [] if pre.threads is None else ["--threads", pre.threads]
-        argv = ["--config", pre.config, *threads, str(cfg["command"]), *tail]
-    rest = {k: v for k, v in cfg.items() if k != "command"}
-    # a subcommand's defaults overwrite the top-level namespace, so each
-    # subparser takes only the keys it owns; the top level takes the rest
-    for sp in parser.subcommands.values():
-        owned = [a for a in sp._actions if a.dest in rest]
-        for a in owned:
+    for dest, value in cfg.items():
+        if dest != "command":
+            a = actions[dest]
+            # a flag that takes no value (--estimates) keeps the JSON value
+            a.default = value if a.nargs == 0 else _config_value(a, value)
             a.required = False
-        sp.set_defaults(**{a.dest: rest[a.dest] for a in owned})
-    parser.set_defaults(**rest)
-    args = parser.parse_args(argv)
-    # argparse converts and checks only flags and string defaults, so a config
-    # value of another JSON type goes through its action's type and choices here
-    sp = parser.subcommands.get(args.command)
-    for a in (*parser._actions, *(sp._actions if sp else ())):
-        if a.dest not in rest:
-            continue
-        value = getattr(args, a.dest, None)
-        if a.type is not None and value is not None and not isinstance(value, str):
-            try:
-                setattr(args, a.dest, a.type(str(value)))
-            except argparse.ArgumentTypeError as exc:
-                _usage_error(f"config entry {a.dest}={value!r}: {exc}")
-            except ValueError:
-                _usage_error(f"config entry {a.dest}={value!r} is not a valid {a.type.__name__}")
-        if a.choices is not None and value not in a.choices:
-            _usage_error(f"config entry {a.dest}={value!r} is not one of {list(a.choices)}")
-    return args
+    return parser.parse_args(argv)
+
+
+def _config_value(action, value):
+    """`value` read as its flag's command-line text: str, type, then choices."""
+    entry = f"config entry {action.dest}={value!r}"
+    try:
+        read = str(value) if action.type is None else action.type(str(value))
+    except argparse.ArgumentTypeError as exc:
+        _usage_error(f"{entry}: {exc}")
+    except ValueError:
+        _usage_error(f"{entry} is not a valid {action.type.__name__}")
+    if action.choices is not None and read not in action.choices:
+        _usage_error(f"{entry} is not one of {list(action.choices)}")
+    return read
 
 
 def _slug(mesh_id):
@@ -187,7 +184,7 @@ def _slug(mesh_id):
 
 
 def _parse_mesh(spec):
-    from .mesh import BUILTIN_MESHES, load_mesh
+    from .mesh import BUILTIN_MESHES, MeshError, load_mesh
 
     if spec is None:
         _usage_error("--mesh is required")
@@ -200,7 +197,10 @@ def _parse_mesh(spec):
         if name not in BUILTIN_MESHES:
             _usage_error(f"unknown builtin mesh {name!r}")
         return BUILTIN_MESHES[name](n), spec
-    return load_mesh(spec), spec
+    try:
+        return load_mesh(spec), spec
+    except MeshError as exc:
+        _usage_error(f"mesh file {spec}: {exc}")
 
 
 def _poly_field(entry, shape, path):
@@ -330,30 +330,22 @@ def _out_path(args, path, default_name):
     return path
 
 
-def _write_json(args, report, default_name):
+def _finish(args, report, default_name):
+    """Record the settings in the report, write it, print its assertions and
+    return the exit code; every command's report leaves through here."""
+    # the effective settings, defaults included, for reproducibility
+    report["config"] = {k: v for k, v in sorted(vars(args).items())
+                        if k != "config" and v is not None}
     path = _out_path(args, args.json, default_name)
     if path:
         with open(path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
-    return path
-
-
-def _config_snapshot(args):
-    # defaults and effective settings recorded for reproducibility
-    settings = _shared_parser().settings
-    return {k: v for k, v in sorted(vars(args).items()) if k in settings and v is not None}
-
-
-def _finish(args, report, default_name):
-    report.setdefault("config", _config_snapshot(args))
-    path = _write_json(args, report, default_name)
-    passed = report.get("passed", True)
     for a in report.get("assertions", []):
         mark = "PASS" if a["pass"] else "FAIL"
         print(f"[{mark}] {a['name']}")
     if path:
         print(f"report written to {path}")
-    return 0 if passed else ASSERT_ERROR
+    return 0 if report.get("passed", True) else ASSERT_ERROR
 
 
 def _cmd_verify(args):
@@ -417,7 +409,7 @@ def _cmd_verify(args):
     report["values"] = {"lambda0": res.lambda0, "c_qo": res.c_qo,
                         "eigen_residual": res.residual}
     _assert_le(report, "eigen residual", res.residual, EIG_RESIDUAL_TOL)
-    return _finish(args, report, f"verify_m{args.m}_{_slug(mesh_id)}_{args.seed}.json")
+    return report, f"verify_m{args.m}_{_slug(mesh_id)}_{args.seed}.json"
 
 
 def _weighted_l2_defect(space, v, jv, h):
@@ -452,7 +444,7 @@ def _cmd_lambda0(args):
     }
     print(f"lambda0 = {res.lambda0:.12g}  C_qo = {res.c_qo:.12g}  "
           f"residual = {res.residual:.3e}")
-    return _finish(args, report, f"lambda0_m{args.m}_{_slug(mesh_id)}_{args.seed}.json")
+    return report, f"lambda0_m{args.m}_{_slug(mesh_id)}_{args.seed}.json"
 
 
 def _cmd_counterexample(args):
@@ -469,8 +461,7 @@ def _cmd_counterexample(args):
         "oscillation": run_oscillation_example,
     }[args.kind]
     report = fn(mesh, seed=args.seed, mesh_id=mesh_id)
-    return _finish(args, report,
-                   f"counterexample_{args.kind}_{_slug(mesh_id)}_{args.seed}.json")
+    return report, f"counterexample_{args.kind}_{_slug(mesh_id)}_{args.seed}.json"
 
 
 def _cmd_compare(args):
@@ -478,7 +469,7 @@ def _cmd_compare(args):
 
     mesh, mesh_id = _parse_mesh(args.mesh)
     report = run_compare(mesh, args.m, seed=args.seed, mesh_id=mesh_id)
-    return _finish(args, report, f"compare_m{args.m}_{_slug(mesh_id)}_{args.seed}.json")
+    return report, f"compare_m{args.m}_{_slug(mesh_id)}_{args.seed}.json"
 
 
 def _cmd_rates(args):
@@ -507,8 +498,7 @@ def _cmd_rates(args):
     for row in report["rows"]:
         errs = " ".join(f"{k}={v:.4e}" for k, v in row["errors"].items())
         print(f"level {row['level']:2d} ndof {row['ndof']:7d} h {row['hmax']:.4e} {errs}")
-    _write_json(args, report, f"rates_{args.problem}_{args.scheme}_{args.seed}.json")
-    return 0
+    return report, f"rates_{args.problem}_{args.scheme}_{args.seed}.json"
 
 
 def _cmd_solve(args):
@@ -520,6 +510,8 @@ def _cmd_solve(args):
     if (args.problem is None) == (args.data is None):
         _usage_error("exactly one of --problem / --data is required")
     if args.problem:
+        if args.m is not None:
+            _usage_error("--m goes with --data only; --problem fixes m")
         prob = get_problem(args.problem)
         m = prob.m
         mesh, mesh_id = _parse_mesh(args.mesh or f"{prob.domain}:{prob.base_n}")
@@ -569,7 +561,7 @@ def _cmd_solve(args):
             save_function(u, path)
             entry["solution_file"] = path
         report["passed"] &= rep.converged
-    return _finish(args, report, f"solve_m{m}_{args.seed}.json")
+    return report, f"solve_m{m}_{args.seed}.json"
 
 
 def _cmd_estimate(args):
@@ -606,8 +598,7 @@ def _cmd_estimate(args):
     if report["measured_errors"]:
         for key, val in report["measured_errors"].items():
             print(f"measured {key} = {val:.6e}")
-    _write_json(args, report, f"estimate_{args.problem}_{args.scheme}_{args.seed}.json")
-    return 0
+    return report, f"estimate_{args.problem}_{args.scheme}_{args.seed}.json"
 
 
 def main(argv=None):
@@ -627,7 +618,7 @@ def main(argv=None):
         "estimate": _cmd_estimate,
     }
     try:
-        return handlers[args.command](args)
+        return _finish(args, *handlers[args.command](args))
     except SystemExit:
         raise
     except (ValueError, OSError, RuntimeError) as exc:

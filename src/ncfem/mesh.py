@@ -61,14 +61,11 @@ class Triangulation:
         boundary edges; interior entries sorted ascending
     triangle_edges : (F, 3) edge index opposite each local vertex
     interior_edge_mask, boundary_edge_mask, boundary_vertex_mask : bool masks
-    parents : (F,) int array of parent triangle indices for red-refined
-        meshes (children of parent t sit at 4t..4t+3), else None
     """
 
-    def __init__(self, vertices, triangles, parents=None, validate=True):
+    def __init__(self, vertices, triangles, validate=True):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.parents = None if parents is None else np.asarray(parents, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshTopologyError("vertices must be an (V, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -280,8 +277,7 @@ def red_refine(mesh):
     children[1::4] = np.stack([tri[:, 1], m[:, 0], m[:, 2]], axis=1)
     children[2::4] = np.stack([tri[:, 2], m[:, 1], m[:, 0]], axis=1)
     children[3::4] = m
-    parents = np.repeat(np.arange(mesh.n_triangles), 4)
-    return Triangulation(new_vertices, children, parents=parents)
+    return Triangulation(new_vertices, children)
 
 
 # -- text format ----------------------------------------------------------

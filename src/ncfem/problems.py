@@ -189,14 +189,6 @@ class _LShapeSingularM1(Problem):
         y *= one_x
         return one_x, one_y
 
-    @classmethod
-    def _g_parts(cls, x, y):
-        """g = (1-x^2)(1-y^2) and dg/dx, dg/dy."""
-        g_x, g_y = _copy_points(x, y)
-        g, one_y = cls._g_factors_into(g_x, g_y)
-        g *= one_y
-        return g, g_x, g_y
-
     def data(self, mesh):
         def f(x, y):
             x, y = _copy_points(x, y)

@@ -112,7 +112,6 @@ class QuadRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
 
     def __post_init__(self):
         self.points.setflags(write=False)
@@ -151,7 +150,7 @@ def triangle_rule(degree):
     y = ETA.ravel()
     w = 2.0 * np.outer(wxi, weta).ravel()  # normalize: plain sum is the area 1/2
     bary = np.column_stack([1.0 - x - y, x, y])
-    return QuadRule(points=bary, weights=w, exactness_degree=degree)
+    return QuadRule(points=bary, weights=w)
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +159,7 @@ def edge_rule(degree):
     x, w = map(np.array, _LEGENDRE[_n_points(degree, "edge")])
     t = 0.5 * (x + 1.0)
     bary = np.column_stack([1.0 - t, t])
-    return QuadRule(points=bary, weights=0.5 * w, exactness_degree=degree)
+    return QuadRule(points=bary, weights=0.5 * w)
 
 
 class Cell(NamedTuple):

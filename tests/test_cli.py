@@ -80,7 +80,7 @@ def test_config_unknown_key_rejected(tmp_path):
 
 def test_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mesh": "square:1", "m": 1, "samples": 3}))
+    cfg.write_text(json.dumps({"mesh": "square:1", "m": 1}))
     out = tmp_path / "lam.json"
     assert main(["--config", str(cfg), "lambda0", "--mesh", "square:2",
                  "--json", str(out)]) == 0
@@ -198,9 +198,12 @@ def test_config_supplies_required_flags(tmp_path):
          ["solve", "--m", "2", "--mesh", "square:2", "--data", "FILE"]),
         (5, ["--config", "FILE", "lambda0", "--m", "1"]),
         ({"command": 5}, ["--config", "FILE"]),
+        # read as the mesh file "4", which does not exist
+        ({"mesh": 4}, ["--config", "FILE", "verify", "--m", "1"]),
     ],
     ids=["vector-field-without-poly1", "scalar-field-not-a-list",
-         "point-force-without-location", "config-not-an-object", "config-command-not-a-name"],
+         "point-force-without-location", "config-not-an-object", "config-command-not-a-name",
+         "config-mesh-not-a-string"],
 )
 def test_malformed_input_file_exits_one_with_one_line(content, argv, tmp_path):
     path = tmp_path / "input.json"
@@ -324,15 +327,18 @@ def test_config_value_outside_choices_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entry, key",
-    [({"threads": -3}, "threads"), ({"threads": 2.5}, "threads"), ({"seed": 1.5}, "seed")],
-    ids=["threads-negative", "threads-fractional", "seed-fractional"],
+    "entry, key, flags",
+    [({"threads": -3}, "threads", []), ({"threads": 2.5}, "threads", []),
+     ({"seed": 1.5}, "seed", []), ({"seed": 1.5}, "seed", ["--seed", "4"])],
+    ids=["threads-negative", "threads-fractional", "seed-fractional",
+         "seed-fractional-under-a-flag"],
 )
-def test_config_value_of_the_wrong_type_rejected(entry, key, tmp_path):
+def test_config_value_of_the_wrong_type_rejected(entry, key, flags, tmp_path):
+    # an entry is checked even when a flag on the command line overrides it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))
     with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2"])
+        main(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2", *flags])
     message = str(exc.value.code)
     assert message.startswith(f"ncfem: config entry {key}=") and "\n" not in message
 
@@ -373,7 +379,7 @@ def test_parser_is_built_once_and_config_defaults_stay_on_their_own_parser(
     cli._shared_parser.cache_clear()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"h_convention": "sqrt_area"}))
-    plain = ["lambda0", "--m", "1", "--mesh", "square:2"]
+    plain = ["estimate", "--problem", "square-smooth-m1"]
     assert cli._parse_args(plain).h_convention == "diameter"
     assert cli._parse_args(["--config", str(cfg)] + plain).h_convention == "sqrt_area"
     assert cli._parse_args(plain).h_convention == "diameter"
@@ -627,3 +633,78 @@ def test_subcommand_flag_abbreviation_is_not_read_as_config(tmp_path):
     assert main(["rates", "--problem", "square-smooth-m1", "--levels", "2",
                  "--c", str(out)]) == 0
     assert out.read_text().splitlines()[1].startswith("level,ndof,hmax,")
+
+
+def _usage_failure(argv, capsys):
+    """The one ``ncfem:`` line of a usage error, raised by argparse or by the CLI."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    code = exc.value.code
+    message = capsys.readouterr().err if code == USAGE_ERROR else f"{code}\n"
+    assert message.startswith("ncfem: ") and message.count("\n") == 1
+    return message
+
+
+def test_config_key_of_another_subcommand_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_j": "abc", "levels": 99}))
+    out = tmp_path / "v.json"
+    message = _usage_failure(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2",
+                              "--json", str(out)], capsys)
+    assert message == "ncfem: unknown config keys: ['lambda_j', 'levels']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["rates", "--problem", "square-smooth-m1", "--levels", "3"],
+         {"command": "rates", "levels": 3, "problem": "square-smooth-m1",
+          "scheme": "modified", "h_convention": "diameter"}),
+        (["estimate", "--problem", "square-smooth-m1", "--scheme", "original",
+          "--h-convention", "sqrt_area"],
+         {"command": "estimate", "level": 0, "problem": "square-smooth-m1",
+          "scheme": "original", "h_convention": "sqrt_area"}),
+    ],
+    ids=["rates", "estimate"],
+)
+def test_rates_and_estimate_reports_record_their_settings(argv, want, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert {k: config[k] for k in want} == want
+    assert f"report written to {out}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m", "1", "--mesh", "square:2", "--h-convention", "sqrt_area"],
+        ["estimate", "--problem", "square-smooth-m1", "--m", "2"],
+        ["solve", "--problem", "square-smooth-m1", "--m", "2"],
+    ],
+    ids=["verify-h-convention", "estimate-m", "solve-problem-and-m"],
+)
+def test_flag_outside_its_subcommand_exits_one(argv, capsys):
+    _usage_failure(argv, capsys)
+
+
+def test_config_json_of_another_json_type_is_read_as_text(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"json": 5}))
+    assert main(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2",
+                 "--samples", "2"]) == 0
+    assert json.loads((tmp_path / "5").read_text())["config"]["json"] == "5"
+
+
+@pytest.mark.parametrize(
+    "counts",
+    ["-1 0 0", "3 0"],
+    ids=["negative-count", "short-counts-line"],
+)
+def test_bad_mesh_file_is_named_in_one_line(counts, tmp_path, capsys):
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"ncfem-mesh v1\n{counts}\n")
+    message = _usage_failure(["lambda0", "--m", "1", "--mesh", str(path)], capsys)
+    assert message.startswith(f"ncfem: mesh file {path}: ")

@@ -100,7 +100,13 @@ def test_red_refine_counts_and_shape():
     assert r.n_vertices == m.n_vertices + m.n_edges
     assert abs(_min_angle(m) - _min_angle(r)) < 1e-12
     assert np.allclose(r.diameter[::4], m.diameter / 2.0)
-    assert r.parents is not None and np.all(r.parents == np.arange(2).repeat(4))
+    parent = r.ancestor(np.arange(r.n_triangles), 1)
+    assert np.array_equal(parent, np.arange(2).repeat(4))
+    # each child's centroid lies inside the (counterclockwise) parent that ancestor names
+    a, b, c = np.moveaxis(m.vertices[m.triangles[parent]], 1, 0)
+    p = r.vertices[r.triangles].mean(axis=1)
+    cross = lambda u, v: u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    assert all(np.all(cross(q - p0, p - p0) > 0) for p0, q in ((a, b), (b, c), (c, a)))
 
 
 @pytest.mark.parametrize("levels", [0, 1], ids=["base", "refined"])
@@ -109,7 +115,7 @@ def test_every_mesh_array_is_read_only(levels):
     for _ in range(levels):
         m = red_refine(m)
     arrays = {k: v for k, v in vars(m).items() if isinstance(v, np.ndarray)}
-    assert "interior_edge_mask" in arrays and ("parents" in arrays) == bool(levels)
+    assert "interior_edge_mask" in arrays
     assert sorted(k for k, v in arrays.items() if v.flags.writeable) == []
 
 

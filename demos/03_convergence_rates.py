@@ -22,14 +22,14 @@ for problem, levels in [
     ("lshape-f1-m2", 4),
 ]:
     table = run_rate_study(problem, levels)
-    print(f"{problem} ({table.scheme} scheme):")
-    print("  level  ndof      hmax        " + "  ".join(f"{n:>12s}" for n in table.norms))
-    for row in table.rows:
-        errs = "  ".join(f"{row['errors'][n]:12.4e}" for n in table.norms)
+    print(f"{problem} ({table['scheme']} scheme):")
+    print("  level  ndof      hmax        " + "  ".join(f"{n:>12s}" for n in table["norms"]))
+    for row in table["rows"]:
+        errs = "  ".join(f"{row['errors'][n]:12.4e}" for n in table["norms"])
         print(f"  {row['level']:5d}  {row['ndof']:7d}  {row['hmax']:.4e}  {errs}")
-    for name in table.norms:
-        rates = ", ".join(f"{r:.3f}" for r in table.rates[name]["rates"])
+    for name in table["norms"]:
+        rates = ", ".join(f"{r:.3f}" for r in table["rates"][name]["rates"])
         print(f"  rate {name}: {rates}")
-    if table.expected:
-        print(f"  expected: {table.expected}")
+    if table["expected_rates"]:
+        print(f"  expected: {table['expected_rates']}")
     print()

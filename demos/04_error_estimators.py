@@ -24,10 +24,10 @@ for lvl in range(4):
     u = disc.solve(disc.rhs("original", data))
     est = estimate_original(disc, data, u, reference=prob.reference())
     eff = efficiency_terms(disc.space, data, prob.reference())
-    me = est.measured_errors
+    me = est["measured_errors"]
     print(
-        f"  {lvl:5d}  {est.bounds['bound_a']:.4e}  {me['split_a']:.4e}"
-        f"  {est.bounds['bound_b']:.4e}  {me['split_b']:.4e}"
+        f"  {lvl:5d}  {est['bounds']['bound_a']:.4e}  {me['split_a']:.4e}"
+        f"  {est['bounds']['bound_b']:.4e}  {me['split_b']:.4e}"
         f"  {eff['efficiency_index']:.3f}"
     )
     mesh = red_refine(mesh)
@@ -39,9 +39,9 @@ disc = Discretization(mesh, "MORLEY_0")
 data = prob.data(mesh)
 u = disc.solve(disc.rhs("modified", data))
 est = estimate_modified(disc, data, u, reference=prob.reference())
-print(f"{prob.name}: smoothed scheme (lambda0 = {est.constants['lambda0']:.3f}, "
-      f"policy: {est.constants['lambda_j_policy']})")
-print(f"  |||u - J u_nc|||  <= {est.bounds['bound_a']:.4e}"
-      f"   measured {est.measured_errors['energy_conf']:.4e}")
-print(f"  |||u - u_nc|||_pw <= {est.bounds['bound_b']:.4e}"
-      f"   measured {est.measured_errors['energy_pw']:.4e}")
+print(f"{prob.name}: smoothed scheme (lambda0 = {est['constants']['lambda0']:.3f}, "
+      f"policy: {est['constants']['lambda_j_policy']})")
+print(f"  |||u - J u_nc|||  <= {est['bounds']['bound_a']:.4e}"
+      f"   measured {est['measured_errors']['energy_conf']:.4e}")
+print(f"  |||u - u_nc|||_pw <= {est['bounds']['bound_b']:.4e}"
+      f"   measured {est['measured_errors']['energy_pw']:.4e}")

@@ -119,10 +119,12 @@ def _shared_parser():
 def _parse_args(argv):
     """Parse argv; with --config, file entries replace the built-in defaults.
 
-    Each entry but ``command`` must belong to the top level or to the
-    subcommand that runs.  It is read as its flag's command-line text would be
-    and becomes that flag's default, no longer required, on a freshly built
-    parser; so a flag on the command line wins, yet the entry is still checked.
+    A ``command`` entry names the subcommand when argv names none, and must
+    match the one argv names.  Each other entry must belong to the top level
+    or to the subcommand that runs.  It is read as its flag's command-line
+    text would be and becomes that flag's default, no longer required, on a
+    freshly built parser; so a flag on the command line wins, yet the entry
+    is still checked.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level options alone, read as the full parser reads them, so a
@@ -149,6 +151,8 @@ def _parse_args(argv):
         command = str(cfg["command"])
         threads = [] if pre.threads is None else ["--threads", pre.threads]
         argv = ["--config", pre.config, *threads, command, *tail]
+    elif "command" in cfg and str(cfg["command"]) != command:
+        _usage_error(f"config command {cfg['command']!r} is not the subcommand {command!r}")
     parser = _build_parser()  # the defaults set below must not reach the shared parser
     owners = [q for q in (parser, parser.subcommands.get(command)) if q is not None]
     actions = {a.dest: a for q in owners for a in q._actions
@@ -332,7 +336,9 @@ def _out_path(args, path, default_name):
 
 def _finish(args, report, default_name):
     """Record the settings in the report, write it, print its assertions and
-    return the exit code; every command's report leaves through here."""
+    return the exit code; every command's report leaves through here, and a
+    report without a ``passed`` flag is marked passed."""
+    report.setdefault("passed", True)
     # the effective settings, defaults included, for reproducibility
     report["config"] = {k: v for k, v in sorted(vars(args).items())
                         if k != "config" and v is not None}
@@ -345,7 +351,7 @@ def _finish(args, report, default_name):
         print(f"[{mark}] {a['name']}")
     if path:
         print(f"report written to {path}")
-    return 0 if report.get("passed", True) else ASSERT_ERROR
+    return 0 if report["passed"] else ASSERT_ERROR
 
 
 def _cmd_verify(args):
@@ -473,12 +479,12 @@ def _cmd_compare(args):
 
 
 def _cmd_rates(args):
-    from .experiments import RATE_LEVELS, run_rate_study
+    from .experiments import RATE_LEVELS, rate_csv, run_rate_study
 
     if args.levels not in RATE_LEVELS:
         lo, hi = RATE_LEVELS[0], RATE_LEVELS[-1]
         _usage_error(f"--levels must be from {lo} to {hi}, not {args.levels}")
-    table = run_rate_study(
+    report = run_rate_study(
         args.problem,
         args.levels,
         scheme=args.scheme,
@@ -486,14 +492,12 @@ def _cmd_rates(args):
         include_estimates=bool(args.estimates),
         h_convention=args.h_convention,
     )
-    report = table.to_dict()
-    report["passed"] = True
     csv_path = _out_path(
-        args, args.csv, f"rates_{args.problem}_m{table.m}_{args.scheme}_{args.seed}.csv"
+        args, args.csv, f"rates_{args.problem}_m{report['m']}_{args.scheme}_{args.seed}.csv"
     )
     if csv_path:
         with open(csv_path, "w") as fh:
-            fh.write(table.to_csv())
+            fh.write(rate_csv(report))
         print(f"rate table written to {csv_path}")
     for row in report["rows"]:
         errs = " ".join(f"{k}={v:.4e}" for k, v in row["errors"].items())
@@ -583,16 +587,12 @@ def _cmd_estimate(args):
     u, _ = disc.solve_report(disc.rhs(args.scheme, data), tol=SCHEME_TOL[prob.m])
     reference = prob.reference()
     if args.scheme == "original":
-        est = estimate_original(disc, data, u, reference=reference,
-                                h_convention=args.h_convention)
+        report = estimate_original(disc, data, u, reference=reference,
+                                   h_convention=args.h_convention)
     else:
-        est = estimate_modified(disc, data, u, reference=reference,
-                                lambda_j=args.lambda_j, h_convention=args.h_convention)
-    report = est.to_dict()
-    report["problem"] = args.problem
-    report["level"] = args.level
-    report["seed"] = args.seed
-    report["passed"] = True
+        report = estimate_modified(disc, data, u, reference=reference,
+                                   lambda_j=args.lambda_j, h_convention=args.h_convention)
+    report.update(problem=args.problem, level=args.level, seed=args.seed)
     for key, val in report["bounds"].items():
         print(f"{key} = {val:.6e}")
     if report["measured_errors"]:

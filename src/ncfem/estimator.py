@@ -11,8 +11,6 @@ supported exactly; off-vertex forces are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import assembly
@@ -23,40 +21,9 @@ from .norms import error_norms
 from .operators import companion, interpolate, kappa_constant
 from .quadrature import cells, pairing
 
-__all__ = ["EstimateReport", "estimate_original", "estimate_modified", "efficiency_terms"]
+__all__ = ["estimate_original", "estimate_modified", "efficiency_terms"]
 
 LAMBDA_J_POLICY = "lambda_j ~ lambda0 (lower-bound surrogate)"
-
-
-@dataclass
-class EstimateReport:
-    """Estimator terms, constants, guaranteed bounds and measured errors.
-
-    For the original scheme, ``bound_a`` bounds the squared split error
-    |||u - J u_nc|||^2 + |||I u - u_nc|||_pw^2 and ``bound_b`` the squared
-    |||u - u_nc|||_pw^2 + |||I u - u_nc|||_pw^2.  For the modified scheme
-    the bounds are unsquared: ``bound_a`` bounds |||u - J u_nc||| and
-    ``bound_b`` bounds |||u - u_nc|||_pw.
-    """
-
-    scheme: str
-    terms: dict
-    constants: dict
-    bounds: dict
-    measured_errors: dict | None
-    h_convention: str
-
-    def to_dict(self):
-        return {
-            "schema": "ncfem-report-v1",
-            "report": "estimate",
-            "scheme": self.scheme,
-            "terms": self.terms,
-            "constants": self.constants,
-            "bounds": self.bounds,
-            "measured_errors": self.measured_errors,
-            "h_convention": self.h_convention,
-        }
 
 
 def _data_terms(space, data, h_convention):
@@ -125,47 +92,57 @@ def _check_residual(disc, scheme, data, u_nc, tol=1e-9):
         )
 
 
-def _shared_terms(disc, scheme, data, u_nc, h_convention):
+def _shared_report(disc, scheme, data, u_nc, reference, h_convention):
     """What both estimators start from: checks of the data and of the
-    solution, then (kappa_m, J u_nc, the terms G_osc, g_weighted, g_osc and
-    nonconf, in report order)."""
+    solution, then (kappa_m, J u_nc, the report with its terms G_osc,
+    g_weighted, g_osc and nonconf, in report order, and its measured errors)."""
     space = disc.space
     _check_point_forces(data)
     _check_residual(disc, scheme, data, u_nc)
     G_osc, g_weighted, g_osc = _data_terms(space, data, h_convention)
     ju = companion(disc.cmap, u_nc)
     nonconf = error_norms(u_nc, reference=ju, orders=(space.m,)).energy_pw
-    terms = {"G_osc": G_osc, "g_weighted": g_weighted, "g_osc": g_osc, "nonconf": nonconf}
-    return kappa_constant(space.m), ju, terms
+    measured = None if reference is None else _measured(space, u_nc, ju, reference)
+    report = {
+        "schema": "ncfem-report-v1",
+        "report": "estimate",
+        "scheme": scheme,
+        "terms": {"G_osc": G_osc, "g_weighted": g_weighted, "g_osc": g_osc,
+                  "nonconf": nonconf},
+        "h_convention": h_convention,
+        "measured_errors": measured,
+    }
+    return kappa_constant(space.m), ju, report
 
 
 def estimate_original(disc, data, u_nc, reference=None, h_convention="diameter"):
     """Bounds for the scheme with the natural right-hand side on the
-    :class:`~ncfem.operators.Discretization` `disc`."""
+    :class:`~ncfem.operators.Discretization` `disc`.
+
+    Returns the JSON-ready report of the estimator terms, constants,
+    guaranteed bounds and measured errors (None without `reference`).
+    The bounds are squared: ``bound_a`` bounds the split error
+    |||u - J u_nc|||^2 + |||I u - u_nc|||_pw^2 and ``bound_b`` bounds
+    |||u - u_nc|||_pw^2 + |||I u - u_nc|||_pw^2.
+    """
     space = disc.space
-    kappa, ju, terms = _shared_terms(disc, "original", data, u_nc, h_convention)
+    kappa, ju, report = _shared_report(disc, "original", data, u_nc, reference,
+                                       h_convention)
+    terms = report["terms"]
     fhat_corr = _fhat_of_defect(space, data, u_nc, ju)
     terms["Fhat_correction"] = fhat_corr
     base = terms["G_osc"] + kappa * terms["g_weighted"] + terms["nonconf"]
-    bounds = {"bound_a": base**2, "bound_b": base**2 + 2.0 * fhat_corr}
-    constants = {"kappa_m": kappa}
-    measured = None
-    if reference is not None:
-        measured = _measured(space, u_nc, ju, reference)
+    report["bounds"] = {"bound_a": base**2, "bound_b": base**2 + 2.0 * fhat_corr}
+    report["constants"] = {"kappa_m": kappa}
+    measured = report["measured_errors"]
+    if measured is not None:
         measured["split_a"] = (
             measured["energy_conf"] ** 2 + measured["energy_interp_defect"] ** 2
         )
         measured["split_b"] = (
             measured["energy_pw"] ** 2 + measured["energy_interp_defect"] ** 2
         )
-    return EstimateReport(
-        scheme="original",
-        terms=terms,
-        constants=constants,
-        bounds=bounds,
-        measured_errors=measured,
-        h_convention=h_convention,
-    )
+    return report
 
 
 def estimate_modified(
@@ -173,11 +150,15 @@ def estimate_modified(
 ):
     """Bounds for the right-hand-side-smoothed scheme on `disc`.
 
-    ``lambda_j`` defaults to the computed lambda0 (flagged as a
-    lower-bound surrogate in the report); pass a certified value to make
-    ``bound_b`` fully rigorous.
+    Returns the report of :func:`estimate_original`, with unsquared bounds:
+    ``bound_a`` bounds |||u - J u_nc||| and ``bound_b`` bounds
+    |||u - u_nc|||_pw.  ``lambda_j`` defaults to the computed lambda0
+    (flagged as a lower-bound surrogate in the report); pass a certified
+    value to make ``bound_b`` fully rigorous.
     """
-    kappa, ju, terms = _shared_terms(disc, "modified", data, u_nc, h_convention)
+    kappa, ju, report = _shared_report(disc, "modified", data, u_nc, reference,
+                                       h_convention)
+    terms = report["terms"]
     G_osc, g_weighted, g_osc, nonconf = terms.values()
     lam0 = disc.lam0.lambda0
     policy = LAMBDA_J_POLICY if lambda_j is None else "user-supplied"
@@ -188,23 +169,14 @@ def estimate_modified(
         (kappa * g_weighted + nonconf) ** 2 + kappa**2 * lam0**2 * g_osc**2
     )
     bound_b = np.sqrt(2.0 * (nonconf**2 + apx_F**2))
-    constants = {
+    report["bounds"] = {"bound_a": float(bound_a), "bound_b": float(bound_b)}
+    report["constants"] = {
         "kappa_m": kappa,
         "lambda0": lam0,
         "lambda_j": lam_j,
         "lambda_j_policy": policy,
     }
-    measured = None
-    if reference is not None:
-        measured = _measured(disc.space, u_nc, ju, reference)
-    return EstimateReport(
-        scheme="modified",
-        terms=terms,
-        constants=constants,
-        bounds={"bound_a": float(bound_a), "bound_b": float(bound_b)},
-        measured_errors=measured,
-        h_convention=h_convention,
-    )
+    return report
 
 
 def efficiency_terms(space, data, reference, h_convention="diameter"):

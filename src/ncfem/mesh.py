@@ -91,6 +91,12 @@ class Triangulation:
                 f"triangle {bad[0]} references vertex {self.triangles[bad[0], bad[1]]} "
                 f"out of range 0..{V - 1}"
             )
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            v = int(np.argmin(finite))
+            raise MeshTopologyError(
+                f"vertex {v} has a non-finite coordinate {self.vertices[v].tolist()}"
+            )
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         diag = float(np.hypot(*(hi - lo)))

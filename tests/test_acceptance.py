@@ -256,13 +256,13 @@ def _reliability_case(problem_name, levels):
         A = disc.A
         x, rep = solve_spd(A, assembly.assemble_rhs_original(space, data), tol=1e-10)
         est = estimate_original(disc, data, FeFunction(space, x), reference=ref)
-        checks.append(est.measured_errors["split_a"] <= est.bounds["bound_a"] * slack)
-        checks.append(est.measured_errors["split_b"] <= est.bounds["bound_b"] * slack)
+        checks.append(est["measured_errors"]["split_a"] <= est["bounds"]["bound_a"] * slack)
+        checks.append(est["measured_errors"]["split_b"] <= est["bounds"]["bound_b"] * slack)
         x, rep = solve_spd(A, assembly.assemble_rhs_modified(space, data, cmap), tol=1e-10)
         est = estimate_modified(disc, data, FeFunction(space, x), reference=ref)
-        checks.append(est.measured_errors["energy_conf"] <= est.bounds["bound_a"] * slack)
-        checks.append(est.measured_errors["energy_pw"] <= est.bounds["bound_b"] * slack)
-        assert "lower-bound surrogate" in est.constants["lambda_j_policy"]
+        checks.append(est["measured_errors"]["energy_conf"] <= est["bounds"]["bound_a"] * slack)
+        checks.append(est["measured_errors"]["energy_pw"] <= est["bounds"]["bound_b"] * slack)
+        assert "lower-bound surrogate" in est["constants"]["lambda_j_policy"]
         mesh = red_refine(mesh)
     return checks
 
@@ -289,8 +289,8 @@ def _timed_rate_study(key, *args, **kwargs):
 
 def test_criterion_10a_square_smooth_m1_rates():
     table = _timed_rate_study("10a", "square-smooth-m1", 5)
-    energy = table.rates["energy_pw"]["rates"][-1]
-    l2_post = table.rates["l2_post"]["rates"][-1]
+    energy = table["rates"]["energy_pw"]["rates"][-1]
+    l2_post = table["rates"]["l2_post"]["rates"][-1]
     ok = abs(energy - 1.0) <= 0.1 and abs(l2_post - 2.0) <= 0.15
     _line("10a", "square smooth m=1 rates", ok,
           f"(energy {energy:.3f}, post L2 {l2_post:.3f})")
@@ -300,7 +300,7 @@ def test_criterion_10a_square_smooth_m1_rates():
 
 def test_criterion_10b_square_smooth_m2_rates():
     table = _timed_rate_study("10b", "square-smooth-m2", 5)
-    energy = table.rates["energy_pw"]["rates"][-1]
+    energy = table["rates"]["energy_pw"]["rates"][-1]
     ok = abs(energy - 1.0) <= 0.1
     _line("10b", "square smooth m=2 energy rate", ok, f"(energy {energy:.3f})")
     assert abs(energy - 1.0) <= 0.1
@@ -308,8 +308,8 @@ def test_criterion_10b_square_smooth_m2_rates():
 
 def test_criterion_10c_lshape_singular_m1_rates():
     table = _timed_rate_study("10c", "lshape-singular-m1", 7)
-    energy = table.rates["energy_pw"]["rates"][-1]
-    l2_post = table.rates["l2_post"]["rates"][-1]
+    energy = table["rates"]["energy_pw"]["rates"][-1]
+    l2_post = table["rates"]["l2_post"]["rates"][-1]
     ok = abs(energy - 2.0 / 3.0) <= 0.1 and abs(l2_post - 4.0 / 3.0) <= 0.15
     _line("10c", "L-shape singular m=1 rates", ok,
           f"(energy {energy:.3f} vs 0.667, post L2 {l2_post:.3f} vs 1.333)")
@@ -328,7 +328,7 @@ def test_criterion_10d_lshape_biharmonic_band():
     so this criterion documents a red outcome.
     """
     table = _timed_rate_study("10d", "lshape-f1-m2", 4)
-    energy = table.rates["energy_pw"]["rates"][-1]
+    energy = table["rates"]["energy_pw"]["rates"][-1]
     ok = 0.4 <= energy <= 0.7
     _line("10d", "L-shape f=1 m=2 energy rate in [0.4, 0.7]", ok,
           f"(measured {energy:.3f}; rising with level)")
@@ -336,7 +336,7 @@ def test_criterion_10d_lshape_biharmonic_band():
         f"measured energy rate {energy:.4f} outside [0.4, 0.7]; the asymptotic "
         "corner exponent 0.544 is not observable at the stated dof budget "
         "(all rates per level: "
-        f"{[f'{r:.3f}' for r in table.rates['energy_pw']['rates']]})"
+        f"{[f'{r:.3f}' for r in table['rates']['energy_pw']['rates']]})"
     )
 
 

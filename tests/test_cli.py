@@ -708,3 +708,67 @@ def test_bad_mesh_file_is_named_in_one_line(counts, tmp_path, capsys):
     path.write_text(f"ncfem-mesh v1\n{counts}\n")
     message = _usage_failure(["lambda0", "--m", "1", "--mesh", str(path)], capsys)
     assert message.startswith(f"ncfem: mesh file {path}: ")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_mesh_file_coordinate_exits_one_with_one_line(bad, tmp_path):
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"ncfem-mesh v1\n4 4 2\n0 0\n1 0\n{bad} 1.0\n0 1\n"
+                    "0 1 2\n0 2 3\n0 1\n1 2\n2 3\n0 3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ncfem.cli", "verify", "--m", "1",
+                           "--mesh", str(path)],
+                          env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == USAGE_ERROR
+    assert done.stderr == (f"ncfem: mesh file {path}: vertex 2 has a non-finite"
+                           f" coordinate [{bad}, 1.0]\n")
+
+
+def test_config_command_other_than_the_subcommand_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "rates"}))
+    out = tmp_path / "v.json"
+    argv = ["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2",
+            "--samples", "2", "--json", str(out)]
+    message = _usage_failure(argv, capsys)
+    assert message == "ncfem: config command 'rates' is not the subcommand 'verify'\n"
+    assert not out.exists()
+    # the same command runs
+    cfg.write_text(json.dumps({"command": "verify"}))
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["config"]["command"] == "verify"
+
+
+def _json_report(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_rate_study_returns_the_rates_report(tmp_path):
+    from ncfem.experiments import run_rate_study
+
+    report = _json_report(["rates", "--problem", "square-smooth-m1", "--levels", "3"],
+                          tmp_path)
+    for key in ("config", "passed"):
+        del report[key]
+    assert json.loads(json.dumps(run_rate_study("square-smooth-m1", 3))) == report
+
+
+def test_estimator_returns_the_estimate_report(tmp_path):
+    from ncfem.estimator import estimate_modified
+    from ncfem.mesh import red_refine
+    from ncfem.operators import SCHEME_TOL, Discretization
+    from ncfem.problems import get_problem
+
+    report = _json_report(["estimate", "--problem", "square-smooth-m1", "--level", "1"],
+                          tmp_path)
+    for key in ("config", "passed", "problem", "level", "seed"):
+        del report[key]
+    prob = get_problem("square-smooth-m1")
+    mesh = red_refine(prob.base_mesh())
+    disc = Discretization(mesh, "CR1_0")
+    data = prob.data(mesh)
+    u, _ = disc.solve_report(disc.rhs("modified", data), tol=SCHEME_TOL[1])
+    est = estimate_modified(disc, data, u, reference=prob.reference())
+    assert json.loads(json.dumps(est)) == report

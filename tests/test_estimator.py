@@ -25,11 +25,11 @@ def test_zero_data_zero_bounds(square2):
         data = RhsData()
         u = FeFunction(disc.space)
         est = estimate_original(disc, data, u)
-        assert est.bounds["bound_a"] == 0.0
-        assert est.bounds["bound_b"] == 0.0
+        assert est["bounds"]["bound_a"] == 0.0
+        assert est["bounds"]["bound_b"] == 0.0
         est = estimate_modified(disc, data, u)
-        assert est.bounds["bound_a"] == 0.0
-        assert est.bounds["bound_b"] == 0.0
+        assert est["bounds"]["bound_a"] == 0.0
+        assert est["bounds"]["bound_b"] == 0.0
 
 
 def test_wrong_solution_rejected(square2):
@@ -52,14 +52,14 @@ def test_reliability_on_smooth_problem(name):
     u_org = _solve(space, assembly.assemble_rhs_original(space, data))
     est = estimate_original(disc, data, u_org, reference=ref)
     slack = 1.0 + 1e-6
-    assert est.measured_errors["split_a"] <= est.bounds["bound_a"] * slack
-    assert est.measured_errors["split_b"] <= est.bounds["bound_b"] * slack
+    assert est["measured_errors"]["split_a"] <= est["bounds"]["bound_a"] * slack
+    assert est["measured_errors"]["split_b"] <= est["bounds"]["bound_b"] * slack
 
     u_mod = _solve(space, assembly.assemble_rhs_modified(space, data, cmap))
     est = estimate_modified(disc, data, u_mod, reference=ref)
-    assert est.measured_errors["energy_conf"] <= est.bounds["bound_a"] * slack
-    assert est.measured_errors["energy_pw"] <= est.bounds["bound_b"] * slack
-    assert "lower-bound surrogate" in est.constants["lambda_j_policy"]
+    assert est["measured_errors"]["energy_conf"] <= est["bounds"]["bound_a"] * slack
+    assert est["measured_errors"]["energy_pw"] <= est["bounds"]["bound_b"] * slack
+    assert "lower-bound surrogate" in est["constants"]["lambda_j_policy"]
 
 
 def test_lambda_j_knob(square2):
@@ -70,10 +70,10 @@ def test_lambda_j_knob(square2):
     data = prob.data(mesh)
     u = _solve(space, assembly.assemble_rhs_modified(space, data, cmap))
     est0 = estimate_modified(disc, data, u)
-    est1 = estimate_modified(disc, data, u, lambda_j=2 * est0.constants["lambda0"])
-    assert est1.constants["lambda_j_policy"] == "user-supplied"
-    assert est1.terms["apx_F"] > est0.terms["apx_F"]
-    assert est1.bounds["bound_b"] > est0.bounds["bound_b"]
+    est1 = estimate_modified(disc, data, u, lambda_j=2 * est0["constants"]["lambda0"])
+    assert est1["constants"]["lambda_j_policy"] == "user-supplied"
+    assert est1["terms"]["apx_F"] > est0["terms"]["apx_F"]
+    assert est1["bounds"]["bound_b"] > est0["bounds"]["bound_b"]
 
 
 def test_efficiency_zero_g():
@@ -117,7 +117,7 @@ def test_report_serialization(square2):
     disc = Discretization(square2, "CR1_0")
     data = RhsData()
     est = estimate_original(disc, data, FeFunction(disc.space))
-    d = est.to_dict()
+    d = est
     assert d["schema"] == "ncfem-report-v1"
     import json
 

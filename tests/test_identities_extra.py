@@ -86,7 +86,7 @@ def test_estimator_bound_on_attainment_example(square2, m):
     u_nc = FeFunction(space, x)
     est = estimate_modified(disc, data, u_nc)
     exact_error = res.lambda0 * np.sqrt(1.0 + res.lambda0**2)
-    assert est.bounds["bound_b"] >= exact_error * (1 - 1e-9)
+    assert est["bounds"]["bound_b"] >= exact_error * (1 - 1e-9)
 
 
 def test_efficiency_vacuous_for_zero_g(square2, rng):
@@ -133,7 +133,7 @@ def test_zero_data_solutions_and_rate_floor(square2):
 
 def test_pointforce_problem_runs_and_converges():
     table = run_rate_study("lshape-pointforce-m2", 2, reference_extra_levels=2)
-    errs = [r["errors"]["energy_pw"] for r in table.rows]
+    errs = [r["errors"]["energy_pw"] for r in table["rows"]]
     assert errs[1] < errs[0]
     assert all(e > 0 for e in errs)
 

@@ -193,6 +193,17 @@ def test_duplicate_vertices_rejected():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_non_finite_vertex_rejected(bad):
+    # an inf coordinate makes the duplicate tolerance inf; NaN passes it
+    with pytest.raises(MeshTopologyError,
+                       match=rf"vertex 2 has a non-finite coordinate \[{bad}, 1.0\]"):
+        Triangulation(
+            np.array([[0.0, 0.0], [1.0, 0.0], [bad, 1.0], [0.0, 1.0]]),
+            np.array([[0, 1, 2], [0, 2, 3]]),
+        )
+
+
 def test_edge_normal_convention(square2):
     m = square2
     # interior normals point from the lower- into the higher-index triangle

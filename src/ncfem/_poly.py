@@ -225,7 +225,8 @@ def bary_tabulate(polys, lam_pts, order):
     Returns dict: 0 -> (n_poly, k), 1 -> (n_poly, k, 3), 2 -> (n_poly, k, 3, 3)
     where k = number of sample points.  Physical derivatives follow by
     contraction with per-triangle barycentric gradients.  Every entry goes
-    through the operations of ``BaryPoly.eval``, so it is bitwise that value.
+    through the operations of ``BaryPoly.eval``, so it is bitwise that value,
+    whatever `order` is.
     """
     lam_pts = np.asarray(lam_pts, dtype=float)
     k = lam_pts.shape[0]

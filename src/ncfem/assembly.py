@@ -106,13 +106,13 @@ def _companion_stiffness(space):
     """
     m, nsub, F, n = space.m, space.n_subcells, space.mesh.n_triangles, len(space._modes)
     rule = triangle_rule(2 * (space.poly_degree - m))
-    G = space._lgrad_powers(np.arange(F), m)[m]  # (F, 3**m, 2**m)
+    G = space._lgrad_powers(np.arange(F), m)  # (F, 3**m, 2**m)
     Q = (G @ G.swapaxes(1, 2)).reshape(F, -1) * (space.mesh.area / nsub)[:, None]
     D = space._mode_coef  # None, or (F, nsub, r, q): see FeSpace
     local = 0.0
     for s in range(nsub):
         parent = parent_points(rule.points, s, nsub)
-        P = space._cached_bary(parent, m)[m].reshape(n, rule.n_points, -1)
+        P = space._cached_bary(parent, m).reshape(n, rule.n_points, -1)
         K = np.einsum("k,ika,jkb->ijab", rule.weights, P, P).reshape(n * n, -1)
         modes = (Q @ K.T).reshape(F, n, n)
         if D is not None:
@@ -130,7 +130,7 @@ def _basis_at_point(space, t, point):
     """Local basis values at one physical point of triangle t."""
     point = np.asarray(point, dtype=float)
     s, bary = space.locate_subcell(t, point[None, :])
-    return space.tabulate(np.array([t]), int(s[0]), bary, 0)[0][0, :, 0]
+    return space.tabulate(np.array([t]), int(s[0]), bary, 0)[0, :, 0]
 
 
 def _vertex_value_dof(space, v):
@@ -159,7 +159,7 @@ def assemble_load(space, data):
             contrib = np.zeros((len(ts), space.n_local))
             for c in chunk:
                 fv = fld.eval_batch(c)
-                tab = space.tabulate_cell(c, order)[order]
+                tab = space.tabulate_cell(c, order)
                 wa = c.area[:, None] * c.weights  # (nts, k)
                 wfv = (fv.reshape(wa.shape + (-1,)) * wa[:, :, None]).reshape(len(ts), -1, 1)
                 contrib += (tab.reshape(len(ts), space.n_local, -1) @ wfv)[:, :, 0]

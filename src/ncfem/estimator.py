@@ -62,8 +62,8 @@ def _fhat_of_defect(space, data, u_nc, ju_nc):
         deg = quad_degree(fld) + max(space.poly_degree, ju_nc.space.poly_degree)
         for chunk in cells(mesh, deg, space, ju_nc.space, fld):
             for c in chunk:
-                du = u_nc.at(c, order)[order]
-                dj = ju_nc.at(c, order)[order]
+                du = u_nc.at(c, order)
+                dj = ju_nc.at(c, order)
                 total += pairing(c, fld.eval_batch(c), du - dj)
     for pf in data.point_forces:
         total += pf.beta * (vertex_eval(u_nc, pf.vertex) - vertex_eval(ju_nc, pf.vertex))

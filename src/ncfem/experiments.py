@@ -214,7 +214,7 @@ def _scheme_comparison(disc, seed, mesh_id):
 def _at_centroids(f, order):
     """Derivative of `order` of an FeFunction at each triangle's centroid."""
     ts = np.arange(f.space.mesh.n_triangles)
-    return f.evaluate_batch(ts, 0, np.array([[1 / 3, 1 / 3, 1 / 3]]), order)[order][:, 0]
+    return f.evaluate_batch(ts, 0, np.array([[1 / 3, 1 / 3, 1 / 3]]), order)[:, 0]
 
 
 def _constrained_solver(K, C):

@@ -32,7 +32,8 @@ construction, into coefficients of the parent triangle's ``bary_modes(2)``
 and ``bary_modes(3)`` (on the split, one map per subcell).  The modes'
 values and formal lambda-partials are tabulated once per point set, in
 triangle coordinates, and memoized per space; physical derivatives follow
-by contraction with the constant barycentric gradients.
+by contraction with the constant barycentric gradients.  Each evaluator
+returns the one derivative order asked for, with a trailing 2 per order.
 :meth:`FeSpace.tabulate_cell` maps the contracted modes to the local basis,
 while :meth:`FeFunction.at` first folds a function's local dof vectors into
 mode coefficients, so it never builds a basis table.
@@ -68,8 +69,8 @@ __all__ = [
 
 _EXPS2 = monomial_exponents(2)
 
-# memo entries per space before it is emptied; a certify job needs 16 at most
-# (companion Morley: one per point set and derivative order)
+# memo entries (point sets) per space before it is emptied; a certify job
+# needs 16 at most (companion Morley in ``compare --m 2``)
 _BARY_CACHE_SIZE = 64
 
 
@@ -173,15 +174,13 @@ class FeSpace:
         return best_s, best_bary
 
     def tabulate(self, ts, s, bary, order):
-        """Local basis on subcell s of triangles ts at subcell barycentric points.
-
-        Returns dict: 0 -> (nts, n_local, k), 1 -> (nts, n_local, k, 2),
-        2 -> (nts, n_local, k, 2, 2).
-        """
+        """Local basis on subcell s of triangles ts at subcell barycentric points:
+        the derivative of order `order`, (nts, n_local, k) + (2,) * order."""
         return self.tabulate_cell(_cell(self, ts, s, bary), order)
 
     def tabulate_cell(self, cell, order):
-        """Tabulate at the points of a quadrature Cell.
+        """Derivative of order `order` of the local basis at the points of a
+        quadrature Cell, (nts, n_local, k) + (2,) * order.
 
         The modes are tabulated at the cell's triangle coordinates; a space
         on the HCT split maps them with the coefficients of the cell's subcell.
@@ -189,20 +188,18 @@ class FeSpace:
         ts = cell.ts
         tab = self._cached_bary(cell.parent, order)
         nts = len(ts)
-        G = self._lgrad_powers(ts, order)
-        n, k = tab[0].shape
-        modes = {0: np.broadcast_to(tab[0], (nts, n, k))}
-        for o in range(1, order + 1):
-            modes[o] = (tab[o].reshape(n * k, 3**o) @ G[o]).reshape((nts, n, k) + (2,) * o)
+        n, k = tab.shape[:2]
+        if order:
+            G = self._lgrad_powers(ts, order)
+            modes = (tab.reshape(n * k, 3**order) @ G).reshape((nts, n, k) + (2,) * order)
+        else:
+            modes = np.broadcast_to(tab, (nts, n, k))
         if self._mode_coef is None:
             return modes
         D = self._mode_coef[ts, self._subcell(cell)].swapaxes(1, 2)  # (nts, q, r)
         q, r = D.shape[1:]
-        out = {}
-        for o, t in modes.items():
-            mapped = (D @ t[:, :r].reshape(nts, r, -1)).reshape((nts, q) + t.shape[2:])
-            out[o] = np.concatenate([mapped, t[:, r:]], axis=1)
-        return out
+        mapped = (D @ modes[:, :r].reshape(nts, r, -1)).reshape((nts, q) + modes.shape[2:])
+        return np.concatenate([mapped, modes[:, r:]], axis=1)
 
     def fold(self, ts, s, c):
         """Mode coefficients (nts, n_modes) of local dof vectors c (nts, n_local)
@@ -214,47 +211,45 @@ class FeSpace:
         return np.concatenate([(D @ c[:, :q, None])[..., 0], c[:, q:]], axis=1)
 
     def mode_values(self, ts, a, tab, order):
-        """Derivatives up to `order` of mode combinations a (nts, n_modes).
+        """Derivative of order `order` of mode combinations a (nts, n_modes),
+        (nts, k) + (2,) * order.
 
-        `tab` holds the modes' formal lambda-partials at points shared by
-        all triangles, order o -> (n_modes, k, 3, ...), or at points of
-        each triangle, (nts, n_modes, k, 3, ...).  Returns dict order ->
-        (nts, k, 2, ...).
+        `tab` holds the modes' formal lambda-partials of that order at points
+        shared by all triangles, (n_modes, k) + (3,) * order, or at points of
+        each triangle, (nts, n_modes, k) + (3,) * order.
         """
-        G = self._lgrad_powers(ts, order)
         nts = len(ts)
-        out = {}
-        for o in range(order + 1):
-            t = tab[o]
-            lead = t.ndim - 2 - o
-            k = t.shape[lead + 1]
-            flat = t.reshape(t.shape[: lead + 1] + (-1,))
-            v = a @ flat if lead == 0 else (a[:, None] @ flat)[:, 0]
-            if o:
-                v = v.reshape(nts, k, 3**o) @ G[o]
-            out[o] = v.reshape((nts, k) + (2,) * o)
-        return out
+        lead = tab.ndim - 2 - order
+        k = tab.shape[lead + 1]
+        flat = tab.reshape(tab.shape[: lead + 1] + (-1,))
+        v = a @ flat if lead == 0 else (a[:, None] @ flat)[:, 0]
+        if order:
+            v = v.reshape(nts, k, 3**order) @ self._lgrad_powers(ts, order)
+        return v.reshape((nts, k) + (2,) * order)
 
     def _subcell(self, cell):
         return cell.s if self.n_subcells > 1 else 0
 
     def _cached_bary(self, parent, order):
-        """Formal lambda-partials of the modes at triangle coordinates `parent`."""
-        key = (parent.tobytes(), order)
-        if key not in self._bary_cache:
-            if len(self._bary_cache) >= _BARY_CACHE_SIZE:
+        """Order-`order` lambda-partials of the modes at triangle coordinates
+        `parent`, (n_modes, k) + (3,) * order, read from the point set's one
+        memo entry, which holds every order up to the highest asked so far."""
+        key = parent.tobytes()
+        tab = self._bary_cache.get(key)
+        if tab is None or order not in tab:
+            if tab is None and len(self._bary_cache) >= _BARY_CACHE_SIZE:
                 self._bary_cache.clear()
-            self._bary_cache[key] = bary_tabulate(self._modes, parent, order)
-        return self._bary_cache[key]
+            tab = self._bary_cache[key] = bary_tabulate(self._modes, parent, order)
+        return tab[order]
 
     def _lgrad_powers(self, ts, order):
-        """Order o -> (nts, 3**o, 2**o): o-fold products of barycentric gradients."""
+        """(nts, 3**order, 2**order): order-fold products of barycentric
+        gradients, for order 1 or 2."""
         gl = self._lgrad[ts]  # (nts, 3, 2)
-        G = {1: gl}
-        if order >= 2:
-            # products grad(lambda_a)_d * grad(lambda_b)_e
-            G[2] = (gl[:, :, None, :, None] * gl[:, None, :, None, :]).reshape(len(ts), 9, 4)
-        return G
+        if order == 1:
+            return gl
+        # products grad(lambda_a)_d * grad(lambda_b)_e
+        return (gl[:, :, None, :, None] * gl[:, None, :, None, :]).reshape(len(ts), 9, 4)
 
 
 class CRSpace(FeSpace):
@@ -306,7 +301,7 @@ class MorleySpace(FeSpace):
     def local_hessians(self):
         """Constant Hessians of the six local basis functions, (F, 6, 2, 2)."""
         centroid = np.full((1, 3), 1.0 / 3.0)
-        return self.tabulate(np.arange(self.mesh.n_triangles), 0, centroid, 2)[2][:, :, 0]
+        return self.tabulate(np.arange(self.mesh.n_triangles), 0, centroid, 2)[:, :, 0]
 
 
 class CompanionCRSpace(FeSpace):
@@ -398,14 +393,13 @@ class FeFunction:
         return c
 
     def evaluate_batch(self, ts, s, bary, order):
-        """Evaluate on subcell s of triangles ts at shared barycentric points.
-
-        Returns dict: 0 -> (nts, k), 1 -> (nts, k, 2), 2 -> (nts, k, 2, 2).
-        """
+        """Derivative of order `order` on subcell s of triangles ts at shared
+        barycentric points, (nts, k) + (2,) * order."""
         return self.at(_cell(self.space, ts, s, bary), order)
 
     def at(self, cell, order):
-        """Values and derivatives up to `order` at the points of a quadrature Cell.
+        """Derivative of order `order` at the points of a quadrature Cell,
+        (nts, k) + (2,) * order.
 
         The local dof vectors are folded into mode coefficients and contracted
         with the space's memoized mode table.
@@ -416,7 +410,7 @@ class FeFunction:
 
     def evaluate(self, t, points, order=0):
         """Value (order 0), gradient (1) or Hessian (2) at physical points
-        inside triangle t: dict o -> (1, k, ...) for every o up to `order`."""
+        inside triangle t, (1, k) + (2,) * order."""
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, not {order!r}")
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -426,17 +420,11 @@ class FeFunction:
                 f"point {points[np.unravel_index(sub_bary.argmin(), sub_bary.shape)[0]]} "
                 f"lies outside triangle {t}"
             )
-        out = None
+        out = np.zeros((1, len(points)) + (2,) * order)
         for s in range(self.space.n_subcells):
             sel = subs == s
-            if not sel.any():
-                continue
-            part = self.evaluate_batch(np.array([t]), s, sub_bary[sel], order)
-            if out is None:
-                k = len(points)
-                out = {o: np.zeros((1, k) + part[o].shape[2:]) for o in part}
-            for o in part:
-                out[o][0, sel] = part[o][0]
+            if sel.any():
+                out[0, sel] = self.evaluate_batch(np.array([t]), s, sub_bary[sel], order)[0]
         return out
 
 
@@ -452,7 +440,7 @@ def vertex_eval(f, vertex):
     mesh = space.mesh
     x = mesh.vertices[vertex]
     t = int(np.nonzero((mesh.triangles == vertex).any(axis=1))[0][0])
-    return float(f.evaluate(t, x)[0][0, 0])
+    return float(f.evaluate(t, x)[0, 0])
 
 
 def split_point_eval(f, edge, point, mu=0.5):
@@ -477,9 +465,9 @@ def split_point_eval(f, edge, point, mu=0.5):
         raise ValueError(f"point {point} does not lie on edge {edge}")
     t_lo, t_hi = mesh.edge_triangles[edge]
     if t_hi < 0:
-        return float(f.evaluate(int(t_lo), point)[0][0, 0])
-    v_plus = float(f.evaluate(int(t_hi), point)[0][0, 0])
-    v_minus = float(f.evaluate(int(t_lo), point)[0][0, 0])
+        return float(f.evaluate(int(t_lo), point)[0, 0])
+    v_plus = float(f.evaluate(int(t_hi), point)[0, 0])
+    v_minus = float(f.evaluate(int(t_lo), point)[0, 0])
     return mu * v_plus + (1.0 - mu) * v_minus
 
 

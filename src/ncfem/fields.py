@@ -92,7 +92,7 @@ class _FeDerivedField(FieldBase):
         self.n_subcells = max(f.space.n_subcells for f in funcs)
 
     def eval_batch(self, cell):
-        return self._combine(*(f.at(cell, self.order)[self.order] for f in self.funcs))
+        return self._combine(*(f.at(cell, self.order) for f in self.funcs))
 
 
 def _derived_degree(f, order):

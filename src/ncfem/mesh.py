@@ -72,7 +72,14 @@ class Triangulation:
             raise MeshTopologyError("triangles must be an (F, 3) array")
         if validate:
             self._validate_input()
-        self._build_geometry()
+        with np.errstate(over="ignore", invalid="ignore"):  # reported next, per triangle
+            self._build_geometry()
+        if validate:
+            bad = np.flatnonzero(~(np.isfinite(self.area) & np.isfinite(self.diameter)))
+            if bad.size:
+                t = bad[0]
+                raise MeshTopologyError(f"triangle {t} has a non-finite area {self.area[t]} "
+                                        f"or diameter {self.diameter[t]}")
         self._build_edges()
         if validate:
             self._validate_topology()
@@ -340,10 +347,15 @@ def load_mesh(path):
     lineno, fields = tokens.pop(0)
     if " ".join(fields) != MESH_MAGIC:
         raise MeshFormatError(f"bad header, expected {MESH_MAGIC!r}", lineno)
+    counts_line = tokens[0][0] if tokens else None
     nv, nb, nf = take("counts header", 3, int)
+    if min(nv, nb, nf) < 0:
+        raise MeshFormatError(f"counts must be non-negative, got {nv} {nb} {nf}", counts_line)
     vertices = np.array([take("vertex", 2, float) for _ in range(nv)])
     triangles = np.array([take("triangle", 3, int) for _ in range(nf)], dtype=np.int64)
     declared = [take("boundary edge", 2, int) for _ in range(nb)]
+    if tokens:
+        raise MeshFormatError("unexpected data after the last boundary edge", tokens[0][0])
     mesh = Triangulation(vertices, triangles)
     stored = {tuple(sorted(e)) for e in mesh.edges[mesh.boundary_edge_mask]}
     for e in declared:

@@ -32,9 +32,9 @@ class ErrorBundle:
 def _ref_values(reference, cell, orders):
     """Order -> the reference's derivative of that order at the cell's points."""
     if isinstance(reference, FeFunction):
-        return reference.at(cell, orders[-1])
+        return {k: reference.at(cell, k) for k in orders}
     if reference is None:
-        return {k: np.zeros(cell.phys.shape[:-1] + ((), (2,), (2, 2))[k]) for k in orders}
+        return {k: np.zeros(cell.phys.shape[:-1] + (2,) * k) for k in orders}
     if isinstance(reference, ExactSolution):
         x, y = cell.phys[..., 0], cell.phys[..., 1]
         if reference.parts is not None:
@@ -50,8 +50,8 @@ def error_norms(f, reference=None, orders=None):
 
     Exact when both sides are piecewise polynomial at the declared degree.
     ``orders`` (a subset of {0, 1, m}, default all three) selects the norms
-    to integrate: neither side is differentiated beyond the highest of
-    them, and the bundle fields of the orders left out are None.  A
+    to integrate: each side is differentiated only at the orders asked,
+    and the bundle fields of the orders left out are None.  A
     computed field is bitwise the same as in a call with every order.
 
     ``f`` may also be a sequence of ``(function, orders)`` pairs on one
@@ -95,9 +95,8 @@ def error_norms(f, reference=None, orders=None):
             for c in chunk:
                 rv = _ref_values(reference, c, union)
                 for f, t in members:
-                    fv = f.at(c, max(t))
                     for k in t:
-                        diff = fv[k] - rv[k]
+                        diff = f.at(c, k) - rv[k]
                         t[k] += pairing(c, diff, diff)
     bundles = []
     for (f, _), t in zip(items, totals):
@@ -145,10 +144,10 @@ def _eval_coarse_at(f, anc, bary, order):
     if not isinstance(space, (CRSpace, MorleySpace)):
         raise TypeError("fine-grid comparison supports CR and Morley functions")
     n, k = bary.shape[:2]
-    tab = bary_tabulate(space._modes, bary.reshape(n * k, 3), order)
-    per_tri = {o: np.moveaxis(t.reshape((-1, n, k) + t.shape[2:]), 1, 0) for o, t in tab.items()}
+    tab = bary_tabulate(space._modes, bary.reshape(n * k, 3), order)[order]
+    per_tri = np.moveaxis(tab.reshape((-1, n, k) + tab.shape[2:]), 1, 0)
     a = space.fold(anc, 0, f.local_coeffs(anc))
-    return space.mode_values(anc, a, per_tri, order)[order]
+    return space.mode_values(anc, a, per_tri, order)
 
 
 def errors_vs_fine(coarse, fine, generations):
@@ -180,10 +179,8 @@ def errors_vs_fine(coarse, fine, generations):
         rel = c.phys - p0[:, None, :]
         lam12 = np.einsum("fde,fke->fkd", inv, rel)
         bary_c = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
-        fv = fine.at(c, m)
         for k in (0, m):
-            cv = _eval_coarse_at(coarse, anc, bary_c, k)
-            diff = fv[k] - cv
+            diff = fine.at(c, k) - _eval_coarse_at(coarse, anc, bary_c, k)
             totals[k] += pairing(c, diff, diff)
     return {
         "energy_pw": float(np.sqrt(totals[m])),

@@ -68,8 +68,7 @@ def _fef_on_edges(f, edges_idx, rule, order):
     # forward orientation: edge vertex order (a, b) matches (A_{k+1}, A_{k+2})
     fwd = mesh.triangles[ts, (slots + 1) % 3] == mesh.edges[edges_idx, 0]
     t = rule.points[:, 1]
-    shape = (len(edges_idx), rule.n_points) + ((2,) if order == 1 else ())
-    out = np.zeros(shape)
+    out = np.zeros((len(edges_idx), rule.n_points) + (2,) * order)
     for k in range(3):
         for is_fwd in (True, False):
             sel = (slots == k) & (fwd == is_fwd)
@@ -80,7 +79,7 @@ def _fef_on_edges(f, edges_idx, rule, order):
             parent[:, (k + 1) % 3] = ta
             parent[:, (k + 2) % 3] = tb
             # outer edge k is the side (A_{k+1}, A_{k+2}) of HCT subtriangle k
-            out[sel] = f.at(Cell(ts[sel], k, 3, parent, None, None, None), order)[order]
+            out[sel] = f.at(Cell(ts[sel], k, 3, parent, None, None, None), order)
     return out
 
 
@@ -116,7 +115,7 @@ def _vertex_values(f, mesh, vertices):
             continue
         # A_k is local corner 1 of HCT subtriangle (k+2)%3
         cell = Cell(ts[sel], (k + 2) % 3, 3, np.eye(3)[k][None, :], None, None, None)
-        out[sel] = f.at(cell, 0)[0][:, 0]
+        out[sel] = f.at(cell, 0)[:, 0]
     return out
 
 
@@ -208,7 +207,7 @@ def _vertex_average(source, homogeneous):
     V, F = mesh.n_vertices, mesh.n_triangles
     tri = mesh.triangles
     o = source.m - 1
-    corner = source.tabulate(np.arange(F), 0, np.eye(3), o)[o].reshape(F, source.n_local, 3, -1)
+    corner = source.tabulate(np.arange(F), 0, np.eye(3), o).reshape(F, source.n_local, 3, -1)
     n_adj = np.bincount(tri.ravel(), minlength=V).astype(float)
     rows, cols, data = [], [], []
     for k in range(3):
@@ -301,7 +300,7 @@ def _morley_companion_matrix(source, target):
     # bubble corrections enforce the P2 moment conditions per triangle
     modes = bary_modes(2)
     rule_s = triangle_rule(4)
-    tabM = source.tabulate(np.arange(F), 0, rule_s.points, 0)[0]  # (F, 6, k)
+    tabM = source.tabulate(np.arange(F), 0, rule_s.points, 0)  # (F, 6, k)
     qv = bary_tabulate(modes, rule_s.points, 0)[0]  # (6, k)
     S = np.einsum("k,fjk,lk->fjl", rule_s.weights, tabM, qv)  # (F, 6 dof, 6 mode)
 
@@ -310,7 +309,7 @@ def _morley_companion_matrix(source, target):
     for chunk in cells(mesh, 5, target):
         for c in chunk:
             qv_s = bary_tabulate(modes, c.parent, 0)[0].T  # (k, 6)
-            shape_vals = target.tabulate_cell(c, 0)[0][:, :12]  # (nts, 12, k)
+            shape_vals = target.tabulate_cell(c, 0)[:, :12]  # (nts, 12, k)
             P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
 
     # columns of the stacked HCT-dof matrix: value z -> z, d/dx z -> V + z,
@@ -481,10 +480,10 @@ def best_approx_orthogonality_check(space, v):
     for chunk in cells(mesh, deg, *over):
         for c in chunk:
             if isinstance(v, FeFunction):
-                dv = v.at(c, m)[m]
+                dv = v.at(c, m)
             else:
                 dv = v.eval(m, c.phys[..., 0], c.phys[..., 1])
-            div = iv.at(c, m)[m]
+            div = iv.at(c, m)
             total[c.ts] += np.einsum("k,fk...->f...", c.weights / c.nsub, dv - div)
     total *= mesh.area.reshape((-1,) + (1,) * (total.ndim - 1))
     return float(np.abs(total).max())

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import reject, settings
 from hypothesis import strategies as st
 
-from ncfem.mesh import MeshTopologyError, Triangulation, l_shape_mesh, unit_square_mesh
+from ncfem.mesh import (
+    MeshTopologyError,
+    Triangulation,
+    l_shape_mesh,
+    save_mesh,
+    unit_square_mesh,
+)
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +34,25 @@ def jittered(mesh, amplitude, rng):
     interior = ~mesh.boundary_vertex_mask
     verts[interior] += amplitude * rng.uniform(-1, 1, size=(int(interior.sum()), 2))
     return Triangulation(verts, mesh.triangles)
+
+
+# ways to spoil the mesh file of unit_square_mesh(1): a counts header, one
+# more line after the boundary edges, or every coordinate times 1e300
+SPOILED_MESH_FILES = ("-1 4 2", "4 4 -2", "4 -4 2", "trailing", "huge")
+
+
+def spoiled_square_file(path, case):
+    """Write ``save_mesh(unit_square_mesh(1))`` to `path`, spoiled as `case`
+    (one of ``SPOILED_MESH_FILES``) says."""
+    save_mesh(unit_square_mesh(1), path)
+    lines = path.read_text().splitlines()
+    if case == "trailing":
+        lines.append("7 7")
+    elif case == "huge":
+        lines[2:6] = [" ".join(repr(1e300 * float(x)) for x in ln.split()) for ln in lines[2:6]]
+    else:
+        lines[1] = case
+    path.write_text("\n".join(lines) + "\n")
 
 
 @st.composite

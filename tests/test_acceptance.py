@@ -110,8 +110,8 @@ def test_criterion_2_l2_orthogonality():
                 total = np.zeros((mesh.n_triangles, len(modes)))
                 for s in range(nsub):
                     parent = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
-                    vv = v.evaluate_batch(ts, 0, parent, 0)[0]
-                    jj = jv.evaluate_batch(ts, s, rule.points, 0)[0]
+                    vv = v.evaluate_batch(ts, 0, parent, 0)
+                    jj = jv.evaluate_batch(ts, s, rule.points, 0)
                     qv = np.stack([p.eval(parent) for p in modes])
                     total += np.einsum("k,fk,lk->fl", rule.weights, vv - jj, qv)
                 total *= (mesh.area / nsub)[:, None]

@@ -134,7 +134,7 @@ def test_split_point_force_consistency(square2):
                 continue
             f = FeFunction(space)
             f.coeffs[dofs[j]] = 1.0
-            want[dofs[j]] += 2.0 * w * f.evaluate(t, z)[0][0, 0]
+            want[dofs[j]] += 2.0 * w * f.evaluate(t, z)[0, 0]
     assert np.abs(vec - want).max() < 1e-12
 
 
@@ -298,7 +298,7 @@ def _per_point_stiffness(space):
     A = np.zeros((space.ndofs, space.ndofs))
     for chunk in cells(space.mesh, deg, space):
         for c in chunk:
-            tab = space.tabulate_cell(c, m)[m].reshape(len(c.ts), L, rule.n_points, -1)
+            tab = space.tabulate_cell(c, m).reshape(len(c.ts), L, rule.n_points, -1)
             local = np.einsum("k,f,fikd,fjkd->fij", c.weights, c.area, tab, tab)
             for dofs, block in zip(space.cell_dofs[c.ts], local):
                 keep = dofs >= 0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import SPOILED_MESH_FILES, spoiled_square_file
 
 import ncfem
 from ncfem.cli import USAGE_ERROR, main
@@ -722,6 +723,28 @@ def test_non_finite_mesh_file_coordinate_exits_one_with_one_line(bad, tmp_path):
     assert done.returncode == USAGE_ERROR
     assert done.stderr == (f"ncfem: mesh file {path}: vertex 2 has a non-finite"
                            f" coordinate [{bad}, 1.0]\n")
+
+
+# an overflowing file used to reach each command's numerics, so it runs all three
+_SPOILED_RUNS = [(case, ["verify", "--m", "1"]) for case in SPOILED_MESH_FILES] + [
+    ("huge", ["lambda0", "--m", "2"]),
+    ("huge", ["counterexample", "morley"]),
+]
+
+
+@pytest.mark.parametrize("case, argv", _SPOILED_RUNS,
+                         ids=[f"{case}-{argv[0]}" for case, argv in _SPOILED_RUNS])
+def test_spoiled_mesh_file_exits_one_with_one_line(case, argv, tmp_path):
+    path = tmp_path / "bad.mesh"
+    spoiled_square_file(path, case)
+    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ncfem.cli", *argv, "--mesh", str(path)],
+                          env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == USAGE_ERROR
+    assert done.stderr.startswith(f"ncfem: mesh file {path}: ")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_config_command_other_than_the_subcommand_exits_one(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import jittered
 
-from ncfem import fespace
+from ncfem import fespace, norms
 from ncfem.fespace import (
     FeFunction,
     build_space,
@@ -45,7 +45,7 @@ def test_cr_basis_midpoint_duality(square2):
         t = int(mesh.edge_triangles[e, 0])
         for k in range(3):
             e2 = mesh.triangle_edges[t, k]
-            val = f.evaluate(t, mesh.edge_midpoint[e2])[0][0, 0]
+            val = f.evaluate(t, mesh.edge_midpoint[e2])[0, 0]
             assert abs(val - (1.0 if e2 == e else 0.0)) < 1e-13
 
 
@@ -65,7 +65,7 @@ def test_morley_duality(square2):
             t = int(mesh.edge_triangles[e, 0])
             a, b = mesh.vertices[mesh.edges[e]]
             pts = a[None, :] + rule.points[:, 1][:, None] * (b - a)[None, :]
-            grads = f.evaluate(t, pts, 1)[1][0]
+            grads = f.evaluate(t, pts, 1)[0]
             mean = float(rule.weights @ (grads @ mesh.edge_normal[e]))
             want = 1.0 if space.edge_dof[e] == dof else 0.0
             assert abs(mean - want) < 1e-12
@@ -74,7 +74,7 @@ def test_morley_duality(square2):
 def test_cr_hessian_is_zero(square2):
     space = build_space(square2, "CR1_0")
     f = FeFunction(space, np.arange(space.ndofs, dtype=float))
-    out = f.evaluate(0, square2.centroid[0], 2)[2]
+    out = f.evaluate(0, square2.centroid[0], 2)
     assert np.abs(out).max() == 0.0
 
 
@@ -92,7 +92,7 @@ def test_constant_representable(rng):
         for i in range(100):
             t = i % mesh.n_triangles
             x = pts_bary[i][None, :] @ mesh.vertices[mesh.triangles[t]]
-            assert abs(f.evaluate(t, x)[0][0, 0] - 1.0) < 1e-13
+            assert abs(f.evaluate(t, x)[0, 0] - 1.0) < 1e-13
 
 
 def test_local_duality_on_random_triangles(rng):
@@ -108,7 +108,7 @@ def test_local_duality_on_random_triangles(rng):
             f.coeffs[dofs[j]] = 1.0
             for k in range(3):
                 e = mesh.triangle_edges[t, k]
-                got = f.evaluate(int(t), mesh.edge_midpoint[e])[0][0, 0]
+                got = f.evaluate(int(t), mesh.edge_midpoint[e])[0, 0]
                 assert abs(got - (1.0 if k == j else 0.0)) < 1e-12
 
 
@@ -150,8 +150,8 @@ def test_split_point_eval(square2, rng):
     # generic interior-edge midpoint: mu-weighted one-sided values
     z = mesh.edge_midpoint[e]
     t_lo, t_hi = mesh.edge_triangles[e]
-    v_lo = f.evaluate(int(t_lo), z)[0][0, 0]
-    v_hi = f.evaluate(int(t_hi), z)[0][0, 0]
+    v_lo = f.evaluate(int(t_lo), z)[0, 0]
+    v_hi = f.evaluate(int(t_hi), z)[0, 0]
     for mu in (0.0, 0.3, 1.0):
         want = mu * v_hi + (1 - mu) * v_lo
         assert abs(split_point_eval(f, e, z, mu) - want) < 1e-12
@@ -274,15 +274,10 @@ def test_batched_kernels_match_einsum_reference(kind):
     ts = np.arange(mesh.n_triangles)
     for s in range(space.n_subcells):
         for order in range(3):
-            got = space.tabulate(ts, s, bary, order)
-            want = _einsum_tabulate(space, ts, s, bary, order)
-            assert sorted(got) == list(range(order + 1))
-            for o in want:
-                _close(got[o], want[o])
+            want = _einsum_tabulate(space, ts, s, bary, order)[order]
+            _close(space.tabulate(ts, s, bary, order), want)
             vals = f.evaluate_batch(ts, s, bary, order)
-            c = f.local_coeffs(ts)
-            for o in want:
-                _close(vals[o], np.einsum("fl,flk...->fk...", c, want[o]))
+            _close(vals, np.einsum("fl,flk...->fk...", f.local_coeffs(ts), want))
 
 
 # -- evaluation through the shared mode tables ------------------------------
@@ -301,13 +296,13 @@ def test_morley_dof_duality_through_mode_tables(mesh_id):
     ts = np.arange(mesh.n_triangles)
     normals = mesh.edge_normal[mesh.triangle_edges]  # (F, 3, 2)
     dof = np.empty((mesh.n_triangles, 6, 6))
-    dof[:, :3] = space.tabulate(ts, 0, np.eye(3), 0)[0].swapaxes(1, 2)
+    dof[:, :3] = space.tabulate(ts, 0, np.eye(3), 0).swapaxes(1, 2)
     rule = edge_rule(2)
     for k in range(3):
         parent = np.zeros((rule.n_points, 3))
         parent[:, (k + 1) % 3] = rule.points[:, 0]
         parent[:, (k + 2) % 3] = rule.points[:, 1]
-        grads = space.tabulate(ts, 0, parent, 1)[1]  # (F, 6, q, 2)
+        grads = space.tabulate(ts, 0, parent, 1)  # (F, 6, q, 2)
         dof[:, 3 + k] = (grads @ normals[:, k, None, :, None])[..., 0] @ rule.weights
     assert np.abs(dof - np.eye(6)).max() <= 1e-12
 
@@ -324,11 +319,12 @@ def test_hct_dof_duality_through_mode_tables(mesh_id):
     for k in range(3):
         # A_k is corner 2 of subtriangle k+1 and corner 1 of subtriangle k+2
         for s, corner in (((k + 1) % 3, [0.0, 0.0, 1.0]), ((k + 2) % 3, [0.0, 1.0, 0.0])):
-            tab = space.tabulate(ts, s, np.array([corner]), 1)
-            got = np.concatenate([tab[0][:, None, :, 0], tab[1][:, :, 0].swapaxes(1, 2)], axis=1)
+            val = space.tabulate(ts, s, np.array([corner]), 0)
+            grad = space.tabulate(ts, s, np.array([corner]), 1)
+            got = np.concatenate([val[:, None, :, 0], grad[:, :, 0].swapaxes(1, 2)], axis=1)
             assert np.abs(got - want[3 * k : 3 * k + 3]).max() <= 1e-12
         # the midpoint of outer edge k lies on subtriangle k
-        grad = space.tabulate(ts, k, np.array([[0.0, 0.5, 0.5]]), 1)[1][:, :, 0]  # (F, 18, 2)
+        grad = space.tabulate(ts, k, np.array([[0.0, 0.5, 0.5]]), 1)[:, :, 0]  # (F, 18, 2)
         got = (grad @ normals[:, k, :, None])[..., 0]
         assert np.abs(got - want[9 + k]).max() <= 1e-12
 
@@ -345,11 +341,121 @@ def test_at_matches_coefficients_times_tabulate_cell(kind):
             for c in chunk:
                 c_loc = f.local_coeffs(c.ts)
                 for order in range(3):
-                    got = f.at(c, order)
                     tab = space.tabulate_cell(c, order)
-                    assert sorted(got) == list(range(order + 1))
-                    for o in tab:
-                        _close(got[o], np.einsum("fl,flk...->fk...", c_loc, tab[o]))
+                    _close(f.at(c, order), np.einsum("fl,flk...->fk...", c_loc, tab))
+
+
+# -- the one-order evaluators against the former order dicts ----------------
+
+
+def _dict_lgrad_powers(space, ts, order):
+    """Order o -> (nts, 3**o, 2**o), as ``FeSpace._lgrad_powers`` returned it."""
+    gl = space._lgrad[ts]
+    G = {1: gl}
+    if order >= 2:
+        G[2] = (gl[:, :, None, :, None] * gl[:, None, :, None, :]).reshape(len(ts), 9, 4)
+    return G
+
+
+def _dict_tabulate_cell(space, cell, order):
+    """The former ``FeSpace.tabulate_cell``: order o -> table, every o <= order."""
+    ts = cell.ts
+    tab = bary_tabulate(space._modes, cell.parent, order)
+    nts = len(ts)
+    G = _dict_lgrad_powers(space, ts, order)
+    n, k = tab[0].shape
+    modes = {0: np.broadcast_to(tab[0], (nts, n, k))}
+    for o in range(1, order + 1):
+        modes[o] = (tab[o].reshape(n * k, 3**o) @ G[o]).reshape((nts, n, k) + (2,) * o)
+    if space._mode_coef is None:
+        return modes
+    D = space._mode_coef[ts, space._subcell(cell)].swapaxes(1, 2)
+    q, r = D.shape[1:]
+    out = {}
+    for o, t in modes.items():
+        mapped = (D @ t[:, :r].reshape(nts, r, -1)).reshape((nts, q) + t.shape[2:])
+        out[o] = np.concatenate([mapped, t[:, r:]], axis=1)
+    return out
+
+
+def _dict_mode_values(space, ts, a, tab, order):
+    """The former ``FeSpace.mode_values``: `tab` and the result map order o
+    to a table, for every o <= order."""
+    G = _dict_lgrad_powers(space, ts, order)
+    nts = len(ts)
+    out = {}
+    for o in range(order + 1):
+        t = tab[o]
+        lead = t.ndim - 2 - o
+        k = t.shape[lead + 1]
+        flat = t.reshape(t.shape[: lead + 1] + (-1,))
+        v = a @ flat if lead == 0 else (a[:, None] @ flat)[:, 0]
+        if o:
+            v = v.reshape(nts, k, 3**o) @ G[o]
+        out[o] = v.reshape((nts, k) + (2,) * o)
+    return out
+
+
+@pytest.mark.parametrize("kind", _FAMILIES)
+def test_one_order_evaluators_equal_the_order_dicts(kind):
+    mesh = _jittered_mesh()
+    space = build_space(mesh, kind)
+    rng = np.random.default_rng(9)
+    f = FeFunction(space, rng.standard_normal(space.ndofs))
+    split = build_space(mesh, "COMPANION_MORLEY")
+    # plain cells, then the HCT split; the memo entry of a point set grows
+    # with the orders asked, so lower orders are also read from a higher one
+    for over in ((space,), (space, split)):
+        for chunk in cells(mesh, 6, *over):
+            for c in chunk:
+                a = space.fold(c.ts, space._subcell(c), f.local_coeffs(c.ts))
+                for order in range(3):
+                    tab = _dict_tabulate_cell(space, c, order)
+                    vals = _dict_mode_values(
+                        space, c.ts, a, bary_tabulate(space._modes, c.parent, order), order)
+                    for o in range(order + 1):
+                        assert np.array_equal(space.tabulate_cell(c, o), tab[o])
+                        assert np.array_equal(f.at(c, o), vals[o])
+    # per-triangle tables, as the fine-grid comparison builds them
+    anc = rng.integers(mesh.n_triangles, size=40)
+    bary = rng.dirichlet(np.ones(3), size=(40, 7))
+    a = space.fold(anc, 0, f.local_coeffs(anc))
+    for order in range(3):
+        tab = bary_tabulate(space._modes, bary.reshape(-1, 3), order)
+        per_tri = {o: np.moveaxis(t.reshape((-1, 40, 7) + t.shape[2:]), 1, 0)
+                   for o, t in tab.items()}
+        want = _dict_mode_values(space, anc, a, per_tri, order)
+        for o in range(order + 1):
+            assert np.array_equal(space.mode_values(anc, a, per_tri[o], o), want[o])
+        if kind in ("CR1_0", "MORLEY_0"):
+            assert np.array_equal(norms._eval_coarse_at(f, anc, bary, order), want[order])
+
+
+@pytest.mark.parametrize("kind", _FAMILIES)
+def test_order_zero_never_gathers_gradients(kind, monkeypatch):
+    mesh = unit_square_mesh(3)
+    space = build_space(mesh, kind)
+    f = FeFunction(space, np.random.default_rng(10).standard_normal(space.ndofs))
+
+    def refuse(self, ts, order):
+        raise AssertionError("order 0 gathered the barycentric gradients")
+
+    monkeypatch.setattr(fespace.FeSpace, "_lgrad_powers", refuse)
+    for chunk in cells(mesh, 4, space):
+        for c in chunk:
+            space.tabulate_cell(c, 0)
+            f.at(c, 0)
+
+
+def test_error_norms_keep_one_memo_entry_per_point_set():
+    mesh = unit_square_mesh(3)
+    space = build_space(mesh, "COMPANION_MORLEY")
+    f = FeFunction(space, np.random.default_rng(11).standard_normal(space.ndofs))
+    norms.error_norms(f, orders=(0, 2))
+    point_sets = {c.parent.tobytes() for chunk in cells(mesh, 2 * space.poly_degree, space)
+                  for c in chunk}
+    assert set(space._bary_cache) == point_sets
+    assert all(sorted(tab) == [0, 1, 2] for tab in space._bary_cache.values())
 
 
 def test_certify_commands_never_clear_a_space_memo(tmp_path, monkeypatch):

@@ -44,10 +44,10 @@ def test_companion_c1_on_jittered_mesh(jittered, rng):
         a, b = jittered.vertices[jittered.edges[e]]
         pts = a[None] + tp[:, None] * (b - a)[None]
         lo, hi = jittered.edge_triangles[e]
-        o1 = jv.evaluate(int(lo), pts, 1)
-        o2 = jv.evaluate(int(hi), pts, 1)
-        assert np.abs(o1[0] - o2[0]).max() < 1e-10
-        assert np.abs((o1[1] - o2[1]) @ jittered.edge_normal[e]).max() < 1e-10
+        v1, v2 = (jv.evaluate(int(t), pts, 0) for t in (lo, hi))
+        g1, g2 = (jv.evaluate(int(t), pts, 1) for t in (lo, hi))
+        assert np.abs(v1 - v2).max() < 1e-10
+        assert np.abs((g1 - g2) @ jittered.edge_normal[e]).max() < 1e-10
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
-from conftest import jittered
+from conftest import SPOILED_MESH_FILES, jittered, spoiled_square_file
 
 from ncfem.mesh import (
+    MeshError,
     MeshFormatError,
     MeshTopologyError,
     Triangulation,
@@ -183,6 +186,26 @@ def test_load_reports_line_numbers(tmp_path):
     path.write_text("ncfem-mesh v1\n2 0 0\n0 0\nnot-a-number 1\n")
     with pytest.raises(MeshFormatError, match="line 4"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("case", SPOILED_MESH_FILES)
+def test_load_rejects_bad_counts_trailing_data_and_overflowing_geometry(case, tmp_path):
+    path = tmp_path / "bad.mesh"
+    spoiled_square_file(path, case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        with pytest.raises(MeshError) as exc:
+            load_mesh(path)
+    if case == "huge":
+        assert isinstance(exc.value, MeshTopologyError)
+        assert str(exc.value).startswith("triangle 0 has a non-finite area inf")
+    elif case == "trailing":
+        # the boundary edges end on line 12
+        assert exc.value.line == 13
+        assert str(exc.value) == "line 13: unexpected data after the last boundary edge"
+    else:
+        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: counts must be non-negative, got {case}"
 
 
 def test_duplicate_vertices_rejected():

@@ -740,8 +740,9 @@ def test_spoiled_mesh_file_exits_one_with_one_line(case, argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "ncfem.cli", *argv, "--mesh", str(path)],
                           env=env, capture_output=True, text=True, cwd=tmp_path)
+    where = "triangle 0 " if case == "huge" else "line 13: " if case == "trailing" else "line 2: "
     assert done.returncode == USAGE_ERROR
-    assert done.stderr.startswith(f"ncfem: mesh file {path}: ")
+    assert done.stderr.startswith(f"ncfem: mesh file {path}: {where}")
     assert done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr and "Warning" not in done.stderr
     assert done.stdout == ""

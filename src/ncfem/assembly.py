@@ -36,7 +36,6 @@ __all__ = [
     "p1_to_cr",
     "eps_stiffness_p1_vector",
     "eps_stiffness_cr_vector",
-    "scheme_residual",
 ]
 
 @dataclass(frozen=True)
@@ -322,10 +321,3 @@ def eps_stiffness_cr_vector(mesh):
     grads = -2.0 * lambda_gradients(mesh)
     return _eps_stiffness(mesh, grads, mesh.triangle_edges, mesh.n_edges)
 
-
-def scheme_residual(A, u, rhs):
-    """Relative residual of a discrete solve."""
-    scale = float(np.linalg.norm(rhs))
-    if scale == 0.0:
-        return float(np.linalg.norm(A @ u))
-    return float(np.linalg.norm(A @ u - rhs) / scale)

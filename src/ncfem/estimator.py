@@ -16,6 +16,7 @@ import numpy as np
 from . import assembly
 from .fespace import FeFunction, vertex_eval
 from .fields import quad_degree
+from .linalg import check_solution
 from .mesh import mesh_size
 from .norms import error_norms
 from .operators import companion, interpolate, kappa_constant
@@ -84,11 +85,11 @@ def _measured(space, u_nc, ju_nc, reference):
     }
 
 
-def _check_residual(disc, scheme, data, u_nc, tol=1e-9):
-    res = assembly.scheme_residual(disc.A, u_nc.coeffs, disc.rhs(scheme, data))
-    if res > tol:
+def _check_residual(disc, scheme, data, u_nc):
+    rep = check_solution(disc.A, u_nc.coeffs, disc.rhs(scheme, data))
+    if not rep.converged:
         raise ValueError(
-            f"discrete function does not solve this scheme (residual {res:.2e})"
+            f"discrete function does not solve this scheme (residual {rep.residual:.2e})"
         )
 
 

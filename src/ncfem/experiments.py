@@ -24,7 +24,7 @@ from .fields import (
 )
 from .mesh import red_refine
 from .norms import convergence_rate, error_norms, errors_vs_fine
-from .operators import SCHEME_TOL, Discretization, companion, interpolate
+from .operators import Discretization, companion, interpolate
 from .problems import get_problem
 
 __all__ = [
@@ -433,7 +433,7 @@ def _fine_reference(problem, mesh, extra_levels, dof_cap):
         raise ValueError(
             f"fine-grid reference needs {disc.space.ndofs} dofs, above the cap {dof_cap}"
         )
-    return disc.solve(disc.rhs("modified", problem.data(mesh)), SCHEME_TOL[problem.m])
+    return disc.solve(disc.rhs("modified", problem.data(mesh)))
 
 
 def run_rate_study(
@@ -473,7 +473,7 @@ def run_rate_study(
         if space.ndofs > dof_cap:
             raise ValueError(f"level {lvl} needs {space.ndofs} dofs, above the cap")
         data = problem.data(mesh)
-        u_nc = disc.solve(disc.rhs(scheme, data), SCHEME_TOL[m])
+        u_nc = disc.solve(disc.rhs(scheme, data))
         if not include_estimates:
             del disc.A, disc.lu  # only the estimators read them: out of the norms' peak
         errors = {}

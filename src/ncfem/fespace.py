@@ -276,9 +276,8 @@ class MorleySpace(FeSpace):
     def __init__(self, mesh, kind):
         super().__init__(mesh, kind)
         _number_dofs(self, 1, 0)
-        self._coeff = self._build_local_bases()
         self._modes = bary_modes(2)
-        self._mode_coef = _mono_to_modes(mesh, _EXPS2, self._coeff[:, None])
+        self._mode_coef = _mono_to_modes(mesh, _EXPS2, self._build_local_bases()[:, None])
 
     def _build_local_bases(self):
         mesh = self.mesh
@@ -331,11 +330,10 @@ class CompanionMorleySpace(FeSpace):
     def __init__(self, mesh, kind):
         super().__init__(mesh, kind)
         _number_dofs(self, 3, 6)  # per vertex: value, d/dx, d/dy
-        self.hct_coef = hct_coefficients(mesh)
         b = cubic_bubble()
         self._bubbles = [b * b * p for p in bary_modes(2)]
         self._modes = bary_modes(3) + self._bubbles
-        self._mode_coef = _mono_to_modes(mesh, EXPS3, self.hct_coef)
+        self._mode_coef = _mono_to_modes(mesh, EXPS3, hct_coefficients(mesh))
 
 
 _KIND_CLASS = {

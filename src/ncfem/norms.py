@@ -40,9 +40,8 @@ def _ref_values(reference, cell, orders):
         if reference.parts is not None:
             return reference.parts(x, y, orders)
         return {k: reference.eval(k, x, y) for k in orders}
-    if orders != [0]:  # generic field: value only
-        raise TypeError("reference provides no derivatives")
-    return {0: reference.eval_batch(cell)}
+    raise TypeError("reference must be a FeFunction, an ExactSolution or None, "
+                    f"not {type(reference).__name__}")
 
 
 def error_norms(f, reference=None, orders=None):

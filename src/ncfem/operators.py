@@ -36,7 +36,6 @@ from .fields import ExactSolution, quad_degree
 from .quadrature import Cell, cells, edge_rule, triangle_rule
 
 __all__ = [
-    "SCHEME_TOL",
     "CompanionMap",
     "Discretization",
     "Lambda0Result",
@@ -391,12 +390,6 @@ def compute_lambda0(space, cmap, A, lu=None):
     )
 
 
-# relative residual a scheme solve meets: fourth-order systems are h^-4
-# conditioned, and 1e-9 is attainable by the direct solver at every size used
-# here and matches the estimator's solution pre-check
-SCHEME_TOL = {1: 1e-10, 2: 1e-9}
-
-
 class Discretization:
     """The nonconforming space of `kind` on `mesh`, its companion map, its
     stiffness A, the LU factor of A and lambda0, each built on first use and
@@ -446,18 +439,13 @@ class Discretization:
         self._loads[scheme] = (data, load)
         return load
 
-    def solve_report(self, rhs, tol=1e-12):
-        """Discrete solution for `rhs` and its ``linalg.SolveReport``."""
-        x, rep = linalg.solve_spd(self.A, rhs, tol=tol, lu=self.lu)
-        return FeFunction(self.space, x), rep
-
-    def solve(self, rhs, tol=1e-12):
-        """Discrete solution for `rhs`; RuntimeError when its residual misses
-        `tol`."""
-        u, rep = self.solve_report(rhs, tol)
+    def solve(self, rhs):
+        """Discrete solution for `rhs`; RuntimeError when the solve misses
+        ``linalg.check_solution``'s rule."""
+        x, rep = linalg.solve_spd(self.A, rhs, lu=self.lu)
         if not rep.converged:
             raise RuntimeError(f"discrete solve failed: residual {rep.residual:.2e}")
-        return u
+        return FeFunction(self.space, x)
 
 
 def best_approx_orthogonality_check(space, v):

@@ -254,11 +254,11 @@ def _reliability_case(problem_name, levels):
         data = prob.data(mesh)
         ref = prob.reference()
         A = disc.A
-        x, rep = solve_spd(A, assembly.assemble_rhs_original(space, data), tol=1e-10)
+        x, rep = solve_spd(A, assembly.assemble_rhs_original(space, data))
         est = estimate_original(disc, data, FeFunction(space, x), reference=ref)
         checks.append(est["measured_errors"]["split_a"] <= est["bounds"]["bound_a"] * slack)
         checks.append(est["measured_errors"]["split_b"] <= est["bounds"]["bound_b"] * slack)
-        x, rep = solve_spd(A, assembly.assemble_rhs_modified(space, data, cmap), tol=1e-10)
+        x, rep = solve_spd(A, assembly.assemble_rhs_modified(space, data, cmap))
         est = estimate_modified(disc, data, FeFunction(space, x), reference=ref)
         checks.append(est["measured_errors"]["energy_conf"] <= est["bounds"]["bound_a"] * slack)
         checks.append(est["measured_errors"]["energy_pw"] <= est["bounds"]["bound_b"] * slack)

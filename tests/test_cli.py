@@ -20,6 +20,18 @@ def test_verify_exit_zero(capsys):
     assert "[PASS] right-inverse coefficient identity" in out
 
 
+def test_verify_moment_orthogonality_is_scale_free(tmp_path):
+    from ncfem.mesh import Triangulation, save_mesh, unit_square_mesh
+
+    square = unit_square_mesh(2)
+    path = tmp_path / "square_1e6.mesh"
+    save_mesh(Triangulation(square.vertices * 1e6, square.triangles), path)
+    report = _json_report(["verify", "--m", "1", "--mesh", str(path)], tmp_path)
+    orth = next(a for a in report["assertions"]
+                if a["name"] == "piecewise polynomial moment orthogonality")
+    assert orth["pass"] and report["passed"]
+
+
 def test_lambda0_writes_json(tmp_path, capsys):
     out = tmp_path / "lam.json"
     code = main(["lambda0", "--m", "2", "--mesh", "square:2", "--json", str(out)])
@@ -782,7 +794,7 @@ def test_rate_study_returns_the_rates_report(tmp_path):
 def test_estimator_returns_the_estimate_report(tmp_path):
     from ncfem.estimator import estimate_modified
     from ncfem.mesh import red_refine
-    from ncfem.operators import SCHEME_TOL, Discretization
+    from ncfem.operators import Discretization
     from ncfem.problems import get_problem
 
     report = _json_report(["estimate", "--problem", "square-smooth-m1", "--level", "1"],
@@ -793,6 +805,6 @@ def test_estimator_returns_the_estimate_report(tmp_path):
     mesh = red_refine(prob.base_mesh())
     disc = Discretization(mesh, "CR1_0")
     data = prob.data(mesh)
-    u, _ = disc.solve_report(disc.rhs("modified", data), tol=SCHEME_TOL[1])
+    u = disc.solve(disc.rhs("modified", data))
     est = estimate_modified(disc, data, u, reference=prob.reference())
     assert json.loads(json.dumps(est)) == report

@@ -40,6 +40,15 @@ def test_wrong_solution_rejected(square2):
         estimate_original(disc, data, u)
 
 
+@pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0"])
+def test_discrete_solve_passes_the_estimator_check(kind):
+    mesh = red_refine(unit_square_mesh(2))
+    disc = Discretization(mesh, kind)
+    data = RhsData(g=ScalarField(lambda x, y: np.ones(np.shape(x)), degree=0))
+    estimate_original(disc, data, disc.solve(disc.rhs("original", data)))
+    estimate_modified(disc, data, disc.solve(disc.rhs("modified", data)))
+
+
 @pytest.mark.parametrize("name", ["square-smooth-m1", "square-smooth-m2"])
 def test_reliability_on_smooth_problem(name):
     prob = get_problem(name)

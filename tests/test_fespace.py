@@ -249,8 +249,10 @@ def _einsum_tabulate(space, ts, s, bary, order):
         return _einsum_from_bary(space, space._modes, bary, ts, order)
     if kind.startswith("MORLEY"):
         exps = monomial_exponents(2)
-        return _einsum_from_mono(space, exps, space._coeff[ts], ts, 0, bary, order)
-    hct = _einsum_from_mono(space, _hct.EXPS3, space.hct_coef[ts, s], ts, s, bary, order)
+        coeff = space._build_local_bases()[ts]
+        return _einsum_from_mono(space, exps, coeff, ts, 0, bary, order)
+    coeff = hct_coefficients(space.mesh)[ts, s]
+    hct = _einsum_from_mono(space, _hct.EXPS3, coeff, ts, s, bary, order)
     bub = _einsum_from_bary(space, space._bubbles, bary @ SUB_TO_PARENT[s], ts, order)
     return {o: np.concatenate([hct[o], bub[o]], axis=1) for o in hct}
 

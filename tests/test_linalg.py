@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from ncfem.linalg import (
     TRIM_MIN_ROWS,
     EigenError,
     _fix_sign,
+    check_solution,
     factor,
     max_generalized_eig,
     solve_spd,
@@ -58,13 +61,49 @@ def test_solver_linearity(rng):
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_spd(np.eye(3), np.ones(4))
-    with pytest.raises(ValueError):
-        solve_spd(np.eye(3), np.ones(3), tol=2.0)
 
 
 def test_zero_rhs():
     x, rep = solve_spd(np.eye(4), np.zeros(4))
     assert np.all(x == 0) and rep.converged
+
+
+def _biharmonic_1d(n=500):
+    D = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+    return (D @ D).tocsr(), np.ones(n)
+
+
+def test_backward_error_accepts_an_ill_conditioned_direct_solve():
+    # D^2 is condition ~1e10: its relative residual misses any fixed 1e-10,
+    # but the solve is backward stable and the rule accepts it
+    A, b = _biharmonic_1d()
+    x, rep = solve_spd(A, b)
+    assert rep.converged and rep.method == "direct"
+    assert rep.residual > 1e-8
+    assert check_solution(A, x, b) == rep
+
+
+def test_backward_error_rejects_perturbed_and_nan_solutions():
+    A, b = _biharmonic_1d()
+    x, _ = solve_spd(A, b)
+    noise = np.random.default_rng(0).standard_normal(x.size)
+    assert not check_solution(A, x + 1e-9 * np.abs(x).max() * noise, b).converged
+    x[7] = np.nan
+    assert not check_solution(A, x, b).converged
+
+
+def test_backward_error_accepts_zero_solution_of_zero_system():
+    rep = check_solution(sp.eye(3), np.zeros(3), np.zeros(3))
+    assert rep.converged and rep.residual == 0.0
+
+
+def test_discretization_solve_raises_on_a_bad_solution(monkeypatch):
+    disc = Discretization(unit_square_mesh(2), "MORLEY_0")
+    rhs = np.ones(disc.space.ndofs)
+    disc.solve(rhs)
+    monkeypatch.setattr(disc, "lu", SimpleNamespace(solve=lambda b: 2.0 * b))
+    with pytest.raises(RuntimeError, match="discrete solve failed"):
+        disc.solve(rhs)
 
 
 def test_heap_release_is_silent_without_malloc_trim(monkeypatch):

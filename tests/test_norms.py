@@ -68,6 +68,15 @@ def test_norm_homogeneity(square2, rng):
         assert getattr(b2, k) == pytest.approx(3.5 * getattr(b1, k), rel=1e-12)
 
 
+def test_reference_of_another_type_is_refused(square2):
+    from ncfem.fields import ScalarField
+
+    u = FeFunction(build_space(square2, "CR1_0"))
+    field = ScalarField(lambda x, y: np.ones(np.shape(x)), degree=0)
+    with pytest.raises(TypeError, match="FeFunction, an ExactSolution or None"):
+        error_norms(u, reference=field, orders=(0,))
+
+
 def test_rate_exact_powers():
     h = [0.4, 0.2, 0.1, 0.05]
     out = convergence_rate(h, [3.0 * hh**2 for hh in h])

@@ -19,7 +19,7 @@ equals C_qo to machine precision.
 
 import numpy as np
 
-from ncfem.experiments import run_attainment
+from ncfem.experiments import run_compare
 from ncfem.mesh import red_refine, unit_square_mesh
 from ncfem.operators import Discretization
 
@@ -35,7 +35,7 @@ for kind in ("CR1_0", "MORLEY_0"):
 print()
 print("Attainment of C_qo on the 8-triangle square:")
 for m in (1, 2):
-    report = run_attainment(unit_square_mesh(2), m)
+    report = run_compare(unit_square_mesh(2), m)["attainment"]
     lam0 = report["values"]["lambda0"]
     print(f"  m={m}: lambda0 = {lam0:.6f}, C_qo = {np.sqrt(1 + lam0**2):.6f}")
     for a in report["assertions"]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -38,14 +39,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"ncfem: {message}\n")
 
 
-def _positive_int(text):
+def _bounded_int(text, low, what):
+    """`text` read as an integer >= `low`; `what` names the bound in the error."""
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+        n = low - 1
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be a {what} integer, not {text!r}")
     return n
+
+
+def _positive_int(text):
+    return _bounded_int(text, 1, "positive")
+
+
+def _non_negative_int(text):
+    return _bounded_int(text, 0, "non-negative")
+
+
+def _non_negative_float(text):
+    """`text` read as a finite number >= 0: a bound nan, inf or < 0 certifies nothing."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = -1.0
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return x
 
 
 def _build_parser():
@@ -62,7 +83,7 @@ def _build_parser():
             sp.add_argument("--mesh", help="square:N, lshape:N, or a mesh file path")
         if m:
             sp.add_argument("--m", type=int, choices=(1, 2))
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_non_negative_int, default=0)
         sp.add_argument("--json", help="write the JSON report here")
         sp.add_argument("--out", help="output directory for default file names")
         if h_convention:
@@ -104,7 +125,7 @@ def _build_parser():
     sp.add_argument("--problem", required=True)
     sp.add_argument("--level", type=int, default=0)
     sp.add_argument("--scheme", choices=("original", "modified"), default="modified")
-    sp.add_argument("--lambda-j", dest="lambda_j", type=float,
+    sp.add_argument("--lambda-j", dest="lambda_j", type=_non_negative_float,
                     help="certified companion constant; defaults to lambda0")
     p.subcommands = sub.choices
     return p
@@ -195,8 +216,8 @@ def _parse_mesh(spec):
     if ":" in spec:
         name, _, n = spec.partition(":")
         try:
-            n = int(n)
-        except ValueError:
+            n = _positive_int(n)
+        except argparse.ArgumentTypeError:
             _usage_error(f"bad mesh size in {spec!r}")
         if name not in BUILTIN_MESHES:
             _usage_error(f"unknown builtin mesh {name!r}")
@@ -211,8 +232,6 @@ def _poly_field(entry, shape, path):
     """The field of a ``g`` or ``G`` entry of the data file `path`: per
     component, a list of [c, i, j] terms c * x**i * y**j with a finite c and
     integers i, j >= 0 of a degree the quadrature integrates exactly."""
-    import math
-
     import numpy as np
 
     from .fields import MatrixField, ScalarField, VectorField
@@ -280,8 +299,6 @@ def _point_force(pf, mesh, path):
     """The PointForce of one ``point_forces`` entry of the data file `path`:
     a finite ``beta`` at an integer ``vertex``, or at an ``edge_point`` on an
     edge with a split ``mu`` in [0, 1] (default 0.5)."""
-    import math
-
     import numpy as np
 
     from .assembly import PointForce

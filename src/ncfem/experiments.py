@@ -28,8 +28,6 @@ from .operators import Discretization, companion, interpolate
 from .problems import get_problem
 
 __all__ = [
-    "run_attainment",
-    "run_scheme_comparison",
     "run_compare",
     "run_counterexample_cr",
     "run_counterexample_morley",
@@ -42,6 +40,10 @@ __all__ = [
 TOL = 1e-8
 # the refinement levels a rate study may run
 RATE_LEVELS = range(2, 8)
+# the most dofs a rate study solves on, at any level or in its fine-grid reference
+DOF_CAP = 400_000
+# red refinements of the fine-grid reference below a study's finest level
+REFERENCE_EXTRA_LEVELS = 2
 
 
 def _mesh_info(mesh, mesh_id=None):
@@ -94,28 +96,6 @@ def _assert_ge(report, name, value, bound):
                    lower_bound=float(bound))
 
 
-def run_attainment(mesh, m, seed=0, mesh_id=None):
-    """Exact attainment of the best-approximation constant.
-
-    The extremal eigenfunction v of the defect eigenproblem defines the
-    load F = -a(Jv, .) whose exact solution is -Jv; the smoothed scheme
-    then returns -(1 + lambda0^2) v, and the error/interpolation-error
-    ratio equals sqrt(1 + lambda0^2) exactly.
-    """
-    return _attainment(Discretization(mesh, nc_kind(m)), seed, mesh_id)
-
-
-def run_scheme_comparison(mesh, m, seed=0, mesh_id=None):
-    """Data built from the extremal defect function separates the schemes.
-
-    With tensor data equal to the m-th derivative of the companion image
-    of the extremal function z, the natural scheme reproduces the
-    interpolant exactly while the smoothed scheme misses it by exactly
-    lambda0^2 in energy.
-    """
-    return _scheme_comparison(Discretization(mesh, nc_kind(m)), seed, mesh_id)
-
-
 def run_compare(mesh, m, seed=0, mesh_id=None):
     """Scheme comparison with the attainment report under ``"attainment"``,
     on one companion and one lambda0 eigensolve; passes when both pass."""
@@ -127,6 +107,13 @@ def run_compare(mesh, m, seed=0, mesh_id=None):
 
 
 def _attainment(disc, seed, mesh_id):
+    """Exact attainment of the best-approximation constant.
+
+    The extremal eigenfunction v of the defect eigenproblem defines the
+    load F = -a(Jv, .) whose exact solution is -Jv; the smoothed scheme
+    then returns -(1 + lambda0^2) v, and the error/interpolation-error
+    ratio equals sqrt(1 + lambda0^2) exactly.
+    """
     mesh, space, res = disc.mesh, disc.space, disc.lam0
     m = space.m
     lam0 = res.lambda0
@@ -167,6 +154,13 @@ def _attainment(disc, seed, mesh_id):
 
 
 def _scheme_comparison(disc, seed, mesh_id):
+    """Data built from the extremal defect function separates the schemes.
+
+    With tensor data equal to the m-th derivative of the companion image
+    of the extremal function z, the natural scheme reproduces the
+    interpolant exactly while the smoothed scheme misses it by exactly
+    lambda0^2 in energy.
+    """
     mesh, space, res = disc.mesh, disc.space, disc.lam0
     m = space.m
     lam0 = res.lambda0
@@ -423,15 +417,15 @@ def rate_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def _fine_reference(problem, mesh, extra_levels, dof_cap):
-    """Smoothed-scheme solution `extra_levels` red refinements below `mesh`;
-    its Discretization is dropped on return."""
-    for _ in range(extra_levels):
+def _fine_reference(problem, mesh):
+    """Smoothed-scheme solution REFERENCE_EXTRA_LEVELS red refinements below
+    `mesh`; its Discretization is dropped on return."""
+    for _ in range(REFERENCE_EXTRA_LEVELS):
         mesh = red_refine(mesh)
     disc = Discretization(mesh, nc_kind(problem.m))
-    if disc.space.ndofs > dof_cap:
+    if disc.space.ndofs > DOF_CAP:
         raise ValueError(
-            f"fine-grid reference needs {disc.space.ndofs} dofs, above the cap {dof_cap}"
+            f"fine-grid reference needs {disc.space.ndofs} dofs, above the cap {DOF_CAP}"
         )
     return disc.solve(disc.rhs("modified", problem.data(mesh)))
 
@@ -441,10 +435,8 @@ def run_rate_study(
     levels,
     scheme="modified",
     seed=0,
-    dof_cap=400_000,
     include_estimates=False,
     h_convention="diameter",
-    reference_extra_levels=2,
 ):
     """Solve a built-in problem over a red-refinement hierarchy and fit rates.
 
@@ -463,14 +455,14 @@ def run_rate_study(
     reference = problem.reference()
     fine_ref = None
     if reference is None:
-        fine_ref = _fine_reference(problem, meshes[-1], reference_extra_levels, dof_cap)
+        fine_ref = _fine_reference(problem, meshes[-1])
 
     norms = ["energy_pw", "l2_post", "l2_nc"] if reference else ["energy_pw", "l2_nc"]
     rows = []
     for lvl, mesh in enumerate(meshes):
         disc = Discretization(mesh, nc_kind(m))
         space = disc.space
-        if space.ndofs > dof_cap:
+        if space.ndofs > DOF_CAP:
             raise ValueError(f"level {lvl} needs {space.ndofs} dofs, above the cap")
         data = problem.data(mesh)
         u_nc = disc.solve(disc.rhs(scheme, data))
@@ -484,7 +476,7 @@ def run_rate_study(
             errors["l2_nc"] = nc.l2
             errors["l2_post"] = post.l2
         else:
-            gens = (levels - 1 - lvl) + reference_extra_levels
+            gens = (levels - 1 - lvl) + REFERENCE_EXTRA_LEVELS
             d = errors_vs_fine(u_nc, fine_ref, gens)
             errors["energy_pw"] = d["energy_pw"]
             errors["l2_nc"] = d["l2"]

@@ -61,7 +61,6 @@ __all__ = [
     "build_space",
     "nc_kind",
     "vertex_eval",
-    "split_point_eval",
     "save_function",
     "load_function",
     "KINDS",
@@ -439,34 +438,6 @@ def vertex_eval(f, vertex):
     x = mesh.vertices[vertex]
     t = int(np.nonzero((mesh.triangles == vertex).any(axis=1))[0][0])
     return float(f.evaluate(t, x)[0, 0])
-
-
-def split_point_eval(f, edge, point, mu=0.5):
-    """Two-sided point value on an edge: mu*(f|T+) + (1-mu)*(f|T-).
-
-    T+ is the triangle the global edge normal points into (the
-    higher-index neighbour); on boundary edges both traces coincide.
-    """
-    space = f.space
-    if space.m != 2:
-        raise ValueError("point evaluation requires an m=2 (Morley-type) space")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
-    mesh = space.mesh
-    point = np.asarray(point, dtype=float)
-    a = mesh.vertices[mesh.edges[edge, 0]]
-    b = mesh.vertices[mesh.edges[edge, 1]]
-    seg = b - a
-    tpar = float(np.dot(point - a, seg) / np.dot(seg, seg))
-    offset = np.linalg.norm(point - (a + tpar * seg))
-    if tpar < -1e-10 or tpar > 1 + 1e-10 or offset > 1e-10 * max(1.0, np.linalg.norm(seg)):
-        raise ValueError(f"point {point} does not lie on edge {edge}")
-    t_lo, t_hi = mesh.edge_triangles[edge]
-    if t_hi < 0:
-        return float(f.evaluate(int(t_lo), point)[0, 0])
-    v_plus = float(f.evaluate(int(t_hi), point)[0, 0])
-    v_minus = float(f.evaluate(int(t_lo), point)[0, 0])
-    return mu * v_plus + (1.0 - mu) * v_minus
 
 
 # -- serialization ---------------------------------------------------------

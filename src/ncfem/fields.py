@@ -28,7 +28,6 @@ __all__ = [
     "sym_curl_of_pair",
     "sym_gradient_of_pair",
     "field_sum",
-    "field_scale",
     "ExactSolution",
     "SMOOTH_DEGREE",
     "quad_degree",
@@ -179,10 +178,6 @@ class _CombinedField(FieldBase):
 
 def field_sum(a, b, wa=1.0, wb=1.0):
     return _CombinedField([a, b], [wa, wb])
-
-
-def field_scale(a, w):
-    return _CombinedField([a], [w])
 
 
 class ExactSolution:

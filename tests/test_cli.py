@@ -32,6 +32,22 @@ def test_verify_moment_orthogonality_is_scale_free(tmp_path):
     assert orth["pass"] and report["passed"]
 
 
+def test_cr_verify_is_scale_equivariant(tmp_path):
+    # every assertion value and lambda0 of `verify --m 1` come out bitwise
+    # equal on the square scaled by 2^-20 and 2^20
+    from ncfem.mesh import Triangulation, save_mesh, unit_square_mesh
+
+    square = unit_square_mesh(2)
+    parts = []
+    for k in (0, -20, 20):
+        path = tmp_path / f"square_2^{k}.mesh"
+        save_mesh(Triangulation(square.vertices * 2.0**k, square.triangles), path)
+        report = _json_report(["verify", "--m", "1", "--mesh", str(path)], tmp_path)
+        parts.append((report["assertions"], report["values"]["lambda0"]))
+    assert parts[0][0] and all(a["pass"] for a in parts[0][0])
+    assert parts[1] == parts[0] and parts[2] == parts[0]
+
+
 def test_lambda0_writes_json(tmp_path, capsys):
     out = tmp_path / "lam.json"
     code = main(["lambda0", "--m", "2", "--mesh", "square:2", "--json", str(out)])
@@ -808,3 +824,62 @@ def test_estimator_returns_the_estimate_report(tmp_path):
     u = disc.solve(disc.rhs("modified", data))
     est = estimate_modified(disc, data, u, reference=prob.reference())
     assert json.loads(json.dumps(est)) == report
+
+
+def _no_meshes(monkeypatch):
+    import ncfem.mesh
+
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    for name in ncfem.mesh.BUILTIN_MESHES:
+        monkeypatch.setitem(ncfem.mesh.BUILTIN_MESHES, name, no_mesh)
+
+
+_ESTIMATE = ["estimate", "--problem", "square-smooth-m1", "--level", "1"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_lambda_j_must_be_finite_and_non_negative(value, monkeypatch, capsys):
+    # a defect-to-distance constant is at least lambda0 >= 0; nan and inf
+    # would be written to the report as invalid JSON
+    _no_meshes(monkeypatch)
+    message = _usage_failure([*_ESTIMATE, "--lambda-j", value], capsys)
+    assert message == (f"ncfem: argument --lambda-j: must be a finite number >= 0,"
+                       f" not {value!r}\n")
+
+
+def test_lambda_j_config_entry_must_be_non_negative(tmp_path, monkeypatch, capsys):
+    _no_meshes(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_j": -1}))
+    message = _usage_failure(["--config", str(cfg), *_ESTIMATE], capsys)
+    assert message == "ncfem: config entry lambda_j=-1: must be a finite number >= 0, not '-1'\n"
+
+
+def _seed(value):
+    return f"argument --seed: must be a non-negative integer, not {value!r}"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["verify", "--m", "1", "--mesh", "square:2", "--seed", "-1"], _seed("-1")),
+        (["solve", "--problem", "square-smooth-m1", "--seed", "-1"], _seed("-1")),
+        (["rates", "--problem", "square-smooth-m1", "--levels", "2", "--seed", "-3"],
+         _seed("-3")),
+        (["lambda0", "--m", "1", "--mesh", "square:2", "--seed", "-1"], _seed("-1")),
+        (["counterexample", "oscillation", "--mesh", "square:2", "--seed", "-1"],
+         _seed("-1")),
+        (["compare", "--m", "1", "--mesh", "square:2", "--seed", "-3"], _seed("-3")),
+        ([*_ESTIMATE, "--seed", "-1"], _seed("-1")),
+        (["verify", "--m", "1", "--mesh", "square:0"], "bad mesh size in 'square:0'"),
+        (["lambda0", "--m", "1", "--mesh", "lshape:-2"], "bad mesh size in 'lshape:-2'"),
+    ],
+    ids=["verify-seed", "solve-seed", "rates-seed", "lambda0-seed", "counterexample-seed",
+         "compare-seed", "estimate-seed", "square-0", "lshape-minus-2"],
+)
+def test_negative_seed_and_empty_mesh_exit_one_naming_the_flag(argv, want, monkeypatch,
+                                                               capsys):
+    _no_meshes(monkeypatch)
+    assert _usage_failure(argv, capsys) == f"ncfem: {want}\n"

@@ -3,45 +3,62 @@ import json
 import numpy as np
 import pytest
 
+import ncfem.experiments
 from ncfem.experiments import (
-    run_attainment,
     run_compare,
     run_counterexample_cr,
     run_counterexample_morley,
     rate_csv,
     run_oscillation_example,
     run_rate_study,
-    run_scheme_comparison,
 )
 from ncfem.mesh import l_shape_mesh, unit_square_mesh
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_attainment_passes(square2, m):
-    report = run_attainment(square2, m)
+    report = run_compare(square2, m)["attainment"]
     assert report["passed"], [a for a in report["assertions"] if not a["pass"]]
     assert report["values"]["lambda0"] > 0
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_scheme_comparison_passes(square2, m):
-    report = run_scheme_comparison(square2, m)
-    assert report["passed"], [a for a in report["assertions"] if not a["pass"]]
+    report = run_compare(square2, m)
+    own = report["assertions"]
+    assert all(a["pass"] for a in own), [a for a in own if not a["pass"]]
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_compare_nests_both_reports(square2, m):
-    # one discretization gives the same assertions and values, up to roundoff,
-    # as the two stand-alone runs
+    # the scheme comparison at the top level, the attainment report nested
     report = run_compare(square2, m)
-    parts = {"": run_scheme_comparison(square2, m), "attainment": run_attainment(square2, m)}
     assert report["passed"] and report["attainment"]["passed"]
-    for key, alone in parts.items():
+    assert report["experiment"] == "scheme-comparison"
+    assert report["attainment"]["experiment"] == "attainment"
+    assert set(report) - {"attainment"} == set(report["attainment"])
+    names = {
+        "": [
+            "(a) natural solution equals the interpolant",
+            "(a') natural solution equals z",
+            "(b) scheme gap equals lambda0^2",
+            "(c) squared error equals lambda0^2 (1+lambda0^2)",
+            "tensor-data oscillation equals lambda0",
+            "scheme-gap bound holds with equality",
+            "P0 projection of the data equals D^m z",
+        ],
+        "attainment": [
+            "coefficients u_nc = -(1+lambda0^2) v",
+            "energy error equals lambda0*sqrt(1+lambda0^2)",
+            "interpolation error equals lambda0",
+            "ratio equals sqrt(1+lambda0^2)",
+            "ratio^2 - 1 - lambda0^2",
+            "dense brute-force solve agrees",
+        ],
+    }
+    for key, want in names.items():
         got = report[key] if key else report
-        assert set(got) - {"attainment"} == set(alone)
-        assert [a["name"] for a in got["assertions"]] == [a["name"] for a in alone["assertions"]]
-        for name, value in alone["values"].items():
-            assert got["values"][name] == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert [a["name"] for a in got["assertions"]] == want
 
 
 def test_counterexamples_pass(square2):
@@ -104,8 +121,8 @@ def test_oscillation_zero_amplitude_limit(square2):
 
 
 def test_reports_are_deterministic_and_serializable(square2):
-    a = run_scheme_comparison(square2, 1, seed=7)
-    b = run_scheme_comparison(square2, 1, seed=7)
+    a = run_compare(square2, 1, seed=7)
+    b = run_compare(square2, 1, seed=7)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -212,17 +229,26 @@ def test_rate_study_samples_the_singular_factor_once_per_norm_pass(monkeypatch):
     assert len(calls) == 2 * chunks
 
 
-def test_rate_study_guards():
+def test_rate_study_guards(monkeypatch):
     with pytest.raises(ValueError):
         run_rate_study("square-smooth-m1", 8)
     with pytest.raises(ValueError):
         run_rate_study("no-such-problem", 2)
-    with pytest.raises(ValueError):
-        run_rate_study("square-smooth-m1", 4, dof_cap=10)
+    monkeypatch.setattr(ncfem.experiments, "DOF_CAP", 10)
+    with pytest.raises(ValueError, match="level 1 needs 40 dofs, above the cap"):
+        run_rate_study("square-smooth-m1", 4)
+
+
+def test_rate_study_caps_the_fine_grid_reference(monkeypatch):
+    # lshape-f1-m2 has no exact reference: its levels need 5 and 33 dofs,
+    # its fine grid two red refinements below them 705, above this cap
+    monkeypatch.setattr(ncfem.experiments, "DOF_CAP", 500)
+    with pytest.raises(ValueError, match="fine-grid reference needs 705 dofs, above the cap 500"):
+        run_rate_study("lshape-f1-m2", 2)
 
 
 def test_attainment_works_on_lshape():
-    report = run_attainment(l_shape_mesh(1), 1)
+    report = run_compare(l_shape_mesh(1), 1)["attainment"]
     assert report["passed"]
 
 

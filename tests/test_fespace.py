@@ -8,7 +8,6 @@ from ncfem.fespace import (
     build_space,
     load_function,
     save_function,
-    split_point_eval,
     vertex_eval,
 )
 from ncfem import _hct
@@ -134,45 +133,6 @@ def test_vertex_eval_refused_for_cr(square2):
     f = FeFunction(build_space(square2, "CR1_0"))
     with pytest.raises(ValueError):
         vertex_eval(f, 0)
-    with pytest.raises(ValueError):
-        split_point_eval(f, 0, square2.edge_midpoint[0])
-
-
-def test_split_point_eval(square2, rng):
-    mesh = square2
-    space = build_space(mesh, "MORLEY_full")
-    f = FeFunction(space, rng.standard_normal(space.ndofs))
-    # at a vertex both one-sided values agree with the vertex value
-    e = int(np.nonzero(mesh.interior_edge_mask)[0][0])
-    v = int(mesh.edges[e, 0])
-    got = split_point_eval(f, e, mesh.vertices[v], mu=0.5)
-    assert abs(got - vertex_eval(f, v)) < 1e-11
-    # generic interior-edge midpoint: mu-weighted one-sided values
-    z = mesh.edge_midpoint[e]
-    t_lo, t_hi = mesh.edge_triangles[e]
-    v_lo = f.evaluate(int(t_lo), z)[0, 0]
-    v_hi = f.evaluate(int(t_hi), z)[0, 0]
-    for mu in (0.0, 0.3, 1.0):
-        want = mu * v_hi + (1 - mu) * v_lo
-        assert abs(split_point_eval(f, e, z, mu) - want) < 1e-12
-    with pytest.raises(ValueError):
-        split_point_eval(f, e, z, mu=1.5)
-    with pytest.raises(ValueError):
-        split_point_eval(f, e, mesh.centroid[0])
-
-
-def test_split_point_eval_continuous_function(square2):
-    # companion images are continuous: the value is independent of mu
-    from ncfem.operators import build_companion, companion
-
-    space = build_space(square2, "MORLEY_0")
-    cmap = build_companion(space)
-    v = FeFunction(space, np.linspace(-1, 1, space.ndofs))
-    jv = companion(cmap, v)
-    e = int(np.nonzero(square2.interior_edge_mask)[0][1])
-    z = square2.edge_midpoint[e]
-    vals = [split_point_eval(jv, e, z, mu) for mu in (0.0, 0.5, 1.0)]
-    assert max(vals) - min(vals) < 1e-11
 
 
 def test_point_evaluation_does_not_grow_bary_cache(rng):

@@ -8,7 +8,7 @@ from ncfem.assembly import RhsData
 from ncfem.estimator import efficiency_terms, estimate_modified
 from ncfem.experiments import run_rate_study
 from ncfem.fespace import FeFunction, build_space
-from ncfem.fields import ExactSolution, fe_gradient, fe_hessian, field_scale
+from ncfem.fields import ExactSolution, fe_gradient, fe_hessian
 from ncfem.linalg import solve_spd
 from ncfem.mesh import unit_square_mesh
 from ncfem.norms import error_norms
@@ -77,8 +77,9 @@ def test_estimator_bound_on_attainment_example(square2, m):
     space, cmap, res = disc.space, disc.cmap, disc.lam0
     v = res.extremal_vector
     jv = companion(cmap, v)
-    G = fe_gradient(jv) if m == 1 else fe_hessian(jv)
-    data = RhsData(G=field_scale(G, -1.0))
+    neg_jv = FeFunction(jv.space, -jv.coeffs)
+    G = fe_gradient(neg_jv) if m == 1 else fe_hessian(neg_jv)
+    data = RhsData(G=G)
     A = assembly.assemble_stiffness(space)
     rhs = assembly.assemble_rhs_modified(space, data, cmap)
     x, rep = solve_spd(A, rhs)
@@ -132,7 +133,7 @@ def test_zero_data_solutions_and_rate_floor(square2):
 
 
 def test_pointforce_problem_runs_and_converges():
-    table = run_rate_study("lshape-pointforce-m2", 2, reference_extra_levels=2)
+    table = run_rate_study("lshape-pointforce-m2", 2)
     errs = [r["errors"]["energy_pw"] for r in table["rows"]]
     assert errs[1] < errs[0]
     assert all(e > 0 for e in errs)

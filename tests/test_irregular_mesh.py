@@ -12,7 +12,7 @@ import pytest
 
 from ncfem import assembly
 from ncfem.assembly import PointForce, RhsData
-from ncfem.experiments import run_attainment, run_scheme_comparison
+from ncfem.experiments import run_compare
 from ncfem.fespace import FeFunction, build_space
 from ncfem.mesh import unit_square_mesh
 from ncfem.operators import build_companion, companion, interpolate
@@ -52,8 +52,8 @@ def test_companion_c1_on_jittered_mesh(jittered, rng):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_exact_identities_on_jittered_mesh(jittered, m):
-    assert run_attainment(jittered, m, mesh_id="jittered")["passed"]
-    assert run_scheme_comparison(jittered, m, mesh_id="jittered")["passed"]
+    report = run_compare(jittered, m, mesh_id="jittered")
+    assert report["passed"] and report["attainment"]["passed"]
 
 
 def test_off_vertex_force_mu_dependence(jittered):

@@ -14,7 +14,7 @@ from ncfem import assembly, operators
 from ncfem._poly import BaryPoly, bary_modes, cubic_bubble
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import ExactSolution, fe_value, field_sum
-from ncfem.mesh import l_shape_mesh, red_refine, unit_square_mesh
+from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.norms import error_norms
 from ncfem.operators import (
     CompanionMap,
@@ -502,6 +502,17 @@ def test_lambda0_eigen_residual_and_extremal(square2):
     jv = companion(cmap, v)
     defect = error_norms(v, reference=jv).energy_pw
     assert defect**2 == pytest.approx(res.lambda0**2, rel=1e-8)
+
+
+@pytest.mark.parametrize("mesh", [unit_square_mesh(4), l_shape_mesh(2)],
+                         ids=["square4", "lshape2"])
+def test_cr_lambda0_is_scale_equivariant(mesh):
+    # scaling by 2^k is exact in floating point, and lambda0 is scale-free:
+    # the CR chain gives the same bits at every scale (Morley does not yet)
+    want = Discretization(mesh, "CR1_0").lam0.lambda0
+    for k in (-20, -3, 3, 20):
+        scaled = Triangulation(mesh.vertices * 2.0**k, mesh.triangles)
+        assert Discretization(scaled, "CR1_0").lam0.lambda0 == want, k
 
 
 @pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0"])

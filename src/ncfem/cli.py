@@ -4,8 +4,12 @@ Exit codes: 0 on success with all asserted identities passing, 2 when an
 assertion fails (the report is still written), 1 on usage or configuration
 errors (argparse's own included) and when a computation fails with a
 ``RuntimeError`` such as a non-converged eigensolve; these print one
-``ncfem: <message>`` line to stderr, not a traceback.  JSON reports are schema-versioned; CSV rate tables are
-byte-reproducible for a fixed seed up to the timestamp header comment.
+``ncfem: <message>`` line to stderr, not a traceback.  Each of them is a
+``ValueError``, ``OSError`` or ``RuntimeError`` that the one handler in
+:func:`main` reports, so ``main(argv)`` returns the exit code on every path
+except ``--help``, which argparse ends with ``SystemExit(0)``.  JSON reports
+are schema-versioned; CSV rate tables are byte-reproducible for a fixed seed
+up to the timestamp header comment.
 """
 
 from __future__ import annotations
@@ -26,17 +30,11 @@ def _set_thread_env(n):
         os.environ.setdefault(var, str(n))
 
 
-def _usage_error(message):
-    """Stop with one ``ncfem: <message>`` line; a SystemExit that carries a
-    message exits with status 1, USAGE_ERROR."""
-    raise SystemExit(f"ncfem: {message}")
-
-
 class _Parser(argparse.ArgumentParser):
-    """Report usage errors on one line with USAGE_ERROR, not argparse's 2."""
+    """Usage errors raise ValueError, which main reports as USAGE_ERROR."""
 
     def error(self, message):
-        self.exit(USAGE_ERROR, f"ncfem: {message}\n")
+        raise ValueError(message)
 
 
 def _bounded_int(text, low, what):
@@ -123,7 +121,7 @@ def _build_parser():
     sp = sub.add_parser("estimate", help="a posteriori bounds for one solve")
     common(sp, mesh=False, m=False, h_convention=True)
     sp.add_argument("--problem", required=True)
-    sp.add_argument("--level", type=int, default=0)
+    sp.add_argument("--level", type=_non_negative_int, default=0)
     sp.add_argument("--scheme", choices=("original", "modified"), default="modified")
     sp.add_argument("--lambda-j", dest="lambda_j", type=_non_negative_float,
                     help="certified companion constant; defaults to lambda0")
@@ -163,9 +161,9 @@ def _parse_args(argv):
         with open(pre.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        top.error(f"cannot read config {pre.config}: {exc}")
+        raise ValueError(f"cannot read config {pre.config}: {exc}")
     if not isinstance(cfg, dict):
-        top.error(f"config must be a JSON object, not {type(cfg).__name__}")
+        raise ValueError(f"config must be a JSON object, not {type(cfg).__name__}")
     command = argv[cut] if cut < len(argv) else None
     if command is None and "command" in cfg:
         # the config's subcommand goes between the top-level options and the rest
@@ -173,14 +171,14 @@ def _parse_args(argv):
         threads = [] if pre.threads is None else ["--threads", pre.threads]
         argv = ["--config", pre.config, *threads, command, *tail]
     elif "command" in cfg and str(cfg["command"]) != command:
-        _usage_error(f"config command {cfg['command']!r} is not the subcommand {command!r}")
+        raise ValueError(f"config command {cfg['command']!r} is not the subcommand {command!r}")
     parser = _build_parser()  # the defaults set below must not reach the shared parser
     owners = [q for q in (parser, parser.subcommands.get(command)) if q is not None]
     actions = {a.dest: a for q in owners for a in q._actions
                if a.dest not in ("help", "config")}
     unknown = set(cfg) - set(actions)
     if unknown:
-        _usage_error(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for dest, value in cfg.items():
         if dest != "command":
             a = actions[dest]
@@ -196,11 +194,11 @@ def _config_value(action, value):
     try:
         read = str(value) if action.type is None else action.type(str(value))
     except argparse.ArgumentTypeError as exc:
-        _usage_error(f"{entry}: {exc}")
+        raise ValueError(f"{entry}: {exc}")
     except ValueError:
-        _usage_error(f"{entry} is not a valid {action.type.__name__}")
+        raise ValueError(f"{entry} is not a valid {action.type.__name__}")
     if action.choices is not None and read not in action.choices:
-        _usage_error(f"{entry} is not one of {list(action.choices)}")
+        raise ValueError(f"{entry} is not one of {list(action.choices)}")
     return read
 
 
@@ -212,20 +210,20 @@ def _parse_mesh(spec):
     from .mesh import BUILTIN_MESHES, MeshError, load_mesh
 
     if spec is None:
-        _usage_error("--mesh is required")
+        raise ValueError("--mesh is required")
     if ":" in spec:
         name, _, n = spec.partition(":")
         try:
             n = _positive_int(n)
         except argparse.ArgumentTypeError:
-            _usage_error(f"bad mesh size in {spec!r}")
+            raise ValueError(f"bad mesh size in {spec!r}")
         if name not in BUILTIN_MESHES:
-            _usage_error(f"unknown builtin mesh {name!r}")
+            raise ValueError(f"unknown builtin mesh {name!r}")
         return BUILTIN_MESHES[name](n), spec
     try:
         return load_mesh(spec), spec
     except MeshError as exc:
-        _usage_error(f"mesh file {spec}: {exc}")
+        raise ValueError(f"mesh file {spec}: {exc}")
 
 
 def _poly_field(entry, shape, path):
@@ -243,7 +241,7 @@ def _poly_field(entry, shape, path):
                     and _is_number(t[0]) and math.isfinite(t[0])
                     and all(type(e) is int and e >= 0 for e in t[1:])
                     and t[1] + t[2] <= MAX_TRIANGLE_DEGREE):
-                _usage_error(
+                raise ValueError(
                     f"bad polynomial term in data file {path}: {json.dumps(t)} is not"
                     f" [c, i, j] with a finite number c and integers i, j >= 0,"
                     f" i + j <= {MAX_TRIANGLE_DEGREE}"
@@ -278,16 +276,16 @@ def _load_inline_data(path, m, mesh):
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            _usage_error(f"cannot read data file {path}: {exc}")
+            raise ValueError(f"cannot read data file {path}: {exc}")
     try:
         unknown = set(raw) - {"G", "g", "point_forces"}
         if unknown:
-            _usage_error(f"unknown data keys {sorted(unknown)}")
+            raise ValueError(f"unknown data keys {sorted(unknown)}")
         g = _poly_field(raw["g"], (), path) if "g" in raw else None
         G = _poly_field(raw["G"], (2,) if m == 1 else (2, 2), path) if "G" in raw else None
         forces = [_point_force(pf, mesh, path) for pf in raw.get("point_forces", [])]
     except (KeyError, TypeError) as exc:
-        _usage_error(f"malformed data file {path}: {type(exc).__name__} {exc}")
+        raise ValueError(f"malformed data file {path}: {type(exc).__name__} {exc}")
     return RhsData(G=G, g=g, point_forces=forces)
 
 
@@ -304,7 +302,7 @@ def _point_force(pf, mesh, path):
     from .assembly import PointForce
 
     def bad(what):
-        _usage_error(f"bad point force in data file {path}: {what}")
+        raise ValueError(f"bad point force in data file {path}: {what}")
 
     beta = pf["beta"]
     if not (_is_number(beta) and math.isfinite(beta)):
@@ -501,7 +499,7 @@ def _cmd_rates(args):
 
     if args.levels not in RATE_LEVELS:
         lo, hi = RATE_LEVELS[0], RATE_LEVELS[-1]
-        _usage_error(f"--levels must be from {lo} to {hi}, not {args.levels}")
+        raise ValueError(f"--levels must be from {lo} to {hi}, not {args.levels}")
     report = run_rate_study(
         args.problem,
         args.levels,
@@ -531,10 +529,10 @@ def _cmd_solve(args):
     from .problems import get_problem
 
     if (args.problem is None) == (args.data is None):
-        _usage_error("exactly one of --problem / --data is required")
+        raise ValueError("exactly one of --problem / --data is required")
     if args.problem:
         if args.m is not None:
-            _usage_error("--m goes with --data only; --problem fixes m")
+            raise ValueError("--m goes with --data only; --problem fixes m")
         prob = get_problem(args.problem)
         m = prob.m
         mesh, mesh_id = _parse_mesh(args.mesh or f"{prob.domain}:{prob.base_n}")
@@ -542,7 +540,7 @@ def _cmd_solve(args):
         reference = prob.reference()
     else:
         if args.m not in (1, 2):
-            _usage_error("--m is required with --data")
+            raise ValueError("--m is required with --data")
         m = args.m
         mesh, mesh_id = _parse_mesh(args.mesh)
         data = _load_inline_data(args.data, m, mesh)
@@ -594,8 +592,6 @@ def _cmd_estimate(args):
     from .operators import Discretization
     from .problems import get_problem
 
-    if args.level < 0:
-        _usage_error(f"--level must be at least 0, not {args.level}")
     prob = get_problem(args.problem)
     mesh = prob.base_mesh()
     for _ in range(args.level):
@@ -620,12 +616,7 @@ def _cmd_estimate(args):
 
 
 def main(argv=None):
-    args = _parse_args(argv)
-    if args.threads:
-        _set_thread_env(args.threads)
-    if args.command is None:
-        _shared_parser().print_help()
-        return USAGE_ERROR
+    """Run one ``ncfem`` command; returns its exit code."""
     handlers = {
         "verify": _cmd_verify,
         "solve": _cmd_solve,
@@ -636,9 +627,13 @@ def main(argv=None):
         "estimate": _cmd_estimate,
     }
     try:
+        args = _parse_args(argv)
+        if args.threads:
+            _set_thread_env(args.threads)
+        if args.command is None:
+            _shared_parser().print_help()
+            return USAGE_ERROR
         return _finish(args, *handlers[args.command](args))
-    except SystemExit:
-        raise
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"ncfem: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -155,13 +155,17 @@ def estimate_modified(
     ``bound_a`` bounds |||u - J u_nc||| and ``bound_b`` bounds
     |||u - u_nc|||_pw.  ``lambda_j`` defaults to the computed lambda0
     (flagged as a lower-bound surrogate in the report); pass a certified
-    value to make ``bound_b`` fully rigorous.
+    value to make ``bound_b`` fully rigorous.  A ``lambda_j`` that is not at
+    least lambda0 (NaN included) raises ValueError: the companion constant is
+    at least lambda0.
     """
     kappa, ju, report = _shared_report(disc, "modified", data, u_nc, reference,
                                        h_convention)
     terms = report["terms"]
     G_osc, g_weighted, g_osc, nonconf = terms.values()
     lam0 = disc.lam0.lambda0
+    if lambda_j is not None and not lambda_j >= lam0:
+        raise ValueError(f"lambda_j {lambda_j!r} is not at least lambda0 {lam0!r}")
     policy = LAMBDA_J_POLICY if lambda_j is None else "user-supplied"
     lam_j = lam0 if lambda_j is None else float(lambda_j)
     apx_F = (1.0 + lam_j) * G_osc + kappa * g_weighted + kappa * lam_j * g_osc

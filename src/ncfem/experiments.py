@@ -213,11 +213,22 @@ def _at_centroids(f, order):
 
 def _constrained_solver(K, C):
     """Solver of K x = f under C' x = 0, through the saddle-point matrix
-    [[K, C], [C', 0]]; returns f -> x with the multipliers dropped."""
+    [[K, C], [C', 0]]; returns f -> x with the multipliers dropped, and raises
+    RuntimeError when a solve misses ``linalg.check_solution``'s rule."""
     n, n_mult = C.shape
     C = sp.csr_matrix(C)
-    lu = linalg.factor(sp.bmat([[K, C], [C.T, None]]))
-    return lambda f: lu.solve(np.concatenate([f, np.zeros(n_mult)]))[:n]
+    saddle = sp.bmat([[K, C], [C.T, None]]).tocsr()
+    lu = linalg.factor(saddle)
+
+    def solve(f):
+        b = np.concatenate([f, np.zeros(n_mult)])
+        x = lu.solve(b)
+        rep = linalg.check_solution(saddle, x, b)
+        if not rep.converged:
+            raise RuntimeError(f"saddle-point solve failed: residual {rep.residual:.2e}")
+        return x[:n]
+
+    return solve
 
 
 def _first_nonconforming_direction(stiff_nc, riesz_map, kkt_solve, n_candidates):

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import reject, settings
 from hypothesis import strategies as st
 
+import ncfem
 from ncfem.mesh import (
     MeshTopologyError,
     Triangulation,
@@ -10,6 +16,14 @@ from ncfem.mesh import (
     save_mesh,
     unit_square_mesh,
 )
+
+
+def run_python(args, cwd=None, timeout=None):
+    """``python *args`` in a fresh interpreter that imports the ncfem under
+    test; the CompletedProcess, with stdout and stderr as text."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          cwd=cwd, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

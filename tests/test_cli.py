@@ -1,15 +1,9 @@
 import json
-import os
-import re
-import subprocess
-import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from conftest import SPOILED_MESH_FILES, spoiled_square_file
+from conftest import SPOILED_MESH_FILES, run_python, spoiled_square_file
 
-import ncfem
 from ncfem.cli import USAGE_ERROR, main
 from ncfem.linalg import EigenError
 
@@ -89,9 +83,12 @@ def test_rates_csv_deterministic(tmp_path):
     assert csv1.read_text().splitlines()[1].startswith("level,ndof,hmax,")
 
 
-def test_unknown_subcommand_usage_error():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+_CHOICES = "'verify', 'solve', 'rates', 'lambda0', 'counterexample', 'compare', 'estimate'"
+
+
+def test_unknown_subcommand_usage_error(capsys):
+    assert _usage_failure(["frobnicate"], capsys) == (
+        f"ncfem: argument command: invalid choice: 'frobnicate' (choose from {_CHOICES})\n")
 
 
 def test_config_file_merging(tmp_path):
@@ -100,11 +97,11 @@ def test_config_file_merging(tmp_path):
     assert main(["--config", str(cfg), "verify"]) == 0
 
 
-def test_config_unknown_key_rejected(tmp_path):
+def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mesh": "square:2", "frobs": 1}))
-    with pytest.raises(SystemExit, match="unknown config keys"):
-        main(["--config", str(cfg), "verify", "--m", "1"])
+    assert "unknown config keys" in _usage_failure(["--config", str(cfg), "verify", "--m", "1"],
+                                                   capsys)
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -117,11 +114,11 @@ def test_flags_override_config(tmp_path, capsys):
     assert report["mesh"]["id"] == "square:2"
 
 
-def test_bad_mesh_spec():
-    with pytest.raises(SystemExit):
-        main(["lambda0", "--m", "1", "--mesh", "hexagon:2"])
-    with pytest.raises(SystemExit):
-        main(["lambda0", "--m", "1", "--mesh", "square:x"])
+def test_bad_mesh_spec(capsys):
+    assert (_usage_failure(["lambda0", "--m", "1", "--mesh", "hexagon:2"], capsys)
+            == "ncfem: unknown builtin mesh 'hexagon'\n")
+    assert (_usage_failure(["lambda0", "--m", "1", "--mesh", "square:x"], capsys)
+            == "ncfem: bad mesh size in 'square:x'\n")
 
 
 def test_solve_builtin_problem(tmp_path):
@@ -151,9 +148,9 @@ def test_solve_inline_data(tmp_path):
     assert set(report["schemes"]) == {"original", "modified"}
 
 
-def test_solve_requires_exactly_one_source(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["solve", "--m", "1", "--mesh", "square:2"])
+def test_solve_requires_exactly_one_source(capsys):
+    assert (_usage_failure(["solve", "--m", "1", "--mesh", "square:2"], capsys)
+            == "ncfem: exactly one of --problem / --data is required\n")
 
 
 def test_estimate_subcommand(tmp_path):
@@ -234,16 +231,13 @@ def test_config_supplies_required_flags(tmp_path):
          "point-force-without-location", "config-not-an-object", "config-command-not-a-name",
          "config-mesh-not-a-string"],
 )
-def test_malformed_input_file_exits_one_with_one_line(content, argv, tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_malformed_input_file_exits_one_with_one_line(content, argv, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
-    argv = [str(path) if a == "FILE" else a for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "ncfem.cli", *argv], env=env,
-                          capture_output=True, text=True, cwd=tmp_path)
-    assert done.returncode == USAGE_ERROR
-    assert done.stderr.startswith("ncfem: ") and done.stderr.count("\n") == 1
-    assert "Traceback" not in done.stderr
+    _usage_failure([str(path) if a == "FILE" else a for a in argv], capsys)
 
 
 @pytest.mark.parametrize(
@@ -260,17 +254,13 @@ def test_malformed_input_file_exits_one_with_one_line(content, argv, tmp_path):
     ids=["vertex-negative", "vertex-too-large", "vertex-not-integer", "edge-point-nan",
          "edge-point-one-coordinate", "beta-nan", "mu-nan"],
 )
-def test_bad_point_force_exits_one_with_one_line_naming_the_file(force, tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_bad_point_force_exits_one_with_one_line_naming_the_file(force, tmp_path, capsys):
     path = tmp_path / "forces.json"
     path.write_text(json.dumps({"point_forces": [force]}))  # json writes NaN as NaN
-    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "ncfem.cli", "solve", "--m", "2", "--mesh",
-                           "square:2", "--data", str(path)],
-                          env=env, capture_output=True, text=True, cwd=tmp_path)
-    assert done.returncode == USAGE_ERROR
-    assert done.stderr.startswith("ncfem: ") and done.stderr.count("\n") == 1
-    assert str(path) in done.stderr
-    assert "Traceback" not in done.stderr
+    message = _usage_failure(["solve", "--m", "2", "--mesh", "square:2", "--data", str(path)],
+                             capsys)
+    assert str(path) in message
 
 
 def test_valid_vertex_force_still_loads(tmp_path):
@@ -304,18 +294,14 @@ def test_valid_vertex_force_still_loads(tmp_path):
     ids=["coefficient-nan", "coefficient-string", "exponent-not-integer", "exponent-negative",
          "coefficient-bool", "degree-too-high", "two-entries"],
 )
-def test_bad_polynomial_term_exits_one_with_one_line_naming_the_file(content, tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_bad_polynomial_term_exits_one_with_one_line_naming_the_file(content, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(content))  # json writes NaN as NaN
-    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "ncfem.cli", "solve", "--m", "1", "--mesh",
-                           "square:2", "--data", str(path)],
-                          env=env, capture_output=True, text=True, cwd=tmp_path)
-    assert done.returncode == USAGE_ERROR
-    assert done.stderr.startswith("ncfem: bad polynomial term in data file ")
-    assert done.stderr.count("\n") == 1
-    assert str(path) in done.stderr
-    assert "Traceback" not in done.stderr
+    message = _usage_failure(["solve", "--m", "1", "--mesh", "square:2", "--data", str(path)],
+                             capsys)
+    assert message.startswith("ncfem: bad polynomial term in data file ")
+    assert str(path) in message
 
 
 def test_valid_polynomial_term_still_loads(tmp_path):
@@ -332,11 +318,9 @@ def test_valid_polynomial_term_still_loads(tmp_path):
 
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_threads_must_be_a_positive_integer(value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--threads", value, "verify", "--m", "1", "--mesh", "square:2"])
-    assert exc.value.code == USAGE_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("ncfem: ") and err.count("\n") == 1
+    assert (_usage_failure(["--threads", value, "verify", "--m", "1", "--mesh", "square:2"],
+                           capsys)
+            == f"ncfem: argument --threads: must be a positive integer, not {value!r}\n")
 
 
 def test_thread_cap_comes_from_the_flag_alone(tmp_path, monkeypatch):
@@ -348,11 +332,12 @@ def test_thread_cap_comes_from_the_flag_alone(tmp_path, monkeypatch):
     assert "threads" not in json.loads(out.read_text())["config"]
 
 
-def test_config_value_outside_choices_rejected(tmp_path):
+def test_config_value_outside_choices_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scheme": "both"}))
-    with pytest.raises(SystemExit, match="config entry scheme='both'"):
-        main(["--config", str(cfg), "estimate", "--problem", "square-smooth-m1"])
+    message = _usage_failure(["--config", str(cfg), "estimate", "--problem", "square-smooth-m1"],
+                             capsys)
+    assert "config entry scheme='both'" in message
 
 
 @pytest.mark.parametrize(
@@ -362,14 +347,13 @@ def test_config_value_outside_choices_rejected(tmp_path):
     ids=["threads-negative", "threads-fractional", "seed-fractional",
          "seed-fractional-under-a-flag"],
 )
-def test_config_value_of_the_wrong_type_rejected(entry, key, flags, tmp_path):
+def test_config_value_of_the_wrong_type_rejected(entry, key, flags, tmp_path, capsys):
     # an entry is checked even when a flag on the command line overrides it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2", *flags])
-    message = str(exc.value.code)
-    assert message.startswith(f"ncfem: config entry {key}=") and "\n" not in message
+    message = _usage_failure(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2",
+                              *flags], capsys)
+    assert message.startswith(f"ncfem: config entry {key}=")
 
 
 def test_config_value_of_the_right_type_accepted(tmp_path):
@@ -383,11 +367,9 @@ def test_config_value_of_the_right_type_accepted(tmp_path):
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_samples_must_be_a_positive_integer(value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--m", "1", "--mesh", "square:2", "--samples", value])
-    assert exc.value.code == USAGE_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("ncfem: argument --samples") and err.count("\n") == 1
+    message = _usage_failure(["verify", "--m", "1", "--mesh", "square:2", "--samples", value],
+                             capsys)
+    assert message.startswith("ncfem: argument --samples")
 
 
 def test_config_supplies_command(tmp_path):
@@ -427,11 +409,7 @@ def test_parser_is_built_once_and_config_defaults_stay_on_their_own_parser(
 )
 def test_argparse_usage_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == USAGE_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("ncfem: ") and err.count("\n") == 1
+    _usage_failure(argv, capsys)
 
 
 def test_failed_eigensolve_exits_one_without_traceback(monkeypatch, capsys):
@@ -444,6 +422,16 @@ def test_failed_eigensolve_exits_one_without_traceback(monkeypatch, capsys):
     assert main(["lambda0", "--m", "1", "--mesh", "square:1"]) == USAGE_ERROR
     err = capsys.readouterr().err
     assert err == "ncfem: generalized eigeniteration did not converge (residual 3.700e-03)\n"
+
+
+def test_failed_saddle_point_solve_exits_one(monkeypatch, capsys):
+    # the counterexample's constrained solves are judged by the backward-error
+    # rule too; no solve meets a zero tolerance
+    import ncfem.linalg
+
+    monkeypatch.setattr(ncfem.linalg, "SOLVE_TOL", 0.0)
+    message = _usage_failure(["counterexample", "cr", "--mesh", "square:2"], capsys)
+    assert message.startswith("ncfem: saddle-point solve failed: residual ")
 
 
 def test_compare_solves_one_eigenproblem(tmp_path, monkeypatch):
@@ -605,35 +593,32 @@ def test_config_command_takes_flags_from_the_command_line(tmp_path):
     assert report["seed"] == 4 and report["config"]["command"] == "verify"
 
 
-def test_config_rejects_the_removed_tol_key(tmp_path):
+def test_config_rejects_the_removed_tol_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tol": 0.5}))
-    with pytest.raises(SystemExit, match="unknown config keys: \\['tol'\\]"):
-        main(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2"])
+    message = _usage_failure(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2"],
+                             capsys)
+    assert "unknown config keys: ['tol']" in message
+
+
+def _levels(value):
+    return f"--levels must be from 2 to 7, not {value}"
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, want",
     [
-        (["rates", "--problem", "square-smooth-m1", "--levels", "1"], "--levels"),
-        (["rates", "--problem", "square-smooth-m1", "--levels", "0"], "--levels"),
-        (["rates", "--problem", "square-smooth-m1", "--levels", "8"], "--levels"),
-        (["estimate", "--problem", "square-smooth-m1", "--level", "-1"], "--level"),
+        (["rates", "--problem", "square-smooth-m1", "--levels", "1"], _levels(1)),
+        (["rates", "--problem", "square-smooth-m1", "--levels", "0"], _levels(0)),
+        (["rates", "--problem", "square-smooth-m1", "--levels", "8"], _levels(8)),
+        (["estimate", "--problem", "square-smooth-m1", "--level", "-1"],
+         "argument --level: must be a non-negative integer, not '-1'"),
     ],
     ids=["levels-1", "levels-0", "levels-8", "level-minus-1"],
 )
-def test_out_of_range_levels_exit_one_before_any_mesh(argv, flag, monkeypatch):
-    import ncfem.mesh
-
-    def no_mesh(n):
-        raise AssertionError("a mesh was built")
-
-    for name in ncfem.mesh.BUILTIN_MESHES:
-        monkeypatch.setitem(ncfem.mesh.BUILTIN_MESHES, name, no_mesh)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    message = str(exc.value.code)
-    assert message.startswith(f"ncfem: {flag} ") and "\n" not in message
+def test_out_of_range_levels_exit_one_before_any_mesh(argv, want, monkeypatch, capsys):
+    _no_meshes(monkeypatch)
+    assert _usage_failure(argv, capsys) == f"ncfem: {want}\n"
 
 
 @pytest.mark.parametrize(
@@ -644,16 +629,10 @@ def test_out_of_range_levels_exit_one_before_any_mesh(argv, flag, monkeypatch):
     ],
     ids=["data", "config"],
 )
-def test_data_file_that_is_not_json_is_named(argv, tmp_path):
+def test_data_file_that_is_not_json_is_named(argv, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{bad")
-    argv = [str(path) if a == "FILE" else a for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "ncfem.cli", *argv], env=env,
-                          capture_output=True, text=True, cwd=tmp_path)
-    assert done.returncode == USAGE_ERROR
-    assert done.stderr.startswith("ncfem: ") and done.stderr.count("\n") == 1
-    assert str(path) in done.stderr
+    assert str(path) in _usage_failure([str(path) if a == "FILE" else a for a in argv], capsys)
 
 
 def test_subcommand_flag_abbreviation_is_not_read_as_config(tmp_path):
@@ -665,13 +644,12 @@ def test_subcommand_flag_abbreviation_is_not_read_as_config(tmp_path):
 
 
 def _usage_failure(argv, capsys):
-    """The one ``ncfem:`` line of a usage error, raised by argparse or by the CLI."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    code = exc.value.code
-    message = capsys.readouterr().err if code == USAGE_ERROR else f"{code}\n"
-    assert message.startswith("ncfem: ") and message.count("\n") == 1
-    return message
+    """The one ``ncfem:`` line that ``main(argv)`` prints, with nothing on
+    stdout, when it returns USAGE_ERROR."""
+    assert main(argv) == USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ncfem: ") and err.count("\n") == 1
+    return err
 
 
 def test_config_key_of_another_subcommand_is_rejected(tmp_path, capsys):
@@ -740,17 +718,13 @@ def test_bad_mesh_file_is_named_in_one_line(counts, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_non_finite_mesh_file_coordinate_exits_one_with_one_line(bad, tmp_path):
+def test_non_finite_mesh_file_coordinate_exits_one_with_one_line(bad, tmp_path, capsys):
     path = tmp_path / "bad.mesh"
     path.write_text(f"ncfem-mesh v1\n4 4 2\n0 0\n1 0\n{bad} 1.0\n0 1\n"
                     "0 1 2\n0 2 3\n0 1\n1 2\n2 3\n0 3\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "ncfem.cli", "verify", "--m", "1",
-                           "--mesh", str(path)],
-                          env=env, capture_output=True, text=True, cwd=tmp_path)
-    assert done.returncode == USAGE_ERROR
-    assert done.stderr == (f"ncfem: mesh file {path}: vertex 2 has a non-finite"
-                           f" coordinate [{bad}, 1.0]\n")
+    message = _usage_failure(["verify", "--m", "1", "--mesh", str(path)], capsys)
+    assert message == (f"ncfem: mesh file {path}: vertex 2 has a non-finite"
+                       f" coordinate [{bad}, 1.0]\n")
 
 
 # an overflowing file used to reach each command's numerics, so it runs all three
@@ -762,18 +736,29 @@ _SPOILED_RUNS = [(case, ["verify", "--m", "1"]) for case in SPOILED_MESH_FILES] 
 
 @pytest.mark.parametrize("case, argv", _SPOILED_RUNS,
                          ids=[f"{case}-{argv[0]}" for case, argv in _SPOILED_RUNS])
-def test_spoiled_mesh_file_exits_one_with_one_line(case, argv, tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_spoiled_mesh_file_exits_one_with_one_line(case, argv, tmp_path, capsys):
     path = tmp_path / "bad.mesh"
     spoiled_square_file(path, case)
-    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "ncfem.cli", *argv, "--mesh", str(path)],
-                          env=env, capture_output=True, text=True, cwd=tmp_path)
+    message = _usage_failure([*argv, "--mesh", str(path)], capsys)
     where = "triangle 0 " if case == "huge" else "line 13: " if case == "trailing" else "line 2: "
-    assert done.returncode == USAGE_ERROR
-    assert done.stderr.startswith(f"ncfem: mesh file {path}: {where}")
-    assert done.stderr.count("\n") == 1
-    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
-    assert done.stdout == ""
+    assert message.startswith(f"ncfem: mesh file {path}: {where}")
+
+
+def test_entry_point_exits_one_with_one_line(tmp_path):
+    # the one test that needs a fresh interpreter: `python -m ncfem.cli`, its
+    # sys.exit, and the interpreter's own stderr, which holds no traceback or
+    # warning text, for a usage error and for a mesh whose numbers overflow
+    path = tmp_path / "bad.mesh"
+    spoiled_square_file(path, "huge")
+    runs = [
+        (["bogus"], f"argument command: invalid choice: 'bogus' (choose from {_CHOICES})"),
+        (["verify", "--m", "1", "--mesh", str(path)],
+         f"mesh file {path}: triangle 0 has a non-finite area inf or diameter inf"),
+    ]
+    for argv, line in runs:
+        done = run_python(["-m", "ncfem.cli", *argv], cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (USAGE_ERROR, "", f"ncfem: {line}\n")
 
 
 def test_config_command_other_than_the_subcommand_exits_one(tmp_path, capsys):
@@ -855,6 +840,11 @@ def test_lambda_j_config_entry_must_be_non_negative(tmp_path, monkeypatch, capsy
     cfg.write_text(json.dumps({"lambda_j": -1}))
     message = _usage_failure(["--config", str(cfg), *_ESTIMATE], capsys)
     assert message == "ncfem: config entry lambda_j=-1: must be a finite number >= 0, not '-1'\n"
+
+
+def test_lambda_j_below_lambda0_exits_one(capsys):
+    message = _usage_failure([*_ESTIMATE, "--lambda-j", "0"], capsys)
+    assert message.startswith("ncfem: lambda_j 0.0 is not at least lambda0 2.32")
 
 
 def _seed(value):

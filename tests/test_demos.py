@@ -1,12 +1,10 @@
 """Every narrative script under demos/ and the README's Python example run to completion."""
 
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,9 +16,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = run_python([str(demo)], cwd=ROOT, timeout=300)
     assert done.returncode == 0, done.stderr
 
 
@@ -28,7 +24,5 @@ def test_readme_python_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
                         re.DOTALL | re.MULTILINE)
     assert len(blocks) == 1
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", blocks[0]], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = run_python(["-c", blocks[0]], cwd=ROOT, timeout=300)
     assert done.returncode == 0, done.stderr

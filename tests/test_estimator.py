@@ -85,6 +85,18 @@ def test_lambda_j_knob(square2):
     assert est1["bounds"]["bound_b"] > est0["bounds"]["bound_b"]
 
 
+def test_lambda_j_below_lambda0_is_refused(square2):
+    prob = get_problem("square-smooth-m1")
+    disc = Discretization(square2, "CR1_0")
+    data = prob.data(square2)
+    u = disc.solve(disc.rhs("modified", data))
+    lam0 = disc.lam0.lambda0
+    assert estimate_modified(disc, data, u, lambda_j=lam0)["constants"]["lambda_j"] == lam0
+    for bad in (0.0, np.nextafter(lam0, 0.0), float("nan")):
+        with pytest.raises(ValueError, match=f"lambda_j .* is not at least lambda0 {lam0!r}"):
+            estimate_modified(disc, data, u, lambda_j=bad)
+
+
 def test_efficiency_zero_g():
     prob = get_problem("square-smooth-m1")
     mesh = unit_square_mesh(2)

@@ -1,15 +1,9 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import jittered
+from conftest import jittered, run_python
 from scipy.optimize import brentq
 
-import ncfem
 from ncfem import assembly, operators
 from ncfem._poly import BaryPoly, bary_modes, cubic_bubble
 from ncfem.fespace import FeFunction, build_space
@@ -388,9 +382,7 @@ def test_chunked_morley_companion_equals_one_shot_build(kind, make_mesh):
 
 def _run_without_scipy_optimize(code, cwd=None):
     code += "; assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'"
-    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, cwd=cwd)
+    done = run_python(["-c", code], cwd=cwd)
     assert done.returncode == 0, done.stderr
 
 

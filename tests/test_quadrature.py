@@ -1,14 +1,10 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 from scipy.special import roots_jacobi, roots_legendre
 
-import ncfem
 from ncfem import quadrature
 from ncfem.fespace import build_space
 from ncfem.fields import SMOOTH_DEGREE, ExactSolution, ScalarField, quad_degree
@@ -108,9 +104,7 @@ def test_cli_stack_does_not_import_scipy_special(tmp_path):
             "assert ncfem.cli.main(['verify', '--m', '1', '--mesh', 'square:2', "
             "'--samples', '2']) == 0; "
             "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'")
-    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, cwd=tmp_path)
+    done = run_python(["-c", code], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
 
 

@@ -165,7 +165,8 @@ def estimate_modified(
     G_osc, g_weighted, g_osc, nonconf = terms.values()
     lam0 = disc.lam0.lambda0
     if lambda_j is not None and not lambda_j >= lam0:
-        raise ValueError(f"lambda_j {lambda_j!r} is not at least lambda0 {lam0!r}")
+        raise ValueError(f"lambda_j {lambda_j!r} is not at least lambda0 {lam0!r}"
+                         " (compared at the full precision the JSON reports record)")
     policy = LAMBDA_J_POLICY if lambda_j is None else "user-supplied"
     lam_j = lam0 if lambda_j is None else float(lambda_j)
     apx_F = (1.0 + lam_j) * G_osc + kappa * g_weighted + kappa * lam_j * g_osc

@@ -221,9 +221,7 @@ def _constrained_solver(K, C):
     lu = linalg.factor(saddle)
 
     def solve(f):
-        b = np.concatenate([f, np.zeros(n_mult)])
-        x = lu.solve(b)
-        rep = linalg.check_solution(saddle, x, b)
+        x, rep = linalg.solve_spd(saddle, np.concatenate([f, np.zeros(n_mult)]), lu=lu)
         if not rep.converged:
             raise RuntimeError(f"saddle-point solve failed: residual {rep.residual:.2e}")
         return x[:n]

@@ -95,7 +95,8 @@ def check_solution(A, x, b):
 
 
 def solve_spd(A, b, lu=None):
-    """Solve a symmetric positive definite system by sparse LU.
+    """Solve a symmetric positive definite system by sparse LU; the LU needs
+    only a nonsingular A, so the counterexamples' saddle-point systems use it too.
 
     `lu`, when given, is ``factor(A)``.  Returns (x, :func:`check_solution`'s
     report); a solve that misses the rule reads ``converged=False`` rather

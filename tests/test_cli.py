@@ -233,11 +233,11 @@ def test_config_supplies_required_flags(tmp_path):
 )
 @pytest.mark.filterwarnings("error")
 def test_malformed_input_file_exits_one_with_one_line(content, argv, tmp_path, monkeypatch,
-                                                     capsys):
+                                                     capfd):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
-    _usage_failure([str(path) if a == "FILE" else a for a in argv], capsys)
+    _usage_failure([str(path) if a == "FILE" else a for a in argv], capfd)
 
 
 @pytest.mark.parametrize(
@@ -255,11 +255,11 @@ def test_malformed_input_file_exits_one_with_one_line(content, argv, tmp_path, m
          "edge-point-one-coordinate", "beta-nan", "mu-nan"],
 )
 @pytest.mark.filterwarnings("error")
-def test_bad_point_force_exits_one_with_one_line_naming_the_file(force, tmp_path, capsys):
+def test_bad_point_force_exits_one_with_one_line_naming_the_file(force, tmp_path, capfd):
     path = tmp_path / "forces.json"
     path.write_text(json.dumps({"point_forces": [force]}))  # json writes NaN as NaN
     message = _usage_failure(["solve", "--m", "2", "--mesh", "square:2", "--data", str(path)],
-                             capsys)
+                             capfd)
     assert str(path) in message
 
 
@@ -295,11 +295,11 @@ def test_valid_vertex_force_still_loads(tmp_path):
          "coefficient-bool", "degree-too-high", "two-entries"],
 )
 @pytest.mark.filterwarnings("error")
-def test_bad_polynomial_term_exits_one_with_one_line_naming_the_file(content, tmp_path, capsys):
+def test_bad_polynomial_term_exits_one_with_one_line_naming_the_file(content, tmp_path, capfd):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(content))  # json writes NaN as NaN
     message = _usage_failure(["solve", "--m", "1", "--mesh", "square:2", "--data", str(path)],
-                             capsys)
+                             capfd)
     assert message.startswith("ncfem: bad polynomial term in data file ")
     assert str(path) in message
 
@@ -629,10 +629,11 @@ def test_out_of_range_levels_exit_one_before_any_mesh(argv, want, monkeypatch, c
     ],
     ids=["data", "config"],
 )
-def test_data_file_that_is_not_json_is_named(argv, tmp_path, capsys):
+@pytest.mark.filterwarnings("error")
+def test_data_file_that_is_not_json_is_named(argv, tmp_path, capfd):
     path = tmp_path / "bad.json"
     path.write_text("{bad")
-    assert str(path) in _usage_failure([str(path) if a == "FILE" else a for a in argv], capsys)
+    assert str(path) in _usage_failure([str(path) if a == "FILE" else a for a in argv], capfd)
 
 
 def test_subcommand_flag_abbreviation_is_not_read_as_config(tmp_path):
@@ -643,11 +644,12 @@ def test_subcommand_flag_abbreviation_is_not_read_as_config(tmp_path):
     assert out.read_text().splitlines()[1].startswith("level,ndof,hmax,")
 
 
-def _usage_failure(argv, capsys):
+def _usage_failure(argv, capture):
     """The one ``ncfem:`` line that ``main(argv)`` prints, with nothing on
-    stdout, when it returns USAGE_ERROR."""
+    stdout, when it returns USAGE_ERROR.  `capture` is ``capsys``, or
+    ``capfd`` where output written straight to the file descriptors counts."""
     assert main(argv) == USAGE_ERROR
-    out, err = capsys.readouterr()
+    out, err = capture.readouterr()
     assert out == "" and err.startswith("ncfem: ") and err.count("\n") == 1
     return err
 
@@ -718,11 +720,12 @@ def test_bad_mesh_file_is_named_in_one_line(counts, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_non_finite_mesh_file_coordinate_exits_one_with_one_line(bad, tmp_path, capsys):
+@pytest.mark.filterwarnings("error")
+def test_non_finite_mesh_file_coordinate_exits_one_with_one_line(bad, tmp_path, capfd):
     path = tmp_path / "bad.mesh"
     path.write_text(f"ncfem-mesh v1\n4 4 2\n0 0\n1 0\n{bad} 1.0\n0 1\n"
                     "0 1 2\n0 2 3\n0 1\n1 2\n2 3\n0 3\n")
-    message = _usage_failure(["verify", "--m", "1", "--mesh", str(path)], capsys)
+    message = _usage_failure(["verify", "--m", "1", "--mesh", str(path)], capfd)
     assert message == (f"ncfem: mesh file {path}: vertex 2 has a non-finite"
                        f" coordinate [{bad}, 1.0]\n")
 
@@ -737,10 +740,10 @@ _SPOILED_RUNS = [(case, ["verify", "--m", "1"]) for case in SPOILED_MESH_FILES] 
 @pytest.mark.parametrize("case, argv", _SPOILED_RUNS,
                          ids=[f"{case}-{argv[0]}" for case, argv in _SPOILED_RUNS])
 @pytest.mark.filterwarnings("error")
-def test_spoiled_mesh_file_exits_one_with_one_line(case, argv, tmp_path, capsys):
+def test_spoiled_mesh_file_exits_one_with_one_line(case, argv, tmp_path, capfd):
     path = tmp_path / "bad.mesh"
     spoiled_square_file(path, case)
-    message = _usage_failure([*argv, "--mesh", str(path)], capsys)
+    message = _usage_failure([*argv, "--mesh", str(path)], capfd)
     where = "triangle 0 " if case == "huge" else "line 13: " if case == "trailing" else "line 2: "
     assert message.startswith(f"ncfem: mesh file {path}: {where}")
 

@@ -116,8 +116,6 @@ class BaryPoly:
         return BaryPoly({(0, 0, 0): float(c)})
 
     def __add__(self, other):
-        if not isinstance(other, BaryPoly):
-            other = BaryPoly.const(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0.0) + c

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._poly import bary_modes, bary_tabulate, lambda_gradients, moment_matrix
-from .fespace import CompanionMorleySpace, CRSpace, MorleySpace
+from .fespace import CRSpace, MorleySpace
 from .fields import FieldBase, field_sum, quad_degree
 from .mesh import mesh_size
 from .quadrature import cells, pairing, parent_points, triangle_rule
@@ -132,14 +132,6 @@ def _basis_at_point(space, t, point):
     return space.tabulate(np.array([t]), int(s[0]), bary, 0)[0, :, 0]
 
 
-def _vertex_value_dof(space, v):
-    if isinstance(space, MorleySpace):
-        return int(space.vertex_dof[v])
-    if isinstance(space, CompanionMorleySpace):
-        return int(space.vertex_dof[v, 0])
-    raise ValueError("point forces require an m=2 space")
-
-
 def assemble_load(space, data):
     """Vector of F-hat applied to the basis of `space` (any supported kind)."""
     mesh = space.mesh
@@ -169,7 +161,7 @@ def assemble_load(space, data):
         if m != 2:
             raise ValueError("point forces are only bounded functionals for m=2")
         if pf.vertex is not None:
-            dof = _vertex_value_dof(space, pf.vertex)
+            dof = space.vertex_dof.reshape(mesh.n_vertices, -1)[pf.vertex, 0]
             if dof >= 0:
                 vec[dof] += pf.beta
             continue

@@ -325,7 +325,8 @@ def _point_force(pf, mesh, path):
 
 
 def _find_edge(mesh, point):
-    """The edge through `point`, or None when no edge passes through it."""
+    """The edge through `point`, or None when no edge passes through it: the
+    nearest edge, if `point` lies within 1e-10 of its length from it."""
     import numpy as np
 
     a = mesh.vertices[mesh.edges[:, 0]]
@@ -336,7 +337,7 @@ def _find_edge(mesh, point):
     d = np.linalg.norm(a + t[:, None] * seg - point, axis=1)
     e = int(np.argmin(d))
     # "not <=" so that a NaN distance (a NaN coordinate) matches no edge
-    if not d[e] <= 1e-10 * max(1.0, np.sqrt(L2[e])):
+    if not d[e] <= 1e-10 * np.sqrt(L2[e]):
         return None
     return e
 

@@ -4,9 +4,10 @@ Both schemes get explicit-constant bounds built from computable terms:
 the distance of the tensor data to piecewise constants, the weighted
 L2 norm of the scalar data, the companion defect of the discrete
 solution, and (for the natural right-hand side) a signed correction
-term.  Vertex point forces drop out of every pairing the bounds use
-(interpolation and companion both preserve vertex values), so they are
-supported exactly; off-vertex forces are refused.
+term.  Vertex point forces drop out of every pairing the bounds use:
+interpolation keeps vertex values, and the companion J, a right inverse of
+the interpolation, keeps them too, so a vertex force pairs with v - J v to
+exactly zero.  They are supported exactly; off-vertex forces are refused.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import assembly
-from .fespace import FeFunction, vertex_eval
+from .fespace import FeFunction
 from .fields import quad_degree
 from .linalg import check_solution
 from .mesh import mesh_size
@@ -50,7 +51,11 @@ def _check_point_forces(data):
 
 
 def _fhat_of_defect(space, data, u_nc, ju_nc):
-    """Natural functional applied to u_nc - J u_nc (computable, signed)."""
+    """Natural functional applied to u_nc - J u_nc (computable, signed).
+
+    Only G and g contribute: J keeps the vertex values of u_nc, so every
+    vertex force pairs with u_nc - J u_nc to exactly zero.
+    """
     mesh = space.mesh
     m = space.m
     total = 0.0
@@ -66,8 +71,6 @@ def _fhat_of_defect(space, data, u_nc, ju_nc):
                 du = u_nc.at(c, order)
                 dj = ju_nc.at(c, order)
                 total += pairing(c, fld.eval_batch(c), du - dj)
-    for pf in data.point_forces:
-        total += pf.beta * (vertex_eval(u_nc, pf.vertex) - vertex_eval(ju_nc, pf.vertex))
     return total
 
 

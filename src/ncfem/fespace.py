@@ -60,7 +60,6 @@ __all__ = [
     "FeFunction",
     "build_space",
     "nc_kind",
-    "vertex_eval",
     "save_function",
     "load_function",
     "KINDS",
@@ -423,21 +422,6 @@ class FeFunction:
             if sel.any():
                 out[0, sel] = self.evaluate_batch(np.array([t]), s, sub_bary[sel], order)[0]
         return out
-
-
-def vertex_eval(f, vertex):
-    """Single-valued vertex value of a Morley-type function.
-
-    Point evaluation is not bounded on H^1, so this is refused for the
-    piecewise-linear (m=1) kinds.
-    """
-    space = f.space
-    if space.m != 2:
-        raise ValueError("vertex evaluation requires an m=2 (Morley-type) space")
-    mesh = space.mesh
-    x = mesh.vertices[vertex]
-    t = int(np.nonzero((mesh.triangles == vertex).any(axis=1))[0][0])
-    return float(f.evaluate(t, x)[0, 0])
 
 
 # -- serialization ---------------------------------------------------------

@@ -12,6 +12,10 @@ most ``SOLVE_TOL`` (Rigal and Gaches 1967; Higham 2002, 7.1), which unlike
 ||Ax - b|| / ||b|| does not grow with the h^-4 conditioning.  It certifies a
 backward-stable solve, not a small forward error: an error along the smooth
 modes of A goes undetected, by the relative residual too.
+
+Every matrix passed in is a scipy CSR matrix, and every solve and eigensolve
+is passed the :func:`factor` of its matrix: each caller factors once and
+keeps the factor.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = ["SolveReport", "EigenError", "check_solution", "factor", "solve_spd",
@@ -58,12 +61,6 @@ class EigenError(RuntimeError):
         self.residual = residual
 
 
-def _as_csr(A):
-    if sp.issparse(A):
-        return A.tocsr()
-    return sp.csr_matrix(np.asarray(A, dtype=float))
-
-
 def _release_free_heap():
     """Return the C heap's free pages to the OS with glibc's malloc_trim(0);
     a no-op where the C library has no malloc_trim."""
@@ -77,7 +74,7 @@ def _release_free_heap():
 
 def factor(A):
     """Sparse LU factor (SuperLU) of the square matrix A."""
-    A = _as_csr(A).tocsc()
+    A = A.tocsc()
     if A.shape[0] >= TRIM_MIN_ROWS:
         _release_free_heap()
     return spla.splu(A)
@@ -86,7 +83,6 @@ def factor(A):
 def check_solution(A, x, b):
     """The SolveReport of `x` for A x = b.  The rule is a product, so it needs no
     division, is False for NaN and true for x = b = 0."""
-    A = _as_csr(A)
     r = A @ x - b
     bnorm = float(np.linalg.norm(b))
     res = float(np.linalg.norm(r) / bnorm) if bnorm else float(np.linalg.norm(r))
@@ -94,22 +90,20 @@ def check_solution(A, x, b):
     return SolveReport("direct", res, bool(np.abs(r).max() <= bound))
 
 
-def solve_spd(A, b, lu=None):
+def solve_spd(A, b, lu):
     """Solve a symmetric positive definite system by sparse LU; the LU needs
     only a nonsingular A, so the counterexamples' saddle-point systems use it too.
 
-    `lu`, when given, is ``factor(A)``.  Returns (x, :func:`check_solution`'s
-    report); a solve that misses the rule reads ``converged=False`` rather
-    than raising.
+    `lu` is ``factor(A)``.  Returns (x, :func:`check_solution`'s report); a
+    solve that misses the rule reads ``converged=False`` rather than raising.
     """
-    A = _as_csr(A)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
         raise ValueError(f"dimension mismatch: A is {A.shape}, b has shape {b.shape}")
     if not b.any():
         return np.zeros(n), SolveReport("trivial", 0.0, True)
-    x = (factor(A) if lu is None else lu).solve(b)
+    x = lu.solve(b)
     return x, check_solution(A, x, b)
 
 
@@ -121,25 +115,22 @@ def _fix_sign(x):
     return x
 
 
-def max_generalized_eig(B, A, lu=None):
+def max_generalized_eig(B, A, lu):
     """Largest eigenpair of B x = lambda A x for symmetric B, SPD A.
 
-    Implicitly restarted Lanczos (ARPACK, sparse LU of A as M^-1, `lu` when
-    given) from a fixed start vector; a 1x1 pencil is the quotient.  The
+    Implicitly restarted Lanczos (ARPACK, with `lu` = ``factor(A)`` as M^-1)
+    from a fixed start vector; a 1x1 pencil is the quotient.  The
     eigenvector is scaled to sqrt(x' A x) = 1 with its first significant
     component positive.  Returns (lambda, x, residual) with the relative
     residual ||Bx - lambda Ax|| / ||Ax||; raises :class:`EigenError` when it
     exceeds EIG_RESIDUAL_TOL.
     """
-    B = _as_csr(B)
-    A = _as_csr(A)
     if B.shape != A.shape or B.shape[0] != B.shape[1]:
         raise ValueError(f"dimension mismatch: B is {B.shape}, A is {A.shape}")
     n = A.shape[0]
     if n == 1:
         lam, x = float(B[0, 0] / A[0, 0]), np.ones(1)
     else:
-        lu = factor(A) if lu is None else lu
         Minv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         try:
             w, V = spla.eigsh(B, k=1, M=A, Minv=Minv, which="LA",

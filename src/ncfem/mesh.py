@@ -107,7 +107,7 @@ class Triangulation:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
         diag = float(np.hypot(*(hi - lo)))
-        tol = DUPLICATE_TOL * max(diag, 1.0)
+        tol = DUPLICATE_TOL * diag
         order = np.lexsort(self.vertices.T)
         pts = self.vertices[order]
         close = np.all(np.abs(np.diff(pts, axis=0)) <= tol, axis=1)

@@ -365,10 +365,10 @@ class Lambda0Result:
     B: sp.csr_matrix
 
 
-def compute_lambda0(space, cmap, A, lu=None):
+def compute_lambda0(space, cmap, A, lu):
     """Solve B x = lambda A x for the defect norm of the companion.
 
-    A is the nonconforming stiffness (`lu`, when given, its ``linalg.factor``),
+    A is the nonconforming stiffness and `lu` its ``linalg.factor``,
     B = J' A_c J (symmetrized) the stiffness of the companion images,
     lambda0 = sqrt(lambda_max - 1), and the extremal vector has unit piecewise
     energy.  One Lanczos solve at every size, with relative residual at most
@@ -453,25 +453,16 @@ def best_approx_orthogonality_check(space, v):
 
     The interpolation is characterized by per-triangle orthogonality of
     D^m (v - I v) to constants, which is what this evaluates (polynomials
-    of lower order drop out of the piecewise energy product).
+    of lower order drop out of the piecewise energy product).  `v` is an
+    FeFunction, such as a companion image.
     """
     iv = interpolate(space, v)
     mesh = space.mesh
     m = space.m
-    if isinstance(v, FeFunction):
-        deg = max(v.space.poly_degree - m, 1)
-        over = [v.space]
-    else:
-        deg = quad_degree(v)
-        over = []
     total = np.zeros((mesh.n_triangles,) + ((2,) if m == 1 else (2, 2)))
-    for chunk in cells(mesh, deg, *over):
+    for chunk in cells(mesh, max(v.space.poly_degree - m, 1), v.space):
         for c in chunk:
-            if isinstance(v, FeFunction):
-                dv = v.at(c, m)
-            else:
-                dv = v.eval(m, c.phys[..., 0], c.phys[..., 1])
-            div = iv.at(c, m)
-            total[c.ts] += np.einsum("k,fk...->f...", c.weights / c.nsub, dv - div)
+            dv = v.at(c, m) - iv.at(c, m)
+            total[c.ts] += np.einsum("k,fk...->f...", c.weights / c.nsub, dv)
     total *= mesh.area.reshape((-1,) + (1,) * (total.ndim - 1))
     return float(np.abs(total).max())

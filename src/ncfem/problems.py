@@ -73,23 +73,13 @@ class _SquareSmoothM1(Problem):
         def parts(x, y, orders):
             """u = sin(pi x) sin(pi y) and its derivatives of the given orders."""
             sx, sy = np.sin(PI * x), np.sin(PI * y)
-            s = sx * sy
-            out = {0: s} if 0 in orders else {}
-            if max(orders) > 0:
-                cx, cy = np.cos(PI * x), np.cos(PI * y)
+            out = {0: sx * sy} if 0 in orders else {}
             if 1 in orders:
+                cx, cy = np.cos(PI * x), np.cos(PI * y)
                 out[1] = np.stack([PI * cx * sy, PI * sx * cy], axis=-1)
-            if 2 in orders:
-                c = cx * cy
-                h = np.empty(np.shape(x) + (2, 2))
-                h[..., 0, 0] = -PI**2 * s
-                h[..., 1, 1] = -PI**2 * s
-                h[..., 0, 1] = PI**2 * c
-                h[..., 1, 0] = PI**2 * c
-                out[2] = h
             return out
 
-        return _one_call_solution(parts)
+        return _one_call_solution(parts, top_order=1)
 
 
 class _SquareSmoothM2(Problem):

@@ -18,11 +18,20 @@ from ncfem.mesh import (
 )
 
 
-def run_python(args, cwd=None, timeout=None):
+SRC_DIR = str(Path(ncfem.__file__).parents[1])
+
+
+def run_python(args, cwd=None, timeout=None, env=None):
     """``python *args`` in a fresh interpreter that imports the ncfem under
-    test; the CompletedProcess, with stdout and stderr as text."""
-    env = dict(os.environ, PYTHONPATH=str(Path(ncfem.__file__).parents[1]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+    test; the CompletedProcess, with stdout and stderr as text.  `env` updates
+    the child's environment, and a None value removes the variable."""
+    child = dict(os.environ, PYTHONPATH=SRC_DIR)
+    for name, value in (env or {}).items():
+        if value is None:
+            child.pop(name, None)
+        else:
+            child[name] = value
+    return subprocess.run([sys.executable, *args], env=child, capture_output=True, text=True,
                           cwd=cwd, timeout=timeout)
 
 

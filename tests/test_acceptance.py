@@ -25,7 +25,7 @@ from ncfem.experiments import (
 )
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import fe_value, field_sum
-from ncfem.linalg import solve_spd
+from ncfem.linalg import factor, solve_spd
 from ncfem.mesh import l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.norms import error_norms
 from ncfem.operators import (
@@ -181,8 +181,9 @@ def test_criterion_5_eigenvalue_vs_direct_maximization():
             if space.ndofs > 100:
                 continue
             cmap = build_companion(space)
-            res = compute_lambda0(space, cmap, assembly.assemble_stiffness(space))
-            A = assembly.assemble_stiffness(space).toarray()
+            A = assembly.assemble_stiffness(space)
+            res = compute_lambda0(space, cmap, A, factor(A))
+            A = A.toarray()
             Ac = assembly.assemble_stiffness(cmap.target)
             B = (cmap.matrix.T @ (Ac @ cmap.matrix)).toarray()
             D = B - A  # quadratic form of the defect energy
@@ -260,11 +261,11 @@ def _reliability_case(problem_name, levels):
         data = prob.data(mesh)
         ref = prob.reference()
         A = disc.A
-        x, rep = solve_spd(A, assembly.assemble_rhs_original(space, data))
+        x, rep = solve_spd(A, assembly.assemble_rhs_original(space, data), disc.lu)
         est = estimate_original(disc, data, FeFunction(space, x), reference=ref)
         checks.append(est["measured_errors"]["split_a"] <= est["bounds"]["bound_a"] * slack)
         checks.append(est["measured_errors"]["split_b"] <= est["bounds"]["bound_b"] * slack)
-        x, rep = solve_spd(A, assembly.assemble_rhs_modified(space, data, cmap))
+        x, rep = solve_spd(A, assembly.assemble_rhs_modified(space, data, cmap), disc.lu)
         est = estimate_modified(disc, data, FeFunction(space, x), reference=ref)
         checks.append(est["measured_errors"]["energy_conf"] <= est["bounds"]["bound_a"] * slack)
         checks.append(est["measured_errors"]["energy_pw"] <= est["bounds"]["bound_b"] * slack)

@@ -1,8 +1,9 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
-from conftest import SPOILED_MESH_FILES, run_python, spoiled_square_file
+from conftest import SPOILED_MESH_FILES, SRC_DIR, run_python, spoiled_square_file
 
 from ncfem.cli import USAGE_ERROR, main
 from ncfem.linalg import EigenError
@@ -278,6 +279,26 @@ def test_valid_vertex_force_still_loads(tmp_path):
     assert sorted(mesh.vertices[mesh.edges[on_edge.edge]].tolist()) == [[0, 0], [0.5, 0]]
     assert main(["solve", "--m", "2", "--mesh", "square:2", "--data", str(path),
                  "--json", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "scale, offset, found",
+    [(2.0**-20, 1.5e-4, False), (1.0, 1e-5, False),
+     (2.0**-20, 1e-11, True), (1.0, 1e-11, True), (2.0**20, 1e-11, True)],
+    ids=["tiny-off", "unit-off", "tiny-on", "unit-on", "huge-on"],
+)
+def test_edge_point_tolerance_is_relative_to_the_edge(scale, offset, found):
+    """A point `offset` edge lengths off edge 1 lies on it when within 1e-10."""
+    import numpy as np
+
+    from ncfem.cli import _find_edge
+    from ncfem.mesh import Triangulation, unit_square_mesh
+
+    unit = unit_square_mesh(2)
+    mesh = Triangulation(scale * unit.vertices, unit.triangles)  # exact for 2^k
+    a, b = mesh.vertices[mesh.edges[1]]
+    point = mesh.edge_midpoint[1] + offset * np.hypot(*(b - a)) * mesh.edge_normal[1]
+    assert _find_edge(mesh, point) == (1 if found else None)
 
 
 @pytest.mark.parametrize(
@@ -762,6 +783,38 @@ def test_entry_point_exits_one_with_one_line(tmp_path):
     for argv, line in runs:
         done = run_python(["-m", "ncfem.cli", *argv], cwd=tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (USAGE_ERROR, "", f"ncfem: {line}\n")
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+# imported at start-up from the child's PYTHONPATH: records the thread
+# variables the moment numpy is first imported, before its BLAS starts
+SNAPSHOT_HOOK = """
+import json, os, sys
+
+class _Snapshot:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            with open("env_at_numpy_import.json", "w") as fh:
+                json.dump({{v: os.environ.get(v) for v in {names!r}}}, fh)
+        return None
+
+sys.meta_path.insert(0, _Snapshot())
+"""
+
+
+def test_threads_are_set_before_numpy_is_imported(tmp_path):
+    # a fresh interpreter: BLAS reads its thread count once, when numpy loads
+    (tmp_path / "sitecustomize.py").write_text(SNAPSHOT_HOOK.format(names=THREAD_VARS))
+    env = dict.fromkeys(THREAD_VARS)
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), SRC_DIR])
+    done = run_python(["-m", "ncfem.cli", "--threads", "1", "lambda0", "--m", "1",
+                       "--mesh", "square:2", "--json", "r.json"], cwd=tmp_path, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    snapshot = json.loads((tmp_path / "env_at_numpy_import.json").read_text())
+    assert snapshot == dict.fromkeys(THREAD_VARS, "1")
 
 
 def test_config_command_other_than_the_subcommand_exits_one(tmp_path, capsys):

@@ -6,7 +6,7 @@ from ncfem.assembly import RhsData
 from ncfem.estimator import efficiency_terms, estimate_modified, estimate_original
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import ScalarField
-from ncfem.linalg import solve_spd
+from ncfem.linalg import factor, solve_spd
 from ncfem.mesh import red_refine, unit_square_mesh
 from ncfem.operators import Discretization
 from ncfem.problems import get_problem
@@ -14,7 +14,7 @@ from ncfem.problems import get_problem
 
 def _solve(space, rhs):
     A = assembly.assemble_stiffness(space)
-    x, rep = solve_spd(A, rhs)
+    x, rep = solve_spd(A, rhs, factor(A))
     assert rep.converged
     return FeFunction(space, x)
 
@@ -47,6 +47,23 @@ def test_discrete_solve_passes_the_estimator_check(kind):
     data = RhsData(g=ScalarField(lambda x, y: np.ones(np.shape(x)), degree=0))
     estimate_original(disc, data, disc.solve(disc.rhs("original", data)))
     estimate_modified(disc, data, disc.solve(disc.rhs("modified", data)))
+
+
+def test_vertex_force_adds_exactly_nothing_to_the_fhat_correction():
+    """J keeps the vertex values of u_nc, so a vertex force pairs with
+    u_nc - J u_nc to exactly zero: the correction equals, bit for bit, the
+    one of the same data without the force."""
+    prob = get_problem("lshape-pointforce-m2")
+    mesh = red_refine(prob.base_mesh())
+    disc = Discretization(mesh, "MORLEY_0")
+    data = prob.data(mesh)
+    assert [pf.vertex is not None for pf in data.point_forces] == [True]
+    no_force = RhsData(G=data.G, g=data.g, point_forces=[])
+    terms = [estimate_original(disc, d, disc.solve(disc.rhs("original", d)))["terms"]
+             for d in (data, no_force)]
+    with_force, without = (np.float64(t["Fhat_correction"]).tobytes() for t in terms)
+    assert with_force == without
+    assert terms[0]["nonconf"] > 0.0  # the force moves u_nc off the companion's range
 
 
 @pytest.mark.parametrize("name", ["square-smooth-m1", "square-smooth-m2"])

@@ -8,7 +8,6 @@ from ncfem.fespace import (
     build_space,
     load_function,
     save_function,
-    vertex_eval,
 )
 from ncfem import _hct
 from ncfem._hct import SUB_TO_PARENT, hct_coefficients
@@ -55,10 +54,10 @@ def test_morley_duality(square2):
     for dof in range(0, space.ndofs, 3):
         f = FeFunction(space)
         f.coeffs[dof] = 1.0
-        # vertex values
-        for v in range(mesh.n_vertices):
-            want = 1.0 if space.vertex_dof[v] == dof else 0.0
-            assert abs(vertex_eval(f, v) - want) < 1e-12
+        # vertex values, from every triangle at the vertex
+        for t, tri in enumerate(mesh.triangles):
+            want = (space.vertex_dof[tri] == dof).astype(float)
+            assert np.abs(f.evaluate(t, mesh.vertices[tri])[0] - want).max() < 1e-12
         # edge-mean normal derivatives from the first adjacent triangle
         for e in range(mesh.n_edges):
             t = int(mesh.edge_triangles[e, 0])
@@ -127,12 +126,6 @@ def test_evaluate_order_out_of_range(square2, order):
     f = FeFunction(build_space(square2, "MORLEY_0"))
     with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
         f.evaluate(0, square2.centroid[0], order)
-
-
-def test_vertex_eval_refused_for_cr(square2):
-    f = FeFunction(build_space(square2, "CR1_0"))
-    with pytest.raises(ValueError):
-        vertex_eval(f, 0)
 
 
 def test_point_evaluation_does_not_grow_bary_cache(rng):

@@ -9,7 +9,7 @@ from ncfem.estimator import efficiency_terms, estimate_modified
 from ncfem.experiments import run_rate_study
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import ExactSolution, fe_gradient, fe_hessian
-from ncfem.linalg import solve_spd
+from ncfem.linalg import factor, solve_spd
 from ncfem.mesh import unit_square_mesh
 from ncfem.norms import error_norms
 from ncfem.operators import Discretization, build_companion, companion, interpolate
@@ -82,7 +82,7 @@ def test_estimator_bound_on_attainment_example(square2, m):
     data = RhsData(G=G)
     A = assembly.assemble_stiffness(space)
     rhs = assembly.assemble_rhs_modified(space, data, cmap)
-    x, rep = solve_spd(A, rhs)
+    x, rep = solve_spd(A, rhs, factor(A))
     assert rep.converged
     u_nc = FeFunction(space, x)
     est = estimate_modified(disc, data, u_nc)
@@ -119,11 +119,12 @@ def test_zero_data_solutions_and_rate_floor(square2):
         cmap = build_companion(space)
         data = RhsData()
         A = assembly.assemble_stiffness(space)
+        lu = factor(A)
         for rhs in (
             assembly.assemble_rhs_original(space, data),
             assembly.assemble_rhs_modified(space, data, cmap),
         ):
-            x, rep = solve_spd(A, rhs)
+            x, rep = solve_spd(A, rhs, lu)
             assert error_norms(FeFunction(space, x)).energy_pw <= 1e-12
     from ncfem.norms import convergence_rate
 

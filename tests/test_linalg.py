@@ -26,16 +26,16 @@ def random_spd(n, rng):
 
 
 def test_diagonal_system():
-    A = sp.diags([2.0, 4.0, 8.0])
+    A = sp.diags([2.0, 4.0, 8.0], format="csr")
     b = np.array([2.0, 4.0, 8.0])
-    x, rep = solve_spd(A, b)
+    x, rep = solve_spd(A, b, factor(A))
     assert np.allclose(x, 1.0)
     assert rep.converged
 
 
 def test_two_by_two_hand_computed():
-    A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    x, rep = solve_spd(A, np.array([1.0, 1.0]))
+    A = sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]])
+    x, rep = solve_spd(A, np.array([1.0, 1.0]), factor(A))
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
 
@@ -43,7 +43,8 @@ def test_random_spd_against_dense_oracle(rng):
     A = random_spd(50, rng)
     b = rng.standard_normal(50)
     want = np.linalg.solve(A, b)
-    x, rep = solve_spd(sp.csr_matrix(A), b)
+    A = sp.csr_matrix(A)
+    x, rep = solve_spd(A, b, factor(A))
     assert np.linalg.norm(x - want) / np.linalg.norm(want) <= 1e-10
     assert rep.residual <= 1e-12
 
@@ -52,19 +53,22 @@ def test_solver_linearity(rng):
     A = sp.csr_matrix(random_spd(30, rng))
     b1 = rng.standard_normal(30)
     b2 = rng.standard_normal(30)
-    x1, _ = solve_spd(A, b1)
-    x2, _ = solve_spd(A, b2)
-    x12, _ = solve_spd(A, b1 + b2)
+    lu = factor(A)
+    x1, _ = solve_spd(A, b1, lu)
+    x2, _ = solve_spd(A, b2, lu)
+    x12, _ = solve_spd(A, b1 + b2, lu)
     assert np.linalg.norm(x12 - x1 - x2) <= 1e-10 * np.linalg.norm(x12)
 
 
 def test_dimension_mismatch():
+    A = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
-        solve_spd(np.eye(3), np.ones(4))
+        solve_spd(A, np.ones(4), factor(A))
 
 
 def test_zero_rhs():
-    x, rep = solve_spd(np.eye(4), np.zeros(4))
+    A = sp.identity(4, format="csr")
+    x, rep = solve_spd(A, np.zeros(4), factor(A))
     assert np.all(x == 0) and rep.converged
 
 
@@ -77,7 +81,7 @@ def test_backward_error_accepts_an_ill_conditioned_direct_solve():
     # D^2 is condition ~1e10: its relative residual misses any fixed 1e-10,
     # but the solve is backward stable and the rule accepts it
     A, b = _biharmonic_1d()
-    x, rep = solve_spd(A, b)
+    x, rep = solve_spd(A, b, factor(A))
     assert rep.converged and rep.method == "direct"
     assert rep.residual > 1e-8
     assert check_solution(A, x, b) == rep
@@ -85,7 +89,7 @@ def test_backward_error_accepts_an_ill_conditioned_direct_solve():
 
 def test_backward_error_rejects_perturbed_and_nan_solutions():
     A, b = _biharmonic_1d()
-    x, _ = solve_spd(A, b)
+    x, _ = solve_spd(A, b, factor(A))
     noise = np.random.default_rng(0).standard_normal(x.size)
     assert not check_solution(A, x + 1e-9 * np.abs(x).max() * noise, b).converged
     x[7] = np.nan
@@ -93,7 +97,7 @@ def test_backward_error_rejects_perturbed_and_nan_solutions():
 
 
 def test_backward_error_accepts_zero_solution_of_zero_system():
-    rep = check_solution(sp.eye(3), np.zeros(3), np.zeros(3))
+    rep = check_solution(sp.identity(3, format="csr"), np.zeros(3), np.zeros(3))
     assert rep.converged and rep.residual == 0.0
 
 
@@ -121,9 +125,9 @@ def test_heap_release_is_silent_without_malloc_trim(monkeypatch):
 def test_factor_releases_the_heap_from_the_row_threshold_on(monkeypatch):
     calls = []
     monkeypatch.setattr(linalg, "_release_free_heap", lambda: calls.append(1))
-    factor(sp.identity(TRIM_MIN_ROWS - 1))
+    factor(sp.identity(TRIM_MIN_ROWS - 1, format="csr"))
     assert calls == []
-    factor(sp.identity(TRIM_MIN_ROWS))
+    factor(sp.identity(TRIM_MIN_ROWS, format="csr"))
     assert calls == [1]
 
 
@@ -141,14 +145,14 @@ def test_solve_after_a_heap_release_is_bitwise_unchanged(monkeypatch, rng):
 
 def test_eig_b_equals_a(rng):
     A = sp.csr_matrix(random_spd(20, rng))
-    lam, x, _ = max_generalized_eig(A, A)
+    lam, x, _ = max_generalized_eig(A, A, factor(A))
     assert lam == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eig_diagonal_pair():
-    B = sp.diags([1.0, 2.0, 5.0])
+    B = sp.diags([1.0, 2.0, 5.0], format="csr")
     A = sp.identity(3, format="csr")
-    lam, x, _ = max_generalized_eig(B, A)
+    lam, x, _ = max_generalized_eig(B, A, factor(A))
     assert lam == pytest.approx(5.0, abs=1e-12)
     assert np.abs(x / np.linalg.norm(x)) @ np.array([0, 0, 1]) == pytest.approx(1.0)
 
@@ -160,7 +164,8 @@ def test_eig_against_dense_oracle(rng):
     C = rng.standard_normal((30, 30))
     B = C @ C.T + 0.1 * np.eye(30)
     want = sla.eigh(B, A, eigvals_only=True)[-1]
-    lam, x, res = max_generalized_eig(sp.csr_matrix(B), sp.csr_matrix(A))
+    A_csr = sp.csr_matrix(A)
+    lam, x, res = max_generalized_eig(sp.csr_matrix(B), A_csr, factor(A_csr))
     assert abs(lam - want) <= 1e-9 * max(1.0, abs(want))
     # contract: small eigen residual, the one returned, and A-normalization
     assert np.linalg.norm(B @ x - lam * (A @ x)) <= 1e-9 * np.linalg.norm(A @ x)
@@ -170,7 +175,7 @@ def test_eig_against_dense_oracle(rng):
 
 def test_eig_nonconvergence_reports_residual(monkeypatch):
     A = sp.identity(5, format="csr")
-    B = sp.diags([1.0, 2.0, 3.0, 4.0, 5.0])
+    B = sp.diags([1.0, 2.0, 3.0, 4.0, 5.0], format="csr")
 
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.array([]), np.empty((5, 0)))
@@ -181,20 +186,21 @@ def test_eig_nonconvergence_reports_residual(monkeypatch):
     for fake in (no_convergence, wrong_vector):
         monkeypatch.setattr(spla, "eigsh", fake)
         with pytest.raises(EigenError) as err:
-            max_generalized_eig(B, A)
+            max_generalized_eig(B, A, factor(A))
         assert err.value.residual > 0
 
 
 def test_eig_one_by_one_pencil():
-    lam, x, _ = max_generalized_eig(sp.csr_matrix([[6.0]]), sp.csr_matrix([[4.0]]))
+    A = sp.csr_matrix([[4.0]])
+    lam, x, _ = max_generalized_eig(sp.csr_matrix([[6.0]]), A, factor(A))
     assert lam == 1.5
     assert x.shape == (1,) and x[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_eig_sign_convention(rng):
-    B = sp.diags([1.0, 3.0])
+    B = sp.diags([1.0, 3.0], format="csr")
     A = sp.identity(2, format="csr")
-    _, x, _ = max_generalized_eig(B, A)
+    _, x, _ = max_generalized_eig(B, A, factor(A))
     assert x[np.nonzero(np.abs(x) > 1e-12)[0][0]] > 0
 
 
@@ -208,7 +214,8 @@ def test_top_eigenpair_matches_full_eigh(rng):
     w, V = sla.eigh(B, A)
     want = _fix_sign(V[:, -1])
     want = want / np.sqrt(want @ (A @ want))
-    lam, x, _ = max_generalized_eig(sp.csr_matrix(B), sp.csr_matrix(A))
+    A_csr = sp.csr_matrix(A)
+    lam, x, _ = max_generalized_eig(sp.csr_matrix(B), A_csr, factor(A_csr))
     assert lam == pytest.approx(w[-1], rel=1e-12)
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
 

@@ -216,6 +216,17 @@ def test_duplicate_vertices_rejected():
         )
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_duplicate_tolerance_is_relative_to_the_mesh_size(scale):
+    unit = unit_square_mesh(2)
+    assert Triangulation(scale * unit.vertices, unit.triangles).n_vertices == 9
+    with pytest.raises(MeshTopologyError, match="duplicate vertices 2 and 3"):
+        Triangulation(
+            scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0 + 1e-15]]),
+            np.array([[0, 1, 2], [1, 3, 2]]),
+        )
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 def test_non_finite_vertex_rejected(bad):
     # an inf coordinate makes the duplicate tolerance inf; NaN passes it

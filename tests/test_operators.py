@@ -8,6 +8,7 @@ from ncfem import assembly, operators
 from ncfem._poly import BaryPoly, bary_modes, cubic_bubble
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import ExactSolution, fe_value, field_sum
+from ncfem.linalg import factor
 from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.norms import error_norms
 from ncfem.operators import (
@@ -167,11 +168,9 @@ def test_best_approx_orthogonality(square2, rng):
         nrm = error_norms(v).energy_pw
         assert best_approx_orthogonality_check(space, jv) <= 1e-10 * nrm
     # a globally linear function is reproduced: residual at machine precision
-    lin = ExactSolution(
-        lambda x, y: x - 2 * y,
-        lambda x, y: np.broadcast_to([1.0, -2.0], np.shape(x) + (2,)),
-        degree=1,
-    )
+    p1 = build_space(square2, "COMPANION_CR_full")
+    lin = FeFunction(p1, np.zeros(p1.ndofs))
+    lin.coeffs[p1.vertex_dof] = square2.vertices @ [1.0, -2.0]  # x - 2y at the vertices
     cr = build_space(square2, "CR1_full")
     assert best_approx_orthogonality_check(cr, lin) < 1e-13
 
@@ -465,7 +464,8 @@ def test_lambda0_identity_double(square2):
     import scipy.sparse as sp
 
     stub = CompanionMap(source=space, target=space, matrix=sp.identity(space.ndofs, format="csr"))
-    res = compute_lambda0(space, stub, assembly.assemble_stiffness(space))
+    A = assembly.assemble_stiffness(space)
+    res = compute_lambda0(space, stub, A, factor(A))
     assert res.lambda_max == pytest.approx(1.0, abs=1e-12)
     assert res.lambda0 == pytest.approx(0.0, abs=1e-6)
 
@@ -475,7 +475,8 @@ def test_lambda0_single_dof_direct_quotient():
     mesh = unit_square_mesh(1)
     space = build_space(mesh, "CR1_0")
     cmap = build_companion(space)
-    res = compute_lambda0(space, cmap, assembly.assemble_stiffness(space))
+    A = assembly.assemble_stiffness(space)
+    res = compute_lambda0(space, cmap, A, factor(A))
     v = FeFunction(space, np.array([1.0]))
     jv = companion(cmap, v)
     quotient = error_norms(v, reference=jv).energy_pw / error_norms(v).energy_pw
@@ -485,7 +486,8 @@ def test_lambda0_single_dof_direct_quotient():
 def test_lambda0_eigen_residual_and_extremal(square2):
     space = build_space(square2, "MORLEY_0")
     cmap = build_companion(space)
-    res = compute_lambda0(space, cmap, assembly.assemble_stiffness(space))
+    A = assembly.assemble_stiffness(space)
+    res = compute_lambda0(space, cmap, A, factor(A))
     assert res.residual <= 1e-9
     assert res.c_qo == pytest.approx(np.sqrt(1 + res.lambda0**2), rel=1e-14)
     # extremal vector is unit-energy and realizes the quotient

@@ -14,7 +14,13 @@ from hypothesis import given
 
 from ncfem import assembly
 from ncfem.fespace import FeFunction
-from ncfem.operators import Discretization, companion, interpolate
+from ncfem.norms import error_norms
+from ncfem.operators import (
+    Discretization,
+    best_approx_orthogonality_check,
+    companion,
+    interpolate,
+)
 
 
 @pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0"])
@@ -24,8 +30,12 @@ def test_companion_identities_on_jittered_meshes(kind, case):
     disc = Discretization(mesh, kind)
     space = disc.space
     v = FeFunction(space, np.random.default_rng(seed).standard_normal(space.ndofs))
-    iv = interpolate(space, companion(disc.cmap, v))
+    jv = companion(disc.cmap, v)
+    iv = interpolate(space, jv)
     assert np.abs(iv.coeffs - v.coeffs).max(initial=0.0) <= 1e-11 * max(
         np.abs(v.coeffs).max(initial=0.0), 1.0)
+    # moment orthogonality, normalized as `ncfem verify` does
+    nrm = error_norms(v, orders=(space.m,)).energy_pw * np.sqrt(mesh.area.sum())
+    assert best_approx_orthogonality_check(space, jv) <= 1e-10 * nrm
     Ac = assembly.assemble_stiffness(disc.cmap.target)
     assert (Ac - Ac.T).nnz == 0

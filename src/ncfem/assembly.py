@@ -79,19 +79,20 @@ def _scatter_matrix(local, dofs, n):
 
 def assemble_stiffness(space):
     """Matrix of the piecewise energy product sum_T int_T D^m u : D^m v."""
-    mesh = space.mesh
-    if isinstance(space, CRSpace):
-        grads = -2.0 * lambda_gradients(mesh)  # (F, 3, 2)
-        local = np.einsum("f,fid,fjd->fij", mesh.area, grads, grads)
-    elif isinstance(space, MorleySpace):
-        H = space.local_hessians()
-        local = np.einsum("f,fide,fjde->fij", mesh.area, H, H)
-    else:
-        local = _companion_stiffness(space)
-    A = _scatter_matrix(local, space.cell_dofs, space.ndofs)
     if isinstance(space, (CRSpace, MorleySpace)):
-        return A  # bitwise frozen by the golden rate tables
+        D = _constant_derivatives(space)
+        local = np.einsum("f,fic,fjc->fij", space.mesh.area, D, D)
+        return _scatter_matrix(local, space.cell_dofs, space.ndofs)  # golden tables freeze it
+    A = _scatter_matrix(_companion_stiffness(space), space.cell_dofs, space.ndofs)
     return (0.5 * (A + A.T)).tocsr()  # the COO sum adds (i, j), (j, i) in different orders
+
+
+def _constant_derivatives(space):
+    """The m-th derivatives of a CR or Morley local basis, constant on each
+    triangle, flattened to (F, n_local, 2**m)."""
+    F = space.mesh.n_triangles
+    D = space.tabulate(np.arange(F), 0, np.full((1, 3), 1.0 / 3.0), space.m)[:, :, 0]
+    return D.reshape(F, space.n_local, -1)
 
 
 def _companion_stiffness(space):
@@ -309,7 +310,9 @@ def eps_stiffness_p1_vector(mesh):
     return _eps_stiffness(mesh, lambda_gradients(mesh), mesh.triangles, mesh.n_vertices)
 
 
-def eps_stiffness_cr_vector(mesh):
-    grads = -2.0 * lambda_gradients(mesh)
-    return _eps_stiffness(mesh, grads, mesh.triangle_edges, mesh.n_edges)
+def eps_stiffness_cr_vector(space):
+    """Symmetric-gradient stiffness of vector fields with components in the
+    CR1_full `space`."""
+    return _eps_stiffness(space.mesh, _constant_derivatives(space), space.cell_dofs,
+                          space.ndofs)
 

@@ -437,9 +437,9 @@ def _cmd_verify(args):
 
 def _weighted_l2_defect(space, v, jv, h):
     from . import assembly
-    from .fields import fe_value, field_sum
+    from .fields import fe_derivative, field_sum
 
-    diff = field_sum(fe_value(jv), fe_value(v), 1.0, -1.0)
+    diff = field_sum(fe_derivative(jv, 0), fe_derivative(v, 0), 1.0, -1.0)
     return assembly.weighted_field_l2(diff, space.mesh, weights=h ** (-space.m))
 
 

@@ -15,17 +15,12 @@ import scipy.sparse as sp
 from . import assembly, linalg
 from .estimator import estimate_modified, estimate_original
 from .fespace import FeFunction, build_space, nc_kind
-from .fields import (
-    fe_gradient,
-    fe_hessian,
-    fe_rotated_gradient,
-    sym_curl_of_pair,
-    sym_gradient_of_pair,
-)
+from .fields import fe_derivative, fe_rotated_gradient, sym_curl_of_pair, sym_gradient_of_pair
 from .mesh import red_refine
 from .norms import convergence_rate, error_norms, errors_vs_fine
 from .operators import Discretization, companion, interpolate
 from .problems import get_problem
+from .quadrature import Cell
 
 __all__ = [
     "run_compare",
@@ -166,7 +161,7 @@ def _scheme_comparison(disc, seed, mesh_id):
     lam0 = res.lambda0
     z = res.extremal_vector
     jz = companion(disc.cmap, z)
-    G = fe_gradient(jz) if m == 1 else fe_hessian(jz)
+    G = fe_derivative(jz, m)
     data = assembly.RhsData(G=G)
 
     report = _report("scheme-comparison", mesh, m, seed, mesh_id)
@@ -199,16 +194,17 @@ def _scheme_comparison(disc, seed, mesh_id):
 
     # the per-triangle constant part of the data is the derivative of z itself
     proj = assembly.l2_project(G, 0, mesh)
-    dev_proj = np.abs(proj.coeffs[:, 0] - _at_centroids(z, m)).max()
+    dev_proj = np.abs(proj.coeffs[:, 0] - _at_centroids(fe_derivative(z, m), mesh)).max()
     _assert(report, "P0 projection of the data equals D^m z", dev_proj, 0.0, 1e-9,
             relative=False)
     return report
 
 
-def _at_centroids(f, order):
-    """Derivative of `order` of an FeFunction at each triangle's centroid."""
-    ts = np.arange(f.space.mesh.n_triangles)
-    return f.evaluate_batch(ts, 0, np.array([[1 / 3, 1 / 3, 1 / 3]]), order)[:, 0]
+def _at_centroids(fld, mesh):
+    """A field derived from finite element functions on `mesh`, sampled at
+    each triangle's centroid: (F,) + fld.shape."""
+    centroid = Cell(np.arange(mesh.n_triangles), 0, 1, np.full((1, 3), 1 / 3), None, None, None)
+    return fld.eval_batch(centroid)[:, 0]
 
 
 def _constrained_solver(K, C):
@@ -290,8 +286,7 @@ def run_counterexample_cr(mesh, seed=0, mesh_id=None):
 
     # P0 part of the data is the rotated piecewise gradient of the seed
     proj = assembly.l2_project(G, 0, mesh)
-    gb = _at_centroids(b, 1)
-    curl_b = np.stack([-gb[:, 1], gb[:, 0]], axis=1)
+    curl_b = _at_centroids(fe_rotated_gradient(b), mesh)
     _assert(report, "P0 projection equals rotated gradient of the seed",
             np.abs(proj.coeffs[:, 0] - curl_b).max(), 0.0, 1e-10, relative=False)
     report["values"]["G_osc"] = assembly.oscillation(G, 0, mesh)
@@ -308,7 +303,8 @@ def run_counterexample_morley(mesh, seed=0, mesh_id=None):
     """
     report = _report("counterexample-morley", mesh, 2, seed, mesh_id)
     E, V = mesh.n_edges, mesh.n_vertices
-    K_cr = assembly.eps_stiffness_cr_vector(mesh)
+    full = Discretization(mesh, "CR1_full")
+    K_cr = assembly.eps_stiffness_cr_vector(full.space)
     K_p1 = assembly.eps_stiffness_p1_vector(mesh)
     R = assembly.p1_to_cr(mesh)
     R2 = sp.block_diag([R, R], format="csr")
@@ -327,7 +323,6 @@ def run_counterexample_morley(mesh, seed=0, mesh_id=None):
     ortho = np.abs(R2.T @ (K_cr @ b_coeffs)).max()
     report["values"]["strain_orthogonality_residual"] = float(ortho)
 
-    full = Discretization(mesh, "CR1_full")
     b1 = FeFunction(full.space, b_coeffs[:E])
     b2 = FeFunction(full.space, b_coeffs[E:])
     jb1 = companion(full.cmap, b1)
@@ -347,12 +342,7 @@ def run_counterexample_morley(mesh, seed=0, mesh_id=None):
     # P0 projection equals the rotated piecewise gradient of the seed field:
     # sym Curl (b2, -b1), which matches the strain of b in norm, not entrywise
     proj = assembly.l2_project(G, 0, mesh)
-    g1, g2 = _at_centroids(b1, 1), _at_centroids(b2, 1)
-    pw = np.empty((mesh.n_triangles, 2, 2))
-    pw[:, 0, 0] = -g2[:, 1]
-    pw[:, 1, 1] = -g1[:, 0]
-    pw[:, 0, 1] = 0.5 * (g2[:, 0] + g1[:, 1])
-    pw[:, 1, 0] = pw[:, 0, 1]
+    pw = _at_centroids(sym_curl_of_pair(b2, FeFunction(full.space, -b1.coeffs)), mesh)
     _assert(report, "P0 projection equals the rotated seed gradient",
             np.abs(proj.coeffs[:, 0] - pw).max(), 0.0, 1e-10, relative=False)
     report["values"]["G_osc"] = assembly.oscillation(G, 0, mesh)

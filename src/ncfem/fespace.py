@@ -295,11 +295,6 @@ class MorleySpace(FeSpace):
         # monomial coefficients of the basis function dual to dof j
         return np.linalg.inv(V)
 
-    def local_hessians(self):
-        """Constant Hessians of the six local basis functions, (F, 6, 2, 2)."""
-        centroid = np.full((1, 3), 1.0 / 3.0)
-        return self.tabulate(np.arange(self.mesh.n_triangles), 0, centroid, 2)[:, :, 0]
-
 
 class CompanionCRSpace(FeSpace):
     """Conforming P4 host space for the Crouzeix-Raviart companion."""

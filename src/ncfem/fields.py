@@ -21,10 +21,8 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "MatrixField",
-    "fe_value",
-    "fe_gradient",
+    "fe_derivative",
     "fe_rotated_gradient",
-    "fe_hessian",
     "sym_curl_of_pair",
     "sym_gradient_of_pair",
     "field_sum",
@@ -98,12 +96,9 @@ def _derived_degree(f, order):
     return max(f.space.poly_degree - order, 0)
 
 
-def fe_value(f):
-    return _FeDerivedField([f], 0, lambda v: v, (), _derived_degree(f, 0))
-
-
-def fe_gradient(f):
-    return _FeDerivedField([f], 1, lambda g: g, (2,), _derived_degree(f, 1))
+def fe_derivative(f, order):
+    """Derivative of order `order` (0, 1 or 2) of a finite element function."""
+    return _FeDerivedField([f], order, lambda d: d, (2,) * order, _derived_degree(f, order))
 
 
 def fe_rotated_gradient(f):
@@ -113,10 +108,6 @@ def fe_rotated_gradient(f):
         return np.stack([-g[..., 1], g[..., 0]], axis=-1)
 
     return _FeDerivedField([f], 1, combine, (2,), _derived_degree(f, 1))
-
-
-def fe_hessian(f):
-    return _FeDerivedField([f], 2, lambda h: h, (2, 2), _derived_degree(f, 2))
 
 
 def sym_curl_of_pair(f1, f2):

@@ -47,6 +47,33 @@ class MeshTopologyError(MeshError):
     """Raised when a mesh violates a structural invariant; names the simplex."""
 
 
+def _close_pair(points, tol):
+    """A pair (i, j), i < j, of points that differ by at most `tol` in each
+    coordinate, or None.
+
+    The search sorts the points into square cells of side 4 * `tol`, on four
+    grids offset from one another by half a cell along x, y or both.  The
+    cell walls of two grids offset along an axis lie 2 * `tol` apart, so
+    such a pair shares a cell in one of the four.  In each grid, every point
+    is compared with the points after it in its cell.  At `tol` = 0 the
+    cells are the distinct points.
+    """
+    rel = points - points.min(axis=0)
+    for shift in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
+        cell = np.floor(rel / (4 * tol) + shift) if tol > 0 else rel
+        order = np.lexsort(cell.T)
+        cell = cell[order]
+        for k in range(1, len(points)):
+            same = np.flatnonzero(np.all(cell[k:] == cell[:-k], axis=1))
+            if not same.size:
+                break
+            a, b = order[same], order[same + k]
+            close = np.flatnonzero(np.all(np.abs(points[a] - points[b]) <= tol, axis=1))
+            if close.size:
+                return tuple(sorted((int(a[close[0]]), int(b[close[0]]))))
+    return None
+
+
 class Triangulation:
     """Conforming triangulation of a polygonal domain.
 
@@ -104,18 +131,10 @@ class Triangulation:
             raise MeshTopologyError(
                 f"vertex {v} has a non-finite coordinate {self.vertices[v].tolist()}"
             )
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        diag = float(np.hypot(*(hi - lo)))
-        tol = DUPLICATE_TOL * diag
-        order = np.lexsort(self.vertices.T)
-        pts = self.vertices[order]
-        close = np.all(np.abs(np.diff(pts, axis=0)) <= tol, axis=1)
-        if np.any(close):
-            i = int(np.argmax(close))
-            raise MeshTopologyError(
-                f"duplicate vertices {order[i]} and {order[i + 1]} within tolerance"
-            )
+        diag = float(np.hypot(*np.ptp(self.vertices, axis=0)))
+        pair = _close_pair(self.vertices, DUPLICATE_TOL * diag)
+        if pair is not None:
+            raise MeshTopologyError(f"duplicate vertices {pair[0]} and {pair[1]} within tolerance")
 
     def _build_geometry(self):
         p = self.vertices[self.triangles]  # (F, 3, 2)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import bary_tabulate
+from ._poly import bary_tabulate, lambda_gradients
 from .fespace import CRSpace, FeFunction, MorleySpace
 from .fields import ExactSolution, quad_degree
 from .quadrature import MAX_TRIANGLE_DEGREE, cells, pairing
@@ -161,22 +161,12 @@ def errors_vs_fine(coarse, fine, generations):
     mesh_c = coarse.space.mesh
     m = fine.space.m
     totals = {0: 0.0, m: 0.0}
-    corners_c = mesh_c.vertices[mesh_c.triangles]
+    # barycentric in the ancestor triangle: lambda_1, lambda_2 from their gradients
+    grads12 = lambda_gradients(mesh_c)[:, 1:]
     for (c,) in cells(mesh_f, _FINE_DEGREE, fine.space):
         anc = mesh_f.ancestor(c.ts, generations)
-        # barycentric in the ancestor triangle
-        p0 = corners_c[anc, 0]
-        T = np.stack(
-            [corners_c[anc, 1] - p0, corners_c[anc, 2] - p0], axis=2
-        )  # (n, 2, 2) columns
-        det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
-        inv = np.empty_like(T)
-        inv[:, 0, 0] = T[:, 1, 1] / det
-        inv[:, 0, 1] = -T[:, 0, 1] / det
-        inv[:, 1, 0] = -T[:, 1, 0] / det
-        inv[:, 1, 1] = T[:, 0, 0] / det
-        rel = c.phys - p0[:, None, :]
-        lam12 = np.einsum("fde,fke->fkd", inv, rel)
+        rel = c.phys - mesh_c.vertices[mesh_c.triangles[anc, 0]][:, None, :]
+        lam12 = np.einsum("fde,fke->fkd", grads12[anc], rel)
         bary_c = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
         for k in (0, m):
             diff = fine.at(c, k) - _eval_coarse_at(coarse, anc, bary_c, k)

@@ -407,7 +407,10 @@ class Discretization:
 
     @cached_property
     def space(self):
-        return build_space(self.mesh, self.kind)
+        space = build_space(self.mesh, self.kind)
+        if space.ndofs == 0:
+            raise ValueError(f"{self.kind} has no degrees of freedom on this mesh")
+        return space
 
     @cached_property
     def cmap(self):

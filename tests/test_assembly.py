@@ -9,7 +9,6 @@ from ncfem.fields import (
     ExactSolution,
     ScalarField,
     VectorField,
-    fe_value,
     field_sum,
 )
 from ncfem.mesh import Triangulation, l_shape_mesh, unit_square_mesh
@@ -354,3 +353,46 @@ def test_companion_stiffness_is_exactly_symmetric(kind, make_mesh):
     # the COO -> CSR sum alone left |A - A'| up to 5.7e-14 (COMPANION_MORLEY_full, square16)
     A = assembly.assemble_stiffness(build_space(make_mesh(), kind))
     assert (A - A.T).nnz == 0
+
+
+_ORACLE_MESHES = [
+    lambda: unit_square_mesh(4),
+    lambda: l_shape_mesh(2),
+    lambda: jittered(unit_square_mesh(4), 0.25 * 0.25, np.random.default_rng(42)),
+]
+_ORACLE_IDS = ["square4", "lshape2", "jittered-square4"]
+
+
+def _same_csr(A, B):
+    return all(np.array_equal(getattr(A, a), getattr(B, a)) for a in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("kind", ["CR1_0", "CR1_full", "MORLEY_0", "MORLEY_full"])
+@pytest.mark.parametrize("make_mesh", _ORACLE_MESHES, ids=_ORACLE_IDS)
+def test_cr_morley_stiffness_is_bitwise_the_per_family_formula(kind, make_mesh):
+    # oracle: the CR gradients -2 grad(lambda_k) and the Morley Hessians at
+    # the centroid, each contracted by its own einsum
+    from ncfem._poly import lambda_gradients
+
+    mesh = make_mesh()
+    space = build_space(mesh, kind)
+    if kind.startswith("CR"):
+        grads = -2.0 * lambda_gradients(mesh)
+        local = np.einsum("f,fid,fjd->fij", mesh.area, grads, grads)
+    else:
+        centroid = np.full((1, 3), 1.0 / 3.0)
+        H = space.tabulate(np.arange(mesh.n_triangles), 0, centroid, 2)[:, :, 0]
+        local = np.einsum("f,fide,fjde->fij", mesh.area, H, H)
+    want = assembly._scatter_matrix(local, space.cell_dofs, space.ndofs)
+    assert _same_csr(assembly.assemble_stiffness(space), want)
+
+
+@pytest.mark.parametrize("make_mesh", _ORACLE_MESHES, ids=_ORACLE_IDS)
+def test_cr_strain_stiffness_is_bitwise_the_gradient_formula(make_mesh):
+    from ncfem._poly import lambda_gradients
+
+    mesh = make_mesh()
+    grads = -2.0 * lambda_gradients(mesh)
+    want = assembly._eps_stiffness(mesh, grads, mesh.triangle_edges, mesh.n_edges)
+    got = assembly.eps_stiffness_cr_vector(build_space(mesh, "CR1_full"))
+    assert _same_csr(got, want)

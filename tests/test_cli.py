@@ -929,3 +929,91 @@ def test_negative_seed_and_empty_mesh_exit_one_naming_the_flag(argv, want, monke
                                                                capsys):
     _no_meshes(monkeypatch)
     assert _usage_failure(argv, capsys) == f"ncfem: {want}\n"
+
+
+def _one_triangle_mesh_file(tmp_path):
+    """A mesh file of the one triangle (0,0) (1,0) (0,1): it has no interior
+    edge and no interior vertex, so CR1_0 and MORLEY_0 carry no dofs."""
+    import numpy as np
+
+    from ncfem.mesh import Triangulation, save_mesh
+
+    path = tmp_path / "one_triangle.mesh"
+    save_mesh(Triangulation(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                            np.array([[0, 1, 2]])), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["lambda0", "--m", "1"], "CR1_0"),
+        (["lambda0", "--m", "2"], "MORLEY_0"),
+        (["compare", "--m", "1"], "CR1_0"),
+        (["compare", "--m", "2"], "MORLEY_0"),
+        (["solve", "--m", "1", "--data", "DATA"], "CR1_0"),
+        (["solve", "--m", "2", "--data", "DATA"], "MORLEY_0"),
+        (["counterexample", "oscillation"], "MORLEY_0"),
+        (["verify", "--m", "1"], "CR1_0"),
+        (["verify", "--m", "2"], "MORLEY_0"),
+    ],
+    ids=["lambda0-m1", "lambda0-m2", "compare-m1", "compare-m2", "solve-m1", "solve-m2",
+         "oscillation", "verify-m1", "verify-m2"],
+)
+@pytest.mark.filterwarnings("error")
+def test_mesh_without_dofs_exits_one_naming_the_space(argv, kind, tmp_path, capfd):
+    data = tmp_path / "g.json"
+    data.write_text(json.dumps({"g": [[1.0, 0, 0]]}))
+    argv = [str(data) if a == "DATA" else a for a in argv]
+    message = _usage_failure([*argv, "--mesh", _one_triangle_mesh_file(tmp_path)], capfd)
+    assert message == f"ncfem: {kind} has no degrees of freedom on this mesh\n"
+
+
+@pytest.mark.parametrize("kind", ["cr", "morley"])
+def test_counterexample_on_one_triangle_is_degenerate(kind, tmp_path):
+    # every CR function on one triangle is continuous, so there is no seed
+    report = _json_report(["counterexample", kind, "--mesh", _one_triangle_mesh_file(tmp_path)],
+                          tmp_path)
+    assert report["degenerate"] is True and report["passed"]
+
+
+# constant tensor data: G : D^m v integrates to boundary terms that vanish
+# for every CR and Morley test function, so both schemes solve to zero
+_CONSTANT_G = {
+    1: ({"poly1": [[0.7, 0, 0]], "poly2": [[-0.4, 0, 0]]}, [0.7, -0.4]),
+    2: ({"poly11": [[0.7, 0, 0]], "poly12": [[-0.4, 0, 0]], "poly22": [[0.3, 0, 0]]},
+        [[0.7, -0.4], [-0.4, 0.3]]),
+}
+
+
+@pytest.mark.parametrize("mesh", ["square:4", "lshape:2"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_constant_tensor_data_entry_solves_to_zero(m, mesh, tmp_path):
+    import numpy as np
+
+    from ncfem.cli import _load_inline_data, _parse_mesh
+
+    entry, want = _CONSTANT_G[m]
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps({"G": entry}))
+    G = _load_inline_data(str(path), m, _parse_mesh(mesh)[0]).G
+    assert G.degree == 0
+    assert G.fn(np.array([0.3]), np.array([0.2])).tolist() == [want]
+    report = _json_report(["solve", "--m", str(m), "--mesh", mesh, "--data", str(path)],
+                          tmp_path)
+    energies = [report["schemes"][s]["energy_norm"] for s in ("original", "modified")]
+    assert max(energies) <= 1e-12
+
+
+def test_out_directory_takes_the_default_file_names(tmp_path):
+    out = tmp_path / "new" / "dir"
+    assert main(["verify", "--m", "1", "--mesh", "square:2", "--samples", "2",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "verify_m1_square-2_0.json").read_text())["passed"]
+    assert main(["rates", "--problem", "square-smooth-m1", "--levels", "2",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "rates_square-smooth-m1_m1_modified_0.csv",
+        "rates_square-smooth-m1_modified_0.json",
+        "verify_m1_square-2_0.json",
+    ]

@@ -8,7 +8,7 @@ from ncfem.assembly import RhsData
 from ncfem.estimator import efficiency_terms, estimate_modified
 from ncfem.experiments import run_rate_study
 from ncfem.fespace import FeFunction, build_space
-from ncfem.fields import ExactSolution, fe_gradient, fe_hessian
+from ncfem.fields import ExactSolution, fe_derivative
 from ncfem.linalg import factor, solve_spd
 from ncfem.mesh import unit_square_mesh
 from ncfem.norms import error_norms
@@ -78,7 +78,7 @@ def test_estimator_bound_on_attainment_example(square2, m):
     v = res.extremal_vector
     jv = companion(cmap, v)
     neg_jv = FeFunction(jv.space, -jv.coeffs)
-    G = fe_gradient(neg_jv) if m == 1 else fe_hessian(neg_jv)
+    G = fe_derivative(neg_jv, m)
     data = RhsData(G=G)
     A = assembly.assemble_stiffness(space)
     rhs = assembly.assemble_rhs_modified(space, data, cmap)

@@ -227,6 +227,41 @@ def test_duplicate_tolerance_is_relative_to_the_mesh_size(scale):
         )
 
 
+def test_duplicates_apart_in_sort_order_are_rejected():
+    # (1, 1 + 5e-16) sorts between the near-duplicates (0, 1) and (0, 1 + 1e-15);
+    # a search of sort-order neighbours alone accepts the sliver triangle 3 2 4
+    with pytest.raises(MeshTopologyError, match="duplicate vertices 3 and 4"):
+        Triangulation(
+            np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0 + 5e-16], [0.0, 1.0],
+                      [0.0, 1.0 + 1e-15]]),
+            np.array([[0, 1, 2], [0, 2, 3], [3, 2, 4]]),
+        )
+
+
+def test_duplicate_search_finds_every_close_pair():
+    # brute force over all pairs; the grid spacing puts pairs exactly at tol
+    from ncfem.mesh import _close_pair
+
+    rng = np.random.default_rng(0)
+    for trial in range(400):
+        tol = (0.0, 0.05, 0.2, 1e-3)[trial % 4]
+        points = rng.integers(0, 8, size=(rng.integers(1, 40), 2)) * 0.1
+        if trial % 3:
+            points = points + 0.06 * rng.random(points.shape)
+        close = np.all(np.abs(points[:, None] - points[None]) <= tol, axis=2)
+        pair = _close_pair(points, tol)
+        if pair is None:
+            assert not np.triu(close, k=1).any()
+        else:
+            assert pair[0] < pair[1] and close[pair]
+
+
+def test_coincident_vertices_are_rejected():
+    # all vertices at one point: the tolerance is 0
+    with pytest.raises(MeshTopologyError, match="duplicate vertices 0 and 1"):
+        Triangulation(np.zeros((3, 2)), np.array([[0, 1, 2]]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 def test_non_finite_vertex_rejected(bad):
     # an inf coordinate makes the duplicate tolerance inf; NaN passes it

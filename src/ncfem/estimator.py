@@ -99,7 +99,7 @@ def _check_residual(disc, scheme, data, u_nc):
 def _shared_report(disc, scheme, data, u_nc, reference, h_convention):
     """What both estimators start from: checks of the data and of the
     solution, then (kappa_m, J u_nc, the report with its terms G_osc,
-    g_weighted, g_osc and nonconf, in report order, and its measured errors)."""
+    g_weighted, g_osc and nonconf, and its measured errors)."""
     space = disc.space
     _check_point_forces(data)
     _check_residual(disc, scheme, data, u_nc)
@@ -165,7 +165,9 @@ def estimate_modified(
     kappa, ju, report = _shared_report(disc, "modified", data, u_nc, reference,
                                        h_convention)
     terms = report["terms"]
-    G_osc, g_weighted, g_osc, nonconf = terms.values()
+    G_osc, g_weighted, g_osc, nonconf = (
+        terms[key] for key in ("G_osc", "g_weighted", "g_osc", "nonconf")
+    )
     lam0 = disc.lam0.lambda0
     if lambda_j is not None and not lambda_j >= lam0:
         raise ValueError(f"lambda_j {lambda_j!r} is not at least lambda0 {lam0!r}"

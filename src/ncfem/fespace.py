@@ -377,6 +377,11 @@ class FeFunction:
                 f"coefficient vector has shape {coeffs.shape}, expected ({space.ndofs},)"
             )
         self.coeffs = coeffs
+        self.degree, self.n_subcells = space.poly_degree, space.n_subcells
+
+    def sample(self, cell, orders):
+        """Order -> :meth:`at` of that order, as a reference answers."""
+        return {k: self.at(cell, k) for k in orders}
 
     def local_coeffs(self, ts):
         dofs = self.space.cell_dofs[ts]

@@ -7,7 +7,8 @@ functions evaluate triangle-locally through :meth:`FeFunction.at`, and
 declare ``n_subcells = 3`` when they live on the HCT split so that
 :func:`~ncfem.quadrature.cells` integrates them on the split.  Every field
 declares a polynomial `degree` (None means smooth); :func:`quad_degree` turns
-it into the degree quadrature integrates at.
+it into the degree quadrature integrates at.  A reference (an ``FeFunction``
+or an :class:`ExactSolution`) declares both and answers ``sample(cell, orders)``.
 """
 
 from __future__ import annotations
@@ -179,12 +180,21 @@ class ExactSolution:
     work shared by the value and its derivatives is done once.
     """
 
+    n_subcells = 1
+
     def __init__(self, value, gradient=None, hessian=None, degree=None, parts=None):
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
         self.degree = degree
         self.parts = parts
+
+    def sample(self, cell, orders):
+        """Order -> derivative of that order at the cell's physical points."""
+        x, y = cell.phys[..., 0], cell.phys[..., 1]
+        if self.parts is not None:
+            return self.parts(x, y, orders)
+        return {k: self.eval(k, x, y) for k in orders}
 
     def eval(self, order, x, y):
         fn = (self.value, self.gradient, self.hessian)[order]

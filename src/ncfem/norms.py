@@ -6,15 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import bary_tabulate, lambda_gradients
+from ._poly import bary_tabulate
 from .fespace import CRSpace, FeFunction, MorleySpace
 from .fields import ExactSolution, quad_degree
 from .quadrature import MAX_TRIANGLE_DEGREE, cells, pairing
 
 __all__ = ["ErrorBundle", "error_norms", "convergence_rate", "errors_vs_fine"]
-
-# rule of errors_vs_fine: exact for squares of piecewise P2 on the fine mesh
-_FINE_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -29,24 +26,52 @@ class ErrorBundle:
     l2: float | None
 
 
-def _ref_values(reference, cell, orders):
-    """Order -> the reference's derivative of that order at the cell's points."""
-    if isinstance(reference, FeFunction):
-        return {k: reference.at(cell, k) for k in orders}
-    if reference is None:
-        return {k: np.zeros(cell.phys.shape[:-1] + (2,) * k) for k in orders}
-    if isinstance(reference, ExactSolution):
-        x, y = cell.phys[..., 0], cell.phys[..., 1]
-        if reference.parts is not None:
-            return reference.parts(x, y, orders)
-        return {k: reference.eval(k, x, y) for k in orders}
-    raise TypeError("reference must be a FeFunction, an ExactSolution or None, "
-                    f"not {type(reference).__name__}")
+# what reference=None stands for
+_ZERO = ExactSolution(*[lambda x, y: 0.0] * 3, degree=0)
+
+
+class _CoarseSampler:
+    """Reference of :func:`errors_vs_fine`: the CR or Morley function `f`
+    at the points of cells of the mesh `fine`, `generations` red
+    refinements below its own, through each fine triangle's ancestor."""
+
+    n_subcells = 1
+
+    def __init__(self, f, fine, generations):
+        if not isinstance(f.space, (CRSpace, MorleySpace)):
+            raise TypeError("fine-grid comparison supports CR and Morley functions")
+        self.f, self.fine, self.generations = f, fine, generations
+        self.degree = f.space.poly_degree
+
+    def locate(self, cell):
+        """The ancestors (nts,) of the cell's triangles and its points in
+        their barycentric coordinates, (nts, k, 3)."""
+        space = self.f.space
+        anc = self.fine.ancestor(cell.ts, self.generations)
+        rel = cell.phys - space.mesh.vertices[space.mesh.triangles[anc, 0]][:, None, :]
+        # lambda_1 and lambda_2 from their gradients, lambda_0 = 1 - both
+        lam12 = np.einsum("fde,fke->fkd", space._lgrad[anc, 1:], rel)
+        return anc, np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
+
+    def sample(self, cell, orders):
+        space = self.f.space
+        anc, bary = self.locate(cell)
+        n, k = bary.shape[:2]
+        tab = bary_tabulate(space._modes, bary.reshape(n * k, 3), max(orders))
+        a = space.fold(anc, 0, self.f.local_coeffs(anc))
+        out = {}
+        for o in orders:
+            per_tri = np.moveaxis(tab[o].reshape((-1, n, k) + tab[o].shape[2:]), 1, 0)
+            out[o] = space.mode_values(anc, a, per_tri, o)
+        return out
 
 
 def error_norms(f, reference=None, orders=None):
     """Quadrature evaluation of ||D^k (f - reference)|| for k in {0, 1, m}.
 
+    The reference is None (zero) or answers ``sample(cell, orders)`` and
+    declares ``degree`` and ``n_subcells``, as an ``FeFunction`` on the
+    same mesh and an ``ExactSolution`` do.
     Exact when both sides are piecewise polynomial at the declared degree.
     ``orders`` (a subset of {0, 1, m}, default all three) selects the norms
     to integrate: each side is differentiated only at the orders asked,
@@ -64,15 +89,14 @@ def error_norms(f, reference=None, orders=None):
         raise ValueError("give the orders of each function in its (function, orders) pair")
     items = [(f, orders)] if single else list(f)
     mesh = items[0][0].space.mesh
-    ref_space = None
-    ref_deg = 0
-    if isinstance(reference, FeFunction):
-        if reference.space.mesh is not mesh:
-            raise ValueError("reference lives on a different mesh")
-        ref_space = reference.space
-        ref_deg = ref_space.poly_degree
-    elif reference is not None:
-        ref_deg = quad_degree(reference)
+    if reference is None:
+        reference = _ZERO
+    elif not hasattr(reference, "sample"):
+        raise TypeError("reference must be a FeFunction, an ExactSolution or None, "
+                        f"not {type(reference).__name__}")
+    elif isinstance(reference, FeFunction) and reference.space.mesh is not mesh:
+        raise ValueError("reference lives on a different mesh")
+    ref_deg = quad_degree(reference)
     passes = {}  # (rule degree, subcells) -> (function, totals) pairs sharing that pass
     totals = []  # per function: order -> integral of the squared difference
     for f, orders in items:
@@ -84,15 +108,15 @@ def error_norms(f, reference=None, orders=None):
         if not want or not want <= every:
             raise ValueError(f"orders must be a nonempty subset of {sorted(every)}")
         deg = 2 * max(space.poly_degree, ref_deg)
-        nsub = max(space.n_subcells, 1 if ref_space is None else ref_space.n_subcells)
+        nsub = max(space.n_subcells, reference.n_subcells)
         totals.append(dict.fromkeys(sorted(want), 0.0))
         passes.setdefault((min(deg, MAX_TRIANGLE_DEGREE), nsub), []).append((f, totals[-1]))
     for (deg, _), members in passes.items():
-        over = [f.space for f, _ in members] + [ref_space]
+        over = [f.space for f, _ in members] + [reference]
         union = sorted(set().union(*(t for _, t in members)))
         for chunk in cells(mesh, deg, *over):
             for c in chunk:
-                rv = _ref_values(reference, c, union)
+                rv = reference.sample(c, union)
                 for f, t in members:
                     for k in t:
                         diff = f.at(c, k) - rv[k]
@@ -135,43 +159,15 @@ def convergence_rate(h_list, e_list):
     }
 
 
-def _eval_coarse_at(f, anc, bary, order):
-    """Derivative of order `order` of a CR or Morley function on ancestor
-    triangles at per-triangle barycentric points (anc and bary both indexed
-    per evaluation cell)."""
-    space = f.space
-    if not isinstance(space, (CRSpace, MorleySpace)):
-        raise TypeError("fine-grid comparison supports CR and Morley functions")
-    n, k = bary.shape[:2]
-    tab = bary_tabulate(space._modes, bary.reshape(n * k, 3), order)[order]
-    per_tri = np.moveaxis(tab.reshape((-1, n, k) + tab.shape[2:]), 1, 0)
-    a = space.fold(anc, 0, f.local_coeffs(anc))
-    return space.mode_values(anc, a, per_tri, order)
-
-
 def errors_vs_fine(coarse, fine, generations):
     """Energy and L2 distance between nested nonconforming solutions.
 
-    `fine` lives `generations` red refinements below `coarse`; integration
-    runs over the fine mesh where both are polynomial.
+    `fine` lives `generations` red refinements below `coarse`; the norms
+    are integrated over the fine mesh, where both are polynomial, with
+    `coarse` as the reference.
     """
     if type(coarse.space) is not type(fine.space):
         raise ValueError("both functions must use the same element family")
-    mesh_f = fine.space.mesh
-    mesh_c = coarse.space.mesh
-    m = fine.space.m
-    totals = {0: 0.0, m: 0.0}
-    # barycentric in the ancestor triangle: lambda_1, lambda_2 from their gradients
-    grads12 = lambda_gradients(mesh_c)[:, 1:]
-    for (c,) in cells(mesh_f, _FINE_DEGREE, fine.space):
-        anc = mesh_f.ancestor(c.ts, generations)
-        rel = c.phys - mesh_c.vertices[mesh_c.triangles[anc, 0]][:, None, :]
-        lam12 = np.einsum("fde,fke->fkd", grads12[anc], rel)
-        bary_c = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
-        for k in (0, m):
-            diff = fine.at(c, k) - _eval_coarse_at(coarse, anc, bary_c, k)
-            totals[k] += pairing(c, diff, diff)
-    return {
-        "energy_pw": float(np.sqrt(totals[m])),
-        "l2": float(np.sqrt(totals[0])),
-    }
+    ref = _CoarseSampler(coarse, fine.space.mesh, generations)
+    bundle = error_norms(fine, reference=ref, orders=(0, fine.space.m))
+    return {"energy_pw": bundle.energy_pw, "l2": bundle.l2}

@@ -32,7 +32,7 @@ from . import assembly, linalg
 from ._hct import CHUNK
 from ._poly import bary_modes, bary_tabulate, moment_matrix
 from .fespace import COMPANION_KIND, CRSpace, FeFunction, MorleySpace, build_space
-from .fields import ExactSolution, quad_degree
+from .fields import quad_degree
 from .quadrature import Cell, cells, edge_rule, triangle_rule
 
 __all__ = [
@@ -51,23 +51,19 @@ __all__ = [
 # -- interpolation -----------------------------------------------------------
 
 
-def _edge_points(mesh, edges_idx, rule):
-    a = mesh.vertices[mesh.edges[edges_idx, 0]]
-    b = mesh.vertices[mesh.edges[edges_idx, 1]]
+def _edge_means(f, mesh, edges, order):
+    """Edge means of f (order 0) or of its gradient (order 1), sampled on
+    each edge's first neighbour: one Cell per edge slot and orientation."""
+    rule = edge_rule(quad_degree(f))
     t = rule.points[:, 1]
-    return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-
-
-def _fef_on_edges(f, edges_idx, rule, order):
-    """Edge-rule samples of an FeFunction, taken from the first neighbour."""
-    mesh = f.space.mesh
-    edges_idx = np.asarray(edges_idx)
-    ts = mesh.edge_triangles[edges_idx, 0]
-    slots = np.argmax(mesh.triangle_edges[ts] == edges_idx[:, None], axis=1)
+    ts = mesh.edge_triangles[edges, 0]
+    slots = np.argmax(mesh.triangle_edges[ts] == edges[:, None], axis=1)
     # forward orientation: edge vertex order (a, b) matches (A_{k+1}, A_{k+2})
-    fwd = mesh.triangles[ts, (slots + 1) % 3] == mesh.edges[edges_idx, 0]
-    t = rule.points[:, 1]
-    out = np.zeros((len(edges_idx), rule.n_points) + (2,) * order)
+    fwd = mesh.triangles[ts, (slots + 1) % 3] == mesh.edges[edges, 0]
+    a = mesh.vertices[mesh.edges[edges, 0]]
+    b = mesh.vertices[mesh.edges[edges, 1]]
+    phys = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+    vals = np.zeros((len(edges), rule.n_points) + (2,) * order)
     for k in range(3):
         for is_fwd in (True, False):
             sel = (slots == k) & (fwd == is_fwd)
@@ -78,28 +74,14 @@ def _fef_on_edges(f, edges_idx, rule, order):
             parent[:, (k + 1) % 3] = ta
             parent[:, (k + 2) % 3] = tb
             # outer edge k is the side (A_{k+1}, A_{k+2}) of HCT subtriangle k
-            out[sel] = f.at(Cell(ts[sel], k, 3, parent, None, None, None), order)
-    return out
-
-
-def _edge_means(f, mesh, edges_idx, order):
-    """Edge means of f (order 0) or of its gradient (order 1)."""
-    if isinstance(f, FeFunction):
-        rule = edge_rule(f.space.poly_degree)
-        vals = _fef_on_edges(f, edges_idx, rule, order)
-    elif isinstance(f, ExactSolution):
-        rule = edge_rule(quad_degree(f))
-        pts = _edge_points(mesh, edges_idx, rule)
-        vals = f.eval(order, pts[..., 0], pts[..., 1])
-    else:
-        raise TypeError(f"cannot interpolate object of type {type(f).__name__}")
+            cell = Cell(ts[sel], k, 3, parent, phys[sel], None, None)
+            vals[sel] = f.sample(cell, (order,))[order]
     return np.einsum("k,fk...->f...", rule.weights, vals)
 
 
 def _vertex_values(f, mesh, vertices):
-    if isinstance(f, ExactSolution):
-        x = mesh.vertices[vertices]
-        return f.eval(0, x[:, 0], x[:, 1])
+    """Values of f at `vertices`, sampled on a triangle at each: one Cell
+    per vertex slot."""
     first_tri = np.full(mesh.n_vertices, -1, dtype=np.int64)
     vslot = np.zeros(mesh.n_vertices, dtype=np.int64)
     for k in range(3):
@@ -113,8 +95,9 @@ def _vertex_values(f, mesh, vertices):
         if not sel.any():
             continue
         # A_k is local corner 1 of HCT subtriangle (k+2)%3
-        cell = Cell(ts[sel], (k + 2) % 3, 3, np.eye(3)[k][None, :], None, None, None)
-        out[sel] = f.at(cell, 0)[:, 0]
+        phys = mesh.vertices[vertices[sel]][:, None, :]
+        cell = Cell(ts[sel], (k + 2) % 3, 3, np.eye(3)[k][None, :], phys, None, None)
+        out[sel] = f.sample(cell, (0,))[0][:, 0]
     return out
 
 
@@ -153,7 +136,7 @@ class CompanionMap:
 
 def companion(cmap, v_nc):
     """Apply the companion operator to a nonconforming function."""
-    if v_nc.space is not cmap.source and v_nc.space.ndofs != cmap.matrix.shape[1]:
+    if v_nc.space is not cmap.source:
         raise ValueError("function does not belong to the companion's source space")
     return FeFunction(cmap.target, cmap.matrix @ v_nc.coeffs)
 

@@ -169,7 +169,8 @@ class Cell(NamedTuple):
     the rule's subcell points mapped to the parent); `phys` holds the
     physical points (nts, k, 2), `area` the subcell areas |T|/nsub and
     `weights` the rule weights (summing to one).  A Cell built for edge or
-    vertex samples leaves the last three None.
+    vertex samples leaves `area` and `weights` None, and `phys` too when
+    no reference samples it.
     """
 
     ts: np.ndarray

@@ -13,7 +13,7 @@ from ncfem import _hct
 from ncfem._hct import SUB_TO_PARENT, hct_coefficients
 from ncfem._poly import bary_tabulate, mono_tabulate, monomial_exponents
 from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
-from ncfem.quadrature import cells, edge_rule, subcell_corners, triangle_rule
+from ncfem.quadrature import Cell, cells, edge_rule, subcell_corners, triangle_rule
 
 
 def test_dof_counts():
@@ -374,6 +374,14 @@ def test_one_order_evaluators_equal_the_order_dicts(kind):
     # per-triangle tables, as the fine-grid comparison builds them
     anc = rng.integers(mesh.n_triangles, size=40)
     bary = rng.dirichlet(np.ones(3), size=(40, 7))
+    if kind in ("CR1_0", "MORLEY_0"):
+        # its sampler, on the mesh itself, takes the points back from their
+        # physical coordinates to the barycentric ones of anc
+        points = bary @ mesh.vertices[mesh.triangles[anc]]
+        cell = Cell(anc, 0, 1, None, points, None, None)
+        sampler = norms._CoarseSampler(f, mesh, 0)
+        located, bary = sampler.locate(cell)
+        assert np.array_equal(located, anc)
     a = space.fold(anc, 0, f.local_coeffs(anc))
     for order in range(3):
         tab = bary_tabulate(space._modes, bary.reshape(-1, 3), order)
@@ -383,7 +391,7 @@ def test_one_order_evaluators_equal_the_order_dicts(kind):
         for o in range(order + 1):
             assert np.array_equal(space.mode_values(anc, a, per_tri[o], o), want[o])
         if kind in ("CR1_0", "MORLEY_0"):
-            assert np.array_equal(norms._eval_coarse_at(f, anc, bary, order), want[order])
+            assert np.array_equal(sampler.sample(cell, (order,))[order], want[order])
 
 
 @pytest.mark.parametrize("kind", _FAMILIES)

@@ -3,12 +3,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from ncfem._poly import bary_tabulate, lambda_gradients
 from ncfem.fespace import FeFunction, build_space, nc_kind
 from ncfem.fields import ExactSolution
-from ncfem.mesh import red_refine, unit_square_mesh
+from ncfem.mesh import l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.norms import convergence_rate, error_norms, errors_vs_fine
 from ncfem.operators import build_companion, companion, interpolate
 from ncfem.problems import get_problem
+from ncfem.quadrature import cells, pairing
 
 
 def sin_reference():
@@ -128,6 +130,60 @@ def test_errors_vs_fine_nested(rng):
     ef = error_norms(ff, reference=ref).energy_pw
     assert d["energy_pw"] <= ec + ef + 1e-12
     assert d["energy_pw"] >= abs(ec - ef) - 1e-12
+
+
+# -- the former fine-grid loop, kept as an oracle ----------------------------
+
+
+def _former_eval_coarse_at(f, anc, bary, order):
+    """Derivative of order `order` of a CR or Morley function on ancestor
+    triangles at per-triangle barycentric points."""
+    space = f.space
+    n, k = bary.shape[:2]
+    tab = bary_tabulate(space._modes, bary.reshape(n * k, 3), order)[order]
+    per_tri = np.moveaxis(tab.reshape((-1, n, k) + tab.shape[2:]), 1, 0)
+    a = space.fold(anc, 0, f.local_coeffs(anc))
+    return space.mode_values(anc, a, per_tri, order)
+
+
+def _former_errors_vs_fine(coarse, fine, generations):
+    """``errors_vs_fine`` as its own loop over the degree-4 rule."""
+    mesh_f = fine.space.mesh
+    mesh_c = coarse.space.mesh
+    m = fine.space.m
+    totals = {0: 0.0, m: 0.0}
+    grads12 = lambda_gradients(mesh_c)[:, 1:]
+    for (c,) in cells(mesh_f, 4, fine.space):
+        anc = mesh_f.ancestor(c.ts, generations)
+        rel = c.phys - mesh_c.vertices[mesh_c.triangles[anc, 0]][:, None, :]
+        lam12 = np.einsum("fde,fke->fkd", grads12[anc], rel)
+        bary_c = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
+        for k in (0, m):
+            diff = fine.at(c, k) - _former_eval_coarse_at(coarse, anc, bary_c, k)
+            totals[k] += pairing(c, diff, diff)
+    return {"energy_pw": float(np.sqrt(totals[m])), "l2": float(np.sqrt(totals[0]))}
+
+
+@pytest.mark.parametrize("generations", [1, 2])
+@pytest.mark.parametrize("kind", ["MORLEY_0", "CR1_0"])
+def test_errors_vs_fine_equals_the_former_loop(kind, generations):
+    # lshape:6 two generations down has 3456 triangles: two chunks
+    rng = np.random.default_rng(30 + generations)
+    coarse = l_shape_mesh(6)
+    fine = coarse
+    for _ in range(generations):
+        fine = red_refine(fine)
+    sc, sf = build_space(coarse, kind), build_space(fine, kind)
+    fc = FeFunction(sc, rng.standard_normal(sc.ndofs))
+    ff = FeFunction(sf, rng.standard_normal(sf.ndofs))
+    got = errors_vs_fine(fc, ff, generations)
+    want = _former_errors_vs_fine(fc, ff, generations)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if kind == "MORLEY_0":  # the same degree-4 rule
+            assert got[key] == value
+        else:  # the exact degree-2 rule replaced the degree-4 one
+            assert got[key] == pytest.approx(value, rel=1e-12)
 
 
 def _nonempty_subsets(orders):

@@ -6,8 +6,8 @@ from scipy.optimize import brentq
 
 from ncfem import assembly, operators
 from ncfem._poly import BaryPoly, bary_modes, cubic_bubble
-from ncfem.fespace import FeFunction, build_space
-from ncfem.fields import ExactSolution, fe_derivative, field_sum
+from ncfem.fespace import FeFunction, build_space, nc_kind
+from ncfem.fields import ExactSolution, fe_derivative, field_sum, quad_degree
 from ncfem.linalg import factor
 from ncfem.mesh import Triangulation, l_shape_mesh, red_refine, unit_square_mesh
 from ncfem.norms import error_norms
@@ -21,7 +21,8 @@ from ncfem.operators import (
     interpolate,
     kappa_constant,
 )
-from ncfem.quadrature import cells, edge_rule, triangle_rule
+from ncfem.problems import get_problem
+from ncfem.quadrature import Cell, cells, edge_rule, triangle_rule
 
 MESHES = [unit_square_mesh(1), unit_square_mesh(2), l_shape_mesh(1)]
 KINDS = ["CR1_0", "MORLEY_0", "CR1_full", "MORLEY_full"]
@@ -74,6 +75,112 @@ def test_cr_edge_mean_closed_form():
     assert abs(iu.coeffs[0] - 1.0 / 3.0) < 1e-14
 
 
+# the former interpolation, one type switch per sampler, kept as an oracle
+
+
+def _former_edge_points(mesh, edges_idx, rule):
+    a = mesh.vertices[mesh.edges[edges_idx, 0]]
+    b = mesh.vertices[mesh.edges[edges_idx, 1]]
+    t = rule.points[:, 1]
+    return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+
+
+def _former_fef_on_edges(f, edges_idx, rule, order):
+    mesh = f.space.mesh
+    edges_idx = np.asarray(edges_idx)
+    ts = mesh.edge_triangles[edges_idx, 0]
+    slots = np.argmax(mesh.triangle_edges[ts] == edges_idx[:, None], axis=1)
+    fwd = mesh.triangles[ts, (slots + 1) % 3] == mesh.edges[edges_idx, 0]
+    t = rule.points[:, 1]
+    out = np.zeros((len(edges_idx), rule.n_points) + (2,) * order)
+    for k in range(3):
+        for is_fwd in (True, False):
+            sel = (slots == k) & (fwd == is_fwd)
+            if not sel.any():
+                continue
+            ta, tb = (1.0 - t, t) if is_fwd else (t, 1.0 - t)
+            parent = np.zeros((rule.n_points, 3))
+            parent[:, (k + 1) % 3] = ta
+            parent[:, (k + 2) % 3] = tb
+            out[sel] = f.at(Cell(ts[sel], k, 3, parent, None, None, None), order)
+    return out
+
+
+def _former_edge_means(f, mesh, edges_idx, order):
+    if isinstance(f, FeFunction):
+        rule = edge_rule(f.space.poly_degree)
+        vals = _former_fef_on_edges(f, edges_idx, rule, order)
+    else:
+        rule = edge_rule(quad_degree(f))
+        pts = _former_edge_points(mesh, edges_idx, rule)
+        vals = f.eval(order, pts[..., 0], pts[..., 1])
+    return np.einsum("k,fk...->f...", rule.weights, vals)
+
+
+def _former_vertex_values(f, mesh, vertices):
+    if isinstance(f, ExactSolution):
+        x = mesh.vertices[vertices]
+        return f.eval(0, x[:, 0], x[:, 1])
+    first_tri = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    vslot = np.zeros(mesh.n_vertices, dtype=np.int64)
+    for k in range(3):
+        first_tri[mesh.triangles[:, k]] = np.arange(mesh.n_triangles)
+        vslot[mesh.triangles[:, k]] = k
+    out = np.zeros(len(vertices))
+    ts = first_tri[vertices]
+    slots = vslot[vertices]
+    for k in range(3):
+        sel = slots == k
+        if not sel.any():
+            continue
+        cell = Cell(ts[sel], (k + 2) % 3, 3, np.eye(3)[k][None, :], None, None, None)
+        out[sel] = f.at(cell, 0)[:, 0]
+    return out
+
+
+def _former_interpolate(space, f):
+    mesh = space.mesh
+    coeffs = np.zeros(space.ndofs)
+    edges = np.nonzero(space.edge_dof >= 0)[0]
+    if space.m == 1:
+        coeffs[space.edge_dof[edges]] = _former_edge_means(f, mesh, edges, 0)
+        return coeffs
+    verts = np.nonzero(space.vertex_dof >= 0)[0]
+    coeffs[space.vertex_dof[verts]] = _former_vertex_values(f, mesh, verts)
+    gmeans = _former_edge_means(f, mesh, edges, 1)
+    coeffs[space.edge_dof[edges]] = np.einsum("fd,fd->f", gmeans, mesh.edge_normal[edges])
+    return coeffs
+
+
+ORACLE_MESHES = {
+    "square:4": lambda rng: unit_square_mesh(4),
+    "lshape:2": lambda rng: l_shape_mesh(2),
+    "jittered-square:4": lambda rng: jittered(unit_square_mesh(4), 0.06, rng),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("mesh_name", list(ORACLE_MESHES))
+def test_interpolation_equals_the_former_type_switch(mesh_name, m):
+    # a companion image, two problems' references with their one-call parts
+    # and without, and an analytic reference that never had parts
+    rng = np.random.default_rng(4)
+    space = build_space(ORACLE_MESHES[mesh_name](rng), nc_kind(m))
+    v = FeFunction(space, rng.standard_normal(space.ndofs))
+    refs = [companion(build_companion(space), v)]
+    for name in ("square-smooth-m2", "lshape-singular-m1"):
+        with_parts = get_problem(name).reference()
+        assert with_parts.parts is not None
+        refs += [with_parts, ExactSolution(with_parts.value, with_parts.gradient)]
+    refs.append(ExactSolution(
+        lambda x, y: np.exp(x) * np.cos(3.0 * y),
+        lambda x, y: np.stack([np.exp(x) * np.cos(3.0 * y), -3.0 * np.exp(x) * np.sin(3.0 * y)],
+                              axis=-1),
+    ))
+    for ref in refs:
+        assert np.array_equal(interpolate(space, ref).coeffs, _former_interpolate(space, ref))
+
+
 # -- right-inverse and orthogonality ----------------------------------------
 
 
@@ -94,6 +201,16 @@ def test_right_inverse(kind, mesh_idx, rng):
 def test_companion_of_a_conforming_space_is_a_value_error(kind, square2):
     with pytest.raises(ValueError, match=f"no companion construction for {kind}"):
         build_companion(build_space(square2, kind))
+
+
+def test_companion_refuses_a_function_of_another_space_with_as_many_dofs():
+    mesh = unit_square_mesh(3)
+    scaled = Triangulation(2.0 * mesh.vertices, mesh.triangles)
+    cmap = build_companion(build_space(mesh, "CR1_0"))
+    other = build_space(scaled, "CR1_0")
+    assert other.ndofs == cmap.source.ndofs == 21
+    with pytest.raises(ValueError, match="does not belong to the companion's source space"):
+        companion(cmap, FeFunction(other, np.ones(other.ndofs)))
 
 
 @pytest.mark.parametrize("kind", ["CR1_0", "MORLEY_0"])

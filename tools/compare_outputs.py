@@ -1,0 +1,115 @@
+"""Check that HEAD writes the same outputs as a parent commit, byte for byte.
+
+Run from the repository root, after committing the change:
+
+    python3 tools/compare_outputs.py --parent HEAD~1
+
+Both sides are exported with ``git archive`` (``export`` of
+``tools/bench_pairs.py``) into a fresh temporary directory.  Each command of
+``COMMANDS`` runs in each tree as ``python -m ncfem.cli <argv> --out <dir>``,
+one process at a time, with one BLAS thread, and must exit 0 on both sides.
+Compared per command: the names of the files written, the JSON reports with
+their ``config`` entry removed, the CSV tables below their ``# generated``
+line, and stdout and stderr with the output directory and the tree replaced
+by ``<out>`` and ``<tree>``.  Every file that differs, and every command that
+fails, is named, and the exit code is then 1.  Only the standard library is
+used.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+from bench_pairs import export
+
+STREAMS = ("exit code", "stdout", "stderr")
+PROBLEMS = ("square-smooth-m1", "square-smooth-m2", "lshape-singular-m1",
+            "lshape-f1-m2", "lshape-pointforce-m2")
+
+# (label, argv): the seven benchmark commands, the fine-grid rate studies,
+# the interpolation of every exact solution (estimate), the interpolation of
+# FE functions (compare and verify for both m), solve and the counterexamples
+COMMANDS = [
+    ("rates-lshape-singular-m1-6", ["rates", "--problem", "lshape-singular-m1", "--levels", "6"]),
+    ("estimate-square-smooth-m1-3", ["estimate", "--problem", "square-smooth-m1", "--level", "3"]),
+    ("estimate-square-smooth-m2-3", ["estimate", "--problem", "square-smooth-m2", "--level", "3"]),
+    ("estimate-lshape-singular-m1-3",
+     ["estimate", "--problem", "lshape-singular-m1", "--level", "3"]),
+    ("compare-m1-square16", ["compare", "--m", "1", "--mesh", "square:16"]),
+    ("compare-m2-square8", ["compare", "--m", "2", "--mesh", "square:8"]),
+    ("verify-m1-square16", ["verify", "--m", "1", "--mesh", "square:16", "--seed", "1"]),
+    ("rates-lshape-f1-m2-4", ["rates", "--problem", "lshape-f1-m2", "--levels", "4"]),
+    ("rates-lshape-pointforce-m2-4-estimates",
+     ["rates", "--problem", "lshape-pointforce-m2", "--levels", "4", "--estimates"]),
+    *((f"estimate-{p}-{s}-2", ["estimate", "--problem", p, "--level", "2", "--scheme", s])
+      for p in PROBLEMS for s in ("original", "modified")),
+    ("compare-m1-lshape4", ["compare", "--m", "1", "--mesh", "lshape:4"]),
+    ("compare-m2-lshape4", ["compare", "--m", "2", "--mesh", "lshape:4"]),
+    ("verify-m2-square4", ["verify", "--m", "2", "--mesh", "square:4"]),
+    ("solve-lshape-singular-m1-both",
+     ["solve", "--problem", "lshape-singular-m1", "--scheme", "both", "--mesh", "lshape:8"]),
+    ("solve-square-smooth-m2-both",
+     ["solve", "--problem", "square-smooth-m2", "--scheme", "both", "--mesh", "square:8"]),
+    *((f"counterexample-{kind}-square4", ["counterexample", kind, "--mesh", "square:4"])
+      for kind in ("cr", "morley", "oscillation")),
+]
+
+
+def run(tree, label, argv, out_root):
+    """One command in `tree`: {name: comparable text} of its ``STREAMS`` and
+    of the files it wrote."""
+    out = os.path.join(out_root, label)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run([sys.executable, "-m", "ncfem.cli", *argv, "--out", out], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    texts = {name: text.replace(out, "<out>").replace(tree, "<tree>")
+             for name, text in zip(STREAMS, (str(proc.returncode), proc.stdout, proc.stderr))}
+    for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+        with open(os.path.join(out, name)) as fh:
+            text = fh.read()
+        if name.endswith(".json"):
+            report = json.loads(text)
+            report.pop("config", None)
+            text = json.dumps(report, indent=2, sort_keys=True)
+        elif name.endswith(".csv"):
+            text = "".join(ln for ln in text.splitlines(True) if not ln.startswith("# generated"))
+        texts[name] = text
+    return texts
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="revision to compare HEAD with")
+    args = ap.parse_args(argv)
+    differs = []
+    with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
+        trees = {side: os.path.join(tmp, side) for side in ("parent", "head")}
+        for side, rev in (("parent", args.parent), ("head", "HEAD")):
+            os.makedirs(trees[side])
+            print(f"{side}: {export(rev, trees[side])}", flush=True)
+        for label, cmd in COMMANDS:
+            got = {side: run(tree, label, cmd, os.path.join(tmp, side + "-out"))
+                   for side, tree in trees.items()}
+            bad = sorted(name for name in set(got["parent"]) | set(got["head"])
+                         if got["parent"].get(name) != got["head"].get(name))
+            # a command that fails on either side compares nothing
+            bad += [f"exit code {g['exit code']} in {side}" for side, g in got.items()
+                    if g["exit code"] != "0"]
+            differs += [f"{label}/{name}" for name in bad]
+            files = ", ".join(n for n in sorted(got["head"]) if n not in STREAMS)
+            status = "differs: " + ", ".join(bad) if bad else f"same ({files})"
+            print(f"{label}: {status}", flush=True)
+    if differs:
+        print(f"{len(differs)} outputs differ:", *differs, sep="\n  ")
+        return 1
+    print(f"all {len(COMMANDS)} commands wrote the same outputs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

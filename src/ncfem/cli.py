@@ -76,9 +76,10 @@ def _build_parser():
     p.add_argument("--threads", type=_positive_int, help="cap worker/BLAS threads")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, mesh=True, m=True, h_convention=False):
+    def common(sp, mesh="required unless a --config file gives it", m=True,
+               h_convention=False):
         if mesh:
-            sp.add_argument("--mesh", help="square:N, lshape:N, or a mesh file path")
+            sp.add_argument("--mesh", help=f"square:N, lshape:N, or a mesh file path; {mesh}")
         if m:
             sp.add_argument("--m", type=int, choices=(1, 2))
         sp.add_argument("--seed", type=_non_negative_int, default=0)
@@ -93,7 +94,7 @@ def _build_parser():
     sp.add_argument("--samples", type=_positive_int, default=20)
 
     sp = sub.add_parser("solve", help="solve one problem and report norms")
-    common(sp)
+    common(sp, mesh="defaults to the --problem's base mesh")
     sp.add_argument("--scheme", choices=("original", "modified", "both"),
                     default="both")
     sp.add_argument("--problem", help="builtin problem id")
@@ -101,7 +102,7 @@ def _build_parser():
     sp.add_argument("--solution", help="write solution coefficients here")
 
     sp = sub.add_parser("rates", help="convergence-rate study")
-    common(sp, mesh=False, m=False, h_convention=True)
+    common(sp, mesh=None, m=False, h_convention=True)
     sp.add_argument("--problem", required=True)
     sp.add_argument("--levels", type=int, required=True)
     sp.add_argument("--scheme", choices=("original", "modified"), default="modified")
@@ -119,7 +120,7 @@ def _build_parser():
     common(sp)
 
     sp = sub.add_parser("estimate", help="a posteriori bounds for one solve")
-    common(sp, mesh=False, m=False, h_convention=True)
+    common(sp, mesh=None, m=False, h_convention=True)
     sp.add_argument("--problem", required=True)
     sp.add_argument("--level", type=_non_negative_int, default=0)
     sp.add_argument("--scheme", choices=("original", "modified"), default="modified")
@@ -634,6 +635,9 @@ def main(argv=None):
         if args.command is None:
             _shared_parser().print_help()
             return USAGE_ERROR
+        from .quadrature import set_thread_cap
+
+        set_thread_cap(args.threads)
         return _finish(args, *handlers[args.command](args))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"ncfem: {exc}", file=sys.stderr)

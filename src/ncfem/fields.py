@@ -9,11 +9,19 @@ declare ``n_subcells = 3`` when they live on the HCT split so that
 declares a polynomial `degree` (None means smooth); :func:`quad_degree` turns
 it into the degree quadrature integrates at.  A reference (an ``FeFunction``
 or an :class:`ExactSolution`) declares both and answers ``sample(cell, orders)``.
+
+The callables of the analytic fields and of an ExactSolution must be
+pointwise: a value at a point depends on that point alone.  A large Cell's
+points are then evaluated in parts on worker threads
+(:func:`~ncfem.quadrature.point_parts`) and joined, bit for bit what one
+call returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .quadrature import ordered_map, point_parts
 
 SMOOTH_DEGREE = 12
 
@@ -31,6 +39,18 @@ __all__ = [
     "SMOOTH_DEGREE",
     "quad_degree",
 ]
+
+
+def _pointwise(fn, phys):
+    """fn(phys) for a pointwise `fn` of the points (nts, k, 2): evaluated on
+    the parts of :func:`~ncfem.quadrature.point_parts` and joined along the
+    triangle axis, array by array when `fn` returns a dict."""
+    outs = ordered_map(fn, point_parts(phys))
+    if len(outs) == 1:
+        return outs[0]
+    if isinstance(outs[0], dict):
+        return {k: np.concatenate([o[k] for o in outs]) for k in outs[0]}
+    return np.concatenate(outs)
 
 
 def quad_degree(x):
@@ -58,7 +78,9 @@ class _CallableField(FieldBase):
         self.degree = degree
 
     def eval_batch(self, cell):
-        phys = cell.phys
+        return _pointwise(self._eval, cell.phys)
+
+    def _eval(self, phys):
         out = np.asarray(self.fn(phys[..., 0], phys[..., 1]), dtype=float)
         want = phys.shape[:-1] + self.shape
         if out.shape != want:
@@ -191,7 +213,10 @@ class ExactSolution:
 
     def sample(self, cell, orders):
         """Order -> derivative of that order at the cell's physical points."""
-        x, y = cell.phys[..., 0], cell.phys[..., 1]
+        return _pointwise(lambda phys: self._sample(phys, orders), cell.phys)
+
+    def _sample(self, phys, orders):
+        x, y = phys[..., 0], phys[..., 1]
         if self.parts is not None:
             return self.parts(x, y, orders)
         return {k: self.eval(k, x, y) for k in orders}

@@ -33,7 +33,7 @@ from ._hct import CHUNK
 from ._poly import bary_modes, bary_tabulate, moment_matrix
 from .fespace import COMPANION_KIND, CRSpace, FeFunction, MorleySpace, build_space
 from .fields import quad_degree
-from .quadrature import Cell, cells, edge_rule, triangle_rule
+from .quadrature import Cell, cells, edge_rule, ordered_map, triangle_rule
 
 __all__ = [
     "CompanionMap",
@@ -103,8 +103,11 @@ def _vertex_values(f, mesh, vertices):
 
 def interpolate(space, f):
     """Nonconforming interpolation: edge means (CR) or vertex values plus
-    edge-mean normal derivatives (Morley), onto the free dofs of `space`."""
+    edge-mean normal derivatives (Morley), onto the free dofs of `space`;
+    an FeFunction `f` must live on the space's mesh."""
     mesh = space.mesh
+    if isinstance(f, FeFunction) and f.space.mesh is not mesh:
+        raise ValueError("reference lives on a different mesh")
     coeffs = np.zeros(space.ndofs)
     if isinstance(space, CRSpace):
         edges = np.nonzero(space.edge_dof >= 0)[0]
@@ -211,19 +214,21 @@ def _vertex_average(source, homogeneous):
 
 def _bubble_rows(source, S, M, terms):
     """Volume-bubble rows M^-1 R, per ``CHUNK`` triangles: a triangle's rows
-    need only its own moment rows.  R is block(S), the source basis's moments
-    (F, n_local, n_modes), minus block(table) @ H for each of `terms` in
-    order: moments of the host functions at columns col_ids whose
-    coefficients are H times the source ones.  M: bubbles against modes."""
-    F = source.mesh.n_triangles
-    vol = []
-    for lo in range(0, F, CHUNK):
+    need only its own moment rows, so the chunks run on
+    :func:`~ncfem.quadrature.ordered_map`'s workers.  R is block(S), the
+    source basis's moments (F, n_local, n_modes), minus block(table) @ H for
+    each of `terms` in order: moments of the host functions at columns
+    col_ids whose coefficients are H times the source ones.  M: bubbles
+    against modes."""
+
+    def rows(lo):
         ts = slice(lo, lo + CHUNK)
         R = _moment_block(S[ts], source.cell_dofs[ts], source.ndofs)
         for table, col_ids, H in terms:
             R = R - _moment_block(table[ts], col_ids[ts], H.shape[0]) @ H
-        vol.append(_block_inverse_kron(R.shape[0] // len(M), M) @ R)
-    return vol
+        return _block_inverse_kron(R.shape[0] // len(M), M) @ R
+
+    return ordered_map(rows, range(0, source.mesh.n_triangles, CHUNK))
 
 
 def _stack_rows(target, vertex_maps, edge_map, bubbles):

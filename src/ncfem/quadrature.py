@@ -13,10 +13,18 @@ the rule from the integrand's degree, walks the mesh in chunks of triangles
 and yields, per chunk, one :class:`Cell` per subcell of the integration
 partition (the plain triangles, or the three HCT subtriangles when any
 participant lives on the split); :func:`pairing` integrates over a Cell.
+
+:func:`ordered_map` runs independent pieces of work on worker threads and
+returns their results in order; :func:`point_parts` cuts a large Cell's
+points into the pieces that pointwise closed forms are evaluated on.
+Neither changes a bit of any result: no piece reads another's output, and
+nothing is summed across pieces.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -34,10 +42,25 @@ __all__ = [
     "pairing",
     "parent_points",
     "subcell_corners",
+    "ordered_map",
+    "point_parts",
+    "set_thread_cap",
     "MAX_TRIANGLE_DEGREE",
 ]
 
 MAX_TRIANGLE_DEGREE = 16
+
+# point_parts splits a Cell of at least this many points, one part per worker.
+# Below it the threads cost more than they save: on 2 cores the closed forms
+# of lshape-singular-m1 broke even at about 2e4 points.
+SPLIT_MIN_POINTS = 20_000
+
+# glibc's mallopt parameter number of M_ARENA_MAX (malloc.h)
+_M_ARENA_MAX = -8
+
+_WORKER_NAME = "ncfem-worker"
+_thread_cap = None  # set_thread_cap's n
+_pool = None  # ordered_map's executor, started on first use
 
 # n-point Gauss-Legendre and Gauss-Jacobi (alpha=1, beta=0) rules on [-1, 1],
 # n: (nodes, weights) for n = 1..9, the points MAX_TRIANGLE_DEGREE needs.  The
@@ -236,3 +259,80 @@ def pairing(cell, a, b, area=None):
     b = b.reshape(b.shape[:2] + (-1,))
     dens = np.einsum("fkc,fkc->fk", a, b)
     return float(np.einsum("k,f,fk->", cell.weights, cell.area if area is None else area, dens))
+
+
+def set_thread_cap(n):
+    """Use at most `n` threads in :func:`ordered_map` (None: no cap); ``n = 1``
+    keeps all work in the calling thread."""
+    global _thread_cap
+    _thread_cap = n
+
+
+def _cpu_count():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _n_workers():
+    """Threads :func:`ordered_map` uses: the CPUs, capped by set_thread_cap;
+    one inside a worker, whose nested map would wait on its own pool."""
+    if threading.current_thread().name.startswith(_WORKER_NAME):
+        return 1
+    cpus = _cpu_count()
+    return cpus if _thread_cap is None else min(cpus, _thread_cap)
+
+
+def _worker_pool():
+    """The executor, started on first use with one thread fewer than the CPUs
+    (the calling thread works too).  Starting it first limits glibc to one
+    malloc arena, with ``mallopt(M_ARENA_MAX, 1)`` through ctypes (a no-op
+    without glibc), as ``linalg._release_free_heap`` reaches malloc_trim:
+    an arena per thread would keep the freed heap of each resident and raise
+    the peak RSS."""
+    global _pool
+    if _pool is None:
+        import concurrent.futures
+        import ctypes
+
+        try:
+            ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
+        except (OSError, AttributeError):
+            pass
+        _pool = concurrent.futures.ThreadPoolExecutor(max(_cpu_count() - 1, 1),
+                                                      thread_name_prefix=_WORKER_NAME)
+    return _pool
+
+
+def ordered_map(fn, items):
+    """``[fn(x) for x in items]``, the items cut into one contiguous run per
+    worker (:func:`_n_workers`): the calling thread takes the first run and the
+    pool the others.  `fn` must not depend on which thread runs it or on
+    another item's result; the results are then those of the plain loop, bit
+    for bit.  With one worker or one item no thread is started."""
+    items = list(items)
+    n = min(_n_workers(), len(items))
+    if n <= 1:
+        return [fn(x) for x in items]
+    bounds = [len(items) * i // n for i in range(n + 1)]
+    runs = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def run(part):
+        return [fn(x) for x in part]
+
+    futures = [_worker_pool().submit(run, part) for part in runs[1:]]
+    out = run(runs[0])
+    for fut in futures:
+        out += fut.result()
+    return out
+
+
+def point_parts(phys):
+    """The points (nts, k, 2) as contiguous runs of triangles, one per worker
+    of :func:`ordered_map` when they number at least ``SPLIT_MIN_POINTS``;
+    else ``[phys]``."""
+    n = _n_workers() if phys.shape[0] * phys.shape[1] >= SPLIT_MIN_POINTS else 1
+    if n <= 1 or phys.shape[0] < 2:
+        return [phys]
+    return np.array_split(phys, min(n, phys.shape[0]))

@@ -558,27 +558,28 @@ def test_rate_study_with_estimates_assembles_each_stiffness_once_per_level(monke
 
 
 def test_solve_both_samples_the_singular_factor_once_per_norm_pass(tmp_path, monkeypatch):
-    # per chunk: one sample for each scheme's load and one shared by the
-    # errors of both schemes
-    from ncfem._hct import CHUNK
+    # every point once per pass: the load of each scheme (degree 12 + 1 on
+    # CR, 12 + 4 on its P4 companion) and one error pass shared by both
+    # schemes (degree 2 * 12, capped at 16); a Cell sampled in parts counts
+    # its points once
     from ncfem.mesh import l_shape_mesh
     from ncfem.problems import get_problem
+    from ncfem.quadrature import triangle_rule
 
     problem_type = type(get_problem("lshape-singular-m1"))
     w_parts = problem_type._w_parts
-    calls = []
+    points = []
 
     def counted(x, y):
-        calls.append(1)
+        points.append(x.size)
         return w_parts(x, y)
 
     monkeypatch.setattr(problem_type, "_w_parts", staticmethod(counted))
     argv = ["solve", "--problem", "lshape-singular-m1", "--scheme", "both",
             "--mesh", "lshape:32", "--json", str(tmp_path / "solve.json")]
     assert main(argv) == 0
-    chunks = -(-l_shape_mesh(32).n_triangles // CHUNK)
-    assert chunks == 3
-    assert len(calls) == 3 * chunks
+    per_triangle = sum(triangle_rule(d).n_points for d in (13, 16, 16))
+    assert sum(points) == l_shape_mesh(32).n_triangles * per_triangle
 
 
 @pytest.mark.parametrize(
@@ -602,6 +603,20 @@ def test_rates_csv_matches_golden_table(problem, levels, tmp_path):
 def test_missing_m_is_a_usage_error(command, capsys):
     assert main([command, "--mesh", "square:2"]) == USAGE_ERROR
     assert capsys.readouterr().err == "ncfem: the order m must be 1 or 2, not None\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--m", "1"], ["compare", "--m", "1"],
+                                  ["lambda0", "--m", "1"], ["counterexample", "cr"]])
+def test_help_says_mesh_is_required_unless_a_config_gives_it(argv, capsys):
+    # argparse prints [--mesh MESH]: the flag is optional so that a config can give it
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--mesh MESH square:N, lshape:N, or a mesh file path; "
+            "required unless a --config file gives it") in text
+    assert main(argv) == USAGE_ERROR
+    assert capsys.readouterr().err == "ncfem: --mesh is required\n"
 
 
 def test_config_command_takes_flags_from_the_command_line(tmp_path):

@@ -5,7 +5,7 @@ from ncfem import assembly
 from ncfem.assembly import RhsData
 from ncfem.estimator import efficiency_terms, estimate_modified, estimate_original
 from ncfem.fespace import FeFunction, build_space
-from ncfem.fields import ScalarField
+from ncfem.fields import ScalarField, VectorField, field_sum
 from ncfem.linalg import factor, solve_spd
 from ncfem.mesh import red_refine, unit_square_mesh
 from ncfem.operators import Discretization
@@ -160,3 +160,29 @@ def test_report_serialization(square2):
     import json
 
     json.dumps(d)  # must be JSON-serializable
+
+
+def test_modified_bounds_with_tensor_data_hold_and_follow_their_formulas():
+    # (G, g) = (Q, g + div Q) is (0, g) shifted as assembly.preprocess_data
+    # shifts data (div_1 Q = -div Q): the functional, and so the exact
+    # solution, is unchanged, and the G terms of the bounds come into play
+    prob = get_problem("square-smooth-m1")
+    mesh = red_refine(red_refine(prob.base_mesh()))
+    Q = VectorField(lambda x, y: np.stack([x * x, x * y], axis=-1), degree=2)
+    div_Q = ScalarField(lambda x, y: 3.0 * x, degree=1)
+    data = RhsData(G=Q, g=field_sum(prob.data(mesh).g, div_Q))
+    disc = Discretization(mesh, "CR1_0")
+    u = disc.solve(disc.rhs("modified", data))
+    report = estimate_modified(disc, data, u, reference=prob.reference())
+    terms, const, bounds = report["terms"], report["constants"], report["bounds"]
+    measured = report["measured_errors"]
+    assert terms["G_osc"] > 0.0
+    assert bounds["bound_a"] >= measured["energy_conf"]
+    assert bounds["bound_b"] >= measured["energy_pw"]
+    kappa, lam0, lam_j = const["kappa_m"], const["lambda0"], const["lambda_j"]
+    G_osc, g_weighted, g_osc = terms["G_osc"], terms["g_weighted"], terms["g_osc"]
+    apx_F = (1.0 + lam_j) * G_osc + kappa * g_weighted + kappa * lam_j * g_osc
+    bound_a = np.sqrt(1.0 + lam0**2) * G_osc + np.sqrt(
+        (kappa * g_weighted + terms["nonconf"]) ** 2 + (kappa * lam0 * g_osc) ** 2)
+    assert terms["apx_F"] == pytest.approx(apx_F, rel=1e-14)
+    assert bounds["bound_a"] == pytest.approx(bound_a, rel=1e-14)

@@ -205,28 +205,30 @@ def test_rate_study_without_estimates_releases_stiffness_before_the_norms(proble
 
 
 def test_rate_study_samples_the_singular_factor_once_per_norm_pass(monkeypatch):
-    # per chunk: one sample for the load and one shared by u_nc and J u_nc
-    from ncfem._hct import CHUNK
+    # every point once per pass: the load on the P4 companion (degree
+    # 12 + 4) and one error pass shared by u_nc and J u_nc (degree 2 * 12,
+    # capped at 16); a Cell sampled in parts counts its points once
     from ncfem.mesh import red_refine
     from ncfem.problems import get_problem
+    from ncfem.quadrature import triangle_rule
 
     problem = get_problem("lshape-singular-m1")
     problem_type = type(problem)
     w_parts = problem_type._w_parts
-    calls = []
+    points = []
 
     def counted(x, y):
-        calls.append(1)
+        points.append(x.size)
         return w_parts(x, y)
 
     monkeypatch.setattr(problem_type, "_w_parts", staticmethod(counted))
     run_rate_study("lshape-singular-m1", 3)
     mesh = problem.base_mesh()
-    chunks = 0
+    triangles = 0
     for _ in range(3):
-        chunks += -(-mesh.n_triangles // CHUNK)
+        triangles += mesh.n_triangles
         mesh = red_refine(mesh)
-    assert len(calls) == 2 * chunks
+    assert sum(points) == triangles * 2 * triangle_rule(16).n_points
 
 
 def test_rate_study_guards(monkeypatch):

@@ -181,6 +181,15 @@ def test_interpolation_equals_the_former_type_switch(mesh_name, m):
         assert np.array_equal(interpolate(space, ref).coeffs, _former_interpolate(space, ref))
 
 
+def test_interpolation_refuses_a_function_on_another_mesh():
+    # the fine function would be sampled on the coarse mesh's triangle numbers
+    mesh = unit_square_mesh(2)
+    fine = build_space(red_refine(mesh), "CR1_0")
+    v = FeFunction(fine, np.random.default_rng(5).standard_normal(fine.ndofs))
+    with pytest.raises(ValueError, match="reference lives on a different mesh"):
+        interpolate(build_space(mesh, "CR1_0"), v)
+
+
 # -- right-inverse and orthogonality ----------------------------------------
 
 

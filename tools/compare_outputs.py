@@ -1,13 +1,16 @@
-"""Check that HEAD writes the same outputs as a parent commit, byte for byte.
+"""Check that HEAD writes the same outputs as a parent commit, byte for byte,
+and the same with ``--threads 1`` as with its default worker threads.
 
 Run from the repository root, after committing the change:
 
     python3 tools/compare_outputs.py --parent HEAD~1
 
-Both sides are exported with ``git archive`` (``export`` of
+Both trees are exported with ``git archive`` (``export`` of
 ``tools/bench_pairs.py``) into a fresh temporary directory.  Each command of
-``COMMANDS`` runs in each tree as ``python -m ncfem.cli <argv> --out <dir>``,
-one process at a time, with one BLAS thread, and must exit 0 on both sides.
+``COMMANDS`` runs as ``python -m ncfem.cli <argv> --out <dir>`` on each side
+of ``SIDES``: in the parent's tree, in HEAD's, and in HEAD's again with
+``--threads 1``.  The runs go one process at a time, with one BLAS thread,
+and must exit 0 on every side.
 Compared per command: the names of the files written, the JSON reports with
 their ``config`` entry removed, the CSV tables below their ``# generated``
 line, and stdout and stderr with the output directory and the tree replaced
@@ -26,6 +29,9 @@ import tempfile
 from bench_pairs import export
 
 STREAMS = ("exit code", "stdout", "stderr")
+# side -> (tree, top-level flags); every side is compared with "head"
+SIDES = {"parent": ("parent", []), "head": ("head", []),
+         "head --threads 1": ("head", ["--threads", "1"])}
 PROBLEMS = ("square-smooth-m1", "square-smooth-m2", "lshape-singular-m1",
             "lshape-f1-m2", "lshape-pointforce-m2")
 
@@ -59,8 +65,8 @@ COMMANDS = [
 
 
 def run(tree, label, argv, out_root):
-    """One command in `tree`: {name: comparable text} of its ``STREAMS`` and
-    of the files it wrote."""
+    """One command line in `tree`: {name: comparable text} of its ``STREAMS``
+    and of the files it wrote."""
     out = os.path.join(out_root, label)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -88,16 +94,18 @@ def main(argv=None):
     args = ap.parse_args(argv)
     differs = []
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
-        trees = {side: os.path.join(tmp, side) for side in ("parent", "head")}
-        for side, rev in (("parent", args.parent), ("head", "HEAD")):
-            os.makedirs(trees[side])
-            print(f"{side}: {export(rev, trees[side])}", flush=True)
+        trees = {tree: os.path.join(tmp, tree) for tree in ("parent", "head")}
+        for tree, rev in (("parent", args.parent), ("head", "HEAD")):
+            os.makedirs(trees[tree])
+            print(f"{tree}: {export(rev, trees[tree])}", flush=True)
         for label, cmd in COMMANDS:
-            got = {side: run(tree, label, cmd, os.path.join(tmp, side + "-out"))
-                   for side, tree in trees.items()}
-            bad = sorted(name for name in set(got["parent"]) | set(got["head"])
-                         if got["parent"].get(name) != got["head"].get(name))
-            # a command that fails on either side compares nothing
+            got = {side: run(trees[tree], label, [*flags, *cmd],
+                             os.path.join(tmp, "out-" + side.replace(" ", "_")))
+                   for side, (tree, flags) in SIDES.items()}
+            bad = [f"{name} ({side})" for side in SIDES if side != "head"
+                   for name in sorted(set(got[side]) | set(got["head"]))
+                   if got[side].get(name) != got["head"].get(name)]
+            # a command that fails on any side compares nothing
             bad += [f"exit code {g['exit code']} in {side}" for side, g in got.items()
                     if g["exit code"] != "0"]
             differs += [f"{label}/{name}" for name in bad]

@@ -102,7 +102,7 @@ def _build_parser():
     sp.add_argument("--solution", help="write solution coefficients here")
 
     sp = sub.add_parser("rates", help="convergence-rate study")
-    common(sp, mesh=None, m=False, h_convention=True)
+    common(sp, mesh=False, m=False, h_convention=True)
     sp.add_argument("--problem", required=True)
     sp.add_argument("--levels", type=int, required=True)
     sp.add_argument("--scheme", choices=("original", "modified"), default="modified")
@@ -120,7 +120,7 @@ def _build_parser():
     common(sp)
 
     sp = sub.add_parser("estimate", help="a posteriori bounds for one solve")
-    common(sp, mesh=None, m=False, h_convention=True)
+    common(sp, mesh=False, m=False, h_convention=True)
     sp.add_argument("--problem", required=True)
     sp.add_argument("--level", type=_non_negative_int, default=0)
     sp.add_argument("--scheme", choices=("original", "modified"), default="modified")
@@ -635,10 +635,10 @@ def main(argv=None):
         if args.command is None:
             _shared_parser().print_help()
             return USAGE_ERROR
-        from .quadrature import set_thread_cap
+        from .quadrature import thread_cap
 
-        set_thread_cap(args.threads)
-        return _finish(args, *handlers[args.command](args))
+        with thread_cap(args.threads):
+            return _finish(args, *handlers[args.command](args))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"ncfem: {exc}", file=sys.stderr)
         return USAGE_ERROR

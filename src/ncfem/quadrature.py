@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -44,7 +45,7 @@ __all__ = [
     "subcell_corners",
     "ordered_map",
     "point_parts",
-    "set_thread_cap",
+    "thread_cap",
     "MAX_TRIANGLE_DEGREE",
 ]
 
@@ -59,8 +60,9 @@ SPLIT_MIN_POINTS = 20_000
 _M_ARENA_MAX = -8
 
 _WORKER_NAME = "ncfem-worker"
-_thread_cap = None  # set_thread_cap's n
+_thread_cap = None  # thread_cap's n
 _pool = None  # ordered_map's executor, started on first use
+_pool_lock = threading.Lock()
 
 # n-point Gauss-Legendre and Gauss-Jacobi (alpha=1, beta=0) rules on [-1, 1],
 # n: (nodes, weights) for n = 1..9, the points MAX_TRIANGLE_DEGREE needs.  The
@@ -261,11 +263,16 @@ def pairing(cell, a, b, area=None):
     return float(np.einsum("k,f,fk->", cell.weights, cell.area if area is None else area, dens))
 
 
-def set_thread_cap(n):
-    """Use at most `n` threads in :func:`ordered_map` (None: no cap); ``n = 1``
-    keeps all work in the calling thread."""
+@contextmanager
+def thread_cap(n):
+    """Inside the block, :func:`ordered_map` uses at most `n` threads (None:
+    no cap); ``n = 1`` keeps all work in the calling thread."""
     global _thread_cap
-    _thread_cap = n
+    before, _thread_cap = _thread_cap, n
+    try:
+        yield
+    finally:
+        _thread_cap = before
 
 
 def _cpu_count():
@@ -276,8 +283,8 @@ def _cpu_count():
 
 
 def _n_workers():
-    """Threads :func:`ordered_map` uses: the CPUs, capped by set_thread_cap;
-    one inside a worker, whose nested map would wait on its own pool."""
+    """Threads :func:`ordered_map` uses: the CPUs, capped by thread_cap; one
+    inside a worker, whose nested map would wait on its own pool."""
     if threading.current_thread().name.startswith(_WORKER_NAME):
         return 1
     cpus = _cpu_count()
@@ -286,23 +293,26 @@ def _n_workers():
 
 def _worker_pool():
     """The executor, started on first use with one thread fewer than the CPUs
-    (the calling thread works too).  Starting it first limits glibc to one
-    malloc arena, with ``mallopt(M_ARENA_MAX, 1)`` through ctypes (a no-op
-    without glibc), as ``linalg._release_free_heap`` reaches malloc_trim:
-    an arena per thread would keep the freed heap of each resident and raise
-    the peak RSS."""
+    (the calling thread works too).  Before it starts, glibc is limited to one
+    malloc arena by ``mallopt(M_ARENA_MAX, 1)`` through ctypes, the route
+    ``linalg._release_free_heap`` takes to malloc_trim (a no-op without
+    glibc): an arena per thread would keep each thread's freed heap resident
+    and raise the peak RSS."""
     global _pool
-    if _pool is None:
-        import concurrent.futures
-        import ctypes
+    with _pool_lock:
+        if _pool is None:
+            import concurrent.futures
+            import ctypes
 
-        try:
-            ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
-        except (OSError, AttributeError):
-            pass
-        _pool = concurrent.futures.ThreadPoolExecutor(max(_cpu_count() - 1, 1),
-                                                      thread_name_prefix=_WORKER_NAME)
-    return _pool
+            try:
+                mallopt = ctypes.CDLL(None).mallopt
+                mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+                mallopt(_M_ARENA_MAX, 1)
+            except (OSError, AttributeError):
+                pass
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                max(_cpu_count() - 1, 1), thread_name_prefix=_WORKER_NAME)
+        return _pool
 
 
 def ordered_map(fn, items):
@@ -321,8 +331,13 @@ def ordered_map(fn, items):
     def run(part):
         return [fn(x) for x in part]
 
-    futures = [_worker_pool().submit(run, part) for part in runs[1:]]
-    out = run(runs[0])
+    pool = _worker_pool()
+    futures = [pool.submit(run, part) for part in runs[1:]]
+    try:
+        out = run(runs[0])
+    finally:
+        for fut in futures:  # no work outlives the call, even when run raised
+            fut.exception()
     for fut in futures:
         out += fut.result()
     return out
@@ -333,6 +348,4 @@ def point_parts(phys):
     of :func:`ordered_map` when they number at least ``SPLIT_MIN_POINTS``;
     else ``[phys]``."""
     n = _n_workers() if phys.shape[0] * phys.shape[1] >= SPLIT_MIN_POINTS else 1
-    if n <= 1 or phys.shape[0] < 2:
-        return [phys]
-    return np.array_split(phys, min(n, phys.shape[0]))
+    return [phys] if n == 1 else np.array_split(phys, min(n, len(phys)))

@@ -46,6 +46,17 @@ def test_ordered_map_keeps_the_order_and_runs_on_every_worker(workers):
         assert len(seen) == n
 
 
+def test_ordered_map_raises_what_a_worker_raised(workers):
+    def fail_at_seven(x):
+        if x == 7:
+            raise ValueError("seven")
+        return x
+
+    workers(2)
+    with pytest.raises(ValueError, match="seven"):
+        quadrature.ordered_map(fail_at_seven, range(10))
+
+
 def test_point_parts_are_contiguous_runs_of_triangles(workers):
     phys = np.arange(7 * 4 * 2, dtype=float).reshape(7, 4, 2)
     for n in PARTS:
@@ -98,5 +109,6 @@ def test_threads_one_starts_no_pool(workers, monkeypatch, tmp_path):
             "--json", str(tmp_path / "solve.json")]
     assert main(["--threads", "1", *argv]) == 0
     assert quadrature._pool is None
+    assert quadrature._thread_cap is None  # the cap holds for that call alone
     assert main(argv) == 0
     assert quadrature._pool is not None

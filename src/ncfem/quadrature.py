@@ -52,9 +52,11 @@ __all__ = [
 MAX_TRIANGLE_DEGREE = 16
 
 # point_parts splits a Cell of at least this many points, one part per worker.
-# Below it the threads cost more than they save: on 2 cores the closed forms
-# of lshape-singular-m1 broke even at about 2e4 points.
-SPLIT_MIN_POINTS = 20_000
+# On 2 cores the closed forms of lshape-singular-m1 alone broke even at about
+# 2e4 points, but splitting the 25k-41k-point Cells of the level-3 square
+# problems did not measurably speed up their estimate commands; 2^16 splits
+# the Cells of the L-shape from level 3 and of the square from level 4 on.
+SPLIT_MIN_POINTS = 2**16
 
 # glibc's mallopt parameter number of M_ARENA_MAX (malloc.h)
 _M_ARENA_MAX = -8
@@ -322,8 +324,8 @@ def ordered_map(fn, items):
     another item's result; the results are then those of the plain loop, bit
     for bit.  With one worker or one item no thread is started."""
     items = list(items)
-    n = min(_n_workers(), len(items))
-    if n <= 1:
+    n = min(_n_workers(), len(items)) if len(items) > 1 else 1
+    if n == 1:
         return [fn(x) for x in items]
     bounds = [len(items) * i // n for i in range(n + 1)]
     runs = [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

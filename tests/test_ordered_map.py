@@ -1,5 +1,8 @@
 """The worker map changes no bit: results on 1, 2 and 3 workers are equal."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from conftest import jittered
@@ -31,9 +34,6 @@ def workers(monkeypatch):
 
 
 def test_ordered_map_keeps_the_order_and_runs_on_every_worker(workers):
-    import threading
-    import time
-
     def square(x):  # long enough that the pool starts a thread per run
         seen.add(threading.get_ident())
         time.sleep(0.005)

@@ -34,6 +34,7 @@ __all__ = [
     "preprocess_data",
     "p1_stiffness",
     "p1_to_cr",
+    "scatter",
     "eps_stiffness_p1_vector",
     "eps_stiffness_cr_vector",
 ]
@@ -66,15 +67,19 @@ class RhsData:
     point_forces: list = dataclass_field(default_factory=list)
 
 
+def scatter(rows, cols, data, shape):
+    """CSR matrix of `shape` summing `data` at (`rows`, `cols`), the three
+    broadcast to one shape and read in C order, the order in which duplicates
+    are summed; an entry whose row or column is -1, a constrained dof, drops
+    out."""
+    rows, cols, data = (a.ravel() for a in np.broadcast_arrays(rows, cols, data))
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((data[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+
+
 def _scatter_matrix(local, dofs, n):
-    """(n, n) CSR sum of local matrices (F, L, L) at their dofs (F, L); a -1
-    dof drops its row and column."""
-    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
-    mask = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix(
-        (local.ravel()[mask], (rows[mask], cols[mask])), shape=(n, n)
-    ).tocsr()
+    """(n, n) sum of local matrices (F, L, L) at their dofs (F, L), triangle by triangle."""
+    return scatter(dofs[:, :, None], dofs[:, None, :], local, (n, n))
 
 
 def assemble_stiffness(space):
@@ -277,11 +282,8 @@ def p1_stiffness(mesh):
 
 def p1_to_cr(mesh):
     """Coefficient map S1 -> CR1_full (edge midpoint value = endpoint mean)."""
-    E = mesh.n_edges
-    rows = np.repeat(np.arange(E), 2)
-    cols = mesh.edges.ravel()
-    data = np.full(2 * E, 0.5)
-    return sp.coo_matrix((data, (rows, cols)), shape=(E, mesh.n_vertices)).tocsr()
+    return scatter(np.arange(mesh.n_edges)[:, None], mesh.edges, 0.5,
+                   (mesh.n_edges, mesh.n_vertices))
 
 
 def _eps_stiffness(mesh, grads, entity_dofs, ndofs_scalar):

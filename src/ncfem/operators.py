@@ -155,33 +155,20 @@ def _moment_block(table, col_ids, width):
     against each mode on triangle f; it lands in rows n_modes*f + mode and
     column ``col_ids[f, j]`` (skipped where that is -1).
     """
-    F, n_local, n_modes = table.shape
-    r, c, d = [], [], []
-    for j in range(n_local):
-        ids = col_ids[:, j]
-        ok = ids >= 0
-        base = n_modes * np.nonzero(ok)[0]
-        r.append((base[:, None] + np.arange(n_modes)[None, :]).ravel())
-        c.append(np.repeat(ids[ok], n_modes))
-        d.append(table[ok, j, :].ravel())
-    return sp.coo_matrix(
-        (np.concatenate(d), (np.concatenate(r), np.concatenate(c))),
-        shape=(n_modes * F, width),
-    ).tocsr()
+    F, _, n_modes = table.shape
+    rows = np.arange(n_modes * F).reshape(F, 1, n_modes)
+    return assembly.scatter(rows, col_ids[:, :, None], table, (n_modes * F, width))
 
 
 def _selector(ids, n_src):
     """(len(ids), n_src) 0/1 matrix with a one at (i, ids[i]) where ids[i] >= 0."""
-    ok = ids >= 0
-    return sp.coo_matrix(
-        (np.ones(int(ok.sum())), (np.nonzero(ok)[0], ids[ok])), shape=(len(ids), n_src)
-    ).tocsr()
+    return assembly.scatter(np.arange(len(ids)), ids, 1.0, (len(ids), n_src))
 
 
 def _edge_incidence(mesh):
     """(E, V) 0/1 matrix of the two endpoints of each edge."""
-    V = mesh.n_vertices
-    return _selector(mesh.edges[:, 0], V) + _selector(mesh.edges[:, 1], V)
+    E = mesh.n_edges
+    return assembly.scatter(np.arange(E)[:, None], mesh.edges, 1.0, (E, mesh.n_vertices))
 
 
 def _vertex_average(source, homogeneous):
@@ -194,18 +181,11 @@ def _vertex_average(source, homogeneous):
     o = source.m - 1
     corner = source.tabulate(np.arange(F), 0, np.eye(3), o).reshape(F, source.n_local, 3, -1)
     n_adj = np.bincount(tri.ravel(), minlength=V).astype(float)
-    rows, cols, data = [], [], []
-    for k in range(3):
-        for j in range(source.n_local):
-            dofs = source.cell_dofs[:, j]
-            ok = dofs >= 0
-            rows.append(tri[ok, k])
-            cols.append(dofs[ok])
-            data.append(corner[ok, j, k] * (1.0 / n_adj[tri[ok, k]])[:, None])
-    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
-    mats = [
-        sp.coo_matrix((d, (rows, cols)), shape=(V, source.ndofs)).tocsr() for d in data.T
-    ]
+    weighted = corner * (1.0 / n_adj[tri])[:, None, :, None]
+    # duplicates sum in (corner k, local dof j, triangle f) order, which fixes J's bits
+    rows, cols = tri.T[:, None, :], source.cell_dofs.T[None, :, :]
+    mats = [assembly.scatter(rows, cols, weighted[..., c].T, (V, source.ndofs))
+            for c in range(weighted.shape[-1])]
     if homogeneous:
         mask = sp.diags((~mesh.boundary_vertex_mask).astype(float))
         mats = [mask @ W for W in mats]

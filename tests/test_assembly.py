@@ -388,6 +388,29 @@ def test_cr_morley_stiffness_is_bitwise_the_per_family_formula(kind, make_mesh):
 
 
 @pytest.mark.parametrize("make_mesh", _ORACLE_MESHES, ids=_ORACLE_IDS)
+def test_p1_to_cr_is_bitwise_the_endpoint_mean_formula(make_mesh):
+    import scipy.sparse as sp
+
+    mesh = make_mesh()
+    E = mesh.n_edges
+    want = sp.coo_matrix(
+        (np.full(2 * E, 0.5), (np.repeat(np.arange(E), 2), mesh.edges.ravel())),
+        shape=(E, mesh.n_vertices),
+    ).tocsr()
+    assert _same_csr(assembly.p1_to_cr(mesh), want)
+
+
+def test_scatter_drops_constrained_entries_and_sums_duplicates():
+    # row 2 and column 2 are -1; the last row repeats row 0
+    rows = np.array([[0], [1], [-1], [0]])
+    cols = np.array([[0, 2, -1]])
+    data = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0], [10.0, 20.0, 30.0]])
+    got = assembly.scatter(rows, cols, data, (2, 3))
+    assert got.nnz == 4
+    assert np.array_equal(got.toarray(), [[10.0, 0.0, 21.0], [3.0, 0.0, 4.0]])
+
+
+@pytest.mark.parametrize("make_mesh", _ORACLE_MESHES, ids=_ORACLE_IDS)
 def test_cr_strain_stiffness_is_bitwise_the_gradient_formula(make_mesh):
     from ncfem._poly import lambda_gradients
 

@@ -340,6 +340,24 @@ def test_companion_boundary_conditions(square2, rng):
         assert worst < 1e-11 * max(np.abs(v.coeffs).max(), 1.0)
 
 
+def _oracle_moment_block(table, col_ids, width):
+    """The (n_modes * F, width) moment-table matrix of operators._moment_block,
+    built local function by local function: the oracle the one-shot builds use."""
+    F, n_local, n_modes = table.shape
+    r, c, d = [], [], []
+    for j in range(n_local):
+        ids = col_ids[:, j]
+        ok = ids >= 0
+        base = n_modes * np.nonzero(ok)[0]
+        r.append((base[:, None] + np.arange(n_modes)[None, :]).ravel())
+        c.append(np.repeat(ids[ok], n_modes))
+        d.append(table[ok, j, :].ravel())
+    return sp.coo_matrix(
+        (np.concatenate(d), (np.concatenate(r), np.concatenate(c))),
+        shape=(n_modes * F, width),
+    ).tocsr()
+
+
 def _one_shot_cr_companion(source, target):
     """The CR companion matrix built for all triangles at once."""
     mesh = source.mesh
@@ -380,7 +398,7 @@ def _one_shot_cr_companion(source, target):
     M = np.array([[(b * p * q).integral() for q in modes] for p in modes])
 
     def block(table, col_ids, width):
-        return operators._moment_block(np.broadcast_to(table, (F, 3, 3)), col_ids, width)
+        return _oracle_moment_block(np.broadcast_to(table, (F, 3, 3)), col_ids, width)
 
     R = (block(S_cr, source.cell_dofs, n_src) - block(S_hat, tri, V) @ W
          - block(S_eb, mesh.triangle_edges, E) @ alpha)
@@ -467,7 +485,7 @@ def _one_shot_morley_companion(source, target):
             qv_s = np.stack([p.eval(c.parent) for p in modes], axis=1)
             shape_vals = target.tabulate_cell(c, 0)[:, :12]
             P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
-    S_glob = operators._moment_block(S, source.cell_dofs, n_src)
+    S_glob = _oracle_moment_block(S, source.cell_dofs, n_src)
     cols_hct = np.empty((F, 12), dtype=np.int64)
     for k in range(3):
         cols_hct[:, 3 * k] = tri[:, k]
@@ -475,7 +493,7 @@ def _one_shot_morley_companion(source, target):
         cols_hct[:, 3 * k + 2] = 2 * V + tri[:, k]
     cols_hct[:, 9:] = 3 * V + mesh.triangle_edges
     H_all = sp.vstack([Wval, Wgx, Wgy, N]).tocsr()
-    P_glob = operators._moment_block(P_loc, cols_hct, 3 * V + E)
+    P_glob = _oracle_moment_block(P_loc, cols_hct, 3 * V + E)
     bub = operators._block_inverse_kron(F, M) @ (S_glob - P_glob @ H_all)
     vfree = np.nonzero(target.vertex_dof[:, 0] >= 0)[0]
     VS = sp.vstack([Wval, Wgx, Wgy]).tocsr()

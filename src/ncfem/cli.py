@@ -212,7 +212,7 @@ def _parse_mesh(spec):
 
     if spec is None:
         raise ValueError("--mesh is required")
-    if ":" in spec:
+    if ":" in spec and not os.path.isfile(spec):  # an existing file is a mesh file
         name, _, n = spec.partition(":")
         try:
             n = _positive_int(n)

@@ -177,6 +177,22 @@ def test_mesh_file_roundtrip_via_cli(tmp_path):
     assert report["mesh"]["ndofs"] == 8
 
 
+def test_mesh_file_whose_path_contains_a_colon(tmp_path):
+    # an existing file is read as a mesh file, not as name:N
+    from ncfem.mesh import save_mesh, unit_square_mesh
+
+    mesh_file = tmp_path / "run:2.msh"
+    save_mesh(unit_square_mesh(2), mesh_file)
+    lam = []
+    for spec in (str(mesh_file), "square:2"):
+        out = tmp_path / "lam.json"
+        assert main(["lambda0", "--m", "1", "--mesh", spec, "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["mesh"]["id"] == spec
+        lam.append(report["lambda0"])
+    assert lam[0] == lam[1]
+
+
 def test_config_overrides_builtin_defaults(tmp_path):
     # scheme and h_convention have non-None built-in defaults; the config
     # must still replace them when no flag is given

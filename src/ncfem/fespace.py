@@ -439,9 +439,9 @@ def save_function(f, path):
 def load_function(path, mesh_or_space):
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if " ".join(head[:2]) != FUN_MAGIC:
-        raise ValueError(f"bad header, expected {FUN_MAGIC!r}")
+    head = lines[0].split() if lines else []
+    if len(head) != 4 or " ".join(head[:2]) != FUN_MAGIC:
+        raise ValueError(f"bad header, expected '{FUN_MAGIC} <kind> <ndofs>'")
     kind, ndofs = head[2], int(head[3])
     if isinstance(mesh_or_space, FeSpace):
         space = mesh_or_space
@@ -450,6 +450,8 @@ def load_function(path, mesh_or_space):
     else:
         space = build_space(mesh_or_space, kind)
     coeffs = np.array([float(v) for v in lines[1:]])
+    if not np.isfinite(coeffs).all():
+        raise ValueError("non-finite coefficient")
     if len(coeffs) != ndofs or ndofs != space.ndofs:
         raise ValueError(
             f"coefficient count mismatch: file {len(coeffs)}/{ndofs}, space {space.ndofs}"

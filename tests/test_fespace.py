@@ -159,6 +159,25 @@ def test_function_serialization(tmp_path, square2, rng):
     assert np.array_equal(f.coeffs, g2.coeffs)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("", "bad header"),
+        ("ncfem-fun v1\n", "bad header"),
+        ("ncfem-fun v1 CR1_0\n", "bad header"),
+        ("ncfem-fun v1 CR1_0 {n}\n{ones}nan\n", "non-finite"),
+        ("ncfem-fun v1 CR1_0 {n}\n-inf\n{ones}", "non-finite"),
+    ],
+    ids=["empty", "no-kind", "no-ndofs", "nan", "inf"],
+)
+def test_load_function_refuses_a_malformed_file(tmp_path, square2, text, match):
+    n = build_space(square2, "CR1_0").ndofs
+    path = tmp_path / "fun.txt"
+    path.write_text(text.format(n=n, ones="1.0\n" * (n - 1)))
+    with pytest.raises(ValueError, match=match):
+        load_function(path, square2)
+
+
 def test_coefficient_shape_checked(square2):
     space = build_space(square2, "CR1_0")
     with pytest.raises(ValueError):

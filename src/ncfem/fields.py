@@ -53,6 +53,12 @@ def _pointwise(fn, phys):
     return np.concatenate(outs)
 
 
+def _as_shape(out, want):
+    """`out` as a float array of shape `want`, broadcast when its shape differs."""
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == want else np.broadcast_to(out, want)
+
+
 def quad_degree(x):
     """Declared degree of a field or ExactSolution; SMOOTH_DEGREE for None."""
     return SMOOTH_DEGREE if x.degree is None else x.degree
@@ -81,11 +87,7 @@ class _CallableField(FieldBase):
         return _pointwise(self._eval, cell.phys)
 
     def _eval(self, phys):
-        out = np.asarray(self.fn(phys[..., 0], phys[..., 1]), dtype=float)
-        want = phys.shape[:-1] + self.shape
-        if out.shape != want:
-            out = np.broadcast_to(out, want)
-        return out
+        return _as_shape(self.fn(phys[..., 0], phys[..., 1]), phys.shape[:-1] + self.shape)
 
 
 class ScalarField(_CallableField):
@@ -225,9 +227,4 @@ class ExactSolution:
         fn = (self.value, self.gradient, self.hessian)[order]
         if fn is None:
             raise ValueError(f"reference provides no derivative of order {order}")
-        shape = ((), (2,), (2, 2))[order]
-        out = np.asarray(fn(x, y), dtype=float)
-        want = np.shape(x) + shape
-        if out.shape != want:
-            out = np.broadcast_to(out, want)
-        return out
+        return _as_shape(fn(x, y), np.shape(x) + ((), (2,), (2, 2))[order])

@@ -9,8 +9,9 @@ Both trees are exported with ``git archive`` (``export`` of
 ``tools/bench_pairs.py``) into a fresh temporary directory.  Each command of
 ``COMMANDS`` runs as ``python -m ncfem.cli <argv> --out <dir>`` on each side
 of ``SIDES``: in the parent's tree, in HEAD's, and in HEAD's again with
-``--threads 1``.  The runs go one process at a time, with one BLAS thread,
-and must exit 0 on every side.
+``--threads 1``.  The files of ``DATA`` are written into the same
+directory, which ``<data>`` in an argv names.  The runs go one process at a
+time, with one BLAS thread, and must exit 0 on every side.
 Compared per command: the names of the files written, the JSON reports with
 their ``config`` entry removed, the CSV tables below their ``# generated``
 line, and stdout and stderr with the output directory and the tree replaced
@@ -37,7 +38,8 @@ PROBLEMS = ("square-smooth-m1", "square-smooth-m2", "lshape-singular-m1",
 
 # (label, argv): the seven benchmark commands, the fine-grid rate studies,
 # the interpolation of every exact solution (estimate), the interpolation of
-# FE functions (compare and verify for both m), solve and the counterexamples
+# FE functions (compare and verify for both m), solve with a problem and with
+# a data file, and the counterexamples
 COMMANDS = [
     ("rates-lshape-singular-m1-6", ["rates", "--problem", "lshape-singular-m1", "--levels", "6"]),
     ("estimate-square-smooth-m1-3", ["estimate", "--problem", "square-smooth-m1", "--level", "3"]),
@@ -61,7 +63,27 @@ COMMANDS = [
      ["solve", "--problem", "square-smooth-m2", "--scheme", "both", "--mesh", "square:8"]),
     *((f"counterexample-{kind}-square4", ["counterexample", kind, "--mesh", "square:4"])
       for kind in ("cr", "morley", "oscillation")),
+    # inline data: polynomial G and g, an edge-point force split by mu and a vertex force
+    ("solve-data-m2-square4-both",
+     ["solve", "--m", "2", "--mesh", "square:4", "--scheme", "both",
+      "--data", "<data>/m2-square4.json"]),
+    ("solve-data-m1-lshape2",
+     ["solve", "--m", "1", "--mesh", "lshape:2", "--data", "<data>/m1-lshape2.json"]),
 ]
+# the files "<data>/<name>" of COMMANDS, written once into the temporary directory
+DATA = {
+    "m2-square4.json": {
+        "G": {"poly11": [[1.0, 1, 0]], "poly12": [[0.5, 0, 1], [-0.25, 1, 1]],
+              "poly22": [[2.0, 0, 0], [-1.0, 0, 2]]},
+        "g": [[1.0, 0, 0], [-3.0, 1, 1], [0.5, 2, 0]],
+        "point_forces": [{"beta": 0.7, "edge_point": [0.5, 0.375], "mu": 0.25},
+                         {"beta": -0.4, "vertex": 12}],
+    },
+    "m1-lshape2.json": {
+        "G": {"poly1": [[1.0, 0, 1]], "poly2": [[-0.5, 1, 0], [2.0, 1, 1]]},
+        "g": [[1.0, 0, 0], [0.25, 0, 2]],
+    },
+}
 
 
 def run(tree, label, argv, out_root):
@@ -98,7 +120,13 @@ def main(argv=None):
         for tree, rev in (("parent", args.parent), ("head", "HEAD")):
             os.makedirs(trees[tree])
             print(f"{tree}: {export(rev, trees[tree])}", flush=True)
+        data = os.path.join(tmp, "data")
+        os.makedirs(data)
+        for name, content in DATA.items():
+            with open(os.path.join(data, name), "w") as fh:
+                json.dump(content, fh)
         for label, cmd in COMMANDS:
+            cmd = [a.replace("<data>", data) for a in cmd]
             got = {side: run(trees[tree], label, [*flags, *cmd],
                              os.path.join(tmp, "out-" + side.replace(" ", "_")))
                    for side, (tree, flags) in SIDES.items()}

@@ -68,10 +68,12 @@ class RhsData:
 
 
 def scatter(rows, cols, data, shape):
-    """CSR matrix of `shape` summing `data` at (`rows`, `cols`), the three
-    broadcast to one shape and read in C order, the order in which duplicates
-    are summed; an entry whose row or column is -1, a constrained dof, drops
-    out."""
+    """CSR matrix of `shape` that sums `data` at (`rows`, `cols`).
+
+    The three are broadcast to one shape and read in C order, the order in
+    which duplicates are summed.  An entry whose row or column is -1 (a
+    constrained dof) drops out.
+    """
     rows, cols, data = (a.ravel() for a in np.broadcast_arrays(rows, cols, data))
     keep = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix((data[keep], (rows[keep], cols[keep])), shape=shape).tocsr()

@@ -20,7 +20,7 @@ from .mesh import red_refine
 from .norms import convergence_rate, error_norms, errors_vs_fine
 from .operators import Discretization, companion, interpolate
 from .problems import get_problem
-from .quadrature import Cell
+from .quadrature import Cell, ordered_map
 
 __all__ = [
     "run_compare",
@@ -418,7 +418,8 @@ def rate_csv(report):
 
 def _fine_reference(problem, mesh):
     """Smoothed-scheme solution REFERENCE_EXTRA_LEVELS red refinements below
-    `mesh`; its Discretization is dropped on return."""
+    `mesh`; its companion is released after the load, before the factor,
+    and its Discretization is dropped on return."""
     for _ in range(REFERENCE_EXTRA_LEVELS):
         mesh = red_refine(mesh)
     disc = Discretization(mesh, nc_kind(problem.m))
@@ -426,7 +427,9 @@ def _fine_reference(problem, mesh):
         raise ValueError(
             f"fine-grid reference needs {disc.space.ndofs} dofs, above the cap {DOF_CAP}"
         )
-    return disc.solve(disc.rhs("modified", problem.data(mesh)))
+    load = disc.rhs("modified", problem.data(mesh))
+    disc.release("cmap")
+    return disc.solve(load)
 
 
 def run_rate_study(
@@ -442,6 +445,13 @@ def run_rate_study(
     Returns the JSON-ready rate-table report: per-level errors (and
     estimator bounds with `include_estimates`), the fitted rates and the
     problem's expected rates; :func:`rate_csv` writes it as CSV.
+
+    Every level is solved, then integrated, and neither stage reads another
+    level.  The finest level is solved first on the calling thread; then
+    :func:`~ncfem.quadrature.ordered_map` integrates its error norms there
+    while a worker solves and integrates the coarser levels in turn.  Each
+    level runs whole on one thread, so the report does not depend on the
+    number of workers.
     """
     if levels not in RATE_LEVELS:
         lo, hi = RATE_LEVELS[0], RATE_LEVELS[-1]
@@ -451,44 +461,59 @@ def run_rate_study(
     meshes = [problem.base_mesh()]
     for _ in range(levels - 1):
         meshes.append(red_refine(meshes[-1]))
+    discs = [Discretization(mesh, nc_kind(m)) for mesh in meshes]
+    for lvl, disc in enumerate(discs):  # every level's size before any solve
+        if disc.space.ndofs > DOF_CAP:
+            raise ValueError(f"level {lvl} needs {disc.space.ndofs} dofs, above the cap")
     reference = problem.reference()
-    fine_ref = None
-    if reference is None:
-        fine_ref = _fine_reference(problem, meshes[-1])
+    fine_ref = _fine_reference(problem, meshes[-1]) if reference is None else None
+    estimate = estimate_original if scheme == "original" else estimate_modified
 
-    norms = ["energy_pw", "l2_post", "l2_nc"] if reference else ["energy_pw", "l2_nc"]
-    rows = []
-    for lvl, mesh in enumerate(meshes):
-        disc = Discretization(mesh, nc_kind(m))
-        space = disc.space
-        if space.ndofs > DOF_CAP:
-            raise ValueError(f"level {lvl} needs {space.ndofs} dofs, above the cap")
-        data = problem.data(mesh)
-        u_nc = disc.solve(disc.rhs(scheme, data))
-        if not include_estimates:
-            del disc.A, disc.lu  # only the estimators read them: out of the norms' peak
-        errors = {}
+    def solve(disc):
+        """u_nc, J u_nc (exact reference) and the bounds (estimates) of one
+        level, with every product its norms do not read released."""
+        data = problem.data(disc.mesh)
+        load = disc.rhs(scheme, data)
+        if reference is None and not include_estimates:
+            disc.release("cmap")  # the load was its last reader: out of the factor's peak
+        u_nc = disc.solve(load)
+        bounds = None
+        if include_estimates:
+            bounds = estimate(disc, data, u_nc, h_convention=h_convention)["bounds"]
+        disc.release("A", "lu", "lam0")
+        ju = companion(disc.cmap, u_nc) if reference is not None else None
+        disc.release("cmap")
+        return u_nc, ju, bounds
+
+    def integrate(lvl, u_nc, ju, bounds):
+        """The report row of one solved level."""
         if reference is not None:
-            ju = companion(disc.cmap, u_nc)
             nc, post = error_norms([(u_nc, (0, m)), (ju, (0,))], reference=reference)
-            errors["energy_pw"] = nc.energy_pw
-            errors["l2_nc"] = nc.l2
-            errors["l2_post"] = post.l2
+            errors = {"energy_pw": nc.energy_pw, "l2_nc": nc.l2, "l2_post": post.l2}
         else:
             gens = (levels - 1 - lvl) + REFERENCE_EXTRA_LEVELS
             d = errors_vs_fine(u_nc, fine_ref, gens)
-            errors["energy_pw"] = d["energy_pw"]
-            errors["l2_nc"] = d["l2"]
+            errors = {"energy_pw": d["energy_pw"], "l2_nc": d["l2"]}
         row = {
             "level": lvl,
-            "ndof": int(space.ndofs),
-            "hmax": float(mesh.diameter.max()),
+            "ndof": int(u_nc.space.ndofs),
+            "hmax": float(u_nc.space.mesh.diameter.max()),
             "errors": errors,
         }
-        if include_estimates:
-            estimate = estimate_original if scheme == "original" else estimate_modified
-            row["bounds"] = estimate(disc, data, u_nc, h_convention=h_convention)["bounds"]
-        rows.append(row)
+        if bounds is not None:
+            row["bounds"] = bounds
+        return row
+
+    top = levels - 1
+    solved = {top: solve(discs[top])}  # the hand-off follows: no product of it is built after
+
+    def run(lvls):
+        return [integrate(lvl, *(solved.pop(lvl) if lvl == top else solve(discs[lvl])))
+                for lvl in lvls]
+
+    finest, coarser = ordered_map(run, [[top], range(top)])
+    rows = coarser + finest
+    norms = ["energy_pw", "l2_post", "l2_nc"] if reference else ["energy_pw", "l2_nc"]
     hs = [r["hmax"] for r in rows]
     rates = {
         n: convergence_rate(hs, [r["errors"][n] for r in rows]) for n in norms

@@ -361,11 +361,25 @@ def compute_lambda0(space, cmap, A, lu):
 class Discretization:
     """The nonconforming space of `kind` on `mesh`, its companion map, its
     stiffness A, the LU factor of A and lambda0, each built on first use and
-    kept, and the last load vector of each scheme.
+    kept until :meth:`release`, and the last load vector of each scheme.
 
     Both schemes, the constant C_qo and both estimators read one instance.
-    ``del disc.A, disc.lu`` releases the stiffness and its factor once no
-    later stage reads them.
+    The stages read these products:
+
+    - ``cmap``: the smoothed load, J u_nc, lambda0 and the estimators;
+    - ``A`` and ``lu``: the solve, lambda0 and the estimators;
+    - ``lam0``: the estimators.
+
+    A rate study (:func:`~ncfem.experiments.run_rate_study`) releases a
+    level's ``A``, ``lu`` and ``cmap`` before its error norms, and a fine-grid
+    reference its ``cmap`` right after the smoothed load, before the factor.
+    The study solves the finest level first on the calling thread and then
+    hands off: while the calling thread integrates the finest level's norms,
+    a pool worker solves and integrates the coarser levels.  No product of
+    the finest level is built after the hand-off.  That matters on Python
+    3.11, whose ``cached_property`` holds one lock per property for every
+    instance: a thread building the finest level's ``cmap`` would wait on the
+    worker building a coarser one.
     """
 
     def __init__(self, mesh, kind):
@@ -395,6 +409,12 @@ class Discretization:
     @cached_property
     def lam0(self):
         return compute_lambda0(self.space, self.cmap, self.A, lu=self.lu)
+
+    def release(self, *names):
+        """Drop the named products, those that were built, once no later
+        stage reads them."""
+        for name in names:
+            self.__dict__.pop(name, None)
 
     def rhs(self, scheme, data):
         """Load vector (read-only) of the "original" (natural) or the smoothed

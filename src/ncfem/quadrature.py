@@ -320,9 +320,12 @@ def _worker_pool():
 def ordered_map(fn, items):
     """``[fn(x) for x in items]``, the items cut into one contiguous run per
     worker (:func:`_n_workers`): the calling thread takes the first run and the
-    pool the others.  `fn` must not depend on which thread runs it or on
-    another item's result; the results are then those of the plain loop, bit
-    for bit.  With one worker or one item no thread is started."""
+    pool the others.  After its own run the calling thread steals every run
+    that no worker has started yet (its future cancels) and waits only for the
+    started ones, so a pool kept busy by other work delays no map.  `fn` must
+    not depend on which thread runs it or on another item's result; the
+    results are then those of the plain loop, bit for bit.  With one worker or
+    one item no thread is started."""
     items = list(items)
     n = min(_n_workers(), len(items)) if len(items) > 1 else 1
     if n == 1:
@@ -337,11 +340,13 @@ def ordered_map(fn, items):
     futures = [pool.submit(run, part) for part in runs[1:]]
     try:
         out = run(runs[0])
+        stolen = [run(part) if fut.cancel() else None for fut, part in zip(futures, runs[1:])]
+        for fut, got in zip(futures, stolen):
+            out += fut.result() if got is None else got
     finally:
-        for fut in futures:  # no work outlives the call, even when run raised
-            fut.exception()
-    for fut in futures:
-        out += fut.result()
+        for fut in futures:  # no work outlives the call, even when a run raised
+            if not fut.cancel():
+                fut.exception()
     return out
 
 

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +93,48 @@ def jittered_meshes(draw):
         return jittered(base(n), amplitude, np.random.default_rng(seed)), seed
     except MeshTopologyError:
         reject()
+
+
+class _Factor:  # SuperLU takes no weak reference: track a holder of its solve
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Track every stiffness matrix, companion map and LU factor built from
+    then on.  Returns the list, in build order, of (key, dofs, weak reference,
+    thread name, the set of (key, dofs) of the products alive when it was
+    built) of each; :func:`live` counts the live ones."""
+    import ncfem.assembly
+    import ncfem.linalg
+    import ncfem.operators
+
+    built = []
+
+    def tracked(key, fn, wrap=lambda out: out):
+        def wrapper(arg):
+            dofs = arg.ndofs if hasattr(arg, "ndofs") else arg.shape[0]
+            before = {(k, d) for k, d, ref, _, _ in built if ref() is not None}
+            out = wrap(fn(arg))
+            built.append((key, dofs, weakref.ref(out), threading.current_thread().name, before))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(ncfem.assembly, "assemble_stiffness",
+                        tracked("stiffness", ncfem.assembly.assemble_stiffness))
+    monkeypatch.setattr(ncfem.operators, "build_companion",
+                        tracked("companion", ncfem.operators.build_companion))
+    monkeypatch.setattr(ncfem.linalg, "factor", tracked("factor", ncfem.linalg.factor, _Factor))
+    return built
+
+
+def live(products):
+    """The live products per key: {"stiffness": n, "companion": n, "factor": n}."""
+    counts = dict.fromkeys(("stiffness", "companion", "factor"), 0)
+    for key, _, ref, _, _ in products:
+        counts[key] += ref() is not None
+    return counts
 
 
 # property tests check the same examples on every run, in bounded time

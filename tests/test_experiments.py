@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import live
 
 import ncfem.experiments
 from ncfem.experiments import (
@@ -158,50 +159,39 @@ def test_rate_study_estimates_column():
 
 
 @pytest.mark.parametrize("problem", ["square-smooth-m1", "lshape-f1-m2"])
-def test_rate_study_without_estimates_releases_stiffness_before_the_norms(problem,
+def test_rate_study_without_estimates_releases_stiffness_before_the_norms(problem, products,
                                                                           monkeypatch):
-    # no stiffness matrix or LU factor, and no companion map but the current
-    # level's (the fine-grid reference's included), outlives its solve into
-    # the error norms
-    import weakref
+    # no stiffness matrix, LU factor or companion map outlives its level's
+    # solve into the error norms, the fine-grid reference's included
+    from ncfem.quadrature import thread_cap
 
-    import ncfem.assembly
-    import ncfem.experiments
-    import ncfem.linalg
-    import ncfem.operators
-
-    class Factor:  # SuperLU takes no weak reference: track a holder of its solve
-        def __init__(self, lu):
-            self.solve = lu.solve
-
-    made = {"stiffness": [], "companion": [], "factor": []}
     alive = []
-
-    def tracked(key, fn):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            made[key].append(weakref.ref(out))
-            return out
-        return wrapper
 
     def checked(fn):
         def wrapper(*args, **kwargs):
-            alive.append({k: sum(r() is not None for r in v) for k, v in made.items()})
+            alive.append(live(products))
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ncfem.assembly, "assemble_stiffness",
-                        tracked("stiffness", ncfem.assembly.assemble_stiffness))
-    monkeypatch.setattr(ncfem.operators, "build_companion",
-                        tracked("companion", ncfem.operators.build_companion))
-    factor = ncfem.linalg.factor
-    monkeypatch.setattr(ncfem.linalg, "factor",
-                        tracked("factor", lambda A: Factor(factor(A))))
     for name in ("error_norms", "errors_vs_fine"):
         monkeypatch.setattr(ncfem.experiments, name, checked(getattr(ncfem.experiments, name)))
-    run_rate_study(problem, 2, include_estimates=False)
-    assert len(made["stiffness"]) >= 2 and len(made["factor"]) >= 2 and len(alive) == 2
-    assert alive == [{"stiffness": 0, "companion": 1, "factor": 0}] * 2
+    with thread_cap(1):
+        run_rate_study(problem, 2, include_estimates=False)
+    built = [key for key, *_ in products]
+    assert built.count("stiffness") >= 2 and built.count("factor") >= 2 and len(alive) == 2
+    assert alive == [{"stiffness": 0, "companion": 0, "factor": 0}] * 2
+
+
+def test_fine_grid_rate_study_factors_with_no_companion_alive(products):
+    # the levels and the fine-grid reference of lshape-f1-m2 read their
+    # companion only for the smoothed load, and release it before the factor
+    from ncfem.quadrature import thread_cap
+
+    with thread_cap(1):
+        run_rate_study("lshape-f1-m2", 2)
+    factored = [alive for key, *_, alive in products if key == "factor"]
+    assert len(factored) == 3  # two levels and the reference
+    assert all("companion" not in {key for key, _ in alive} for alive in factored)
 
 
 def test_rate_study_samples_the_singular_factor_once_per_norm_pass(monkeypatch):

@@ -1,5 +1,6 @@
 """The worker map changes no bit: results on 1, 2 and 3 workers are equal."""
 
+import json
 import threading
 import time
 
@@ -9,6 +10,7 @@ from conftest import jittered
 
 from ncfem import operators, quadrature
 from ncfem.cli import main
+from ncfem.experiments import run_rate_study
 from ncfem.fespace import build_space
 from ncfem.mesh import l_shape_mesh, unit_square_mesh
 from ncfem.operators import build_companion
@@ -29,8 +31,29 @@ def workers(monkeypatch):
 
     def use(n):
         monkeypatch.setattr(quadrature, "_cpu_count", lambda: n)
+        monkeypatch.setattr(quadrature, "_pool", None)  # started with n - 1 threads
 
     return use
+
+
+def within(seconds, fn, *args, **kwargs):
+    """fn(*args, **kwargs), run on a daemon thread that must end within
+    `seconds`: a map that deadlocks fails the test instead of hanging it."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn(*args, **kwargs)
+        except BaseException as exc:  # re-raised in the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 def test_ordered_map_keeps_the_order_and_runs_on_every_worker(workers):
@@ -39,7 +62,7 @@ def test_ordered_map_keeps_the_order_and_runs_on_every_worker(workers):
         time.sleep(0.005)
         return x * x
 
-    for n in reversed(PARTS):  # the pool is sized when it starts
+    for n in PARTS:
         workers(n)
         seen = set()
         assert quadrature.ordered_map(square, range(10)) == [x * x for x in range(10)]
@@ -55,6 +78,21 @@ def test_ordered_map_raises_what_a_worker_raised(workers):
     workers(2)
     with pytest.raises(ValueError, match="seven"):
         quadrature.ordered_map(fail_at_seven, range(10))
+
+
+def test_ordered_map_runs_what_no_worker_started(workers):
+    # the pool's one worker waits on an event: the calling thread runs the
+    # worker's run itself instead of waiting for the event
+    workers(2)
+    event = threading.Event()
+    busy = quadrature._worker_pool().submit(event.wait)
+    try:
+        got = within(10, quadrature.ordered_map, lambda x: x * x, range(10))
+        assert not event.is_set()
+    finally:
+        event.set()
+    assert got == [x * x for x in range(10)]
+    assert busy.result(timeout=10)
 
 
 def test_point_parts_are_contiguous_runs_of_triangles(workers):
@@ -112,3 +150,51 @@ def test_threads_one_starts_no_pool(workers, monkeypatch, tmp_path):
     assert quadrature._thread_cap is None  # the cap holds for that call alone
     assert main(argv) == 0
     assert quadrature._pool is not None
+
+
+@pytest.mark.parametrize("problem, levels, estimates", [
+    ("lshape-singular-m1", 4, False),  # exact reference
+    ("lshape-f1-m2", 3, False),  # fine-grid reference
+    ("lshape-singular-m1", 3, True),
+])
+def test_rate_study_report_is_the_same_on_any_number_of_workers(workers, problem, levels,
+                                                                estimates):
+    reports = []
+    for n in PARTS:
+        workers(n)
+        report = within(120, run_rate_study, problem, levels, include_estimates=estimates)
+        reports.append(json.dumps(report))
+    assert reports[1:] == reports[:1] * 2
+
+
+@pytest.mark.parametrize("problem", ["lshape-singular-m1", "lshape-f1-m2"])
+def test_rate_study_hands_the_coarser_levels_to_a_worker_after_releasing_the_finest(
+        workers, products, problem, monkeypatch):
+    # the calling thread builds the finest level's (and the fine-grid
+    # reference's) products, the worker the coarser levels'; every level's
+    # stiffness, factor and companion are dead before another level builds
+    # one, so none of the finest level's is alive when the worker starts
+    import ncfem.experiments
+
+    worker_integrates = threading.Event()
+
+    def after_the_worker_starts(fn):  # else the calling thread may steal its run
+        def wrapper(*args, **kwargs):
+            if threading.current_thread().name.startswith("ncfem-worker"):
+                worker_integrates.set()
+            else:
+                assert worker_integrates.wait(60)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("error_norms", "errors_vs_fine"):
+        monkeypatch.setattr(ncfem.experiments, name,
+                            after_the_worker_starts(getattr(ncfem.experiments, name)))
+    workers(2)
+    within(120, run_rate_study, problem, 3)
+    on_worker = [thread.startswith("ncfem-worker") for _, _, _, thread, _ in products]
+    assert any(on_worker) and on_worker == sorted(on_worker)
+    calling = [dofs for (_, dofs, *_), w in zip(products, on_worker) if not w]
+    assert max(dofs for (_, dofs, *_), w in zip(products, on_worker) if w) < min(calling)
+    for key, dofs, _, _, alive_before in products:
+        assert {d for _, d in alive_before} <= {dofs}, (key, dofs, alive_before)

@@ -36,10 +36,12 @@ SIDES = {"parent": ("parent", []), "head": ("head", []),
 PROBLEMS = ("square-smooth-m1", "square-smooth-m2", "lshape-singular-m1",
             "lshape-f1-m2", "lshape-pointforce-m2")
 
-# (label, argv): the seven benchmark commands, the fine-grid rate studies,
-# the interpolation of every exact solution (estimate), the interpolation of
-# FE functions (compare and verify for both m), solve with a problem and with
-# a data file, and the counterexamples
+# (label, argv): the seven benchmark commands, the fine-grid rate studies, a
+# Morley rate study with an exact reference (J u_nc on the HCT host), a
+# natural-scheme rate study (its companion is built after the solve), the
+# interpolation of every exact solution (estimate), the interpolation of FE
+# functions (compare and verify for both m), solve with a problem and with a
+# data file, and the counterexamples
 COMMANDS = [
     ("rates-lshape-singular-m1-6", ["rates", "--problem", "lshape-singular-m1", "--levels", "6"]),
     ("estimate-square-smooth-m1-3", ["estimate", "--problem", "square-smooth-m1", "--level", "3"]),
@@ -52,6 +54,9 @@ COMMANDS = [
     ("rates-lshape-f1-m2-4", ["rates", "--problem", "lshape-f1-m2", "--levels", "4"]),
     ("rates-lshape-pointforce-m2-4-estimates",
      ["rates", "--problem", "lshape-pointforce-m2", "--levels", "4", "--estimates"]),
+    ("rates-square-smooth-m2-4", ["rates", "--problem", "square-smooth-m2", "--levels", "4"]),
+    ("rates-lshape-singular-m1-4-original",
+     ["rates", "--problem", "lshape-singular-m1", "--levels", "4", "--scheme", "original"]),
     *((f"estimate-{p}-{s}-2", ["estimate", "--problem", p, "--level", "2", "--scheme", s])
       for p in PROBLEMS for s in ("original", "modified")),
     ("compare-m1-lshape4", ["compare", "--m", "1", "--mesh", "lshape:4"]),

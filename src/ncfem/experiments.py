@@ -465,8 +465,9 @@ def run_rate_study(
     for lvl, disc in enumerate(discs):  # every level's size before any solve
         if disc.space.ndofs > DOF_CAP:
             raise ValueError(f"level {lvl} needs {disc.space.ndofs} dofs, above the cap")
+    top = levels - 1
     reference = problem.reference()
-    fine_ref = _fine_reference(problem, meshes[-1]) if reference is None else None
+    fine_ref = _fine_reference(problem, meshes[top]) if reference is None else None
     estimate = estimate_original if scheme == "original" else estimate_modified
 
     def solve(disc):
@@ -491,7 +492,7 @@ def run_rate_study(
             nc, post = error_norms([(u_nc, (0, m)), (ju, (0,))], reference=reference)
             errors = {"energy_pw": nc.energy_pw, "l2_nc": nc.l2, "l2_post": post.l2}
         else:
-            gens = (levels - 1 - lvl) + REFERENCE_EXTRA_LEVELS
+            gens = (top - lvl) + REFERENCE_EXTRA_LEVELS
             d = errors_vs_fine(u_nc, fine_ref, gens)
             errors = {"energy_pw": d["energy_pw"], "l2_nc": d["l2"]}
         row = {
@@ -504,8 +505,8 @@ def run_rate_study(
             row["bounds"] = bounds
         return row
 
-    top = levels - 1
-    solved = {top: solve(discs[top])}  # the hand-off follows: no product of it is built after
+    # before the hand-off: no product of the finest level is built during it
+    solved = {top: solve(discs[top])}
 
     def run(lvls):
         return [integrate(lvl, *(solved.pop(lvl) if lvl == top else solve(discs[lvl])))

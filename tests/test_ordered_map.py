@@ -1,6 +1,7 @@
 """The worker map changes no bit: results on 1, 2 and 3 workers are equal."""
 
 import json
+import sys
 import threading
 import time
 
@@ -159,11 +160,18 @@ def test_threads_one_starts_no_pool(workers, monkeypatch, tmp_path):
 ])
 def test_rate_study_report_is_the_same_on_any_number_of_workers(workers, problem, levels,
                                                                 estimates):
+    # the levels share the problem and any fine-grid reference (and its
+    # space's tabulation memo): switching threads often lets a race show
     reports = []
-    for n in PARTS:
-        workers(n)
-        report = within(120, run_rate_study, problem, levels, include_estimates=estimates)
-        reports.append(json.dumps(report))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in PARTS:
+            workers(n)
+            report = within(120, run_rate_study, problem, levels, include_estimates=estimates)
+            reports.append(json.dumps(report))
+    finally:
+        sys.setswitchinterval(interval)
     assert reports[1:] == reports[:1] * 2
 
 

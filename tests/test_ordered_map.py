@@ -201,8 +201,9 @@ def test_rate_study_hands_the_coarser_levels_to_a_worker_after_releasing_the_fin
     workers(2)
     within(120, run_rate_study, problem, 3)
     on_worker = [thread.startswith("ncfem-worker") for _, _, _, thread, _ in products]
-    assert any(on_worker) and on_worker == sorted(on_worker)
-    calling = [dofs for (_, dofs, *_), w in zip(products, on_worker) if not w]
-    assert max(dofs for (_, dofs, *_), w in zip(products, on_worker) if w) < min(calling)
+    assert any(on_worker) and on_worker == sorted(on_worker)  # calling thread first
+    worker = [d for (_, d, *_), on in zip(products, on_worker) if on]
+    calling = [d for (_, d, *_), on in zip(products, on_worker) if not on]
+    assert max(worker) < min(calling)
     for key, dofs, _, _, alive_before in products:
         assert {d for _, d in alive_before} <= {dofs}, (key, dofs, alive_before)

@@ -413,7 +413,7 @@ def _cmd_verify(args):
         # the moments are area-weighted: scale by sqrt|Omega| to compare with 1e-10
         nrm = error_norms(v, orders=energy).energy_pw * np.sqrt(mesh.area.sum())
         worst_orth = max(
-            worst_orth, best_approx_orthogonality_check(space, jv) / max(nrm, 1e-30)
+            worst_orth, best_approx_orthogonality_check(jv, ivjv) / max(nrm, 1e-30)
         )
         # interpolation-constant inequality for the conforming image
         defect = error_norms(jv, reference=v, orders=energy)

@@ -10,9 +10,9 @@ declares a polynomial `degree` (None means smooth); :func:`quad_degree` turns
 it into the degree quadrature integrates at.  A reference (an ``FeFunction``
 or an :class:`ExactSolution`) declares both and answers ``sample(cell, orders)``.
 
-The callables of the analytic fields and of an ExactSolution must be
-pointwise: a value at a point depends on that point alone.  A large Cell's
-points are then evaluated in parts on worker threads
+The callables of the analytic fields and the ``parts`` hook of an
+ExactSolution must be pointwise: a value at a point depends on that point
+alone.  A large Cell's points are then evaluated in parts on worker threads
 (:func:`~ncfem.quadrature.point_parts`) and joined, bit for bit what one
 call returns.
 """
@@ -197,34 +197,24 @@ def field_sum(a, b, wa=1.0, wb=1.0):
 
 
 class ExactSolution:
-    """Reference solution with analytic derivatives up to second order.
+    """Reference solution given by one pointwise hook.
 
-    The optional ``parts(x, y, orders)`` returns a dict order -> derivative
-    of that order, at full shape, for all of `orders` in one call, so that
-    work shared by the value and its derivatives is done once.
+    ``parts(x, y, orders)`` returns a dict order -> derivative of that
+    order, at the full shape of the points ((), (2,) or (2, 2) per point),
+    for all of `orders` in one call, so that work shared by the value and
+    its derivatives is done once.  Orders above `top_order` are refused.
     """
 
     n_subcells = 1
 
-    def __init__(self, value, gradient=None, hessian=None, degree=None, parts=None):
-        self.value = value
-        self.gradient = gradient
-        self.hessian = hessian
-        self.degree = degree
+    def __init__(self, parts, degree=None, top_order=2):
         self.parts = parts
+        self.degree = degree
+        self.top_order = top_order
 
     def sample(self, cell, orders):
         """Order -> derivative of that order at the cell's physical points."""
-        return _pointwise(lambda phys: self._sample(phys, orders), cell.phys)
-
-    def _sample(self, phys, orders):
-        x, y = phys[..., 0], phys[..., 1]
-        if self.parts is not None:
-            return self.parts(x, y, orders)
-        return {k: self.eval(k, x, y) for k in orders}
-
-    def eval(self, order, x, y):
-        fn = (self.value, self.gradient, self.hessian)[order]
-        if fn is None:
-            raise ValueError(f"reference provides no derivative of order {order}")
-        return _as_shape(fn(x, y), np.shape(x) + ((), (2,), (2, 2))[order])
+        for k in orders:
+            if k > self.top_order:
+                raise ValueError(f"reference provides no derivative of order {k}")
+        return _pointwise(lambda phys: self.parts(phys[..., 0], phys[..., 1], orders), cell.phys)

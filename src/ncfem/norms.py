@@ -27,7 +27,10 @@ class ErrorBundle:
 
 
 # what reference=None stands for
-_ZERO = ExactSolution(*[lambda x, y: 0.0] * 3, degree=0)
+_ZERO = ExactSolution(
+    lambda x, y, orders: {k: np.broadcast_to(0.0, np.shape(x) + (2,) * k) for k in orders},
+    degree=0,
+)
 
 
 class _CoarseSampler:

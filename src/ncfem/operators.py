@@ -439,17 +439,17 @@ class Discretization:
         return FeFunction(self.space, x)
 
 
-def best_approx_orthogonality_check(space, v):
+def best_approx_orthogonality_check(v, iv):
     """Max P_m-moment of the m-th derivative of the interpolation defect.
 
     The interpolation is characterized by per-triangle orthogonality of
     D^m (v - I v) to constants, which is what this evaluates (polynomials
     of lower order drop out of the piecewise energy product).  `v` is an
-    FeFunction, such as a companion image.
+    FeFunction, such as a companion image, and `iv` its interpolation
+    ``interpolate(space, v)`` onto a nonconforming space.
     """
-    iv = interpolate(space, v)
-    mesh = space.mesh
-    m = space.m
+    mesh = iv.space.mesh
+    m = iv.space.m
     total = np.zeros((mesh.n_triangles,) + ((2,) if m == 1 else (2, 2)))
     for chunk in cells(mesh, max(v.space.poly_degree - m, 1), v.space):
         for c in chunk:

@@ -26,14 +26,6 @@ def _copy_points(x, y):
     return np.array(x, dtype=float, order="C"), np.array(y, dtype=float, order="C")
 
 
-def _one_call_solution(parts, top_order=2):
-    """ExactSolution whose derivatives up to order `top_order` come from `parts`."""
-    value, gradient, hessian = (
-        (lambda x, y, k=k: parts(x, y, (k,))[k]) if k <= top_order else None for k in range(3)
-    )
-    return ExactSolution(value, gradient, hessian, parts=parts)
-
-
 @dataclass(frozen=True)
 class Problem:
     name: str
@@ -79,7 +71,7 @@ class _SquareSmoothM1(Problem):
                 out[1] = np.stack([PI * cx * sy, PI * sx * cy], axis=-1)
             return out
 
-        return _one_call_solution(parts, top_order=1)
+        return ExactSolution(parts, top_order=1)
 
 
 class _SquareSmoothM2(Problem):
@@ -117,7 +109,7 @@ class _SquareSmoothM2(Problem):
                 out[2] = h
             return out
 
-        return _one_call_solution(parts)
+        return ExactSolution(parts)
 
 
 # -- L-shape problems ---------------------------------------------------------
@@ -215,7 +207,7 @@ class _LShapeSingularM1(Problem):
                 out[0] = np.multiply(g, w, out=g)
             return out
 
-        return _one_call_solution(parts, top_order=1)
+        return ExactSolution(parts, top_order=1)
 
 
 class _LShapeF1M2(Problem):

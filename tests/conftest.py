@@ -11,6 +11,7 @@ from hypothesis import reject, settings
 from hypothesis import strategies as st
 
 import ncfem
+from ncfem.fields import ExactSolution
 from ncfem.mesh import (
     MeshTopologyError,
     Triangulation,
@@ -35,6 +36,18 @@ def run_python(args, cwd=None, timeout=None, env=None):
             child[name] = value
     return subprocess.run([sys.executable, *args], env=child, capture_output=True, text=True,
                           cwd=cwd, timeout=timeout)
+
+
+def formula_reference(*formulas, degree=None):
+    """ExactSolution whose hook answers order k from its own formula
+    ``formulas[k](x, y)``, broadcast to that order's full shape; the orders
+    above the last formula are refused."""
+
+    def parts(x, y, orders):
+        return {k: np.broadcast_to(np.asarray(formulas[k](x, y), dtype=float),
+                                   np.shape(x) + (2,) * k) for k in orders}
+
+    return ExactSolution(parts, degree=degree, top_order=len(formulas) - 1)
 
 
 @pytest.fixture(scope="session")

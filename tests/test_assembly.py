@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from conftest import jittered
+from conftest import formula_reference, jittered
 
 from ncfem import assembly
 from ncfem.assembly import PointForce, RhsData
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import (
-    ExactSolution,
     ScalarField,
     VectorField,
     field_sum,
@@ -53,7 +52,7 @@ def test_morley_energy_of_global_quadratic(square2):
         return np.stack([2 * x + y, x], axis=-1)
 
     space = build_space(square2, "MORLEY_full")
-    v = interpolate(space, ExactSolution(val, grad, degree=2))
+    v = interpolate(space, formula_reference(val, grad, degree=2))
     A = assembly.assemble_stiffness(space)
     assert v.coeffs @ (A @ v.coeffs) == pytest.approx(6.0, rel=1e-12)
 

@@ -33,6 +33,8 @@ LIBRARY_ONLY = {
     "fespace.load_function": "reads the file that solve --solution writes",
     "estimator.efficiency_terms": "the paper's efficiency comparison, shown by demo 04",
     "fespace.FeFunction.evaluate": "the tests' oracle: evaluation at physical points",
+    "_poly.BaryPoly.eval": "the tests' oracle: one polynomial at barycentric points, the "
+                           "per-row form of bary_tabulate",
 }
 
 

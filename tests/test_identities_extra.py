@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import formula_reference
 
 from ncfem import assembly
 from ncfem.assembly import RhsData
 from ncfem.estimator import efficiency_terms, estimate_modified
 from ncfem.experiments import run_rate_study
 from ncfem.fespace import FeFunction, build_space
-from ncfem.fields import ExactSolution, fe_derivative
+from ncfem.fields import fe_derivative
 from ncfem.linalg import factor, solve_spd
 from ncfem.mesh import unit_square_mesh
 from ncfem.norms import error_norms
@@ -20,7 +21,7 @@ def test_companion_is_identity_on_global_linears(square2):
     # nodal averaging reproduces it, edge and volume corrections vanish
     space = build_space(square2, "CR1_full")
     cmap = build_companion(space)
-    lin = ExactSolution(
+    lin = formula_reference(
         lambda x, y: 0.5 - x + 2 * y,
         lambda x, y: np.broadcast_to([-1.0, 2.0], np.shape(x) + (2,)),
         degree=1,
@@ -49,7 +50,7 @@ def test_companion_is_identity_on_global_quadratics(square2):
         h[..., 1, 1] = 1.0
         return h
 
-    q = ExactSolution(val, grad, hess, degree=2)
+    q = formula_reference(val, grad, hess, degree=2)
     v = interpolate(space, q)
     jv = companion(cmap, v)
     b = error_norms(jv, reference=q)
@@ -101,7 +102,7 @@ def test_efficiency_vacuous_for_zero_g(square2, rng):
     c2[host.tri_dofs[:, 0]] = rng.standard_normal(square2.n_triangles)
     G = sym_curl_of_pair(FeFunction(host, c1), FeFunction(host, c2))
     data = RhsData(G=G)
-    prob_ref = ExactSolution(
+    prob_ref = formula_reference(
         lambda x, y: np.zeros(np.shape(x)),
         lambda x, y: np.zeros(np.shape(x) + (2,)),
         lambda x, y: np.zeros(np.shape(x) + (2, 2)),

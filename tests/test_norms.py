@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import formula_reference
 
 from ncfem._poly import bary_tabulate, lambda_gradients
 from ncfem.fespace import FeFunction, build_space, nc_kind
@@ -14,7 +15,7 @@ from ncfem.quadrature import cells, pairing
 
 
 def sin_reference():
-    return ExactSolution(
+    return formula_reference(
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
         lambda x, y: np.stack(
             [
@@ -35,7 +36,7 @@ def test_l2_of_sine_against_zero(square2):
 
 
 def test_interpolant_of_representable_reference(square2):
-    lin = ExactSolution(
+    lin = formula_reference(
         lambda x, y: 1 + x - 2 * y,
         lambda x, y: np.broadcast_to([1.0, -2.0], np.shape(x) + (2,)),
         degree=1,
@@ -77,6 +78,19 @@ def test_reference_of_another_type_is_refused(square2):
     field = ScalarField(lambda x, y: np.ones(np.shape(x)), degree=0)
     with pytest.raises(TypeError, match="FeFunction, an ExactSolution or None"):
         error_norms(u, reference=field, orders=(0,))
+
+
+def test_a_reference_refuses_orders_above_its_top(rng):
+    # lshape-singular-m1's reference stops at the gradient: the Morley
+    # energy norm against it names the missing order, while the Morley
+    # interpolation, which reads orders 0 and 1, still samples it
+    reference = get_problem("lshape-singular-m1").reference()
+    space = build_space(l_shape_mesh(2), "MORLEY_0")
+    v = FeFunction(space, rng.standard_normal(space.ndofs))
+    with pytest.raises(ValueError, match="reference provides no derivative of order 2"):
+        error_norms(v, reference=reference)
+    iu = interpolate(space, reference)
+    assert iu.space is space and np.isfinite(iu.coeffs).all() and iu.coeffs.any()
 
 
 def test_rate_exact_powers():
@@ -237,8 +251,8 @@ def test_one_call_reference_parts_match_separate_calls_bitwise(lshape1, rng):
         grad[..., 1] = g * w_y + w * g_y
         return grad
 
-    hooked = ExactSolution(ref.value, ref.gradient, parts=parts)
-    plain = ExactSolution(value, gradient)
+    hooked = ExactSolution(parts, top_order=1)
+    plain = formula_reference(value, gradient)
     space = build_space(red_refine(lshape1), "CR1_0")
     v = FeFunction(space, rng.standard_normal(space.ndofs))
     for orders in (None, (0,), (1,)):
@@ -263,7 +277,7 @@ def _square_m1_formulas():
             axis=-1,
         )
 
-    return value, gradient, None  # an m = 1 problem never asks for order 2
+    return value, gradient
 
 
 def _square_m2_formulas():
@@ -307,15 +321,14 @@ def test_square_reference_parts_match_separate_formulas_bitwise(problem_name, fo
         assert sorted(got) == list(orders)
         for k in orders:
             assert np.array_equal(got[k], separate[k](x, y))
-            assert np.array_equal(ref.eval(k, x, y), separate[k](x, y))
     calls = []
 
     def parts(x, y, orders):
         calls.append(tuple(orders))
         return ref.parts(x, y, orders)
 
-    hooked = ExactSolution(*separate, parts=parts)
-    plain = ExactSolution(*separate)
+    hooked = ExactSolution(parts, top_order=ref.top_order)
+    plain = formula_reference(*separate)
     mesh = red_refine(problem.base_mesh())
     space = build_space(mesh, nc_kind(problem.m))
     v = FeFunction(space, rng.standard_normal(space.ndofs))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import jittered, run_python
+from conftest import formula_reference, jittered, run_python
 from scipy.optimize import brentq
 
 from ncfem import assembly, operators
@@ -32,7 +32,7 @@ KINDS = ["CR1_0", "MORLEY_0", "CR1_full", "MORLEY_full"]
 
 
 def test_cr_interpolation_reproduces_linears(square2):
-    u = ExactSolution(
+    u = formula_reference(
         lambda x, y: 2 * x + 3 * y - 1,
         lambda x, y: np.broadcast_to([2.0, 3.0], np.shape(x) + (2,)),
         degree=1,
@@ -52,7 +52,7 @@ def test_morley_interpolation_reproduces_quadratics(square2):
     def grad(x, y):
         return np.stack([2 * x + y + 1, x - 4 * y], axis=-1)
 
-    u = ExactSolution(val, grad, degree=2)
+    u = formula_reference(val, grad, degree=2)
     space = build_space(square2, "MORLEY_full")
     iu = interpolate(space, u)
     # vertex dofs match the values, edge dofs the normal derivative means
@@ -70,7 +70,7 @@ def test_cr_edge_mean_closed_form():
     # (0,0) to (1,1); its mean of x^2 is 1/3
     mesh = unit_square_mesh(1)
     space = build_space(mesh, "CR1_0")
-    u = ExactSolution(lambda x, y: x**2, degree=2)
+    u = formula_reference(lambda x, y: x**2, degree=2)
     iu = interpolate(space, u)
     assert abs(iu.coeffs[0] - 1.0 / 3.0) < 1e-14
 
@@ -113,14 +113,14 @@ def _former_edge_means(f, mesh, edges_idx, order):
     else:
         rule = edge_rule(quad_degree(f))
         pts = _former_edge_points(mesh, edges_idx, rule)
-        vals = f.eval(order, pts[..., 0], pts[..., 1])
+        vals = f.parts(pts[..., 0], pts[..., 1], (order,))[order]
     return np.einsum("k,fk...->f...", rule.weights, vals)
 
 
 def _former_vertex_values(f, mesh, vertices):
     if isinstance(f, ExactSolution):
         x = mesh.vertices[vertices]
-        return f.eval(0, x[:, 0], x[:, 1])
+        return f.parts(x[:, 0], x[:, 1], (0,))[0]
     first_tri = np.full(mesh.n_vertices, -1, dtype=np.int64)
     vslot = np.zeros(mesh.n_vertices, dtype=np.int64)
     for k in range(3):
@@ -163,16 +163,18 @@ ORACLE_MESHES = {
 @pytest.mark.parametrize("mesh_name", list(ORACLE_MESHES))
 def test_interpolation_equals_the_former_type_switch(mesh_name, m):
     # a companion image, two problems' references with their one-call parts
-    # and without, and an analytic reference that never had parts
+    # and with one call per order, and an analytic reference from separate
+    # formulas
     rng = np.random.default_rng(4)
     space = build_space(ORACLE_MESHES[mesh_name](rng), nc_kind(m))
     v = FeFunction(space, rng.standard_normal(space.ndofs))
     refs = [companion(build_companion(space), v)]
     for name in ("square-smooth-m2", "lshape-singular-m1"):
         with_parts = get_problem(name).reference()
-        assert with_parts.parts is not None
-        refs += [with_parts, ExactSolution(with_parts.value, with_parts.gradient)]
-    refs.append(ExactSolution(
+        per_order = [lambda x, y, k=k, p=with_parts.parts: p(x, y, (k,))[k]
+                     for k in range(with_parts.top_order + 1)]
+        refs += [with_parts, formula_reference(*per_order)]
+    refs.append(formula_reference(
         lambda x, y: np.exp(x) * np.cos(3.0 * y),
         lambda x, y: np.stack([np.exp(x) * np.cos(3.0 * y), -3.0 * np.exp(x) * np.sin(3.0 * y)],
                               axis=-1),
@@ -292,13 +294,13 @@ def test_best_approx_orthogonality(square2, rng):
         v = FeFunction(space, rng.standard_normal(space.ndofs))
         jv = companion(cmap, v)
         nrm = error_norms(v).energy_pw
-        assert best_approx_orthogonality_check(space, jv) <= 1e-10 * nrm
+        assert best_approx_orthogonality_check(jv, interpolate(space, jv)) <= 1e-10 * nrm
     # a globally linear function is reproduced: residual at machine precision
     p1 = build_space(square2, "COMPANION_CR_full")
     lin = FeFunction(p1, np.zeros(p1.ndofs))
     lin.coeffs[p1.vertex_dof] = square2.vertices @ [1.0, -2.0]  # x - 2y at the vertices
     cr = build_space(square2, "CR1_full")
-    assert best_approx_orthogonality_check(cr, lin) < 1e-13
+    assert best_approx_orthogonality_check(lin, interpolate(cr, lin)) < 1e-13
 
 
 def test_companion_c1_conformity(square2, rng):

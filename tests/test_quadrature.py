@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import run_python
+from conftest import formula_reference, run_python
 from scipy.special import roots_jacobi, roots_legendre
 
 from ncfem import quadrature
 from ncfem.fespace import build_space
-from ncfem.fields import SMOOTH_DEGREE, ExactSolution, ScalarField, quad_degree
+from ncfem.fields import SMOOTH_DEGREE, ScalarField, quad_degree
 from ncfem.mesh import unit_square_mesh
 from ncfem.quadrature import (
     MAX_TRIANGLE_DEGREE,
@@ -213,8 +213,8 @@ def test_quad_degree_keeps_a_declared_zero():
 
     assert quad_degree(ScalarField(one, degree=0)) == 0
     assert quad_degree(ScalarField(one)) == SMOOTH_DEGREE
-    assert quad_degree(ExactSolution(one, degree=0)) == 0
-    assert quad_degree(ExactSolution(one)) == SMOOTH_DEGREE
+    assert quad_degree(formula_reference(one, degree=0)) == 0
+    assert quad_degree(formula_reference(one)) == SMOOTH_DEGREE
 
 
 @pytest.mark.parametrize("split", [False, True])

@@ -145,26 +145,18 @@ def assemble_load(space, data):
     mesh = space.mesh
     m = space.m
     vec = np.zeros(space.ndofs)
-    terms = []
-    if data.G is not None:
-        deg = quad_degree(data.G) + (space.poly_degree - m)
-        terms.append((data.G, m, deg))
-    if data.g is not None:
-        deg = quad_degree(data.g) + space.poly_degree
-        terms.append((data.g, 0, deg))
-    for fld, order, deg in terms:
-        for chunk in cells(mesh, deg, space, fld):
-            ts = chunk[0].ts
-            contrib = np.zeros((len(ts), space.n_local))
-            for c in chunk:
-                fv = fld.eval_batch(c)
-                tab = space.tabulate_cell(c, order)
-                wa = c.area[:, None] * c.weights  # (nts, k)
-                wfv = (fv.reshape(wa.shape + (-1,)) * wa[:, :, None]).reshape(len(ts), -1, 1)
-                contrib += (tab.reshape(len(ts), space.n_local, -1) @ wfv)[:, :, 0]
-            dofs = space.cell_dofs[ts]
-            good = dofs >= 0
-            np.add.at(vec, dofs[good], contrib[good])
+    good = space.cell_dofs >= 0
+    for fld, order in ((data.G, m), (data.g, 0)):
+        if fld is None:
+            continue
+        contrib = np.zeros((mesh.n_triangles, space.n_local))
+        for c in cells(mesh, quad_degree(fld) + space.poly_degree - order, space, fld):
+            fv = fld.eval_batch(c)
+            tab = space.tabulate_cell(c, order)
+            wa = c.area[:, None] * c.weights  # (nts, k)
+            wfv = (fv.reshape(wa.shape + (-1,)) * wa[:, :, None]).reshape(len(c.ts), -1, 1)
+            contrib[c.ts] += (tab.reshape(len(c.ts), space.n_local, -1) @ wfv)[:, :, 0]
+        np.add.at(vec, space.cell_dofs[good], contrib[good])
     for pf in data.point_forces:
         if m != 2:
             raise ValueError("point forces are only bounded functionals for m=2")
@@ -226,12 +218,11 @@ def l2_project(fld, degree, mesh):
     gram_inv = np.linalg.inv(moment_matrix(modes, modes))
     shape = fld.shape
     moments = np.zeros((mesh.n_triangles, nb) + shape)
-    for chunk in cells(mesh, quad_degree(fld) + degree, fld):
-        for c in chunk:
-            pv = bary_tabulate(modes, c.parent, 0)[0]  # (nb, k)
-            moments[c.ts] += np.einsum(
-                "k,fk...,nk->fn...", c.weights / c.nsub, fld.eval_batch(c), pv
-            )
+    for c in cells(mesh, quad_degree(fld) + degree, fld):
+        pv = bary_tabulate(modes, c.parent, 0)[0]  # (nb, k)
+        moments[c.ts] += np.einsum(
+            "k,fk...,nk->fn...", c.weights / c.nsub, fld.eval_batch(c), pv
+        )
     coeffs = np.einsum("mn,fn...->fm...", gram_inv, moments)
     return PiecewisePoly(mesh, degree, coeffs, shape)
 
@@ -239,11 +230,10 @@ def l2_project(fld, degree, mesh):
 def weighted_field_l2(fld, mesh, weights=None):
     """sqrt( sum_T w_T^2 int_T |field|^2 ), Frobenius for tensor fields."""
     total = 0.0
-    for chunk in cells(mesh, 2 * quad_degree(fld), fld):
-        for c in chunk:
-            w2 = np.ones(len(c.ts)) if weights is None else weights[c.ts] ** 2
-            fv = fld.eval_batch(c)
-            total += pairing(c, fv, fv, area=w2 * mesh.area[c.ts] / c.nsub)
+    for c in cells(mesh, 2 * quad_degree(fld), fld):
+        w2 = np.ones(len(c.ts)) if weights is None else weights[c.ts] ** 2
+        fv = fld.eval_batch(c)
+        total += pairing(c, fv, fv, area=w2 * mesh.area[c.ts] / c.nsub)
     return float(np.sqrt(max(total, 0.0)))
 
 

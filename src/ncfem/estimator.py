@@ -59,18 +59,14 @@ def _fhat_of_defect(space, data, u_nc, ju_nc):
     mesh = space.mesh
     m = space.m
     total = 0.0
-    rule_terms = []
-    if data.G is not None:
-        rule_terms.append((data.G, m))
-    if data.g is not None:
-        rule_terms.append((data.g, 0))
-    for fld, order in rule_terms:
+    for fld, order in ((data.G, m), (data.g, 0)):
+        if fld is None:
+            continue
         deg = quad_degree(fld) + max(space.poly_degree, ju_nc.space.poly_degree)
-        for chunk in cells(mesh, deg, space, ju_nc.space, fld):
-            for c in chunk:
-                du = u_nc.at(c, order)
-                dj = ju_nc.at(c, order)
-                total += pairing(c, fld.eval_batch(c), du - dj)
+        for c in cells(mesh, deg, space, ju_nc.space, fld):
+            du = u_nc.at(c, order)
+            dj = ju_nc.at(c, order)
+            total += pairing(c, fld.eval_batch(c), du - dj)
     return total
 
 
@@ -160,7 +156,8 @@ def estimate_modified(
     (flagged as a lower-bound surrogate in the report); pass a certified
     value to make ``bound_b`` fully rigorous.  A ``lambda_j`` that is not at
     least lambda0 (NaN included) raises ValueError: the companion constant is
-    at least lambda0.
+    at least lambda0.  So does one that is infinite or so large that
+    ``bound_b`` is not a finite float.
     """
     kappa, ju, report = _shared_report(disc, "modified", data, u_nc, reference,
                                        h_convention)
@@ -172,6 +169,8 @@ def estimate_modified(
     if lambda_j is not None and not lambda_j >= lam0:
         raise ValueError(f"lambda_j {lambda_j!r} is not at least lambda0 {lam0!r}"
                          " (compared at the full precision the JSON reports record)")
+    if lambda_j is not None and not np.isfinite(lambda_j):
+        raise ValueError(f"lambda_j {lambda_j!r} is not finite")
     policy = LAMBDA_J_POLICY if lambda_j is None else "user-supplied"
     lam_j = lam0 if lambda_j is None else float(lambda_j)
     apx_F = (1.0 + lam_j) * G_osc + kappa * g_weighted + kappa * lam_j * g_osc
@@ -179,7 +178,12 @@ def estimate_modified(
     bound_a = np.sqrt(1.0 + lam0**2) * G_osc + np.sqrt(
         (kappa * g_weighted + nonconf) ** 2 + kappa**2 * lam0**2 * g_osc**2
     )
-    bound_b = np.sqrt(2.0 * (nonconf**2 + apx_F**2))
+    try:
+        bound_b = np.sqrt(2.0 * (nonconf**2 + apx_F**2))
+    except OverflowError:  # float ** raises where * and + give inf
+        bound_b = np.inf
+    if not np.isfinite(bound_b):
+        raise ValueError(f"lambda_j {lam_j!r} is too large: bound_b overflows a float")
     report["bounds"] = {"bound_a": float(bound_a), "bound_b": float(bound_b)}
     report["constants"] = {
         "kappa_m": kappa,

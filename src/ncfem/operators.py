@@ -273,11 +273,10 @@ def _morley_companion_matrix(source, target):
 
     # moments of the twelve HCT shape functions, subcell by subcell
     P_loc = np.zeros((F, 12, 6))
-    for chunk in cells(mesh, 5, target):
-        for c in chunk:
-            qv_s = bary_tabulate(modes, c.parent, 0)[0].T  # (k, 6)
-            shape_vals = target.tabulate_cell(c, 0)[:, :12]  # (nts, 12, k)
-            P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
+    for c in cells(mesh, 5, target):
+        qv_s = bary_tabulate(modes, c.parent, 0)[0].T  # (k, 6)
+        shape_vals = target.tabulate_cell(c, 0)[:, :12]  # (nts, 12, k)
+        P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
 
     # columns of the stacked HCT-dof matrix: value z -> z, d/dx z -> V + z,
     # d/dy z -> 2V + z, edge normal E -> 3V + E
@@ -451,9 +450,8 @@ def best_approx_orthogonality_check(v, iv):
     mesh = iv.space.mesh
     m = iv.space.m
     total = np.zeros((mesh.n_triangles,) + ((2,) if m == 1 else (2, 2)))
-    for chunk in cells(mesh, max(v.space.poly_degree - m, 1), v.space):
-        for c in chunk:
-            dv = v.at(c, m) - iv.at(c, m)
-            total[c.ts] += np.einsum("k,fk...->f...", c.weights / c.nsub, dv)
+    for c in cells(mesh, max(v.space.poly_degree - m, 1), v.space):
+        dv = v.at(c, m) - iv.at(c, m)
+        total[c.ts] += np.einsum("k,fk...->f...", c.weights / c.nsub, dv)
     total *= mesh.area.reshape((-1,) + (1,) * (total.ndim - 1))
     return float(np.abs(total).max())

@@ -221,6 +221,9 @@ class _LShapePointForceM2(Problem):
     def data(self, mesh):
         target = np.array([-0.5, 0.5])
         interior = np.nonzero(~mesh.boundary_vertex_mask)[0]
+        if not len(interior):
+            raise ValueError(f"problem {self.name!r}: its point force needs an interior"
+                             " vertex, and the mesh has none")
         d = np.linalg.norm(mesh.vertices[interior] - target, axis=1)
         v = int(interior[np.argmin(d)])
         return RhsData(G=None, g=None, point_forces=[PointForce(beta=1.0, vertex=v)])

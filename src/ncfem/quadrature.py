@@ -8,11 +8,12 @@ The one-dimensional rules are tabulated, not computed: they are the
 float64 nodes and weights of scipy's ``roots_legendre`` and
 ``roots_jacobi(n, 1, 0)``, so no command imports ``scipy.special``.
 
-Every element integral in the package runs through :func:`cells`: it picks
-the rule from the integrand's degree, walks the mesh in chunks of triangles
-and yields, per chunk, one :class:`Cell` per subcell of the integration
-partition (the plain triangles, or the three HCT subtriangles when any
-participant lives on the split); :func:`pairing` integrates over a Cell.
+Every element integral in the package is one loop over :func:`cells`: it
+picks the rule from the integrand's degree and yields one :class:`Cell` at a
+time, each subcell of the integration partition (the plain triangles, or the
+three HCT subtriangles when any participant lives on the split) on a chunk of
+triangles; the chunks are its own bound on memory.  :func:`pairing`
+integrates over a Cell.
 
 :func:`ordered_map` runs independent pieces of work on worker threads and
 returns their results in order; :func:`point_parts` cuts a large Cell's
@@ -229,31 +230,24 @@ def parent_points(points, s, nsub):
 
 
 def cells(mesh, degree, *over):
-    """Yield, per chunk of at most ``CHUNK`` triangles, the list of its Cells.
+    """Yield the Cells of the mesh, one at a time.
 
     The rule is ``triangle_rule`` at the integrand's polynomial `degree`,
     capped at ``MAX_TRIANGLE_DEGREE``.  The partition is the HCT split
     (three subcells per triangle) when any of `over` (spaces or fields; None
-    is skipped) has ``n_subcells == 3``, else the plain triangles (one cell
-    per chunk).
+    is skipped) has ``n_subcells == 3``, else the plain triangles.  The
+    triangles go in chunks of at most ``CHUNK``, a bound on the memory of one
+    Cell; each chunk yields its subcells s = 0..nsub-1 in order, sharing `ts`
+    and `area`.
     """
     rule = triangle_rule(min(degree, MAX_TRIANGLE_DEGREE))
     nsub = max([1] + [o.n_subcells for o in over if o is not None])
     for start in range(0, mesh.n_triangles, CHUNK):
         ts = np.arange(start, min(start + CHUNK, mesh.n_triangles))
         area = mesh.area[ts] / nsub
-        yield [
-            Cell(
-                ts,
-                s,
-                nsub,
-                parent_points(rule.points, s, nsub),
-                rule.points @ subcell_corners(mesh, ts, s, nsub),
-                area,
-                rule.weights,
-            )
-            for s in range(nsub)
-        ]
+        for s in range(nsub):
+            yield Cell(ts, s, nsub, parent_points(rule.points, s, nsub),
+                       rule.points @ subcell_corners(mesh, ts, s, nsub), area, rule.weights)
 
 
 def pairing(cell, a, b, area=None):

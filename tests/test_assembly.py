@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import formula_reference, jittered
@@ -6,9 +8,11 @@ from ncfem import assembly
 from ncfem.assembly import PointForce, RhsData
 from ncfem.fespace import FeFunction, build_space
 from ncfem.fields import (
+    MatrixField,
     ScalarField,
     VectorField,
     field_sum,
+    quad_degree,
 )
 from ncfem.mesh import Triangulation, l_shape_mesh, unit_square_mesh
 from ncfem.operators import build_companion, interpolate
@@ -284,6 +288,49 @@ def test_galerkin_consistency(square2):
     assert np.abs(A @ x - rhs).max() <= 1e-9 * max(np.abs(rhs).max(), 1.0)
 
 
+def _per_chunk_load(space, data):
+    """The G and g part of ``assemble_load`` as one ``np.add.at`` per chunk
+    of triangles, each chunk's subcells summed first."""
+    m = space.m
+    vec = np.zeros(space.ndofs)
+    terms = []
+    if data.G is not None:
+        terms.append((data.G, m, quad_degree(data.G) + (space.poly_degree - m)))
+    if data.g is not None:
+        terms.append((data.g, 0, quad_degree(data.g) + space.poly_degree))
+    for fld, order, deg in terms:
+        for _, chunk in itertools.groupby(cells(space.mesh, deg, space, fld),
+                                          key=lambda c: c.ts[0]):
+            chunk = list(chunk)
+            ts = chunk[0].ts
+            contrib = np.zeros((len(ts), space.n_local))
+            for c in chunk:
+                fv = fld.eval_batch(c)
+                tab = space.tabulate_cell(c, order)
+                wa = c.area[:, None] * c.weights
+                wfv = (fv.reshape(wa.shape + (-1,)) * wa[:, :, None]).reshape(len(ts), -1, 1)
+                contrib += (tab.reshape(len(ts), space.n_local, -1) @ wfv)[:, :, 0]
+            dofs = space.cell_dofs[ts]
+            good = dofs >= 0
+            np.add.at(vec, dofs[good], contrib[good])
+    return vec
+
+
+@pytest.mark.parametrize("kind", ["CR1_0", "COMPANION_MORLEY"])
+def test_load_is_bitwise_the_per_chunk_scatter(kind):
+    # 2178 triangles: a full chunk and a partial one
+    space = build_space(unit_square_mesh(33), kind)
+    if space.m == 1:
+        G = VectorField(lambda x, y: np.stack([x * y - 0.5, x**2 + 2 * y], axis=-1), degree=2)
+    else:
+        G = MatrixField(lambda x, y: np.stack([np.stack([x * y, 1 - y], axis=-1),
+                                               np.stack([x - y, y**2], axis=-1)], axis=-2),
+                        degree=2)
+    data = RhsData(G=G, g=ScalarField(lambda x, y: np.exp(x) * np.sin(3 * y)))
+    got = assembly.assemble_load(space, data)
+    assert got.tobytes() == _per_chunk_load(space, data).tobytes()
+
+
 # -- companion stiffness against the per-point quadrature loop -------------
 
 
@@ -294,13 +341,12 @@ def _per_point_stiffness(space):
     deg = 2 * (space.poly_degree - m)
     rule = triangle_rule(deg)
     A = np.zeros((space.ndofs, space.ndofs))
-    for chunk in cells(space.mesh, deg, space):
-        for c in chunk:
-            tab = space.tabulate_cell(c, m).reshape(len(c.ts), L, rule.n_points, -1)
-            local = np.einsum("k,f,fikd,fjkd->fij", c.weights, c.area, tab, tab)
-            for dofs, block in zip(space.cell_dofs[c.ts], local):
-                keep = dofs >= 0
-                A[np.ix_(dofs[keep], dofs[keep])] += block[np.ix_(keep, keep)]
+    for c in cells(space.mesh, deg, space):
+        tab = space.tabulate_cell(c, m).reshape(len(c.ts), L, rule.n_points, -1)
+        local = np.einsum("k,f,fikd,fjkd->fij", c.weights, c.area, tab, tab)
+        for dofs, block in zip(space.cell_dofs[c.ts], local):
+            keep = dofs >= 0
+            A[np.ix_(dofs[keep], dofs[keep])] += block[np.ix_(keep, keep)]
     return A
 
 

@@ -934,6 +934,23 @@ def test_lambda_j_below_lambda0_exits_one(capsys):
     assert message.startswith("ncfem: lambda_j 0.0 is not at least lambda0 2.32")
 
 
+def test_point_force_problem_needs_an_interior_vertex(capsys):
+    # lshape:1 has no interior vertex to carry the force
+    message = _usage_failure(["solve", "--problem", "lshape-pointforce-m2",
+                              "--mesh", "lshape:1"], capsys)
+    assert message == ("ncfem: problem 'lshape-pointforce-m2': its point force needs an"
+                       " interior vertex, and the mesh has none\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["1e160", "1e308"])
+def test_lambda_j_that_overflows_bound_b_exits_one(value, capsys):
+    # finite, so the parser takes it; squaring apx_F then overflows a float
+    message = _usage_failure([*_ESTIMATE, "--lambda-j", value], capsys)
+    assert message == (f"ncfem: lambda_j {float(value)!r} is too large:"
+                       " bound_b overflows a float\n")
+
+
 def _seed(value):
     return f"argument --seed: must be a non-negative integer, not {value!r}"
 

@@ -114,6 +114,18 @@ def test_lambda_j_below_lambda0_is_refused(square2):
             estimate_modified(disc, data, u, lambda_j=bad)
 
 
+def test_lambda_j_infinite_or_overflowing_is_refused(square2):
+    # inf gave bound_b nan; 1e160 squared overflows a Python float
+    prob = get_problem("square-smooth-m1")
+    disc = Discretization(square2, "CR1_0")
+    data = prob.data(square2)
+    u = disc.solve(disc.rhs("modified", data))
+    with pytest.raises(ValueError, match="lambda_j inf is not finite"):
+        estimate_modified(disc, data, u, lambda_j=float("inf"))
+    with pytest.raises(ValueError, match="lambda_j 1e[+]160 is too large: bound_b overflows"):
+        estimate_modified(disc, data, u, lambda_j=1e160)
+
+
 def test_efficiency_zero_g():
     prob = get_problem("square-smooth-m1")
     mesh = unit_square_mesh(2)

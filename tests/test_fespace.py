@@ -311,12 +311,11 @@ def test_at_matches_coefficients_times_tabulate_cell(kind):
     split = build_space(mesh, "COMPANION_MORLEY")
     # plain cells, then the HCT split (which plain spaces read in triangle coordinates)
     for over in ((space,), (space, split)):
-        for chunk in cells(mesh, 6, *over):
-            for c in chunk:
-                c_loc = f.local_coeffs(c.ts)
-                for order in range(3):
-                    tab = space.tabulate_cell(c, order)
-                    _close(f.at(c, order), np.einsum("fl,flk...->fk...", c_loc, tab))
+        for c in cells(mesh, 6, *over):
+            c_loc = f.local_coeffs(c.ts)
+            for order in range(3):
+                tab = space.tabulate_cell(c, order)
+                _close(f.at(c, order), np.einsum("fl,flk...->fk...", c_loc, tab))
 
 
 # -- the one-order evaluators against the former order dicts ----------------
@@ -380,16 +379,15 @@ def test_one_order_evaluators_equal_the_order_dicts(kind):
     # plain cells, then the HCT split; the memo entry of a point set grows
     # with the orders asked, so lower orders are also read from a higher one
     for over in ((space,), (space, split)):
-        for chunk in cells(mesh, 6, *over):
-            for c in chunk:
-                a = space.fold(c.ts, space._subcell(c), f.local_coeffs(c.ts))
-                for order in range(3):
-                    tab = _dict_tabulate_cell(space, c, order)
-                    vals = _dict_mode_values(
-                        space, c.ts, a, bary_tabulate(space._modes, c.parent, order), order)
-                    for o in range(order + 1):
-                        assert np.array_equal(space.tabulate_cell(c, o), tab[o])
-                        assert np.array_equal(f.at(c, o), vals[o])
+        for c in cells(mesh, 6, *over):
+            a = space.fold(c.ts, space._subcell(c), f.local_coeffs(c.ts))
+            for order in range(3):
+                tab = _dict_tabulate_cell(space, c, order)
+                vals = _dict_mode_values(
+                    space, c.ts, a, bary_tabulate(space._modes, c.parent, order), order)
+                for o in range(order + 1):
+                    assert np.array_equal(space.tabulate_cell(c, o), tab[o])
+                    assert np.array_equal(f.at(c, o), vals[o])
     # per-triangle tables, as the fine-grid comparison builds them
     anc = rng.integers(mesh.n_triangles, size=40)
     bary = rng.dirichlet(np.ones(3), size=(40, 7))
@@ -423,10 +421,9 @@ def test_order_zero_never_gathers_gradients(kind, monkeypatch):
         raise AssertionError("order 0 gathered the barycentric gradients")
 
     monkeypatch.setattr(fespace.FeSpace, "_lgrad_powers", refuse)
-    for chunk in cells(mesh, 4, space):
-        for c in chunk:
-            space.tabulate_cell(c, 0)
-            f.at(c, 0)
+    for c in cells(mesh, 4, space):
+        space.tabulate_cell(c, 0)
+        f.at(c, 0)
 
 
 def test_error_norms_keep_one_memo_entry_per_point_set():
@@ -434,8 +431,7 @@ def test_error_norms_keep_one_memo_entry_per_point_set():
     space = build_space(mesh, "COMPANION_MORLEY")
     f = FeFunction(space, np.random.default_rng(11).standard_normal(space.ndofs))
     norms.error_norms(f, orders=(0, 2))
-    point_sets = {c.parent.tobytes() for chunk in cells(mesh, 2 * space.poly_degree, space)
-                  for c in chunk}
+    point_sets = {c.parent.tobytes() for c in cells(mesh, 2 * space.poly_degree, space)}
     assert set(space._bary_cache) == point_sets
     assert all(sorted(tab) == [0, 1, 2] for tab in space._bary_cache.values())
 

@@ -167,7 +167,7 @@ def _former_errors_vs_fine(coarse, fine, generations):
     m = fine.space.m
     totals = {0: 0.0, m: 0.0}
     grads12 = lambda_gradients(mesh_c)[:, 1:]
-    for (c,) in cells(mesh_f, 4, fine.space):
+    for c in cells(mesh_f, 4, fine.space):
         anc = mesh_f.ancestor(c.ts, generations)
         rel = c.phys - mesh_c.vertices[mesh_c.triangles[anc, 0]][:, None, :]
         lam12 = np.einsum("fde,fke->fkd", grads12[anc], rel)

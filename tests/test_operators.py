@@ -482,11 +482,10 @@ def _one_shot_morley_companion(source, target):
     qv = np.stack([p.eval(rule_s.points) for p in modes], axis=0)
     S = np.einsum("k,fjk,lk->fjl", rule_s.weights, tabM, qv)
     P_loc = np.zeros((F, 12, 6))
-    for chunk in cells(mesh, 5, target):
-        for c in chunk:
-            qv_s = np.stack([p.eval(c.parent) for p in modes], axis=1)
-            shape_vals = target.tabulate_cell(c, 0)[:, :12]
-            P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
+    for c in cells(mesh, 5, target):
+        qv_s = np.stack([p.eval(c.parent) for p in modes], axis=1)
+        shape_vals = target.tabulate_cell(c, 0)[:, :12]
+        P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
     S_glob = _oracle_moment_block(S, source.cell_dofs, n_src)
     cols_hct = np.empty((F, 12), dtype=np.int64)
     for k in range(3):

@@ -131,7 +131,7 @@ def test_closed_forms_are_bitwise_the_same_on_any_number_of_workers(workers, nam
     data, reference = problem.data(mesh), problem.reference()
     orders = (0, 1, 2)[:problem.m + 1]
     fields = [f for f in (data.G, data.g) if f is not None]
-    (cell,) = next(cells(mesh, 12))
+    cell = next(cells(mesh, 12))
     got = []
     for n in PARTS:
         workers(n)

@@ -167,7 +167,7 @@ EDGE_POINTS = [(0.0, 0.0), (-0.5, 0.0), (0.5, 0.0), (0.5, -0.0), (0.0, -0.5), (-
 
 def cell_views():
     """Strided x and y views of the points of a real quadrature cell."""
-    cell = next(cells(l_shape_mesh(2), MAX_TRIANGLE_DEGREE))[0]
+    cell = next(cells(l_shape_mesh(2), MAX_TRIANGLE_DEGREE))
     x, y = cell.phys[..., 0], cell.phys[..., 1]
     assert not x.flags.c_contiguous
     return x, y

@@ -169,20 +169,19 @@ def test_cells_partition_the_mesh(mesh33, split):
     rule = triangle_rule(4)
     seen = np.zeros((mesh.n_triangles, nsub), dtype=int)
     measure = np.zeros(mesh.n_triangles)
-    chunks = list(cells(mesh, 4, *over))
-    assert len(chunks) == 2
-    for chunk in chunks:
-        assert [c.s for c in chunk] == list(range(nsub))
-        for c in chunk:
-            assert c.nsub == nsub
-            assert c.ts is chunk[0].ts and len(c.ts) <= 2048
-            seen[c.ts, c.s] += 1
-            measure[c.ts] += c.area * c.weights.sum()
-            # phys are the parent coordinates mapped through the triangle corners
-            want = c.parent @ mesh.vertices[mesh.triangles[c.ts]]
-            assert np.abs(c.phys - want).max() <= 1e-14 * np.abs(want).max()
-            if not split:
-                assert np.array_equal(c.parent, rule.points)
+    flat = list(cells(mesh, 4, *over))
+    assert len(flat) == 2 * nsub  # two chunks, each its subcells in order
+    for i, c in enumerate(flat):
+        first = flat[i - i % nsub]  # subcell 0 of the chunk
+        assert c.s == i % nsub and c.nsub == nsub
+        assert c.ts is first.ts and c.area is first.area and len(c.ts) <= 2048
+        seen[c.ts, c.s] += 1
+        measure[c.ts] += c.area * c.weights.sum()
+        # phys are the parent coordinates mapped through the triangle corners
+        want = c.parent @ mesh.vertices[mesh.triangles[c.ts]]
+        assert np.abs(c.phys - want).max() <= 1e-14 * np.abs(want).max()
+        if not split:
+            assert np.array_equal(c.parent, rule.points)
     assert np.all(seen == 1)
     assert np.abs(measure - mesh.area).max() <= 1e-14 * mesh.area.max()
 
@@ -191,13 +190,13 @@ def test_cells_split_only_for_split_participants(square2):
     mesh = square2
     plain = build_space(mesh, "CR1_0")
     split = build_space(mesh, "COMPANION_MORLEY")
-    assert [len(ch) for ch in cells(mesh, 2, plain, None)] == [1]
-    assert [len(ch) for ch in cells(mesh, 2, plain, split)] == [3]
+    assert [c.s for c in cells(mesh, 2, plain, None)] == [0]
+    assert [c.s for c in cells(mesh, 2, plain, split)] == [0, 1, 2]
 
 
 def test_cells_cap_the_integrand_degree(square2):
     top = triangle_rule(MAX_TRIANGLE_DEGREE)
-    (c,) = next(cells(square2, MAX_TRIANGLE_DEGREE + 7))
+    (c,) = cells(square2, MAX_TRIANGLE_DEGREE + 7)
     assert c.parent.tobytes() == top.points.tobytes()
     assert c.weights.tobytes() == top.weights.tobytes()
 
@@ -221,7 +220,7 @@ def test_quad_degree_keeps_a_declared_zero():
 @pytest.mark.parametrize("weighted", [False, True])
 def test_pairing_is_the_two_einsum_form(square2, rng, split, weighted):
     over = (build_space(square2, "COMPANION_MORLEY"),) if split else ()
-    for c in next(cells(square2, 6, *over)):
+    for c in cells(square2, 6, *over):
         a = rng.standard_normal((len(c.ts), len(c.weights), 2, 2))
         b = rng.standard_normal(a.shape)
         area = rng.random(len(c.ts)) * c.area if weighted else None

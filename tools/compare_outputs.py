@@ -41,7 +41,8 @@ PROBLEMS = ("square-smooth-m1", "square-smooth-m2", "lshape-singular-m1",
 # natural-scheme rate study (its companion is built after the solve), the
 # interpolation of every exact solution (estimate), the interpolation of FE
 # functions (compare and verify for both m), solve with a problem and with a
-# data file, and the counterexamples
+# data file, the counterexamples, lambda0 for both m, and the estimator's
+# sqrt_area weights
 COMMANDS = [
     ("rates-lshape-singular-m1-6", ["rates", "--problem", "lshape-singular-m1", "--levels", "6"]),
     ("estimate-square-smooth-m1-3", ["estimate", "--problem", "square-smooth-m1", "--level", "3"]),
@@ -74,6 +75,11 @@ COMMANDS = [
       "--data", "<data>/m2-square4.json"]),
     ("solve-data-m1-lshape2",
      ["solve", "--m", "1", "--mesh", "lshape:2", "--data", "<data>/m1-lshape2.json"]),
+    ("lambda0-m1-lshape4", ["lambda0", "--m", "1", "--mesh", "lshape:4"]),
+    ("lambda0-m2-square8", ["lambda0", "--m", "2", "--mesh", "square:8"]),
+    ("rates-square-smooth-m1-3-estimates-sqrt-area",
+     ["rates", "--problem", "square-smooth-m1", "--levels", "3", "--estimates",
+      "--h-convention", "sqrt_area"]),
 ]
 # the files "<data>/<name>" of COMMANDS, written once into the temporary directory
 DATA = {

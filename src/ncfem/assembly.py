@@ -18,7 +18,14 @@ from ._poly import bary_modes, bary_tabulate, lambda_gradients, moment_matrix
 from .fespace import CRSpace, MorleySpace
 from .fields import FieldBase, field_sum, quad_degree
 from .mesh import mesh_size
-from .quadrature import cells, pairing, parent_points, triangle_rule
+from .quadrature import (
+    MAX_TRIANGLE_DEGREE,
+    cells,
+    pairing,
+    parent_points,
+    sample_cell,
+    triangle_rule,
+)
 
 __all__ = [
     "PointForce",
@@ -98,7 +105,7 @@ def _constant_derivatives(space):
     """The m-th derivatives of a CR or Morley local basis, constant on each
     triangle, flattened to (F, n_local, 2**m)."""
     F = space.mesh.n_triangles
-    D = space.tabulate(np.arange(F), 0, np.full((1, 3), 1.0 / 3.0), space.m)[:, :, 0]
+    D = space.tabulate(sample_cell(np.arange(F), np.full((1, 3), 1.0 / 3.0)), space.m)[:, :, 0]
     return D.reshape(F, space.n_local, -1)
 
 
@@ -137,11 +144,14 @@ def _basis_at_point(space, t, point):
     """Local basis values at one physical point of triangle t."""
     point = np.asarray(point, dtype=float)
     s, bary = space.locate_subcell(t, point[None, :])
-    return space.tabulate(np.array([t]), int(s[0]), bary, 0)[0, :, 0]
+    return space.tabulate(sample_cell([t], bary, int(s[0]), space.n_subcells), 0)[0, :, 0]
 
 
 def assemble_load(space, data):
-    """Vector of F-hat applied to the basis of `space` (any supported kind)."""
+    """Vector of F-hat applied to the basis of `space` (any supported kind).
+
+    A polynomial field is integrated exactly: one whose integrand is of a
+    degree above ``MAX_TRIANGLE_DEGREE`` raises ValueError."""
     mesh = space.mesh
     m = space.m
     vec = np.zeros(space.ndofs)
@@ -149,10 +159,15 @@ def assemble_load(space, data):
     for fld, order in ((data.G, m), (data.g, 0)):
         if fld is None:
             continue
+        degree = quad_degree(fld) + space.poly_degree - order
+        if fld.degree is not None and degree > MAX_TRIANGLE_DEGREE:
+            raise ValueError(f"a degree-{fld.degree} field against the {space.kind} basis is"
+                             f" a degree-{degree} integrand; the quadrature integrates"
+                             f" degree {MAX_TRIANGLE_DEGREE} at most")
         contrib = np.zeros((mesh.n_triangles, space.n_local))
-        for c in cells(mesh, quad_degree(fld) + space.poly_degree - order, space, fld):
+        for c in cells(mesh, degree, space, fld):
             fv = fld.eval_batch(c)
-            tab = space.tabulate_cell(c, order)
+            tab = space.tabulate(c, order)
             wa = c.area[:, None] * c.weights  # (nts, k)
             wfv = (fv.reshape(wa.shape + (-1,)) * wa[:, :, None]).reshape(len(c.ts), -1, 1)
             contrib[c.ts] += (tab.reshape(len(c.ts), space.n_local, -1) @ wfv)[:, :, 0]

@@ -183,15 +183,19 @@ def _parse_args(argv):
     for dest, value in cfg.items():
         if dest != "command":
             a = actions[dest]
-            # a flag that takes no value (--estimates) keeps the JSON value
-            a.default = value if a.nargs == 0 else _config_value(a, value)
+            a.default = _config_value(a, value)
             a.required = False
     return parser.parse_args(argv)
 
 
 def _config_value(action, value):
-    """`value` read as its flag's command-line text: str, type, then choices."""
+    """`value` read as its flag's command-line text: str, type, then choices;
+    a flag that takes no value (--estimates) takes a JSON true or false."""
     entry = f"config entry {action.dest}={value!r}"
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"{entry} is not true or false")
+        return value
     try:
         read = str(value) if action.type is None else action.type(str(value))
     except argparse.ArgumentTypeError as exc:
@@ -230,7 +234,8 @@ def _parse_mesh(spec):
 def _poly_field(entry, shape, path):
     """The field of a ``g`` or ``G`` entry of the data file `path`: per
     component, a list of [c, i, j] terms c * x**i * y**j with a finite c and
-    integers i, j >= 0 of a degree the quadrature integrates exactly."""
+    integers i, j >= 0, i + j <= MAX_TRIANGLE_DEGREE (the load refuses a
+    field whose integrand is of a higher degree)."""
     import numpy as np
 
     from .fields import MatrixField, ScalarField, VectorField

@@ -159,6 +159,13 @@ def estimate_modified(
     at least lambda0.  So does one that is infinite or so large that
     ``bound_b`` is not a finite float.
     """
+    if lambda_j is not None:  # refused before the norms, which these checks do not need
+        lam0 = disc.lam0.lambda0
+        if not lambda_j >= lam0:
+            raise ValueError(f"lambda_j {lambda_j!r} is not at least lambda0 {lam0!r}"
+                             " (compared at the full precision the JSON reports record)")
+        if not np.isfinite(lambda_j):
+            raise ValueError(f"lambda_j {lambda_j!r} is not finite")
     kappa, ju, report = _shared_report(disc, "modified", data, u_nc, reference,
                                        h_convention)
     terms = report["terms"]
@@ -166,11 +173,6 @@ def estimate_modified(
         terms[key] for key in ("G_osc", "g_weighted", "g_osc", "nonconf")
     )
     lam0 = disc.lam0.lambda0
-    if lambda_j is not None and not lambda_j >= lam0:
-        raise ValueError(f"lambda_j {lambda_j!r} is not at least lambda0 {lam0!r}"
-                         " (compared at the full precision the JSON reports record)")
-    if lambda_j is not None and not np.isfinite(lambda_j):
-        raise ValueError(f"lambda_j {lambda_j!r} is not finite")
     policy = LAMBDA_J_POLICY if lambda_j is None else "user-supplied"
     lam_j = lam0 if lambda_j is None else float(lambda_j)
     apx_F = (1.0 + lam_j) * G_osc + kappa * g_weighted + kappa * lam_j * g_osc

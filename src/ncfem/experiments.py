@@ -20,7 +20,7 @@ from .mesh import red_refine
 from .norms import convergence_rate, error_norms, errors_vs_fine
 from .operators import Discretization, companion, interpolate
 from .problems import get_problem
-from .quadrature import Cell, ordered_map
+from .quadrature import ordered_map, sample_cell
 
 __all__ = [
     "run_compare",
@@ -203,7 +203,7 @@ def _scheme_comparison(disc, seed, mesh_id):
 def _at_centroids(fld, mesh):
     """A field derived from finite element functions on `mesh`, sampled at
     each triangle's centroid: (F,) + fld.shape."""
-    centroid = Cell(np.arange(mesh.n_triangles), 0, 1, np.full((1, 3), 1 / 3), None, None, None)
+    centroid = sample_cell(np.arange(mesh.n_triangles), np.full((1, 3), 1 / 3))
     return fld.eval_batch(centroid)[:, 0]
 
 

@@ -34,7 +34,7 @@ values and formal lambda-partials are tabulated once per point set, in
 triangle coordinates, and memoized per space; physical derivatives follow
 by contraction with the constant barycentric gradients.  Each evaluator
 returns the one derivative order asked for, with a trailing 2 per order.
-:meth:`FeSpace.tabulate_cell` maps the contracted modes to the local basis,
+:meth:`FeSpace.tabulate` maps the contracted modes to the local basis,
 while :meth:`FeFunction.at` first folds a function's local dof vectors into
 mode coefficients, so it never builds a basis table.
 """
@@ -53,7 +53,7 @@ from ._poly import (
     mono_tabulate,
     monomial_exponents,
 )
-from .quadrature import Cell, parent_points, subcell_corners
+from .quadrature import sample_cell, subcell_corners
 
 __all__ = [
     "FeSpace",
@@ -127,13 +127,6 @@ def _number_dofs(space, per_vertex, per_triangle):
     )
 
 
-def _cell(space, ts, s, bary):
-    """Cell for subcell barycentric points on subcell s of triangles ts."""
-    bary = np.asarray(bary, dtype=float)
-    parent = parent_points(bary, s, space.n_subcells)
-    return Cell(np.asarray(ts), s, space.n_subcells, parent, None, None, None)
-
-
 class FeSpace:
     """Base class; concrete spaces fill in dof maps, modes and mode map.
 
@@ -171,12 +164,7 @@ class FeSpace:
             best_min[better] = m[better]
         return best_s, best_bary
 
-    def tabulate(self, ts, s, bary, order):
-        """Local basis on subcell s of triangles ts at subcell barycentric points:
-        the derivative of order `order`, (nts, n_local, k) + (2,) * order."""
-        return self.tabulate_cell(_cell(self, ts, s, bary), order)
-
-    def tabulate_cell(self, cell, order):
+    def tabulate(self, cell, order):
         """Derivative of order `order` of the local basis at the points of a
         quadrature Cell, (nts, n_local, k) + (2,) * order.
 
@@ -388,11 +376,6 @@ class FeFunction:
         c = np.where(dofs >= 0, self.coeffs[np.maximum(dofs, 0)], 0.0)
         return c
 
-    def evaluate_batch(self, ts, s, bary, order):
-        """Derivative of order `order` on subcell s of triangles ts at shared
-        barycentric points, (nts, k) + (2,) * order."""
-        return self.at(_cell(self.space, ts, s, bary), order)
-
     def at(self, cell, order):
         """Derivative of order `order` at the points of a quadrature Cell,
         (nts, k) + (2,) * order.
@@ -420,7 +403,8 @@ class FeFunction:
         for s in range(self.space.n_subcells):
             sel = subs == s
             if sel.any():
-                out[0, sel] = self.evaluate_batch(np.array([t]), s, sub_bary[sel], order)[0]
+                cell = sample_cell(np.array([t]), sub_bary[sel], s, self.n_subcells)
+                out[0, sel] = self.at(cell, order)[0]
         return out
 
 

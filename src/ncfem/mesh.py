@@ -90,26 +90,23 @@ class Triangulation:
     interior_edge_mask, boundary_edge_mask, boundary_vertex_mask : bool masks
     """
 
-    def __init__(self, vertices, triangles, validate=True):
+    def __init__(self, vertices, triangles):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshTopologyError("vertices must be an (V, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshTopologyError("triangles must be an (F, 3) array")
-        if validate:
-            self._validate_input()
+        self._validate_input()
         with np.errstate(over="ignore", invalid="ignore"):  # reported next, per triangle
             self._build_geometry()
-        if validate:
-            bad = np.flatnonzero(~(np.isfinite(self.area) & np.isfinite(self.diameter)))
-            if bad.size:
-                t = bad[0]
-                raise MeshTopologyError(f"triangle {t} has a non-finite area {self.area[t]} "
-                                        f"or diameter {self.diameter[t]}")
+        bad = np.flatnonzero(~(np.isfinite(self.area) & np.isfinite(self.diameter)))
+        if bad.size:
+            t = bad[0]
+            raise MeshTopologyError(f"triangle {t} has a non-finite area {self.area[t]} "
+                                    f"or diameter {self.diameter[t]}")
         self._build_edges()
-        if validate:
-            self._validate_topology()
+        self._validate_topology()
         # immutable: every array attribute is read-only
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -125,6 +122,11 @@ class Triangulation:
                 f"triangle {bad[0]} references vertex {self.triangles[bad[0], bad[1]]} "
                 f"out of range 0..{V - 1}"
             )
+        # a repeated vertex leaves a zero-length edge, whose normal is 0/0
+        repeat = self.triangles == np.roll(self.triangles, -1, axis=1)
+        if repeat.any():
+            t, k = np.argwhere(repeat)[0]
+            raise MeshTopologyError(f"triangle {t} repeats vertex {self.triangles[t, k]}")
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
             v = int(np.argmin(finite))

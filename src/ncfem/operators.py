@@ -33,7 +33,7 @@ from ._hct import CHUNK
 from ._poly import bary_modes, bary_tabulate, moment_matrix
 from .fespace import COMPANION_KIND, CRSpace, FeFunction, MorleySpace, build_space
 from .fields import quad_degree
-from .quadrature import Cell, cells, edge_rule, ordered_map, triangle_rule
+from .quadrature import cells, edge_rule, ordered_map, sample_cell, triangle_rule
 
 __all__ = [
     "CompanionMap",
@@ -70,11 +70,9 @@ def _edge_means(f, mesh, edges, order):
             if not sel.any():
                 continue
             ta, tb = (1.0 - t, t) if is_fwd else (t, 1.0 - t)
-            parent = np.zeros((rule.n_points, 3))
-            parent[:, (k + 1) % 3] = ta
-            parent[:, (k + 2) % 3] = tb
             # outer edge k is the side (A_{k+1}, A_{k+2}) of HCT subtriangle k
-            cell = Cell(ts[sel], k, 3, parent, phys[sel], None, None)
+            bary = np.column_stack([np.zeros(rule.n_points), ta, tb])
+            cell = sample_cell(ts[sel], bary, k, 3, phys[sel])
             vals[sel] = f.sample(cell, (order,))[order]
     return np.einsum("k,fk...->f...", rule.weights, vals)
 
@@ -96,7 +94,7 @@ def _vertex_values(f, mesh, vertices):
             continue
         # A_k is local corner 1 of HCT subtriangle (k+2)%3
         phys = mesh.vertices[vertices[sel]][:, None, :]
-        cell = Cell(ts[sel], (k + 2) % 3, 3, np.eye(3)[k][None, :], phys, None, None)
+        cell = sample_cell(ts[sel], [[0.0, 1.0, 0.0]], (k + 2) % 3, 3, phys)
         out[sel] = f.sample(cell, (0,))[0][:, 0]
     return out
 
@@ -179,7 +177,8 @@ def _vertex_average(source, homogeneous):
     V, F = mesh.n_vertices, mesh.n_triangles
     tri = mesh.triangles
     o = source.m - 1
-    corner = source.tabulate(np.arange(F), 0, np.eye(3), o).reshape(F, source.n_local, 3, -1)
+    corner = source.tabulate(sample_cell(np.arange(F), np.eye(3)), o)
+    corner = corner.reshape(F, source.n_local, 3, -1)
     n_adj = np.bincount(tri.ravel(), minlength=V).astype(float)
     weighted = corner * (1.0 / n_adj[tri])[:, None, :, None]
     # duplicates sum in (corner k, local dof j, triangle f) order, which fixes J's bits
@@ -267,7 +266,7 @@ def _morley_companion_matrix(source, target):
     # bubble corrections enforce the P2 moment conditions per triangle
     modes = bary_modes(2)
     rule_s = triangle_rule(4)
-    tabM = source.tabulate(np.arange(F), 0, rule_s.points, 0)  # (F, 6, k)
+    tabM = source.tabulate(sample_cell(np.arange(F), rule_s.points), 0)  # (F, 6, k)
     qv = bary_tabulate(modes, rule_s.points, 0)[0]  # (6, k)
     S = np.einsum("k,fjk,lk->fjl", rule_s.weights, tabM, qv)  # (F, 6 dof, 6 mode)
 
@@ -275,7 +274,7 @@ def _morley_companion_matrix(source, target):
     P_loc = np.zeros((F, 12, 6))
     for c in cells(mesh, 5, target):
         qv_s = bary_tabulate(modes, c.parent, 0)[0].T  # (k, 6)
-        shape_vals = target.tabulate_cell(c, 0)[:, :12]  # (nts, 12, k)
+        shape_vals = target.tabulate(c, 0)[:, :12]  # (nts, 12, k)
         P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
 
     # columns of the stacked HCT-dof matrix: value z -> z, d/dx z -> V + z,

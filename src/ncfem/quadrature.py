@@ -13,7 +13,8 @@ picks the rule from the integrand's degree and yields one :class:`Cell` at a
 time, each subcell of the integration partition (the plain triangles, or the
 three HCT subtriangles when any participant lives on the split) on a chunk of
 triangles; the chunks are its own bound on memory.  :func:`pairing`
-integrates over a Cell.
+integrates over a Cell.  :func:`sample_cell` builds every other Cell: point
+samples (centroids, corners, edge points) that are evaluated, not integrated.
 
 :func:`ordered_map` runs independent pieces of work on worker threads and
 returns their results in order; :func:`point_parts` cuts a large Cell's
@@ -41,6 +42,7 @@ __all__ = [
     "triangle_rule",
     "edge_rule",
     "cells",
+    "sample_cell",
     "pairing",
     "parent_points",
     "subcell_corners",
@@ -196,9 +198,9 @@ class Cell(NamedTuple):
     `parent` holds the points in triangle coordinates (on the HCT split,
     the rule's subcell points mapped to the parent); `phys` holds the
     physical points (nts, k, 2), `area` the subcell areas |T|/nsub and
-    `weights` the rule weights (summing to one).  A Cell built for edge or
-    vertex samples leaves `area` and `weights` None, and `phys` too when
-    no reference samples it.
+    `weights` the rule weights (summing to one).  A Cell of point samples
+    (:func:`sample_cell`) leaves `area` and `weights` None, and `phys` too
+    when no reference samples it.
     """
 
     ts: np.ndarray
@@ -248,6 +250,13 @@ def cells(mesh, degree, *over):
         for s in range(nsub):
             yield Cell(ts, s, nsub, parent_points(rule.points, s, nsub),
                        rule.points @ subcell_corners(mesh, ts, s, nsub), area, rule.weights)
+
+
+def sample_cell(ts, bary, s=0, nsub=1, phys=None):
+    """The Cell of the barycentric points `bary` (k, 3) of subcell s of the
+    triangles `ts`, for sampling: `phys` (nts, k, 2) as given, no weights."""
+    bary = np.asarray(bary, dtype=float)
+    return Cell(np.asarray(ts), s, nsub, parent_points(bary, s, nsub), phys, None, None)
 
 
 def pairing(cell, a, b, area=None):

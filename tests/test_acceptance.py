@@ -37,7 +37,7 @@ from ncfem.operators import (
     kappa_constant,
 )
 from ncfem.problems import get_problem
-from ncfem.quadrature import triangle_rule
+from ncfem.quadrature import sample_cell, triangle_rule
 
 MESH_MATRIX = [
     ("square:1", unit_square_mesh(1)),
@@ -109,8 +109,8 @@ def test_criterion_2_l2_orthogonality():
                 total = np.zeros((mesh.n_triangles, len(modes)))
                 for s in range(nsub):
                     parent = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
-                    vv = v.evaluate_batch(ts, 0, parent, 0)
-                    jj = jv.evaluate_batch(ts, s, rule.points, 0)
+                    vv = v.at(sample_cell(ts, parent), 0)
+                    jj = jv.at(sample_cell(ts, rule.points, s, nsub), 0)
                     qv = np.stack([p.eval(parent) for p in modes])
                     total += np.einsum("k,fk,lk->fl", rule.weights, vv - jj, qv)
                 total *= (mesh.area / nsub)[:, None]

@@ -16,7 +16,7 @@ from ncfem.fields import (
 )
 from ncfem.mesh import Triangulation, l_shape_mesh, unit_square_mesh
 from ncfem.operators import build_companion, interpolate
-from ncfem.quadrature import cells, triangle_rule
+from ncfem.quadrature import cells, sample_cell, triangle_rule
 
 
 def one_triangle_mesh(p0=(0.0, 0.0), p1=(1.3, 0.2), p2=(0.4, 1.1)):
@@ -306,7 +306,7 @@ def _per_chunk_load(space, data):
             contrib = np.zeros((len(ts), space.n_local))
             for c in chunk:
                 fv = fld.eval_batch(c)
-                tab = space.tabulate_cell(c, order)
+                tab = space.tabulate(c, order)
                 wa = c.area[:, None] * c.weights
                 wfv = (fv.reshape(wa.shape + (-1,)) * wa[:, :, None]).reshape(len(ts), -1, 1)
                 contrib += (tab.reshape(len(ts), space.n_local, -1) @ wfv)[:, :, 0]
@@ -331,6 +331,28 @@ def test_load_is_bitwise_the_per_chunk_scatter(kind):
     assert got.tobytes() == _per_chunk_load(space, data).tobytes()
 
 
+@pytest.mark.parametrize("field", ["g", "G"])
+def test_load_integrates_polynomial_data_exactly_or_refuses_it(field, square2):
+    # on the HCT host the load integrand has degree deg(field) + 8 - order
+    space = build_space(square2, "COMPANION_MORLEY")
+    top = 8 if field == "g" else 10  # the highest degree whose integrand is within 16
+
+    def data(degree):
+        if field == "g":
+            return RhsData(g=ScalarField(lambda x, y: x**degree, degree=degree))
+        return RhsData(G=MatrixField(lambda x, y: np.stack(
+            [np.stack([x**degree, y], axis=-1), np.stack([y, x], axis=-1)], axis=-2),
+            degree=degree))
+
+    assert np.isfinite(assembly.assemble_load(space, data(top))).all()
+    with pytest.raises(ValueError, match=rf"^a degree-{top + 1} field against the"
+                                         rf" COMPANION_MORLEY basis is a degree-17 integrand"):
+        assembly.assemble_load(space, data(top + 1))
+    # a smooth field keeps the capped rule
+    smooth = RhsData(g=ScalarField(lambda x, y: np.exp(x)))
+    assert np.isfinite(assembly.assemble_load(space, smooth)).all()
+
+
 # -- companion stiffness against the per-point quadrature loop -------------
 
 
@@ -342,7 +364,7 @@ def _per_point_stiffness(space):
     rule = triangle_rule(deg)
     A = np.zeros((space.ndofs, space.ndofs))
     for c in cells(space.mesh, deg, space):
-        tab = space.tabulate_cell(c, m).reshape(len(c.ts), L, rule.n_points, -1)
+        tab = space.tabulate(c, m).reshape(len(c.ts), L, rule.n_points, -1)
         local = np.einsum("k,f,fikd,fjkd->fij", c.weights, c.area, tab, tab)
         for dofs, block in zip(space.cell_dofs[c.ts], local):
             keep = dofs >= 0
@@ -426,7 +448,7 @@ def test_cr_morley_stiffness_is_bitwise_the_per_family_formula(kind, make_mesh):
         local = np.einsum("f,fid,fjd->fij", mesh.area, grads, grads)
     else:
         centroid = np.full((1, 3), 1.0 / 3.0)
-        H = space.tabulate(np.arange(mesh.n_triangles), 0, centroid, 2)[:, :, 0]
+        H = space.tabulate(sample_cell(np.arange(mesh.n_triangles), centroid), 2)[:, :, 0]
         local = np.einsum("f,fide,fjde->fij", mesh.area, H, H)
     want = assembly._scatter_matrix(local, space.cell_dofs, space.ndofs)
     assert _same_csr(assembly.assemble_stiffness(space), want)

@@ -353,6 +353,24 @@ def test_valid_polynomial_term_still_loads(tmp_path):
                  "--json", str(tmp_path / "r.json")]) == 0
 
 
+@pytest.mark.parametrize(
+    "m, scheme, integrand, kind",
+    [("2", "modified", 24, "COMPANION_MORLEY"), ("1", "original", 17, "CR1_0")],
+    ids=["companion-morley", "cr"],
+)
+@pytest.mark.filterwarnings("error")
+def test_polynomial_data_above_the_exact_degree_exits_one(m, scheme, integrand, kind, tmp_path,
+                                                         capfd):
+    # each term is within the file's degree bound, but its load integrand is not
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"g": [[1.0, 16, 0]]}))
+    message = _usage_failure(["solve", "--m", m, "--mesh", "square:4", "--scheme", scheme,
+                              "--data", str(path)], capfd)
+    assert message == (f"ncfem: a degree-16 field against the {kind} basis is a"
+                       f" degree-{integrand} integrand; the quadrature integrates degree 16"
+                       " at most\n")
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_threads_must_be_a_positive_integer(value, capsys):
     assert (_usage_failure(["--threads", value, "verify", "--m", "1", "--mesh", "square:2"],
@@ -391,6 +409,26 @@ def test_config_value_of_the_wrong_type_rejected(entry, key, flags, tmp_path, ca
     message = _usage_failure(["--config", str(cfg), "verify", "--m", "1", "--mesh", "square:2",
                               *flags], capsys)
     assert message.startswith(f"ncfem: config entry {key}=")
+
+
+@pytest.mark.parametrize("value", ["false", [1], 1, None], ids=["string", "list", "int", "null"])
+def test_config_entry_of_a_no_value_flag_must_be_a_boolean(value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "rates", "problem": "square-smooth-m1", "levels": 2,
+                               "estimates": value}))
+    message = _usage_failure(["--config", str(cfg)], capsys)
+    assert message == f"ncfem: config entry estimates={value!r} is not true or false\n"
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_config_entry_acts_as_its_flag(value, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimates": value}))
+    argv = ["rates", "--problem", "square-smooth-m1", "--levels", "2"]
+    got = _json_report(["--config", str(cfg), *argv], tmp_path)
+    want = _json_report(argv + ["--estimates"] * value, tmp_path)
+    assert got == want
+    assert all(("bounds" in row) == value for row in got["rows"])
 
 
 def test_config_value_of_the_right_type_accepted(tmp_path):
@@ -780,6 +818,14 @@ def test_non_finite_mesh_file_coordinate_exits_one_with_one_line(bad, tmp_path, 
     message = _usage_failure(["verify", "--m", "1", "--mesh", str(path)], capfd)
     assert message == (f"ncfem: mesh file {path}: vertex 2 has a non-finite"
                        f" coordinate [{bad}, 1.0]\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_mesh_file_triangle_repeating_a_vertex_exits_one_with_one_line(tmp_path, capfd):
+    path = tmp_path / "bad.mesh"
+    path.write_text("ncfem-mesh v1\n3 3 1\n0 0\n1 0\n0 1\n0 1 1\n0 1\n0 2\n1 2\n")
+    message = _usage_failure(["lambda0", "--m", "1", "--mesh", str(path)], capfd)
+    assert message == f"ncfem: mesh file {path}: triangle 0 repeats vertex 1\n"
 
 
 # an overflowing file used to reach each command's numerics, so it runs all three

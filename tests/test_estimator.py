@@ -126,6 +126,24 @@ def test_lambda_j_infinite_or_overflowing_is_refused(square2):
         estimate_modified(disc, data, u, lambda_j=1e160)
 
 
+@pytest.mark.parametrize("bad, message", [(0.0, "is not at least lambda0"),
+                                          (float("inf"), "is not finite")], ids=["zero", "inf"])
+def test_lambda_j_is_refused_before_the_norms(bad, message, square2, monkeypatch):
+    from ncfem import estimator
+
+    prob = get_problem("square-smooth-m1")
+    disc = Discretization(square2, "CR1_0")
+    data = prob.data(square2)
+    u = disc.solve(disc.rhs("modified", data))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused lambda_j reached the error norms")
+
+    monkeypatch.setattr(estimator, "error_norms", refuse)
+    with pytest.raises(ValueError, match=f"lambda_j {bad!r} {message}"):
+        estimate_modified(disc, data, u, lambda_j=bad)
+
+
 def test_efficiency_zero_g():
     prob = get_problem("square-smooth-m1")
     mesh = unit_square_mesh(2)

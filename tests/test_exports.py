@@ -84,3 +84,13 @@ def test_an_unreferenced_method_is_found():
     trees["planted"] = ast.parse("class Planted:\n    def never_called(self):\n        pass\n"
                                  "\n\nx = Planted()\n")
     assert _unreached(trees) - set(LIBRARY_ONLY) == {"planted.Planted.never_called"}
+
+
+def test_only_quadrature_builds_cells():
+    # every Cell outside quadrature.cells comes from quadrature.sample_cell, so
+    # the subcell-to-triangle map of a sample point is worked out in one place
+    calls = [f"{mod}.py:{node.lineno}" for mod, tree in _src_trees().items()
+             if mod != "quadrature" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Cell"]
+    assert calls == []

@@ -262,6 +262,18 @@ def test_coincident_vertices_are_rejected():
         Triangulation(np.zeros((3, 2)), np.array([[0, 1, 2]]))
 
 
+@pytest.mark.parametrize("triangles, want",
+                         [([[0, 1, 1]], "triangle 0 repeats vertex 1"),
+                          ([[0, 1, 2], [3, 1, 3]], "triangle 1 repeats vertex 3")],
+                         ids=["first", "second"])
+@pytest.mark.filterwarnings("error")
+def test_triangle_repeating_a_vertex_is_rejected(triangles, want):
+    # refused before the geometry divides by the zero length of its edge
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(MeshTopologyError, match=f"^{want}$"):
+        Triangulation(vertices, np.array(triangles))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 def test_non_finite_vertex_rejected(bad):
     # an inf coordinate makes the duplicate tolerance inf; NaN passes it

@@ -22,7 +22,7 @@ from ncfem.operators import (
     kappa_constant,
 )
 from ncfem.problems import get_problem
-from ncfem.quadrature import Cell, cells, edge_rule, triangle_rule
+from ncfem.quadrature import Cell, cells, edge_rule, sample_cell, triangle_rule
 
 MESHES = [unit_square_mesh(1), unit_square_mesh(2), l_shape_mesh(1)]
 KINDS = ["CR1_0", "MORLEY_0", "CR1_full", "MORLEY_full"]
@@ -247,8 +247,8 @@ def test_moment_orthogonality(kind, square2, rng):
         total = np.zeros((mesh.n_triangles, len(modes)))
         for s in range(nsub):
             parent = rule.points if nsub == 1 else rule.points @ SUB_TO_PARENT[s]
-            vv = v.evaluate_batch(ts, 0, parent, 0)
-            jj = jv.evaluate_batch(ts, s, rule.points, 0)
+            vv = v.at(sample_cell(ts, parent), 0)
+            jj = jv.at(sample_cell(ts, rule.points, s, nsub), 0)
             qv = np.stack([p.eval(parent) for p in modes])
             total += np.einsum("k,fk,lk->fl", rule.weights, vv - jj, qv)
         total *= (mesh.area / nsub)[:, None]
@@ -444,7 +444,7 @@ def _one_shot_morley_companion(source, target):
         (np.ones(int(ok.sum())), (np.nonzero(ok)[0], source.vertex_dof[ok])), shape=(V, n_src)
     ).tocsr()
     n_adj = np.bincount(tri.ravel(), minlength=V).astype(float)
-    gtab = source.tabulate(np.arange(F), 0, np.eye(3), 1)  # (F, 6, 3, 2)
+    gtab = source.tabulate(sample_cell(np.arange(F), np.eye(3)), 1)  # (F, 6, 3, 2)
     rows, cols, dx, dy = [], [], [], []
     for k in range(3):
         for j in range(6):
@@ -478,13 +478,13 @@ def _one_shot_morley_companion(source, target):
     b = cubic_bubble()
     M = np.array([[(b * b * p * q).integral() for q in modes] for p in modes])
     rule_s = triangle_rule(4)
-    tabM = source.tabulate(np.arange(F), 0, rule_s.points, 0)
+    tabM = source.tabulate(sample_cell(np.arange(F), rule_s.points), 0)
     qv = np.stack([p.eval(rule_s.points) for p in modes], axis=0)
     S = np.einsum("k,fjk,lk->fjl", rule_s.weights, tabM, qv)
     P_loc = np.zeros((F, 12, 6))
     for c in cells(mesh, 5, target):
         qv_s = np.stack([p.eval(c.parent) for p in modes], axis=1)
-        shape_vals = target.tabulate_cell(c, 0)[:, :12]
+        shape_vals = target.tabulate(c, 0)[:, :12]
         P_loc[c.ts] += (shape_vals * (c.weights / c.nsub)) @ qv_s
     S_glob = _oracle_moment_block(S, source.cell_dofs, n_src)
     cols_hct = np.empty((F, 12), dtype=np.int64)

@@ -41,8 +41,8 @@ PROBLEMS = ("square-smooth-m1", "square-smooth-m2", "lshape-singular-m1",
 # natural-scheme rate study (its companion is built after the solve), the
 # interpolation of every exact solution (estimate), the interpolation of FE
 # functions (compare and verify for both m), solve with a problem and with a
-# data file, the counterexamples, lambda0 for both m, and the estimator's
-# sqrt_area weights
+# data file, the counterexamples, lambda0 for both m, the estimator's
+# sqrt_area weights, and a rate study that --config sets up
 COMMANDS = [
     ("rates-lshape-singular-m1-6", ["rates", "--problem", "lshape-singular-m1", "--levels", "6"]),
     ("estimate-square-smooth-m1-3", ["estimate", "--problem", "square-smooth-m1", "--level", "3"]),
@@ -80,6 +80,7 @@ COMMANDS = [
     ("rates-square-smooth-m1-3-estimates-sqrt-area",
      ["rates", "--problem", "square-smooth-m1", "--levels", "3", "--estimates",
       "--h-convention", "sqrt_area"]),
+    ("config-rates-square-smooth-m2-3-estimates", ["--config", "<data>/rates-estimates.json"]),
 ]
 # the files "<data>/<name>" of COMMANDS, written once into the temporary directory
 DATA = {
@@ -94,6 +95,8 @@ DATA = {
         "G": {"poly1": [[1.0, 0, 1]], "poly2": [[-0.5, 1, 0], [2.0, 1, 1]]},
         "g": [[1.0, 0, 0], [0.25, 0, 2]],
     },
+    "rates-estimates.json": {"command": "rates", "problem": "square-smooth-m2", "levels": 3,
+                             "estimates": True},
 }
 
 

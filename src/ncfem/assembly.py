@@ -148,10 +148,8 @@ def _basis_at_point(space, t, point):
 
 
 def assemble_load(space, data):
-    """Vector of F-hat applied to the basis of `space` (any supported kind).
-
-    A polynomial field is integrated exactly: one whose integrand is of a
-    degree above ``MAX_TRIANGLE_DEGREE`` raises ValueError."""
+    """Vector of F-hat applied to the basis of `space` (any supported kind); a
+    polynomial field whose integrand exceeds ``MAX_TRIANGLE_DEGREE`` is refused."""
     mesh = space.mesh
     m = space.m
     vec = np.zeros(space.ndofs)
